@@ -233,6 +233,14 @@ def _estimate_for(series: VelocitySeries, config: RunConfig):
                           solver=_pipeline_solver(config), h=1.0)
 
 
+def _sigma_for(series: VelocitySeries, config: RunConfig, args):
+    """(sigma, estimate): the --sigma override, else the estimated sigma."""
+    if args.sigma is not None:
+        return float(args.sigma), None
+    estimate = _estimate_for(series, config)
+    return estimate.sigma_best, estimate
+
+
 def cmd_denoise(config: RunConfig, args) -> int:
     data = ingest(args.input, min_records=config.min_records,
                   min_length_m=config.min_road_length_m)
@@ -242,11 +250,7 @@ def cmd_denoise(config: RunConfig, args) -> int:
     for key in sorted(data):
         series = data[key]
         try:
-            if args.sigma is not None:
-                sigma, estimate = float(args.sigma), None
-            else:
-                estimate = _estimate_for(series, config)
-                sigma = estimate.sigma_best
+            sigma, estimate = _sigma_for(series, config, args)
             result = denoise_values(series.values,
                                     sweep_config(_pipeline_solver(config), sigma), h=1.0)
         except Exception as exc:
@@ -307,10 +311,9 @@ def cmd_cluster(config: RunConfig, args) -> int:
             if args.no_denoise:
                 profile = series.values
             else:
-                est = _estimate_for(series, config)
+                sigma, _ = _sigma_for(series, config, args)
                 profile = denoise_values(
-                    series.values,
-                    sweep_config(_pipeline_solver(config), est.sigma_best), h=1.0
+                    series.values, sweep_config(_pipeline_solver(config), sigma), h=1.0
                 ).denoised
         except Exception as exc:
             failures += 1
@@ -472,6 +475,9 @@ def main(argv=None) -> int:
     }
     if args.command != "table1" and not args.input:
         log.error("--input is required for %s", args.command)
+        return 2
+    if args.command == "estimate-sigma" and args.sigma is not None:
+        log.error("--sigma does not apply to estimate-sigma, which estimates it")
         return 2
     try:
         return commands[args.command](config, args)

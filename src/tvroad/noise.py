@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .series import VelocitySeries, pair_average, total_variation, _as_float_vector
-from .solver import SolverConfig, denoise_values, sweep_config
+from .solver import SolverConfig, denoise_sweep, denoise_values, sweep_config
 
 # Grid used by the balance sweep unless the caller says otherwise:
 # 0 and 1, then every 5 up to 50.
@@ -156,9 +156,13 @@ def _validate_grid(sigma_grid) -> np.ndarray:
 
 
 def _sweep_tv(values: np.ndarray, h: float, grid: np.ndarray, solver: SolverConfig):
-    return [
-        denoise_values(values, sweep_config(solver, float(s)), h=h).final_tv for s in grid
-    ]
+    # one batched solve over the whole grid; sigma = 0 rows return the input
+    return [res.final_tv for res in denoise_sweep(values, grid, solver, h=h)]
+
+
+def _tv_lower(v: np.ndarray) -> float:
+    """The combination rule's floor TV_l = (5/2)(v_max - v_min)."""
+    return 2.5 * (float(v.max()) - float(v.min()))
 
 
 def _balance_deltas(grid: np.ndarray, tvs) -> np.ndarray:
@@ -183,8 +187,8 @@ def _first_local_minimum(grid: np.ndarray, deltas: np.ndarray) -> float:
 def estimate_sigma_balance(series, sigma_grid, solver: SolverConfig, h: float | None = None) -> float:
     """Method 2: first local minimum of the TV * sigma^2 increments.
 
-    Runs the denoiser once per grid sigma.  Constant input (an all-zero
-    TV curve) has no noise to balance and returns 0.
+    Solves the whole grid in one batched denoiser call.  Constant input
+    (an all-zero TV curve) has no noise to balance and returns 0.
     """
     v, h = _values_and_h(series, h)
     grid = _validate_grid(sigma_grid)
@@ -214,7 +218,7 @@ def combine_estimates(
     """
     v, h = _values_and_h(series, h)
     curve = [(float(s), float(t)) for s, t in tv_curve]
-    tv_lower = 2.5 * (float(v.max()) - float(v.min()))
+    tv_lower = _tv_lower(v)
     known = dict(curve)
 
     def tv_at(s: float) -> float:
@@ -256,9 +260,9 @@ def estimate_sigma(
 ) -> SigmaEstimate:
     """Run both methods and the combination on one series.
 
-    The grid sweep is shared between Method 2 and the combination rule,
-    so the solver runs once per grid point plus whatever the bisection
-    needs.
+    The grid sweep is shared between Method 2 and the combination rule:
+    one batched solver call covers every grid point, and the bisection
+    adds single solves where it needs them.
     """
     v, h = _values_and_h(series, h)
     grid = _validate_grid(sigma_grid)
@@ -269,7 +273,7 @@ def estimate_sigma(
     delta_curve = tuple(
         (float(s * s), float(d)) for s, d in zip(grid[1:], deltas)
     )
-    tv_lower = 2.5 * (float(v.max()) - float(v.min()))
+    tv_lower = _tv_lower(v)
 
     flags = []
     if all(t == 0.0 for t in tvs):

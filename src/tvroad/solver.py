@@ -17,6 +17,32 @@ merit is differentiable at zero differences.  The smoothing parameter
 eps also appears in the regularized quotient d / (|d| + eps) used by the
 multiplier and gradient formulas.
 
+One kernel runs the loop over a leading row axis: a (B, N) stack of
+inputs, each row with its own sigma, sharing the template's epsilon,
+iteration cap, tolerance and line search.  :func:`denoise_values` is the
+B = 1 call; :func:`denoise_sweep` solves one series at a whole grid of
+sigmas in one call.  Every row performs a lone solve's arithmetic
+element for element, with the same summation order, so a batched row is
+bit-identical to the lone solve of its (u0, sigma): same iterate,
+multiplier trace, iteration count, flags and backtrack count.
+
+* Cached merit.  The accepted trial step's differences, their absolute
+  values, its smoothed TV, u - u0 and the fidelity sum are kept, so the
+  next iteration's multiplier, gradient and merit M(u) reuse them
+  instead of recomputing them from u.
+* Block Armijo search.  The trial steps t_k = initial_step * shrink^k
+  (formed by the repeated ``t *= shrink`` product of a one-at-a-time
+  search, so each is the same float) are tried as one (rows, W, N)
+  block and each row takes its first accepted k: exactly the step the
+  one-at-a-time search picks.  W starts at the largest k accepted in
+  the last two iterations, plus two (accepted k tends to alternate
+  between a small and a large value), and doubles until every row has
+  a step or max_backtracks trials are used up; a row with no accepted
+  trial stalls where it stands.  A row's k is its number of step
+  shrinks, which ``backtracks`` sums.
+* Row retirement.  A row leaves the stack when it converges, stalls or
+  reaches the iteration cap; the others go on.
+
 Practical note on eps: with a very small eps the TV term resolves the
 kink so sharply that the sign pattern of the differences chatters and
 the sup-norm gradient stop rule is never met on noisy data; the iterate
@@ -83,7 +109,8 @@ class DenoiseResult:
     multiplier actually used in each iteration (one entry per iteration
     performed).  ``converged`` means the sup-norm gradient criterion was
     met before the iteration cap; ``stalled`` means the line search found
-    no decrease and the run stopped where it stood.
+    no decrease and the run stopped where it stood.  ``backtracks`` is
+    the total number of line-search step shrinks over the run.
     """
 
     denoised: np.ndarray
@@ -93,6 +120,7 @@ class DenoiseResult:
     constraint_residual: float
     converged: bool
     stalled: bool = False
+    backtracks: int = 0
 
     def __post_init__(self):
         d = np.asarray(self.denoised, dtype=float)
@@ -105,24 +133,32 @@ class DenoiseResult:
             raise ValueError("lambda_trace length must equal iterations")
 
 
+def _smoothed_tv_of(a: np.ndarray, epsilon: float):
+    """Smoothed TV from absolute differences, summed over the last axis."""
+    return np.add.reduce(a - epsilon * np.log1p(a / epsilon), axis=-1)
+
+
 def smoothed_total_variation(values, epsilon: float) -> float:
     """TV with each |d| replaced by |d| - eps log(1 + |d|/eps)."""
-    d = np.diff(np.asarray(values, dtype=float))
-    a = np.abs(d)
-    return float(np.sum(a - epsilon * np.log1p(a / epsilon)))
+    return float(_smoothed_tv_of(np.abs(np.diff(np.asarray(values, dtype=float))), epsilon))
 
 
-def _ratio(du: np.ndarray, epsilon: float) -> np.ndarray:
-    return du / (np.abs(du) + epsilon)
+def _lambda_from(r, du0, du, coef):
+    # coef = h / (2 sigma^2); the sum runs over the last axis
+    return coef * np.add.reduce(r * (du0 - du), axis=-1)
 
 
-def _lambda_from(r, du0, du, sigma, h) -> float:
-    return (h / (2.0 * sigma ** 2)) * float(np.sum(r * (du0 - du)))
+def _padded_ratio(du, a, epsilon) -> np.ndarray:
+    """The quotient r = d / (|d| + eps) between zero ends r_0 = r_N = 0
+    along the last axis (a = |d|); r itself is the view [..., 1:-1]."""
+    rpad = np.zeros(du.shape[:-1] + (du.shape[-1] + 2,))
+    np.divide(du, a + epsilon, out=rpad[..., 1:-1])
+    return rpad
 
 
-def _gradient_from(r, u, u0, lam, h) -> np.ndarray:
-    rpad = np.concatenate(([0.0], r, [0.0]))
-    return -((np.diff(rpad) / h) - lam * (u - u0))
+def _gradient_from(rpad, resid, lam, h) -> np.ndarray:
+    # resid = u - u0, rpad from _padded_ratio, lam one value per row
+    return -(((rpad[..., 1:] - rpad[..., :-1]) / h) - lam[..., None] * resid)
 
 
 def compute_lambda(u_n, u0, sigma: float, h: float, epsilon: float) -> float:
@@ -141,7 +177,8 @@ def compute_lambda(u_n, u0, sigma: float, h: float, epsilon: float) -> float:
     if not (sigma > 0):
         raise ValueError("sigma must be positive here (sigma = 0 short-circuits denoise)")
     du = np.diff(u)
-    return _lambda_from(_ratio(du, epsilon), np.diff(v0), du, sigma, h)
+    r = _padded_ratio(du, np.abs(du), epsilon)[1:-1]
+    return float(_lambda_from(r, np.diff(v0), du, h / (2.0 * sigma ** 2)))
 
 
 def compute_gradient(u_n, u0, lam: float, h: float, epsilon: float) -> np.ndarray:
@@ -155,7 +192,168 @@ def compute_gradient(u_n, u0, lam: float, h: float, epsilon: float) -> np.ndarra
     v0 = _as_float_vector(u0, "u0")
     if u.size != v0.size or u.size < 2:
         raise ValueError("u_n and u0 must have equal length >= 2")
-    return _gradient_from(_ratio(np.diff(u), epsilon), u, v0, lam, h)
+    du = np.diff(u)
+    return _gradient_from(_padded_ratio(du, np.abs(du), epsilon), u - v0, np.asarray(lam), h)
+
+
+def _trial_steps(ls: LineSearchParams) -> tuple[np.ndarray, np.ndarray]:
+    """Trial steps t_k and Armijo slopes c t_k for k < max_backtracks."""
+    steps, slopes = [], []
+    t = ls.initial_step
+    for _ in range(ls.max_backtracks):
+        steps.append(t)
+        slopes.append(ls.sufficient_decrease * t)
+        t *= ls.shrink
+    return np.array(steps), np.array(slopes)
+
+
+def _trial_block(u, g, base, half, merit0, gg, steps, slopes, eps):
+    """Armijo test of every trial step for every row: a (rows, W) mask
+    plus the trials' cached state, each with a (rows, W) leading shape."""
+    trial = u[:, None, :] - steps[:, None] * g[:, None, :]
+    d = trial[..., 1:] - trial[..., :-1]
+    a = np.abs(d)
+    tv = _smoothed_tv_of(a, eps)
+    resid = trial - base[:, None, :]
+    fid = np.add.reduce(resid ** 2, axis=-1)
+    ok = tv + half[:, None] * fid <= merit0[:, None] - slopes * gg[:, None]
+    return ok, (trial, d, a, resid, tv, fid)
+
+
+def _armijo_block(u, g, base, half, merit0, gg, steps, slopes, width, eps):
+    """First accepted trial step of every row, tried in widening blocks.
+
+    Returns k, the number of step shrinks before each row's accepted
+    trial (``steps.size`` where every trial failed), and the accepted
+    trials' cached state: u, its differences and their absolute values,
+    u - u0, smoothed TV and fidelity sum (meaningless for failed rows).
+    """
+    rows = u.shape[0]
+    hi = min(width, steps.size)
+    if hi == 0:
+        return np.zeros(rows, dtype=int), None
+    ok, block = _trial_block(u, g, base, half, merit0, gg, steps[:hi], slopes[:hi], eps)
+    k = ok.argmax(axis=1)
+    # A k shared by all rows (always so for a lone row) is picked by a view.
+    shared = rows == 1 or (k == k[0]).all()
+    pick = (slice(None), int(k[0])) if shared else (np.arange(rows), k)
+    state = [x[pick] for x in block]
+    hit = ok[pick] if shared else ok.any(axis=1)
+    if hit.all():
+        return k, state
+    todo = np.flatnonzero(~hit)
+    k[todo] = steps.size
+    while todo.size and hi < steps.size:
+        lo, hi = hi, min(2 * hi, steps.size)
+        ok, block = _trial_block(u[todo], g[todo], base[todo], half[todo], merit0[todo],
+                                 gg[todo], steps[lo:hi], slopes[lo:hi], eps)
+        hit = np.flatnonzero(ok.any(axis=1))
+        first = ok[hit].argmax(axis=1)
+        k[todo[hit]] = lo + first
+        for dst, src in zip(state, block):
+            dst[todo[hit]] = src[hit, first]
+        todo = np.delete(todo, hit)
+    return k, state
+
+
+def _solve(u0: np.ndarray, sigmas, config: SolverConfig, h: float) -> list[DenoiseResult]:
+    """The batched kernel: one DenoiseResult per row of the (B, N) input.
+
+    Row b is solved at sigmas[b]; everything else comes from ``config``.
+    """
+    eps = config.epsilon
+    steps, slopes = _trial_steps(config.line_search)
+    results: list[DenoiseResult | None] = [None] * len(sigmas)
+    live, tv0 = [], []
+    for b, sigma in enumerate(sigmas):
+        v0 = total_variation(u0[b])
+        if sigma == 0.0:
+            results[b] = DenoiseResult(u0[b].copy(), v0, 0, np.empty(0), 0.0, True)
+        elif v0 == 0.0:
+            # Flat input: no variation to remove, the constraint is unmeetable
+            # and the residual reports that honestly.
+            results[b] = DenoiseResult(u0[b].copy(), v0, 0, np.empty(0), sigma ** 2, True)
+        else:
+            live.append(b)
+            tv0.append(v0)
+    if not live:
+        return results
+
+    ids = np.array(live)
+    base = u0[ids]
+    du0 = base[:, 1:] - base[:, :-1]
+    coef = np.array([h / (2.0 * sigmas[b] ** 2) for b in live])
+    v0 = np.array(tv0)
+    backtracks = np.zeros(ids.size, dtype=int)
+    k = k_before = np.zeros(ids.size, dtype=int)
+    traces = {b: [] for b in live}
+    # Cached state of the current iterate, which starts at u = u0.
+    u = base.copy()
+    du = du0.copy()
+    a = np.abs(du)
+    resid = u - base
+    stv = _smoothed_tv_of(a, eps)
+    fid = np.add.reduce(resid ** 2, axis=-1)
+
+    def retire(j, u_j, fid_j, iterations, converged, stalled):
+        b = int(ids[j])
+        results[b] = DenoiseResult(
+            denoised=u_j.copy(),
+            final_tv=total_variation(u_j),
+            iterations=iterations,
+            lambda_trace=np.array(traces[b]),
+            constraint_residual=abs(0.5 * h * float(fid_j) - sigmas[b] ** 2),
+            converged=converged,
+            stalled=stalled,
+            backtracks=int(backtracks[j]),
+        )
+
+    for n in range(config.max_iters):
+        rpad = _padded_ratio(du, a, eps)
+        lam = _lambda_from(rpad[:, 1:-1], du0, du, coef)
+        # A negative multiplier gives the fidelity term a negative weight,
+        # making the frozen-lambda merit unbounded below and the iteration
+        # divergent.  Clamping to zero is safe: the fixed-point balance
+        # that pins the constraint does not depend on the sign excursions.
+        lam = np.where(lam < 0.0, 0.0, lam)
+        for b, value in zip(ids.tolist(), lam.tolist()):
+            traces[b].append(value)
+        g = _gradient_from(rpad, resid, lam, h)
+        half = 0.5 * lam * h
+        merit0 = stv + half * fid
+        gg = h * np.add.reduce(g * g, axis=-1)
+        width = max(int(k.max()), int(k_before.max())) + 2
+        k_before = k
+        k, new = _armijo_block(u, g, base, half, merit0, gg, steps, slopes, width, eps)
+        stalled = k == steps.size
+        if new is not None and not np.isfinite(new[0]).all():
+            bad = np.flatnonzero(~stalled & ~np.isfinite(new[0]).all(axis=-1))
+            if bad.size:
+                t = float(steps[k[bad[0]]])
+                raise FloatingPointError(
+                    f"non-finite iterate at iteration {n} (step {t}); bad step size"
+                )
+        backtracks += k
+        met = np.maximum.reduce(np.abs(g), axis=-1) / v0 <= config.rel_tol
+        done = stalled | met
+        if not done.any():
+            u, du, a, resid, stv, fid = new
+            continue
+        for j in np.flatnonzero(done):
+            if stalled[j]:
+                retire(j, u[j], fid[j], n + 1, False, True)
+            else:
+                retire(j, new[0][j], new[5][j], n + 1, True, False)
+        keep = np.flatnonzero(~done)
+        if not keep.size:
+            return results
+        u, du, a, resid, stv, fid = (x[keep] for x in new)
+        ids, base, du0, coef, v0, backtracks, k, k_before = (
+            x[keep] for x in (ids, base, du0, coef, v0, backtracks, k, k_before))
+
+    for j in range(ids.size):
+        retire(j, u[j], fid[j], config.max_iters, False, False)
+    return results
 
 
 def denoise_values(values, config: SolverConfig, h: float = 1.0) -> DenoiseResult:
@@ -163,75 +361,20 @@ def denoise_values(values, config: SolverConfig, h: float = 1.0) -> DenoiseResul
     u0 = _as_float_vector(values, "values")
     if u0.size < 2:
         raise ValueError("need at least two samples")
-    v0 = total_variation(u0)
-    if config.sigma == 0.0:
-        return DenoiseResult(u0.copy(), v0, 0, np.empty(0), 0.0, True)
-    if v0 == 0.0:
-        # Flat input: no variation to remove, the constraint is unmeetable
-        # and the residual reports that honestly.
-        return DenoiseResult(u0.copy(), v0, 0, np.empty(0), config.sigma ** 2, True)
+    return _solve(u0[None, :], [config.sigma], config, h)[0]
 
-    sigma = config.sigma
-    eps = config.epsilon
-    ls = config.line_search
-    du0 = np.diff(u0)
-    u = u0.copy()
-    trace = []
-    converged = False
-    stalled = False
-    iterations = config.max_iters
 
-    for n in range(config.max_iters):
-        du = np.diff(u)
-        r = _ratio(du, eps)
-        lam = _lambda_from(r, du0, du, sigma, h)
-        if lam < 0.0:
-            # A negative multiplier gives the fidelity term a negative
-            # weight, making the frozen-lambda merit unbounded below and
-            # the iteration divergent.  Clamping to zero is safe: the
-            # fixed-point balance that pins the constraint does not
-            # depend on the sign excursions.
-            lam = 0.0
-        trace.append(lam)
-        g = _gradient_from(r, u, u0, lam, h)
+def denoise_sweep(values, sigmas, template: SolverConfig, h: float = 1.0) -> list[DenoiseResult]:
+    """Solve one series at every sigma in one batched call.
 
-        merit0 = smoothed_total_variation(u, eps) + 0.5 * lam * h * float(np.sum((u - u0) ** 2))
-        gg = h * float(np.sum(g * g))
-        t = ls.initial_step
-        accepted = False
-        for _ in range(ls.max_backtracks):
-            u_new = u - t * g
-            merit = smoothed_total_variation(u_new, eps) + 0.5 * lam * h * float(
-                np.sum((u_new - u0) ** 2)
-            )
-            if merit <= merit0 - ls.sufficient_decrease * t * gg:
-                accepted = True
-                break
-            t *= ls.shrink
-        if not accepted:
-            stalled = True
-            iterations = n + 1
-            break
-        if not np.isfinite(u_new).all():
-            raise FloatingPointError(
-                f"non-finite iterate at iteration {n} (step {t}); bad step size"
-            )
-        u = u_new
-        if np.max(np.abs(g)) / v0 <= config.rel_tol:
-            converged = True
-            iterations = n + 1
-            break
-
-    residual = abs(0.5 * h * float(np.sum((u - u0) ** 2)) - sigma ** 2)
-    return DenoiseResult(
-        denoised=u,
-        final_tv=total_variation(u),
-        iterations=iterations,
-        lambda_trace=np.array(trace[:iterations]),
-        constraint_residual=residual,
-        converged=converged,
-        stalled=stalled,
-    )
+    Result i is bit-identical to ``denoise_values(values,
+    sweep_config(template, sigmas[i]), h)``.
+    """
+    u0 = _as_float_vector(values, "values")
+    if u0.size < 2:
+        raise ValueError("need at least two samples")
+    sigmas = [sweep_config(template, float(s)).sigma for s in sigmas]
+    return _solve(np.broadcast_to(u0, (len(sigmas), u0.size)), sigmas, template, h)
 
 
 def denoise(series: VelocitySeries, config: SolverConfig) -> DenoiseResult:

@@ -3,9 +3,12 @@ import json
 import numpy as np
 import pytest
 
+from tvroad import cli
 from tvroad.cli import RunConfig, config_from_text, config_to_text, ingest, main
+from tvroad.cluster import cluster
 from tvroad.noise import DEFAULT_SIGMA_GRID
 from tvroad.series import VelocitySeries
+from tvroad.solver import SolverConfig, denoise_values
 from tvroad.synth import two_regime_corpus
 
 HEADER = "road_id,day,slice,velocity"
@@ -188,6 +191,29 @@ class TestCommands:
         embed = (out / "embedding.csv").read_text().strip().split("\n")
         name, x, y = embed[1].split(",")
         assert np.isfinite(float(x)) and np.isfinite(float(y))
+
+    def test_cluster_fixed_sigma_denoises_at_that_sigma(self, records_csv, tmp_path, monkeypatch):
+        def no_estimate(*args, **kwargs):
+            raise AssertionError("--sigma must replace the estimate")
+
+        monkeypatch.setattr(cli, "estimate_sigma", no_estimate)
+        out = tmp_path / "out"
+        rc = run_cli("cluster", "--input", str(records_csv), "--out-dir", str(out),
+                     "--sigma", "3")
+        assert rc == 0
+        data = ingest(records_csv, min_records=RunConfig().min_records_cluster)
+        solver = SolverConfig(sigma=3.0, epsilon=RunConfig().sweep_epsilon)
+        profiles = [denoise_values(data[key].values, solver).denoised for key in sorted(data)]
+        expected = cluster(np.array(profiles))
+        graph = (out / "decision_graph.csv").read_text().strip().split("\n")[1:]
+        assert [float(line.split(",")[1]) for line in graph] == expected.rho.tolist()
+
+    def test_estimate_sigma_rejects_fixed_sigma(self, records_csv, tmp_path):
+        out = tmp_path / "out"
+        rc = run_cli("estimate-sigma", "--input", str(records_csv), "--out-dir", str(out),
+                     "--sigma", "3")
+        assert rc == 2
+        assert not (out / "sigma_estimates.json").exists()
 
     def test_cluster_needs_two_road_days(self, road_days, write_records, tmp_path):
         path = write_records(road_days[:1], name="one.csv")

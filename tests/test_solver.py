@@ -1,7 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tvroad.noise import DEFAULT_SIGMA_GRID, SWEEP_SOLVER
 from tvroad.series import total_variation
 from tvroad.solver import (
     DenoiseResult,
@@ -9,10 +12,12 @@ from tvroad.solver import (
     SolverConfig,
     compute_gradient,
     compute_lambda,
+    denoise_sweep,
     denoise_values,
     smoothed_total_variation,
     sweep_config,
 )
+from tvroad.synth import two_regime_corpus
 
 STEP = np.concatenate([np.full(20, 10.0), np.full(20, 40.0)])
 
@@ -196,3 +201,123 @@ class TestDenoiseProperties:
         assert res.lambda_trace.size == res.iterations <= 300
         assert (res.lambda_trace >= 0.0).all()
         assert np.isfinite(u).all()
+
+
+def _reference_denoise(values, config: SolverConfig, h: float = 1.0) -> DenoiseResult:
+    """The solver as a plain one-solve loop: every quantity recomputed from
+    the iterate each time and one Armijo trial at a time.  Oracle for the
+    batched kernel, which must reproduce it bit for bit."""
+    u0 = np.asarray(values, dtype=float)
+    v0 = total_variation(u0)
+    if config.sigma == 0.0:
+        return DenoiseResult(u0.copy(), v0, 0, np.empty(0), 0.0, True)
+    if v0 == 0.0:
+        return DenoiseResult(u0.copy(), v0, 0, np.empty(0), config.sigma ** 2, True)
+
+    sigma, eps, ls = config.sigma, config.epsilon, config.line_search
+    du0 = np.diff(u0)
+    u = u0.copy()
+    trace = []
+    converged = stalled = False
+    iterations = config.max_iters
+    backtracks = 0
+    for n in range(config.max_iters):
+        du = np.diff(u)
+        r = du / (np.abs(du) + eps)
+        lam = (h / (2.0 * sigma ** 2)) * float(np.sum(r * (du0 - du)))
+        if lam < 0.0:
+            lam = 0.0
+        trace.append(lam)
+        rpad = np.concatenate(([0.0], r, [0.0]))
+        g = -((np.diff(rpad) / h) - lam * (u - u0))
+
+        merit0 = smoothed_total_variation(u, eps) + 0.5 * lam * h * float(np.sum((u - u0) ** 2))
+        gg = h * float(np.sum(g * g))
+        t = ls.initial_step
+        accepted = False
+        for _ in range(ls.max_backtracks):
+            u_new = u - t * g
+            merit = smoothed_total_variation(u_new, eps) + 0.5 * lam * h * float(
+                np.sum((u_new - u0) ** 2)
+            )
+            if merit <= merit0 - ls.sufficient_decrease * t * gg:
+                accepted = True
+                break
+            t *= ls.shrink
+            backtracks += 1
+        if not accepted:
+            stalled = True
+            iterations = n + 1
+            break
+        if not np.isfinite(u_new).all():
+            raise FloatingPointError(
+                f"non-finite iterate at iteration {n} (step {t}); bad step size"
+            )
+        u = u_new
+        if np.max(np.abs(g)) / v0 <= config.rel_tol:
+            converged = True
+            iterations = n + 1
+            break
+
+    residual = abs(0.5 * h * float(np.sum((u - u0) ** 2)) - sigma ** 2)
+    return DenoiseResult(u, total_variation(u), iterations, np.array(trace[:iterations]),
+                         residual, converged, stalled, backtracks)
+
+
+def assert_bit_identical(got: DenoiseResult, want: DenoiseResult):
+    for f in dataclasses.fields(DenoiseResult):
+        x, y = np.asarray(getattr(got, f.name)), np.asarray(getattr(want, f.name))
+        assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes()), f.name
+
+
+@pytest.fixture(scope="module")
+def diurnal_days():
+    road = two_regime_corpus(n_roads=1, n_days=3, seed=7, diurnal=True)[0]
+    return [noisy.values for _, noisy in road]
+
+
+class TestKernelMatchesReference:
+    @pytest.mark.parametrize("day", range(3))
+    def test_default_grid_sweep(self, diurnal_days, day):
+        values = diurnal_days[day]
+        sweep = denoise_sweep(values, DEFAULT_SIGMA_GRID, SWEEP_SOLVER)
+        capped = [s for s, res in zip(DEFAULT_SIGMA_GRID, sweep)
+                  if res.iterations == SWEEP_SOLVER.max_iters]
+        if day == 0:
+            # the grid's ends run to the iteration cap on this day
+            assert capped[0] == 1.0 and capped[-1] == 50.0
+        for sigma, res in zip(DEFAULT_SIGMA_GRID, sweep):
+            assert_bit_identical(res, _reference_denoise(values, sweep_config(SWEEP_SOLVER, sigma)))
+
+    @pytest.mark.parametrize("cut", [7, 60, 200])
+    def test_causal_prefix(self, diurnal_days, cut):
+        prefix = np.concatenate([diurnal_days[1][:cut], [diurnal_days[1][cut - 1]]])
+        config = sweep_config(SWEEP_SOLVER, 10.0)
+        assert_bit_identical(denoise_values(prefix, config), _reference_denoise(prefix, config))
+
+    def test_stall(self):
+        ls = LineSearchParams(initial_step=1e12, max_backtracks=0)
+        config = SolverConfig(sigma=2.0, epsilon=0.1, line_search=ls)
+        res = denoise_values(STEP, config)
+        assert res.stalled and res.backtracks == 0
+        assert_bit_identical(res, _reference_denoise(STEP, config))
+
+    @pytest.mark.parametrize("values,sigma", [(STEP, 0.0), (np.full(10, 6.0), 2.0)])
+    def test_short_circuits(self, values, sigma):
+        config = SolverConfig(sigma=sigma, epsilon=0.1)
+        assert_bit_identical(denoise_values(values, config), _reference_denoise(values, config))
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.data())
+    def test_sweep_rows_equal_lone_solves(self, data):
+        n = data.draw(st.integers(min_value=2, max_value=40))
+        values = np.asarray(data.draw(st.lists(
+            st.floats(min_value=0.0, max_value=60.0, allow_nan=False), min_size=n, max_size=n)))
+        sigmas = data.draw(st.lists(
+            st.one_of(st.just(0.0), st.floats(min_value=0.01, max_value=8.0)),
+            min_size=1, max_size=5))
+        shrink = data.draw(st.floats(min_value=0.05, max_value=0.95).filter(lambda s: s != 0.5))
+        ls = LineSearchParams(shrink=shrink, max_backtracks=data.draw(st.integers(0, 12)))
+        template = SolverConfig(sigma=0.0, epsilon=0.1, max_iters=150, line_search=ls)
+        for sigma, res in zip(sigmas, denoise_sweep(values, sigmas, template)):
+            assert_bit_identical(res, denoise_values(values, sweep_config(template, sigma)))
