@@ -21,6 +21,8 @@ FLAG_DEGENERATE_DC = "degenerate-dc"
 FLAG_DEGENERATE_EMBEDDING = "degenerate-embedding"
 FLAG_NO_EMBEDDING = "embedding-skipped"
 
+_BLOCK_BYTES = 1 << 22  # difference-array size per row block of pairwise_distances
+
 
 @dataclass(frozen=True, eq=False)
 class DistanceMatrix:
@@ -69,12 +71,21 @@ def _dmat(d) -> np.ndarray:
 
 
 def pairwise_distances(vectors) -> DistanceMatrix:
-    """Symmetric l2 distance matrix between equal-length vectors."""
+    """Symmetric l2 distance matrix between equal-length vectors.
+
+    Rows are built in blocks of a few MB; each entry is the same
+    ``sqrt(((x_i - x_j) ** 2).sum())`` reduction as a one-shot
+    (n, n, d) difference array would give.
+    """
     x = np.asarray(vectors, dtype=float)
     if x.ndim != 2 or x.shape[0] < 2:
         raise ValueError("need at least 2 equal-length vectors")
-    diff = x[:, None, :] - x[None, :, :]
-    d = np.sqrt((diff ** 2).sum(axis=-1))
+    n = x.shape[0]
+    rows = max(1, _BLOCK_BYTES // (8 * n * max(x.shape[1], 1)))
+    d = np.empty((n, n))
+    for lo in range(0, n, rows):
+        diff = x[lo : lo + rows, None, :] - x[None, :, :]
+        d[lo : lo + rows] = np.sqrt((diff ** 2).sum(axis=-1))
     return DistanceMatrix(d)
 
 
@@ -107,6 +118,69 @@ def delta_neighbors(d, rho: np.ndarray):
     delta[top] = dm[top].max()
     nn[top] = top
     return delta, nn, order
+
+
+class SortedNeighbors:
+    """Nearest-denser searches over a fixed item set plus one added item.
+
+    Stores each fixed item's neighbours in (distance, index) order, a
+    stable argsort of its row, and its row maximum.  For an added item
+    n with distances ``d_new`` to the n fixed items,
+    :meth:`delta_neighbors` returns what :func:`delta_neighbors` gives
+    on the bordered (n+1)-square matrix, bit for bit, without building
+    that matrix: each fixed item's nearest denser fixed item is the
+    first denser entry of its sorted row, and the added item takes over
+    only at a strictly smaller distance, since its index loses ties.
+    """
+
+    def __init__(self, d):
+        self.d = _dmat(d)
+        self.by_distance = np.argsort(self.d, axis=1, kind="stable").astype(np.int32)
+        self.row_max = self.d.max(axis=1)
+
+    def delta_neighbors(self, d_new: np.ndarray, rho: np.ndarray):
+        """(delta, nn) of the n + 1 items; rho[n] is the added item's density."""
+        n = len(self.d)
+        order = np.argsort(-rho, kind="stable")
+        rank = np.empty(n + 1, dtype=np.int64)
+        rank[order] = np.arange(n + 1)
+        delta = np.full(n + 1, np.inf)
+        nn = np.full(n + 1, n, dtype=np.int64)
+        # every fixed item but the densest one has a denser fixed item;
+        # scan the sorted rows in doubling column blocks until it shows
+        densest_fixed = order[0] if order[0] < n else order[1]
+        rows = np.delete(np.arange(n), densest_fixed)
+        lo, hi = 0, 8
+        while rows.size:
+            cols = self.by_distance[rows, lo:hi]
+            denser = rank[cols] < rank[rows, None]
+            hit = denser.any(axis=1)
+            nn[rows[hit]] = cols[hit, denser[hit].argmax(axis=1)]
+            rows = rows[~hit]
+            lo, hi = hi, 2 * hi
+        found = np.flatnonzero(nn[:n] < n)
+        delta[found] = self.d[found, nn[found]]
+        take = (rank[n] < rank[:n]) & (d_new < delta[:n])
+        delta[:n][take] = d_new[take]
+        nn[:n][take] = n
+        top = order[0]
+        if top == n:
+            delta[n] = d_new.max()
+        else:
+            row = np.where(rank[:n] < rank[n], d_new, np.inf)
+            nn[n] = np.argmin(row)
+            delta[n] = row[nn[n]]
+            delta[top] = max(self.row_max[top], d_new[top])
+        nn[top] = top
+        return delta, nn
+
+    def bordered(self, d_new: np.ndarray, items, cols) -> np.ndarray:
+        """Entries (items x cols) of the bordered (n+1)-square matrix."""
+        n = len(self.d)
+        return np.array([
+            (np.append(self.d[i], d_new[i]) if i < n else np.append(d_new, 0.0))[cols]
+            for i in items
+        ])
 
 
 def separation(d, rho: np.ndarray) -> np.ndarray:
@@ -148,26 +222,42 @@ def select_centers(rho: np.ndarray, delta: np.ndarray, k: int | None = None) -> 
     return np.argsort(-gamma, kind="stable")[:k]
 
 
+def follow_neighbors(nn: np.ndarray, centers, center_distances) -> np.ndarray:
+    """Cluster ids 1..k from nearest-denser neighbours (nn of delta_neighbors).
+
+    Each item takes the id of the first center on its chain i -> nn[i]
+    -> ..., found by pointer jumping with the centers as fixed points.
+    The other fixed point is the densest item, its own neighbour; when
+    it is not a center, it and every item whose chain ends at it take
+    the id of their own nearest center (the first one on a distance
+    tie).  ``center_distances(items)`` gives those items' distances to
+    the centers, one row per item.
+    """
+    centers = np.asarray(centers, dtype=np.int64)
+    ids = np.zeros(nn.size, dtype=np.int64)
+    ids[centers] = np.arange(1, centers.size + 1)
+    root = np.array(nn, dtype=np.int64)
+    root[centers] = centers
+    while True:
+        jumped = root[root]
+        if np.array_equal(jumped, root):
+            break
+        root = jumped
+    label = ids[root]
+    lost = np.flatnonzero(label == 0)
+    if lost.size:
+        label[lost] = 1 + np.argmin(center_distances(lost), axis=1)
+    return label
+
+
 def assign(d, rho: np.ndarray, centers) -> np.ndarray:
     """Cluster ids 1..k; non-centers follow their nearest denser neighbour."""
     centers = np.asarray(centers, dtype=np.int64)
     if centers.size == 0:
         raise ValueError("centers must be non-empty")
     dm = _dmat(d)
-    n = rho.size
-    label = np.zeros(n, dtype=np.int64)
-    for cid, c in enumerate(centers, start=1):
-        label[c] = cid
-    delta, nn, order = delta_neighbors(dm, rho)
-    for i in order:
-        if label[i] == 0:
-            label[i] = label[nn[i]]
-    if (label == 0).any():
-        # only possible for the densest item when it was not chosen as a
-        # center; give it the cluster of its nearest center
-        for i in np.flatnonzero(label == 0):
-            label[i] = 1 + int(np.argmin(dm[i, centers]))
-    return label
+    _, nn, _ = delta_neighbors(dm, rho)
+    return follow_neighbors(nn, centers, lambda items: dm[np.ix_(items, centers)])
 
 
 def halo_split(d, rho: np.ndarray, assignment: np.ndarray, d_c: float):

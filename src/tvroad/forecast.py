@@ -5,6 +5,10 @@ with the velocity 15 minutes (3 slices) past each window.  At run time
 the current 4-slice window is clustered together with all history
 windows; the prediction is the Gaussian-weighted average of the labels
 in the window's cluster, weighted by distance from the current window.
+The history side of that clustering (distances, densities and each
+window's neighbours sorted by distance) is built once per history, so
+each goal costs a search along those sorted lists rather than a scan of
+the whole (m+1)-square distance matrix.
 
 Denoising the target day causally needs one future boundary value, so a
 small least-squares model trained on 5-minute-ahead labels supplies the
@@ -20,12 +24,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cluster import (
-    assign,
-    delta_neighbors,
+    FLAG_DEGENERATE_DC,
+    SortedNeighbors,
+    delta_neighbors,  # noqa: F401  (unused here; bench/tracing.py wraps this name)
+    follow_neighbors,
     local_density,
     pairwise_distances,
     select_centers,
-    separation,
 )
 from .noise import DEFAULT_SIGMA_GRID, SWEEP_SOLVER, estimate_sigma
 from .series import DEFAULT_SLICES, VelocitySeries
@@ -157,28 +162,14 @@ def _weighted_label(weights: np.ndarray, labels: np.ndarray) -> float:
 def predict(history: HistorySet, goal, d_c: float, k: int | None = None) -> float:
     """Cluster the goal window with the history and average its cluster.
 
-    Straightforward reference path: builds the full distance matrix over
-    windows plus goal on every call.  The pipeline uses an incremental
-    matcher that precomputes the history part; both produce the same
-    numbers.  A goal alone in its cluster falls back to the Gaussian-
-    weighted average over all windows.
+    One goal through the same matcher the pipeline uses.  A goal alone
+    in its cluster falls back to the Gaussian-weighted average over all
+    windows.
     """
     if len(history) == 0:
         raise ValueError("empty history")
-    goal = np.asarray(goal, dtype=float)
-    stacked = np.vstack([history.windows, goal])
-    dm = pairwise_distances(stacked)
-    rho = local_density(dm, d_c)
-    centers = select_centers(rho, separation(dm, rho), k)
-    labels = assign(dm, rho, centers)
-    m = len(history)
-    members = np.flatnonzero(labels == labels[m])
-    members = members[members < m]
-    d_goal = dm.d[m, :m]
-    w_all = np.exp(-((d_goal / d_c) ** 2))
-    if members.size == 0:
-        return _weighted_label(w_all, history.labels)
-    return _weighted_label(w_all[members], history.labels[members])
+    matcher = _GoalMatcher(history.windows, history.labels, d_c, k)
+    return matcher.predict(np.asarray(goal, dtype=float))[0]
 
 
 def rmae(truth, pred) -> float:
@@ -212,42 +203,45 @@ def mape(truth, pred) -> tuple[float, int]:
 class _GoalMatcher:
     """Per-goal clustering against a fixed window set.
 
-    Precomputes the history distance matrix and kernel densities; each
-    predict() only fills in the goal's row, recomputes separations, and
-    walks the density order.  Numerically equivalent to predict() above.
+    Builds the history distance matrix (or takes it as ``base``), its
+    kernel densities and its sorted neighbour lists once.  Each
+    predict() computes the goal's distances and the densities with the
+    goal added, finds every item's nearest denser neighbour from the
+    sorted lists, picks the centers and follows the neighbour chains to
+    the goal's cluster; no (m+1)-square matrix is built.  Clustering the
+    goal with the windows from scratch gives the same delta, neighbours
+    and labels, except that summing a whole density row can differ from
+    ``rho_base + w_goal`` in the last bit and so reorder exact ties.
     """
 
-    def __init__(self, windows: np.ndarray, labels: np.ndarray, d_c: float, k: int | None):
+    def __init__(
+        self,
+        windows: np.ndarray,
+        labels: np.ndarray,
+        d_c: float,
+        k: int | None,
+        base: np.ndarray | None = None,
+    ):
         self.labels = labels
         self.d_c = d_c
         self.k = k
         self.windows = windows
-        m = windows.shape[0]
-        base = pairwise_distances(windows).d
+        if base is None:
+            base = pairwise_distances(windows).d if len(windows) > 1 else np.zeros((1, 1))
         self.rho_base = local_density(base, d_c)
-        self.dist = np.zeros((m + 1, m + 1))
-        self.dist[:m, :m] = base
+        self.neighbors = SortedNeighbors(base)
 
     def predict(self, goal: np.ndarray) -> tuple[float, bool]:
         m = self.windows.shape[0]
         d_goal = np.sqrt(((self.windows - goal) ** 2).sum(axis=-1))
-        self.dist[m, :m] = d_goal
-        self.dist[:m, m] = d_goal
         w_goal = np.exp(-((d_goal / self.d_c) ** 2))
         rho = np.concatenate([self.rho_base + w_goal, [w_goal.sum()]])
-        delta, nn, order = delta_neighbors(self.dist, rho)
+        delta, nn = self.neighbors.delta_neighbors(d_goal, rho)
         centers = select_centers(rho, delta, self.k)
-        label = np.zeros(m + 1, dtype=np.int64)
-        for cid, c in enumerate(centers, start=1):
-            label[c] = cid
-        for i in order:
-            if label[i] == 0:
-                label[i] = label[nn[i]]
-        if (label == 0).any():
-            for i in np.flatnonzero(label == 0):
-                label[i] = 1 + int(np.argmin(self.dist[i, centers]))
-        members = np.flatnonzero(label == label[m])
-        members = members[members < m]
+        label = follow_neighbors(
+            nn, centers, lambda items: self.neighbors.bordered(d_goal, items, centers)
+        )
+        members = np.flatnonzero(label[:m] == label[m])
         if members.size == 0:
             return _weighted_label(w_goal, self.labels), True
         return _weighted_label(w_goal[members], self.labels[members]), False
@@ -262,6 +256,7 @@ class PipelineComparison:
     sigma: float
     d_c: float
     boundary_fallback: bool
+    flags: tuple[str, ...] = ()  # e.g. cluster.FLAG_DEGENERATE_DC
 
 
 def compare_pipelines(
@@ -284,7 +279,9 @@ def compare_pipelines(
     boundary model (trained on raw windows with 5-minute labels); the
     denoised variant clusters denoised history windows and matches them
     with a causally denoised goal window whose sigma is scaled down by
-    the square root of the observed fraction of the day.
+    the square root of the observed fraction of the day.  When the
+    distance percentile is 0, as for a flat history, d_c falls back to
+    1.0 and ``flags`` holds ``cluster.FLAG_DEGENERATE_DC``.
     """
     days = list(history_days)
     if not days:
@@ -304,12 +301,15 @@ def compare_pipelines(
     model = fit_boundary(build_history(days, label_offset=BOUNDARY_OFFSET))
 
     base = pairwise_distances(hist_raw.windows).d
-    iu = np.triu_indices(base.shape[0], 1)
-    d_c = float(np.percentile(base[iu], dc_percentile))
+    d_c = float(np.percentile(base[np.triu_indices(len(base), 1)], dc_percentile))
+    flags = []
+    if not d_c > 0:
+        d_c = 1.0
+        flags.append(FLAG_DEGENERATE_DC)
 
     variants: dict[str, _GoalMatcher] = {}
     if include_raw:
-        variants["raw"] = _GoalMatcher(hist_raw.windows, hist_raw.labels, d_c, k)
+        variants["raw"] = _GoalMatcher(hist_raw.windows, hist_raw.labels, d_c, k, base=base)
     if include_denoised:
         denoised_days = [
             denoise_values(d.values, sweep_config(solver, sigma), h=d.h).denoised
@@ -356,4 +356,5 @@ def compare_pipelines(
         sigma=float(sigma),
         d_c=d_c,
         boundary_fallback=model.used_fallback,
+        flags=tuple(flags),
     )

@@ -92,6 +92,8 @@ class SolverConfig:
     def __post_init__(self):
         if not (self.sigma >= 0):
             raise ValueError("sigma must be >= 0")
+        if self.sigma > 0 and self.sigma ** 2 == 0:
+            raise ValueError(f"sigma {self.sigma!r} is too small: its square underflows to 0")
         if not (self.epsilon > 0):
             raise ValueError("epsilon must be positive")
         if self.max_iters < 1:

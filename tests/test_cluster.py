@@ -1,5 +1,9 @@
+import importlib
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tvroad.cluster import (
     FLAG_DEGENERATE_DC,
@@ -7,11 +11,13 @@ from tvroad.cluster import (
     FLAG_DEGENERATE_GAMMA,
     FLAG_NO_EMBEDDING,
     DistanceMatrix,
+    SortedNeighbors,
     assign,
     auto_select_k,
     cluster,
     delta_neighbors,
     embed_2d,
+    follow_neighbors,
     halo_split,
     local_density,
     pairwise_distances,
@@ -19,7 +25,36 @@ from tvroad.cluster import (
     separation,
 )
 
+# the package's ``cluster`` attribute is the function, not the module
+cluster_module = importlib.import_module("tvroad.cluster")
+
 LINE = np.array([[0.0], [1.0], [3.0]])
+
+
+def _reference_assign(dm, rho, centers):
+    """The sequential labelling walk that follow_neighbors replaced."""
+    centers = np.asarray(centers, dtype=np.int64)
+    label = np.zeros(rho.size, dtype=np.int64)
+    for cid, c in enumerate(centers, start=1):
+        label[c] = cid
+    _, nn, order = delta_neighbors(dm, rho)
+    for i in order:
+        if label[i] == 0:
+            label[i] = label[nn[i]]
+    for i in np.flatnonzero(label == 0):
+        label[i] = 1 + int(np.argmin(dm[i, centers]))
+    return label
+
+
+@st.composite
+def tied_points(draw, min_n=2, max_n=30):
+    """Small-integer points with tied densities: many exact distance and rho ties."""
+    n = draw(st.integers(min_n, max_n))
+    dim = draw(st.integers(1, 3))
+    pts = np.array(draw(st.lists(st.lists(st.integers(0, 3), min_size=dim, max_size=dim),
+                                 min_size=n, max_size=n)), dtype=float)
+    rho = np.array(draw(st.lists(st.sampled_from([0.0, 1.0, 2.0, 2.5]), min_size=n, max_size=n)))
+    return pts, rho
 
 
 def three_blobs(n_per=20, seed=0, spread=0.25):
@@ -50,6 +85,23 @@ class TestDistances:
         dm = pairwise_distances(LINE)
         with pytest.raises(ValueError):
             dm.d[0, 1] = 9.0
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_row_blocks_equal_one_shot_formula(self, data):
+        dim = data.draw(st.sampled_from([1, 4, 288]), label="dim")
+        # the one-shot reference holds two (n, n, dim) arrays
+        n = data.draw(st.integers(2, 150 if dim == 288 else 400), label="n")
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        block = data.draw(st.sampled_from([1, 8 * dim * n, 3 * 8 * dim * n, 1 << 22]), label="block")
+        rng = np.random.default_rng(seed)
+        x = rng.normal(30.0, 8.0, (n, dim))
+        x[rng.integers(0, n, n // 3)] = x[0]  # repeated rows: exact zero distances
+        diff = x[:, None, :] - x[None, :, :]
+        expected = np.sqrt((diff ** 2).sum(axis=-1))
+        with mock.patch.object(cluster_module, "_BLOCK_BYTES", block):
+            got = pairwise_distances(x).d
+        assert np.array_equal(got, expected)
 
 
 class TestLocalDensity:
@@ -82,6 +134,43 @@ class TestDeltaNeighbors:
         dm = pairwise_distances(LINE)
         rho = np.array([1.0, 5.0, 2.0])
         np.testing.assert_array_equal(separation(dm, rho), delta_neighbors(dm, rho)[0])
+
+
+class TestSortedNeighbors:
+    @settings(max_examples=200, deadline=None)
+    @given(case=tied_points(min_n=3))
+    def test_matches_full_matrix_with_last_item_added(self, case):
+        pts, rho = case
+        full = pairwise_distances(pts).d
+        n = len(pts) - 1
+        lists = SortedNeighbors(full[:n, :n])
+        delta, nn = lists.delta_neighbors(full[n, :n], rho)
+        want_delta, want_nn, _ = delta_neighbors(full, rho)
+        np.testing.assert_array_equal(delta, want_delta)
+        np.testing.assert_array_equal(nn, want_nn)
+
+    @pytest.mark.parametrize("densest", [0, 2, 3])
+    def test_added_item_loses_distance_ties(self, densest):
+        # item 3 is added; 0 and 3 both sit at distance 1 from item 1,
+        # and when 3 is denser than 1 it still loses that tie to 0
+        pts = np.array([[0.0], [1.0], [5.0], [2.0]])
+        rho = np.ones(4)
+        rho[densest] = 2.0
+        full = pairwise_distances(pts).d
+        delta, nn = SortedNeighbors(full[:3, :3]).delta_neighbors(full[3, :3], rho)
+        want_delta, want_nn, _ = delta_neighbors(full, rho)
+        np.testing.assert_array_equal(delta, want_delta)
+        np.testing.assert_array_equal(nn, want_nn)
+        assert nn[1] == 0
+        if densest == 3:
+            assert nn[0] == 3 and nn[3] == 3 and delta[3] == 3.0
+
+    def test_bordered_entries(self):
+        pts = np.array([[0.0], [1.0], [3.0], [7.0]])
+        full = pairwise_distances(pts).d
+        lists = SortedNeighbors(full[:3, :3])
+        items, cols = np.array([3, 0, 2]), np.array([3, 1, 0])
+        np.testing.assert_array_equal(lists.bordered(full[3, :3], items, cols), full[np.ix_(items, cols)])
 
 
 class TestAutoK:
@@ -135,6 +224,30 @@ class TestAssign:
     def test_rejects_empty_centers(self):
         with pytest.raises(ValueError):
             assign(pairwise_distances(LINE), np.ones(3), centers=[])
+
+    def test_chain_of_the_densest_non_center_snaps_item_by_item(self):
+        # 0 is densest and no center; 1 and 2 follow it, so each takes
+        # its own nearest center instead of a shared id
+        pts = np.array([[0.0], [-1.0], [1.0], [-3.0], [3.0]])
+        dm = pairwise_distances(pts)
+        rho = np.array([5.0, 4.0, 4.0, 1.0, 1.0])
+        labels = assign(dm, rho, centers=[3, 4])
+        np.testing.assert_array_equal(labels, [1, 1, 2, 1, 2])
+        np.testing.assert_array_equal(labels, _reference_assign(dm.d, rho, [3, 4]))
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=tied_points(), data=st.data())
+    def test_matches_sequential_walk(self, case, data):
+        pts, rho = case
+        dm = pairwise_distances(pts).d
+        centers = data.draw(st.lists(st.integers(0, len(pts) - 1), min_size=1, max_size=4, unique=True))
+        np.testing.assert_array_equal(assign(dm, rho, centers), _reference_assign(dm, rho, centers))
+
+    def test_follow_neighbors_asks_distances_only_when_needed(self):
+        nn = np.array([0, 0, 1, 2])
+        def no_distances(items):
+            raise AssertionError("every chain ends at a center")
+        np.testing.assert_array_equal(follow_neighbors(nn, [0, 2], no_distances), [1, 1, 2, 2])
 
 
 class TestHalo:

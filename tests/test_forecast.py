@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
+from tvroad.cluster import FLAG_DEGENERATE_DC, delta_neighbors, local_density, select_centers
 from tvroad.forecast import (
     BOUNDARY_OFFSET,
     LABEL_OFFSET,
     WINDOW,
     HistorySet,
     _GoalMatcher,
+    _weighted_label,
     boundary_forecast,
     build_history,
     causal_denoise_window,
@@ -27,6 +29,51 @@ RAMP = np.arange(288.0)
 def family_history(level, labels, n=8):
     windows = np.full((n, WINDOW), float(level))
     return HistorySet(windows, np.asarray(labels, dtype=float), tuple((None, i) for i in range(n)))
+
+
+def _reference_match(windows, labels, d_c, k, goal):
+    """Full-matrix goal matcher: the bit-identity oracle for _GoalMatcher.
+
+    Borders the history distance matrix with the goal's row and column,
+    runs delta_neighbors over the whole (m+1)-square matrix and walks the
+    density order.  Returns (value, fell_back, path), path naming the
+    branches taken.
+    """
+    m = windows.shape[0]
+    base = np.sqrt(((windows[:, None, :] - windows[None, :, :]) ** 2).sum(axis=-1))
+    rho_base = local_density(base, d_c)
+    dist = np.zeros((m + 1, m + 1))
+    dist[:m, :m] = base
+    d_goal = np.sqrt(((windows - goal) ** 2).sum(axis=-1))
+    dist[m, :m] = d_goal
+    dist[:m, m] = d_goal
+    w_goal = np.exp(-((d_goal / d_c) ** 2))
+    rho = np.concatenate([rho_base + w_goal, [w_goal.sum()]])
+    delta, nn, order = delta_neighbors(dist, rho)
+    centers = select_centers(rho, delta, k)
+    label = np.zeros(m + 1, dtype=np.int64)
+    for cid, c in enumerate(centers, start=1):
+        label[c] = cid
+    for i in order:
+        if label[i] == 0:
+            label[i] = label[nn[i]]
+    path = {"goal-densest": order[0] == m, "densest-not-center": order[0] not in centers}
+    if (label == 0).any():
+        for i in np.flatnonzero(label == 0):
+            label[i] = 1 + int(np.argmin(dist[i, centers]))
+    members = np.flatnonzero(label == label[m])
+    members = members[members < m]
+    path["fallback"] = members.size == 0
+    if members.size == 0:
+        return _weighted_label(w_goal, labels), True, path
+    return _weighted_label(w_goal[members], labels[members]), False, path
+
+
+def tie_heavy_history():
+    """One flat day plus two days rounded to whole units: many exact ties."""
+    rng = np.random.default_rng(9)
+    rounded = [np.round(np.clip(rng.normal(30.0, 1.5, 288), 0.0, None)) for _ in range(2)]
+    return build_history([np.full(288, 30.0), *rounded])
 
 
 class TestBuildHistory:
@@ -186,8 +233,61 @@ class TestGoalMatcher:
         for _ in range(15):
             goal = rng.normal(30.0, 6.0, WINDOW)
             value, fell_back = matcher.predict(goal)
+            assert (value, fell_back) == _reference_match(hs.windows, hs.labels, d_c, None, goal)[:2]
             assert value == predict(hs, goal, d_c)
             assert isinstance(fell_back, bool)
+
+    @pytest.mark.parametrize("k", [None, 1, 2, 3, 5])
+    def test_tie_heavy_histories_match_reference(self, k):
+        rng = np.random.default_rng(11)
+        hs = tie_heavy_history()
+        # eight windows on the axes around the origin, every pair tied;
+        # a goal at the origin is denser than each of them
+        axes = 0.6 * np.vstack([np.eye(WINDOW), -np.eye(WINDOW)])
+        family = family_history(10.0, np.arange(8.0))
+        cases = [
+            (hs, [hs.windows[i] for i in range(0, len(hs), 29)]
+                 + [np.round(rng.normal(30.0, 1.5, WINDOW)) for _ in range(15)]
+                 + [np.full(WINDOW, 30.0), np.full(WINDOW, 45.0)]),
+            (HistorySet(axes, np.arange(8.0), tuple([None] * 8)),
+             [np.zeros(WINDOW), *axes, np.full(WINDOW, 0.3), np.full(WINDOW, 5.0)]),
+            (family, [np.full(WINDOW, 11.5), np.full(WINDOW, 10.0), np.full(WINDOW, 10.7)]),
+        ]
+        seen = {"goal-densest": False, "fallback": False}
+        for history, goals in cases:
+            matcher = _GoalMatcher(history.windows, history.labels, 1.0, k)
+            for goal in goals:
+                value, fell_back, path = _reference_match(history.windows, history.labels, 1.0, k, goal)
+                assert matcher.predict(goal) == (value, fell_back)
+                for name in seen:
+                    seen[name] |= bool(path[name])
+        assert seen["goal-densest"]
+        # one cluster always holds some window besides the goal
+        assert seen["fallback"] == (k != 1)
+
+    def test_densest_item_outside_centers_matches_reference(self):
+        # at this scale every product rho * delta underflows to 0, so the
+        # single center is item 0 while the goal, the sum of all kernel
+        # weights, is the densest item: it and its followers take their
+        # nearest center
+        d_c = 1e-150
+        windows = 25.0 * d_c * np.array(
+            [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [-1, 0, 0, 0], [0, -1, 0, 0]],
+            dtype=float,
+        ) * np.array([1.0, 1.01, 1.02, 1.03, 1.04, 1.05])[:, None]
+        labels = np.arange(6.0)
+        goal = np.zeros(WINDOW)
+        value, fell_back, path = _reference_match(windows, labels, d_c, None, goal)
+        assert path["goal-densest"] and path["densest-not-center"]
+        assert _GoalMatcher(windows, labels, d_c, None).predict(goal) == (value, fell_back)
+
+    def test_identical_windows(self):
+        hs = build_history([np.full(288, 20.0)])
+        matcher = _GoalMatcher(hs.windows, hs.labels, 1.0, None)
+        for goal in (np.full(WINDOW, 20.0), np.full(WINDOW, 20.5), np.full(WINDOW, 40.0)):
+            ref = _reference_match(hs.windows, hs.labels, 1.0, None, goal)[:2]
+            assert matcher.predict(goal) == ref
+            assert ref[0] == pytest.approx(20.0)
 
 
 class TestComparePipelines:
@@ -219,6 +319,21 @@ class TestComparePipelines:
         # goals through start 96 read slices 1..100 only
         np.testing.assert_array_equal(a[:97], b[:97])
         assert not np.array_equal(a, b)
+
+    def test_flat_history_day_falls_back_to_unit_dc(self):
+        road = two_regime_corpus(n_roads=1, n_days=2, seed=3)[0]
+        target = road[1][1]
+        flat = VelocitySeries(target.road_id, 0, np.full(288, 30.0), h=target.h)
+        cp = compare_pipelines([flat], target, sigma=2.5, include_denoised=False)
+        assert cp.d_c == 1.0
+        assert cp.flags == (FLAG_DEGENERATE_DC,)
+        # 282 identical windows, all labelled by the flat day's value
+        np.testing.assert_allclose(cp.raw.predictions, 30.0, rtol=1e-12)
+
+    def test_no_flags_on_ordinary_history(self):
+        road = two_regime_corpus(n_roads=1, n_days=2, seed=3)[0]
+        cp = compare_pipelines([road[0][1]], road[1][1], sigma=2.5, include_denoised=False)
+        assert cp.flags == ()
 
     def test_input_validation(self):
         road = two_regime_corpus(n_roads=1, n_days=2, seed=3)[0]

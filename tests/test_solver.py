@@ -87,6 +87,15 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             SolverConfig(sigma=1.0, rel_tol=0.0)
 
+    def test_sigma_whose_square_underflows_rejected(self):
+        # h / (2 sigma^2) would divide by zero inside the solver
+        values = np.random.default_rng(0).normal(size=50)
+        with pytest.raises(ValueError, match="underflows"):
+            denoise_values(values, SolverConfig(sigma=1e-200))
+        with pytest.raises(ValueError, match="underflows"):
+            denoise_sweep(values, [1.0, 1e-200], SWEEP_SOLVER)
+        assert SolverConfig(sigma=1e-150).sigma == 1e-150
+
     def test_line_search_rejects_bad_values(self):
         with pytest.raises(ValueError):
             LineSearchParams(initial_step=0.0)
