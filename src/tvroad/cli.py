@@ -28,9 +28,18 @@ import numpy as np
 
 from .cluster import DEFAULT_DC_PERCENTILE, cluster
 from .forecast import compare_pipelines
-from .noise import DEFAULT_SIGMA_GRID, estimate_sigma
+from .noise import (
+    DEFAULT_SIGMA_GRID,
+    _estimate_rows,
+    estimate_sigma,  # noqa: F401  (unused here; bench/tracing.py wraps this name)
+)
 from .series import DEFAULT_SLICES, DEFAULT_SLICE_MINUTES, VelocitySeries, nearest_interpolate
-from .solver import SolverConfig, denoise_values, sweep_config
+from .solver import (
+    SolverConfig,
+    denoise_sweep,
+    denoise_values,  # noqa: F401  (unused here; bench/tracing.py wraps this name)
+    sweep_config,
+)
 from .synth import run_table1, table1_csv
 
 log = logging.getLogger("tvroad")
@@ -228,35 +237,75 @@ def _write_json(out_dir: Path, name: str, payload) -> None:
     _write_text(out_dir, name, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _estimate_for(series: VelocitySeries, config: RunConfig):
-    return estimate_sigma(series.values, sigma_grid=config.sigma_grid,
-                          solver=_pipeline_solver(config), h=1.0)
+def _stacked(keys, solve) -> dict:
+    """{key: outcome} of one stacked call over the road-days ``keys``.
+
+    ``solve()`` returns one outcome per key, a row's error in place of
+    its result when that row alone failed; an error of the whole call
+    becomes the outcome of every key, as if each had raised it.
+    """
+    if not keys:
+        return {}
+    try:
+        return dict(zip(keys, solve()))
+    except Exception as exc:
+        return dict.fromkeys(keys, exc)
 
 
-def _sigma_for(series: VelocitySeries, config: RunConfig, args):
-    """(sigma, estimate): the --sigma override, else the estimated sigma."""
+def _estimates_for(data, keys, config: RunConfig) -> dict:
+    """{key: SigmaEstimate or error}: the road-days' sigma estimates as
+    one stacked estimate."""
+    return _stacked(keys, lambda: _estimate_rows(
+        np.array([data[key].values for key in keys]), config.sigma_grid,
+        _pipeline_solver(config), 1.0))
+
+
+def _sigmas_for(data, keys, config: RunConfig, args) -> dict:
+    """{key: (sigma, estimate) or error}: the --sigma override, else
+    each road-day's estimated sigma."""
     if args.sigma is not None:
-        return float(args.sigma), None
-    estimate = _estimate_for(series, config)
-    return estimate.sigma_best, estimate
+        return {key: (float(args.sigma), None) for key in keys}
+    return {key: est if isinstance(est, Exception) else (est.sigma_best, est)
+            for key, est in _estimates_for(data, keys, config).items()}
+
+
+def _denoised(data, sigmas: dict, config: RunConfig) -> dict:
+    """{key: DenoiseResult or error}: one stacked solve over the road-days
+    whose sigma was found and accepted by the solver config."""
+    solver = _pipeline_solver(config)
+    results, stack = {}, []
+    for key, found in sigmas.items():
+        if isinstance(found, Exception):
+            results[key] = found
+            continue
+        try:
+            sweep_config(solver, found[0])
+        except ValueError as exc:  # a rejected sigma never enters the stack
+            results[key] = exc
+            continue
+        stack.append(key)
+    results.update(_stacked(stack, lambda: denoise_sweep(
+        np.array([data[key].values for key in stack]), [sigmas[key][0] for key in stack],
+        solver, h=1.0)))
+    return results
 
 
 def cmd_denoise(config: RunConfig, args) -> int:
     data = ingest(args.input, min_records=config.min_records,
                   min_length_m=config.min_road_length_m)
+    keys = sorted(data)
+    sigmas = _sigmas_for(data, keys, config, args)
+    results = _denoised(data, sigmas, config)
     out_rows = ["road_id,day,slice,velocity,denoised_velocity"]
     diagnostics = {}
     failures = 0
-    for key in sorted(data):
-        series = data[key]
-        try:
-            sigma, estimate = _sigma_for(series, config, args)
-            result = denoise_values(series.values,
-                                    sweep_config(_pipeline_solver(config), sigma), h=1.0)
-        except Exception as exc:
+    for key in keys:
+        series, result = data[key], results[key]
+        if isinstance(result, Exception):
             failures += 1
-            log.error("%s: denoise failed: %s", _key_name(key), exc)
+            log.error("%s: denoise failed: %s", _key_name(key), result)
             continue
+        sigma, estimate = sigmas[key]
         for i in range(series.n_slices):
             out_rows.append(f"{key[0]},{key[1]},{i + 1},"
                             f"{float(series.values[i])!r},{float(result.denoised[i])!r}")
@@ -278,14 +327,15 @@ def cmd_denoise(config: RunConfig, args) -> int:
 def cmd_estimate(config: RunConfig, args) -> int:
     data = ingest(args.input, min_records=config.min_records,
                   min_length_m=config.min_road_length_m)
+    keys = sorted(data)
+    estimates = _estimates_for(data, keys, config)
     report = {}
     failures = 0
-    for key in sorted(data):
-        try:
-            est = _estimate_for(data[key], config)
-        except Exception as exc:
+    for key in keys:
+        est = estimates[key]
+        if isinstance(est, Exception):
             failures += 1
-            log.error("%s: sigma estimate failed: %s", _key_name(key), exc)
+            log.error("%s: sigma estimate failed: %s", _key_name(key), est)
             continue
         report[_key_name(key)] = {
             "sigma1": est.sigma1,
@@ -303,24 +353,20 @@ def cmd_estimate(config: RunConfig, args) -> int:
 def cmd_cluster(config: RunConfig, args) -> int:
     data = ingest(args.input, min_records=config.min_records_cluster,
                   min_length_m=config.min_road_length_m)
-    keys, profiles = [], []
+    if args.no_denoise:
+        prepared = {key: series.values for key, series in data.items()}
+    else:
+        prepared = {key: res if isinstance(res, Exception) else res.denoised for key, res in
+                    _denoised(data, _sigmas_for(data, sorted(data), config, args), config).items()}
+    keys = []
     failures = 0
     for key in sorted(data):
-        series = data[key]
-        try:
-            if args.no_denoise:
-                profile = series.values
-            else:
-                sigma, _ = _sigma_for(series, config, args)
-                profile = denoise_values(
-                    series.values, sweep_config(_pipeline_solver(config), sigma), h=1.0
-                ).denoised
-        except Exception as exc:
+        if isinstance(prepared[key], Exception):
             failures += 1
-            log.error("%s: profile preparation failed: %s", _key_name(key), exc)
+            log.error("%s: profile preparation failed: %s", _key_name(key), prepared[key])
             continue
         keys.append(key)
-        profiles.append(profile)
+    profiles = [prepared[key] for key in keys]
     if len(keys) < 2:
         log.error("clustering needs at least 2 road-days, have %d", len(keys))
         return 1
@@ -387,20 +433,20 @@ def cmd_predict(config: RunConfig, args) -> int:
             rows.append(f"{road_id},{target.day},{int(slice_no)},"
                         f"{float(target.values[slice_no - 1])!r},"
                         f"{float(raw.predictions[i])!r},{den_cell}")
-        entry = {
-            "sigma": comparison.sigma,
-            "d_c": comparison.d_c,
-            "raw": {"rmae": raw.rmae, "mape": raw.mape,
-                    "mape_retained_count": raw.mape_retained_count},
-        }
+        entry = {"sigma": comparison.sigma, "d_c": comparison.d_c, "raw": _errors_entry(raw)}
         if den is not None:
-            entry["denoised"] = {"rmae": den.rmae, "mape": den.mape,
-                                 "mape_retained_count": den.mape_retained_count}
+            entry["denoised"] = _errors_entry(den)
         metrics[road_id] = entry
     out_dir = Path(config.out_dir)
     _write_text(out_dir, "predictions.csv", "\n".join(rows) + "\n")
     _write_json(out_dir, "prediction_metrics.json", metrics)
     return _exit_code(len(metrics), failures)
+
+
+def _errors_entry(report) -> dict:
+    # MAPE is NaN when no target slice is above 1; JSON has no NaN, so null
+    mape = None if np.isnan(report.mape) else report.mape
+    return {"rmae": report.rmae, "mape": mape, "mape_retained_count": report.mape_retained_count}
 
 
 def cmd_table1(config: RunConfig, args) -> int:

@@ -32,13 +32,20 @@ from .cluster import (
     pairwise_distances,
     select_centers,
 )
-from .noise import DEFAULT_SIGMA_GRID, SWEEP_SOLVER, estimate_sigma
+from .noise import (
+    DEFAULT_SIGMA_GRID,
+    SWEEP_SOLVER,
+    _estimate_rows,
+    estimate_sigma,  # noqa: F401  (unused here; bench/tracing.py wraps this name)
+)
 from .series import DEFAULT_SLICES, VelocitySeries
-from .solver import SolverConfig, denoise_values, sweep_config
+from .solver import SolverConfig, denoise_sweep, denoise_values, sweep_config
 
 WINDOW = 4
 LABEL_OFFSET = 6  # slices from window start to the 15-minute label
 BOUNDARY_OFFSET = 4  # 5-minute label used to train the boundary model
+# PipelineComparison flag: no target slice is above 1, so MAPE is undefined
+_FLAG_NO_MOVING_TRAFFIC = "no-moving-traffic"
 
 
 @dataclass(frozen=True, eq=False)
@@ -256,7 +263,21 @@ class PipelineComparison:
     sigma: float
     d_c: float
     boundary_fallback: bool
-    flags: tuple[str, ...] = ()  # e.g. cluster.FLAG_DEGENERATE_DC
+    flags: tuple[str, ...] = ()  # cluster.FLAG_DEGENERATE_DC, "no-moving-traffic"
+
+
+def _stacked_by_h(days, solve) -> list:
+    """``solve(values, h)`` on the (R, N) stack of the days sharing each
+    slice length h, with the results put back in day order.  A row that
+    failed raises its error."""
+    results = [None] * len(days)
+    for h in dict.fromkeys(d.h for d in days):
+        idx = [i for i, d in enumerate(days) if d.h == h]
+        for i, res in zip(idx, solve(np.array([days[i].values for i in idx]), h)):
+            if isinstance(res, FloatingPointError):
+                raise res
+            results[i] = res
+    return results
 
 
 def compare_pipelines(
@@ -281,7 +302,11 @@ def compare_pipelines(
     with a causally denoised goal window whose sigma is scaled down by
     the square root of the observed fraction of the day.  When the
     distance percentile is 0, as for a flat history, d_c falls back to
-    1.0 and ``flags`` holds ``cluster.FLAG_DEGENERATE_DC``.
+    1.0 and ``flags`` holds ``cluster.FLAG_DEGENERATE_DC``.  When no
+    target slice is above 1, MAPE has nothing to average: both reports
+    carry ``mape`` NaN and ``mape_retained_count`` 0, and ``flags``
+    holds ``"no-moving-traffic"``.  The history days' sigma estimates
+    and denoising each run as one stacked solve.
     """
     days = list(history_days)
     if not days:
@@ -290,14 +315,11 @@ def compare_pipelines(
     if target.n_slices != DEFAULT_SLICES:
         raise ValueError(f"target must have {DEFAULT_SLICES} slices")
 
-    if sigma is None:
-        per_day = [
-            estimate_sigma(d.values, sigma_grid=sigma_grid, solver=solver, h=d.h).sigma_best
-            for d in days
-        ]
-        sigma = float(np.mean(per_day))
-
     hist_raw = build_history(days)
+    if sigma is None:
+        per_day = _stacked_by_h(days, lambda v, h: _estimate_rows(v, sigma_grid, solver, h))
+        sigma = float(np.mean([est.sigma_best for est in per_day]))
+
     model = fit_boundary(build_history(days, label_offset=BOUNDARY_OFFSET))
 
     base = pairwise_distances(hist_raw.windows).d
@@ -312,8 +334,8 @@ def compare_pipelines(
         variants["raw"] = _GoalMatcher(hist_raw.windows, hist_raw.labels, d_c, k, base=base)
     if include_denoised:
         denoised_days = [
-            denoise_values(d.values, sweep_config(solver, sigma), h=d.h).denoised
-            for d in days
+            res.denoised for res in _stacked_by_h(
+                days, lambda v, h: denoise_sweep(v, [sigma] * len(v), solver, h=h))
         ]
         hist_den = build_history(denoised_days)
         variants["denoised"] = _GoalMatcher(hist_den.windows, hist_den.labels, d_c, k)
@@ -339,9 +361,12 @@ def compare_pipelines(
 
     truth = tv[LABEL_OFFSET:]
     slices = np.arange(LABEL_OFFSET + 1, DEFAULT_SLICES + 1)
+    moving = bool((truth > 1.0).any())
+    if not moving:
+        flags.append(_FLAG_NO_MOVING_TRAFFIC)
     reports = {}
     for tag in variants:
-        m_value, m_count = mape(truth, preds[tag])
+        m_value, m_count = mape(truth, preds[tag]) if moving else (float("nan"), 0)
         reports[tag] = PredictionReport(
             predictions=preds[tag],
             slices=slices,

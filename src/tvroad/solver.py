@@ -19,12 +19,18 @@ multiplier and gradient formulas.
 
 One kernel runs the loop over a leading row axis: a (B, N) stack of
 inputs, each row with its own sigma, sharing the template's epsilon,
-iteration cap, tolerance and line search.  :func:`denoise_values` is the
-B = 1 call; :func:`denoise_sweep` solves one series at a whole grid of
-sigmas in one call.  Every row performs a lone solve's arithmetic
-element for element, with the same summation order, so a batched row is
-bit-identical to the lone solve of its (u0, sigma): same iterate,
-multiplier trace, iteration count, flags and backtrack count.
+iteration cap, tolerance and line search.  :func:`denoise_sweep` is the
+one batched entry: it takes any such stack (a sigma grid over one
+series, a command's road-days, a grid over each of many road-days) and
+feeds it to the kernel in blocks of rows under ``_BLOCK_BYTES``, so the
+per-iteration numpy calls are shared by a block's rows while the
+working set stays small.  :func:`denoise_values` is the B = 1 call.
+Every row performs a lone solve's arithmetic element for element, with
+the same summation order, so a stacked row is bit-identical to the lone
+solve of its (u0, sigma) whatever rows share its block: same iterate,
+multiplier trace, iteration count, flags and backtrack count.  A row
+whose iterate turns non-finite leaves the stack with its error and the
+other rows go on.
 
 * Cached merit.  The accepted trial step's differences, their absolute
   values, its smoothed TV, u - u0 and the fidelity sum are kept, so the
@@ -54,11 +60,14 @@ convention; sweep and pipeline callers pass their own.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .series import VelocitySeries, total_variation, _as_float_vector
+
+_BLOCK_BYTES = 1 << 16  # input bytes per block of stacked rows: 28 rows of 288 samples
 
 
 @dataclass(frozen=True)
@@ -92,8 +101,10 @@ class SolverConfig:
     def __post_init__(self):
         if not (self.sigma >= 0):
             raise ValueError("sigma must be >= 0")
-        if self.sigma > 0 and self.sigma ** 2 == 0:
-            raise ValueError(f"sigma {self.sigma!r} is too small: its square underflows to 0")
+        if self.sigma > 0 and self.sigma ** 2 < sys.float_info.min:
+            # h / (2 sigma^2) would overflow or divide by zero in the solver
+            raise ValueError(f"sigma {self.sigma!r} is too small: its square underflows "
+                             "the normal float range")
         if not (self.epsilon > 0):
             raise ValueError("epsilon must be positive")
         if self.max_iters < 1:
@@ -109,10 +120,13 @@ class DenoiseResult:
     ``constraint_residual`` is |(1/2) h sum (u - u0)^2 - sigma^2|, the
     distance from the fidelity constraint.  ``lambda_trace`` records the
     multiplier actually used in each iteration (one entry per iteration
-    performed).  ``converged`` means the sup-norm gradient criterion was
-    met before the iteration cap; ``stalled`` means the line search found
-    no decrease and the run stopped where it stood.  ``backtracks`` is
-    the total number of line-search step shrinks over the run.
+    performed).  ``converged`` means only that the sup-norm gradient
+    criterion was met before the iteration cap, not that the fidelity
+    constraint holds: a converged solve can still end well away from it,
+    so read ``constraint_residual`` for that.  ``stalled`` means the
+    line search found no decrease and the run stopped where it stood.
+    ``backtracks`` is the total number of line-search step shrinks over
+    the run.
     """
 
     denoised: np.ndarray
@@ -258,14 +272,15 @@ def _armijo_block(u, g, base, half, merit0, gg, steps, slopes, width, eps):
     return k, state
 
 
-def _solve(u0: np.ndarray, sigmas, config: SolverConfig, h: float) -> list[DenoiseResult]:
-    """The batched kernel: one DenoiseResult per row of the (B, N) input.
+def _solve(u0: np.ndarray, sigmas, config: SolverConfig, h: float) -> list:
+    """The batched kernel: one DenoiseResult per row of the (B, N) input,
+    or the FloatingPointError of a row whose iterate turned non-finite.
 
     Row b is solved at sigmas[b]; everything else comes from ``config``.
     """
     eps = config.epsilon
     steps, slopes = _trial_steps(config.line_search)
-    results: list[DenoiseResult | None] = [None] * len(sigmas)
+    results: list = [None] * len(sigmas)
     live, tv0 = [], []
     for b, sigma in enumerate(sigmas):
         v0 = total_variation(u0[b])
@@ -328,21 +343,22 @@ def _solve(u0: np.ndarray, sigmas, config: SolverConfig, h: float) -> list[Denoi
         k_before = k
         k, new = _armijo_block(u, g, base, half, merit0, gg, steps, slopes, width, eps)
         stalled = k == steps.size
+        bad = np.zeros_like(stalled)
         if new is not None and not np.isfinite(new[0]).all():
-            bad = np.flatnonzero(~stalled & ~np.isfinite(new[0]).all(axis=-1))
-            if bad.size:
-                t = float(steps[k[bad[0]]])
-                raise FloatingPointError(
-                    f"non-finite iterate at iteration {n} (step {t}); bad step size"
-                )
+            bad = ~stalled & ~np.isfinite(new[0]).all(axis=-1)
         backtracks += k
         met = np.maximum.reduce(np.abs(g), axis=-1) / v0 <= config.rel_tol
-        done = stalled | met
+        done = stalled | met | bad
         if not done.any():
             u, du, a, resid, stv, fid = new
             continue
         for j in np.flatnonzero(done):
-            if stalled[j]:
+            if bad[j]:
+                # This row's solve fails alone; the other rows go on.
+                results[int(ids[j])] = FloatingPointError(
+                    f"non-finite iterate at iteration {n} (step {float(steps[k[j]])}); "
+                    "bad step size")
+            elif stalled[j]:
                 retire(j, u[j], fid[j], n + 1, False, True)
             else:
                 retire(j, new[0][j], new[5][j], n + 1, True, False)
@@ -363,20 +379,39 @@ def denoise_values(values, config: SolverConfig, h: float = 1.0) -> DenoiseResul
     u0 = _as_float_vector(values, "values")
     if u0.size < 2:
         raise ValueError("need at least two samples")
-    return _solve(u0[None, :], [config.sigma], config, h)[0]
+    result = _solve(u0[None, :], [config.sigma], config, h)[0]
+    if isinstance(result, FloatingPointError):
+        raise result
+    return result
 
 
-def denoise_sweep(values, sigmas, template: SolverConfig, h: float = 1.0) -> list[DenoiseResult]:
-    """Solve one series at every sigma in one batched call.
+def denoise_sweep(values, sigmas, template: SolverConfig, h: float = 1.0) -> list:
+    """Solve every row of a (B, N) stack at its own sigma.
 
-    Result i is bit-identical to ``denoise_values(values,
-    sweep_config(template, sigmas[i]), h)``.
+    Row b is solved at ``sigmas[b]`` with the rest of ``template``, and
+    result b is bit-identical to ``denoise_values(values[b],
+    sweep_config(template, sigmas[b]), h)``.  Rows are solved in blocks
+    of consecutive rows under ``_BLOCK_BYTES``.  Every sigma is checked
+    before any row is solved; a row whose iterate turns non-finite holds
+    its FloatingPointError in place of a result, and the other rows are
+    unaffected.
     """
-    u0 = _as_float_vector(values, "values")
-    if u0.size < 2:
+    u0 = np.asarray(values, dtype=float)
+    if u0.ndim != 2:
+        raise ValueError(f"values must be a (B, N) stack, got shape {u0.shape}")
+    if u0.shape[1] < 2:
         raise ValueError("need at least two samples")
+    bad = np.argwhere(~np.isfinite(u0))
+    if bad.size:
+        raise ValueError(f"non-finite sample in values at {tuple(int(i) for i in bad[0])}")
     sigmas = [sweep_config(template, float(s)).sigma for s in sigmas]
-    return _solve(np.broadcast_to(u0, (len(sigmas), u0.size)), sigmas, template, h)
+    if len(sigmas) != u0.shape[0]:
+        raise ValueError(f"need one sigma per row: {len(sigmas)} sigmas, {u0.shape[0]} rows")
+    rows = max(1, _BLOCK_BYTES // (8 * u0.shape[1]))
+    results = []
+    for lo in range(0, len(sigmas), rows):
+        results += _solve(u0[lo:lo + rows], sigmas[lo:lo + rows], template, h)
+    return results
 
 
 def denoise(series: VelocitySeries, config: SolverConfig) -> DenoiseResult:

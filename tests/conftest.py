@@ -1,4 +1,7 @@
+import numpy as np
 import pytest
+
+from tvroad import solver
 
 
 @pytest.fixture
@@ -26,3 +29,24 @@ def write_records(tmp_path):
         return path
 
     return _write
+
+
+@pytest.fixture
+def poison_rows(monkeypatch):
+    """Make the solver fail on every row whose input starts at a given
+    value: that row's first trial step is accepted with a non-finite
+    iterate.  Rows sharing its block are solved as before."""
+
+    def _poison(first_value):
+        real = solver._trial_block
+
+        def poisoned(u, g, base, *rest):
+            ok, block = real(u, g, base, *rest)
+            hit = base[:, 0] == first_value
+            block[0][hit] = np.nan
+            ok[hit] = True
+            return ok, block
+
+        monkeypatch.setattr(solver, "_trial_block", poisoned)
+
+    return _poison

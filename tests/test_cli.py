@@ -6,9 +6,9 @@ import pytest
 from tvroad import cli
 from tvroad.cli import RunConfig, config_from_text, config_to_text, ingest, main
 from tvroad.cluster import cluster
-from tvroad.noise import DEFAULT_SIGMA_GRID
+from tvroad.noise import DEFAULT_SIGMA_GRID, estimate_sigma
 from tvroad.series import VelocitySeries
-from tvroad.solver import SolverConfig, denoise_values
+from tvroad.solver import SolverConfig, denoise_values, sweep_config
 from tvroad.synth import two_regime_corpus
 
 HEADER = "road_id,day,slice,velocity"
@@ -197,6 +197,7 @@ class TestCommands:
             raise AssertionError("--sigma must replace the estimate")
 
         monkeypatch.setattr(cli, "estimate_sigma", no_estimate)
+        monkeypatch.setattr(cli, "_estimate_rows", no_estimate)
         out = tmp_path / "out"
         rc = run_cli("cluster", "--input", str(records_csv), "--out-dir", str(out),
                      "--sigma", "3")
@@ -207,6 +208,66 @@ class TestCommands:
         expected = cluster(np.array(profiles))
         graph = (out / "decision_graph.csv").read_text().strip().split("\n")[1:]
         assert [float(line.split(",")[1]) for line in graph] == expected.rho.tolist()
+
+    def test_denoise_with_estimated_sigmas_matches_lone_solves(self, road_days, write_records,
+                                                              tmp_path):
+        # road-days whose estimates differ, so a row given another row's
+        # sigma shows
+        base = road_days[0].values
+        extra = [VelocitySeries("road-2", 1, base * 0.5 + 10.0, h=5.0),
+                 VelocitySeries("road-3", 1, np.repeat([20.0, 50.0, 30.0, 45.0], 72)
+                                + np.random.default_rng(1).normal(0.0, 3.0, 288), h=5.0)]
+        path = write_records(road_days + extra)
+        out = tmp_path / "out"
+        assert run_cli("denoise", "--input", str(path), "--out-dir", str(out),
+                       "--grid", "0,1,5,10,20") == 0
+        data = ingest(path, min_records=RunConfig().min_records)
+        solver = SolverConfig(sigma=0.0, epsilon=RunConfig().sweep_epsilon)
+        diag = json.loads((out / "denoise_diagnostics.json").read_text())
+        rows = (out / "denoised.csv").read_text().strip().split("\n")[1:]
+        sigmas = set()
+        for n, key in enumerate(sorted(data)):
+            values = data[key].values
+            sigma = estimate_sigma(values, sigma_grid=(0.0, 1.0, 5.0, 10.0, 20.0), solver=solver,
+                                   h=1.0).sigma_best
+            want = denoise_values(values, sweep_config(solver, sigma)).denoised
+            assert diag[f"{key[0]}/{key[1]}"]["sigma"] == sigma
+            got = [float(line.split(",")[4]) for line in rows[288 * n:288 * (n + 1)]]
+            assert got == want.tolist()
+            sigmas.add(sigma)
+        assert len(sigmas) >= 3
+
+    @pytest.mark.parametrize("argv", [["--sigma", "3"], ["--grid", "0,1,5"]],
+                             ids=["fixed", "estimated"])
+    def test_failing_road_day_fails_alone(self, argv, road_days, write_records, tmp_path,
+                                          poison_rows, caplog):
+        values = road_days[1].values.copy()
+        values[0] = 77.125
+        poisoned = VelocitySeries("road-1", 3, values, h=road_days[1].h)
+        clean_out, out = tmp_path / "clean", tmp_path / "out"
+        clean_csv = write_records(road_days, name="clean.csv")
+        assert run_cli("denoise", "--input", str(clean_csv), "--out-dir", str(clean_out),
+                       *argv) == 0
+        poison_rows(77.125)
+        path = write_records(road_days + [poisoned], name="poisoned.csv")
+        assert run_cli("denoise", "--input", str(path), "--out-dir", str(out), *argv) == 0
+        assert "road-1/2026-01-03: denoise failed: non-finite iterate" in caplog.text
+        for name in ("denoised.csv", "denoise_diagnostics.json"):
+            assert (out / name).read_bytes() == (clean_out / name).read_bytes()
+
+    def test_predict_writes_undefined_mape_as_null(self, road_days, write_records, tmp_path):
+        target = road_days[1]
+        slow = VelocitySeries(target.road_id, target.day, np.minimum(target.values, 0.9),
+                              h=target.h)
+        path = write_records([road_days[0], slow], name="slow.csv")
+        out = tmp_path / "out"
+        rc = run_cli("predict", "--input", str(path), "--out-dir", str(out),
+                     "--sigma", "2.5", "--no-denoise")
+        assert rc == 0
+        text = (out / "prediction_metrics.json").read_text()
+        raw = json.loads(text)["road-1"]["raw"]
+        assert raw["mape"] is None and raw["mape_retained_count"] == 0
+        assert raw["rmae"] > 0.0  # history-speed predictions against a slow target
 
     def test_estimate_sigma_rejects_fixed_sigma(self, records_csv, tmp_path):
         out = tmp_path / "out"

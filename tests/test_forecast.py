@@ -1,6 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
+from tvroad import forecast
 from tvroad.cluster import FLAG_DEGENERATE_DC, delta_neighbors, local_density, select_centers
 from tvroad.forecast import (
     BOUNDARY_OFFSET,
@@ -18,9 +21,9 @@ from tvroad.forecast import (
     predict,
     rmae,
 )
-from tvroad.noise import SWEEP_SOLVER
+from tvroad.noise import SWEEP_SOLVER, estimate_sigma
 from tvroad.series import VelocitySeries
-from tvroad.solver import denoise_values, sweep_config
+from tvroad.solver import SolverConfig, denoise_values, sweep_config
 from tvroad.synth import two_regime_corpus
 
 RAMP = np.arange(288.0)
@@ -334,6 +337,49 @@ class TestComparePipelines:
         road = two_regime_corpus(n_roads=1, n_days=2, seed=3)[0]
         cp = compare_pipelines([road[0][1]], road[1][1], sigma=2.5, include_denoised=False)
         assert cp.flags == ()
+
+    def test_all_slow_target_reports_nan_mape(self):
+        road = two_regime_corpus(n_roads=1, n_days=4, seed=3)[0]
+        days = [noisy for _, noisy in road]
+        target = days[-1]
+        slow = VelocitySeries(target.road_id, target.day, np.minimum(target.values, 0.9),
+                              h=target.h)
+        # a capped solver keeps the causal solves short
+        solver = SolverConfig(sigma=0.0, epsilon=0.1, max_iters=40)
+        cp = compare_pipelines(days[:-1], slow, sigma=2.5, solver=solver)
+        assert cp.flags == ("no-moving-traffic",)
+        truth = slow.values[LABEL_OFFSET:]
+        for report in (cp.raw, cp.denoised):
+            assert math.isnan(report.mape) and report.mape_retained_count == 0
+            assert report.rmae == rmae(truth, report.predictions)
+
+    def test_stacked_history_matches_lone_solves(self, monkeypatch):
+        # days of two slice lengths: each length is its own stack, and the
+        # results come back in day order
+        road = two_regime_corpus(n_roads=1, n_days=4, seed=3)[0]
+        days = [noisy for _, noisy in road]
+        history = [days[0], VelocitySeries("r", 2, days[1].values, h=2.0), days[2]]
+        solver = SolverConfig(sigma=0.0, epsilon=0.1, max_iters=40)
+        grid = (0.0, 1.0, 5.0, 10.0)
+        built = []
+        real = forecast.build_history
+
+        def spy(days_, *args, **kwargs):
+            built.append(list(days_))
+            return real(days_, *args, **kwargs)
+
+        monkeypatch.setattr(forecast, "build_history", spy)
+        cp = compare_pipelines(history, days[3], solver=solver, sigma_grid=grid,
+                               include_raw=False)
+        per_day = [estimate_sigma(d.values, sigma_grid=grid, solver=solver, h=d.h)
+                   for d in history]
+        assert cp.sigma == float(np.mean([est.sigma_best for est in per_day]))
+        lone = [denoise_values(d.values, sweep_config(solver, cp.sigma), h=d.h).denoised
+                for d in history]
+        denoised_days = built[-1]
+        assert len(denoised_days) == 3
+        for got, want in zip(denoised_days, lone):
+            np.testing.assert_array_equal(got, want)
 
     def test_input_validation(self):
         road = two_regime_corpus(n_roads=1, n_days=2, seed=3)[0]

@@ -1,9 +1,11 @@
 import dataclasses
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tvroad import solver as solver_module
 from tvroad.noise import DEFAULT_SIGMA_GRID, SWEEP_SOLVER
 from tvroad.series import total_variation
 from tvroad.solver import (
@@ -93,8 +95,16 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="underflows"):
             denoise_values(values, SolverConfig(sigma=1e-200))
         with pytest.raises(ValueError, match="underflows"):
-            denoise_sweep(values, [1.0, 1e-200], SWEEP_SOLVER)
+            denoise_sweep(np.stack([values, values]), [1.0, 1e-200], SWEEP_SOLVER)
         assert SolverConfig(sigma=1e-150).sigma == 1e-150
+
+    @pytest.mark.parametrize("sigma", [1e-160, 1e-155, 1e-154])
+    def test_sigma_whose_square_is_subnormal_rejected(self, sigma):
+        # a subnormal square overflows h / (2 sigma^2): the solve used to
+        # report a stall after 1-3 iterations with a meaningless result
+        values = np.random.default_rng(0).normal(size=50)
+        with pytest.raises(ValueError, match="underflows"):
+            denoise_values(values, SolverConfig(sigma=sigma, epsilon=0.1))
 
     def test_line_search_rejects_bad_values(self):
         with pytest.raises(ValueError):
@@ -289,7 +299,8 @@ class TestKernelMatchesReference:
     @pytest.mark.parametrize("day", range(3))
     def test_default_grid_sweep(self, diurnal_days, day):
         values = diurnal_days[day]
-        sweep = denoise_sweep(values, DEFAULT_SIGMA_GRID, SWEEP_SOLVER)
+        grid = DEFAULT_SIGMA_GRID
+        sweep = denoise_sweep(np.tile(values, (len(grid), 1)), grid, SWEEP_SOLVER)
         capped = [s for s, res in zip(DEFAULT_SIGMA_GRID, sweep)
                   if res.iterations == SWEEP_SOLVER.max_iters]
         if day == 0:
@@ -328,5 +339,66 @@ class TestKernelMatchesReference:
         shrink = data.draw(st.floats(min_value=0.05, max_value=0.95).filter(lambda s: s != 0.5))
         ls = LineSearchParams(shrink=shrink, max_backtracks=data.draw(st.integers(0, 12)))
         template = SolverConfig(sigma=0.0, epsilon=0.1, max_iters=150, line_search=ls)
-        for sigma, res in zip(sigmas, denoise_sweep(values, sigmas, template)):
+        sweep = denoise_sweep(np.tile(values, (len(sigmas), 1)), sigmas, template)
+        for sigma, res in zip(sigmas, sweep):
             assert_bit_identical(res, denoise_values(values, sweep_config(template, sigma)))
+
+
+class TestStackedEntry:
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_stacked_rows_equal_lone_solves(self, data):
+        n = data.draw(st.integers(min_value=2, max_value=30))
+        rows, sigmas = [], []
+        for _ in range(data.draw(st.integers(min_value=1, max_value=9))):
+            if data.draw(st.booleans()):
+                row = np.full(n, data.draw(st.floats(min_value=0.0, max_value=60.0)))
+            else:
+                row = np.asarray(data.draw(st.lists(
+                    st.floats(min_value=0.0, max_value=60.0, allow_nan=False),
+                    min_size=n, max_size=n)))
+            rows.append(row)
+            sigmas.append(data.draw(st.one_of(st.just(0.0), st.floats(min_value=0.01,
+                                                                      max_value=8.0))))
+        template = SolverConfig(sigma=0.0, epsilon=0.1, max_iters=150)
+        # Blocks of one row up to the whole stack, and budgets that are
+        # not a whole number of rows.
+        budget = data.draw(st.integers(min_value=1, max_value=8 * n * (len(rows) + 1)))
+        with mock.patch.object(solver_module, "_BLOCK_BYTES", budget):
+            stacked = denoise_sweep(np.array(rows), sigmas, template)
+        assert len(stacked) == len(rows)
+        for row, sigma, res in zip(rows, sigmas, stacked):
+            assert_bit_identical(res, denoise_values(row, sweep_config(template, sigma)))
+
+    def test_road_days_across_blocks(self, diurnal_days):
+        # three 288-sample days at two sigmas each, in blocks of 4 rows
+        stack = np.repeat(np.array(diurnal_days), 2, axis=0)
+        sigmas = [10.0, 20.0] * 3
+        with mock.patch.object(solver_module, "_BLOCK_BYTES", 4 * 288 * 8):
+            stacked = denoise_sweep(stack, sigmas, SWEEP_SOLVER)
+        for row, sigma, res in zip(stack, sigmas, stacked):
+            assert_bit_identical(res, _reference_denoise(row, sweep_config(SWEEP_SOLVER, sigma)))
+
+    def test_failing_row_fails_alone(self, poison_rows):
+        rng = np.random.default_rng(5)
+        stack = rng.normal(30.0, 5.0, (4, 40))
+        stack[2, 0] = 77.125
+        config = SolverConfig(sigma=3.0, epsilon=0.1)
+        want = [denoise_values(row, config) for row in np.delete(stack, 2, axis=0)]
+        poison_rows(77.125)
+        stacked = denoise_sweep(stack, [3.0] * 4, config)
+        with pytest.raises(FloatingPointError, match="non-finite iterate"):
+            denoise_values(stack[2], config)
+        assert isinstance(stacked[2], FloatingPointError)
+        for res, lone in zip(stacked[:2] + stacked[3:], want):
+            assert_bit_identical(res, lone)
+
+    def test_rejects_bad_stacks(self):
+        with pytest.raises(ValueError, match="stack"):
+            denoise_sweep(np.zeros(10), [1.0], SWEEP_SOLVER)
+        with pytest.raises(ValueError, match="one sigma per row"):
+            denoise_sweep(np.zeros((2, 10)), [1.0], SWEEP_SOLVER)
+        with pytest.raises(ValueError, match="non-finite"):
+            denoise_sweep(np.array([[1.0, np.nan]]), [1.0], SWEEP_SOLVER)
+        with pytest.raises(ValueError, match="sigma must be >= 0"):
+            denoise_sweep(np.zeros((2, 10)), [1.0, -1.0], SWEEP_SOLVER)
