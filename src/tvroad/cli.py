@@ -28,11 +28,7 @@ import numpy as np
 
 from .cluster import DEFAULT_DC_PERCENTILE, cluster
 from .forecast import compare_pipelines
-from .noise import (
-    DEFAULT_SIGMA_GRID,
-    _estimate_rows,
-    estimate_sigma,  # noqa: F401  (unused here; bench/tracing.py wraps this name)
-)
+from .noise import DEFAULT_SIGMA_GRID, estimate_sigma
 from .series import DEFAULT_SLICES, DEFAULT_SLICE_MINUTES, VelocitySeries, nearest_interpolate
 from .solver import (
     SolverConfig,
@@ -237,27 +233,18 @@ def _write_json(out_dir: Path, name: str, payload) -> None:
     _write_text(out_dir, name, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _stacked(keys, solve) -> dict:
-    """{key: outcome} of one stacked call over the road-days ``keys``.
-
-    ``solve()`` returns one outcome per key, a row's error in place of
-    its result when that row alone failed; an error of the whole call
-    becomes the outcome of every key, as if each had raised it.
-    """
-    if not keys:
-        return {}
-    try:
-        return dict(zip(keys, solve()))
-    except Exception as exc:
-        return dict.fromkeys(keys, exc)
-
-
 def _estimates_for(data, keys, config: RunConfig) -> dict:
-    """{key: SigmaEstimate or error}: the road-days' sigma estimates as
-    one stacked estimate."""
-    return _stacked(keys, lambda: _estimate_rows(
-        np.array([data[key].values for key in keys]), config.sigma_grid,
-        _pipeline_solver(config), 1.0))
+    """{key: SigmaEstimate or error}: each road-day's sigma estimate, or
+    the error its estimate raised."""
+    solver = _pipeline_solver(config)
+    estimates = {}
+    for key in keys:
+        try:
+            estimates[key] = estimate_sigma(data[key].values, sigma_grid=config.sigma_grid,
+                                            solver=solver, h=1.0)
+        except Exception as exc:
+            estimates[key] = exc
+    return estimates
 
 
 def _sigmas_for(data, keys, config: RunConfig, args) -> dict:
@@ -284,9 +271,13 @@ def _denoised(data, sigmas: dict, config: RunConfig) -> dict:
             results[key] = exc
             continue
         stack.append(key)
-    results.update(_stacked(stack, lambda: denoise_sweep(
-        np.array([data[key].values for key in stack]), [sigmas[key][0] for key in stack],
-        solver, h=1.0)))
+    if stack:
+        try:
+            solved = denoise_sweep(np.array([data[key].values for key in stack]),
+                                   [sigmas[key][0] for key in stack], solver, h=1.0)
+        except Exception as exc:  # an error of the whole call is every row's error
+            solved = [exc] * len(stack)
+        results.update(zip(stack, solved))
     return results
 
 

@@ -32,12 +32,7 @@ from .cluster import (
     pairwise_distances,
     select_centers,
 )
-from .noise import (
-    DEFAULT_SIGMA_GRID,
-    SWEEP_SOLVER,
-    _estimate_rows,
-    estimate_sigma,  # noqa: F401  (unused here; bench/tracing.py wraps this name)
-)
+from .noise import DEFAULT_SIGMA_GRID, SWEEP_SOLVER, estimate_sigma
 from .series import DEFAULT_SLICES, VelocitySeries
 from .solver import SolverConfig, denoise_sweep, denoise_values, sweep_config
 
@@ -266,18 +261,19 @@ class PipelineComparison:
     flags: tuple[str, ...] = ()  # cluster.FLAG_DEGENERATE_DC, "no-moving-traffic"
 
 
-def _stacked_by_h(days, solve) -> list:
-    """``solve(values, h)`` on the (R, N) stack of the days sharing each
-    slice length h, with the results put back in day order.  A row that
-    failed raises its error."""
-    results = [None] * len(days)
+def _denoise_days(days, sigma: float, solver: SolverConfig) -> list:
+    """The days' denoised values at one sigma, in day order: one stacked
+    solve over the days sharing each slice length h.  A row that failed
+    raises its error."""
+    denoised = [None] * len(days)
     for h in dict.fromkeys(d.h for d in days):
         idx = [i for i, d in enumerate(days) if d.h == h]
-        for i, res in zip(idx, solve(np.array([days[i].values for i in idx]), h)):
+        stack = np.array([days[i].values for i in idx])
+        for i, res in zip(idx, denoise_sweep(stack, [sigma] * len(idx), solver, h=h)):
             if isinstance(res, FloatingPointError):
                 raise res
-            results[i] = res
-    return results
+            denoised[i] = res.denoised
+    return denoised
 
 
 def compare_pipelines(
@@ -305,8 +301,8 @@ def compare_pipelines(
     1.0 and ``flags`` holds ``cluster.FLAG_DEGENERATE_DC``.  When no
     target slice is above 1, MAPE has nothing to average: both reports
     carry ``mape`` NaN and ``mape_retained_count`` 0, and ``flags``
-    holds ``"no-moving-traffic"``.  The history days' sigma estimates
-    and denoising each run as one stacked solve.
+    holds ``"no-moving-traffic"``.  The history days are denoised as
+    one stacked solve.
     """
     days = list(history_days)
     if not days:
@@ -317,8 +313,11 @@ def compare_pipelines(
 
     hist_raw = build_history(days)
     if sigma is None:
-        per_day = _stacked_by_h(days, lambda v, h: _estimate_rows(v, sigma_grid, solver, h))
-        sigma = float(np.mean([est.sigma_best for est in per_day]))
+        per_day = [
+            estimate_sigma(d.values, sigma_grid=sigma_grid, solver=solver, h=d.h).sigma_best
+            for d in days
+        ]
+        sigma = float(np.mean(per_day))
 
     model = fit_boundary(build_history(days, label_offset=BOUNDARY_OFFSET))
 
@@ -333,11 +332,7 @@ def compare_pipelines(
     if include_raw:
         variants["raw"] = _GoalMatcher(hist_raw.windows, hist_raw.labels, d_c, k, base=base)
     if include_denoised:
-        denoised_days = [
-            res.denoised for res in _stacked_by_h(
-                days, lambda v, h: denoise_sweep(v, [sigma] * len(v), solver, h=h))
-        ]
-        hist_den = build_history(denoised_days)
+        hist_den = build_history(_denoise_days(days, sigma, solver))
         variants["denoised"] = _GoalMatcher(hist_den.windows, hist_den.labels, d_c, k)
 
     n_goals = DEFAULT_SLICES - LABEL_OFFSET

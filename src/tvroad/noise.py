@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .series import VelocitySeries, pair_average, total_variation, _as_float_vector
-from .solver import _BLOCK_BYTES, SolverConfig, denoise_sweep, denoise_values, sweep_config
+from .solver import SolverConfig, denoise_sweep, denoise_values, sweep_config
 
 # Grid used by the balance sweep unless the caller says otherwise:
 # 0 and 1, then every 5 up to 50.
@@ -155,26 +155,13 @@ def _validate_grid(sigma_grid) -> np.ndarray:
     return grid
 
 
-def _sweep_tv(rows: np.ndarray, h: float, grid: np.ndarray, solver: SolverConfig) -> list:
-    """The TV curve over the grid of every row of a (R, N) stack.
-
-    The rows' grids run as stacked solves (sigma = 0 rows return the
-    input), a solver block's worth of rows per call, so that only one
-    block of results and their multiplier traces is held at a time.  A
-    row with a failed solve holds that solve's error in place of its
-    curve.
-    """
-    g = grid.size
-    per_call = max(1, _BLOCK_BYTES // (8 * g * rows.shape[1]))
-    curves = []
-    for lo in range(0, len(rows), per_call):
-        chunk = rows[lo:lo + per_call]
-        sweep = denoise_sweep(np.repeat(chunk, g, axis=0), np.tile(grid, len(chunk)), solver, h=h)
-        for r in range(len(chunk)):
-            results = sweep[r * g:(r + 1) * g]
-            failed = [res for res in results if isinstance(res, FloatingPointError)]
-            curves.append(failed[0] if failed else [res.final_tv for res in results])
-    return curves
+def _sweep_tv(values: np.ndarray, h: float, grid: np.ndarray, solver: SolverConfig):
+    # one batched solve over the whole grid; sigma = 0 rows return the input
+    results = denoise_sweep(np.broadcast_to(values, (grid.size, values.size)), grid, solver, h=h)
+    for res in results:
+        if isinstance(res, FloatingPointError):
+            raise res
+    return [res.final_tv for res in results]
 
 
 def _tv_lower(v: np.ndarray) -> float:
@@ -209,9 +196,7 @@ def estimate_sigma_balance(series, sigma_grid, solver: SolverConfig, h: float | 
     """
     v, h = _values_and_h(series, h)
     grid = _validate_grid(sigma_grid)
-    tvs = _sweep_tv(v[None, :], h, grid, solver)[0]
-    if isinstance(tvs, FloatingPointError):
-        raise tvs
+    tvs = _sweep_tv(v, h, grid, solver)
     if all(t == 0.0 for t in tvs):
         return 0.0
     return _first_local_minimum(grid, _balance_deltas(grid, tvs))
@@ -281,41 +266,12 @@ def estimate_sigma(
 
     The grid sweep is shared between Method 2 and the combination rule:
     one batched solver call covers every grid point, and the bisection
-    adds single solves where it needs them.  This is the one-row call of
-    the stacked estimate, which gives each row of a stack the same
-    estimate bit for bit.
+    adds single solves where it needs them.
     """
     v, h = _values_and_h(series, h)
-    estimate = _estimate_rows(v[None, :], sigma_grid, solver, h)[0]
-    if isinstance(estimate, FloatingPointError):
-        raise estimate
-    return estimate
-
-
-def _estimate_rows(rows, sigma_grid, solver: SolverConfig, h: float) -> list:
-    """:func:`estimate_sigma` of every row of a (R, N) stack.
-
-    The rows' grid sweeps run as stacked solves; the combination
-    rule's bisection solves stay one at a time.  The grid and the length
-    are checked once for the stack.  A row whose solve fails holds that
-    error in place of its estimate, and the other rows are unaffected.
-    """
-    rows = np.asarray(rows, dtype=float)
     grid = _validate_grid(sigma_grid)
-    _check_resolution(rows.shape[-1])
-    estimates = []
-    for v, curve in zip(rows, _sweep_tv(rows, h, grid, solver)):
-        try:
-            estimates.append(curve if isinstance(curve, FloatingPointError)
-                             else _combine_sweep(v, h, grid, curve, solver))
-        except FloatingPointError as exc:  # one of the row's bisection solves
-            estimates.append(exc)
-    return estimates
-
-
-def _combine_sweep(v: np.ndarray, h: float, grid: np.ndarray, tvs, solver: SolverConfig):
-    """One row's SigmaEstimate from its TV curve over the grid."""
     sigma1 = estimate_sigma_multires(v, h)
+    tvs = _sweep_tv(v, h, grid, solver)
     deltas = _balance_deltas(grid, tvs)
     tv_curve = tuple((float(s), float(t)) for s, t in zip(grid, tvs))
     delta_curve = tuple(

@@ -21,10 +21,9 @@ One kernel runs the loop over a leading row axis: a (B, N) stack of
 inputs, each row with its own sigma, sharing the template's epsilon,
 iteration cap, tolerance and line search.  :func:`denoise_sweep` is the
 one batched entry: it takes any such stack (a sigma grid over one
-series, a command's road-days, a grid over each of many road-days) and
-feeds it to the kernel in blocks of rows under ``_BLOCK_BYTES``, so the
-per-iteration numpy calls are shared by a block's rows while the
-working set stays small.  :func:`denoise_values` is the B = 1 call.
+series, a command's road-days) and feeds it to the kernel in blocks of
+rows under ``_BLOCK_BYTES``, so the per-iteration numpy calls are
+shared by a block's rows while the working set stays small.  :func:`denoise_values` is the B = 1 call.
 Every row performs a lone solve's arithmetic element for element, with
 the same summation order, so a stacked row is bit-identical to the lone
 solve of its (u0, sigma) whatever rows share its block: same iterate,

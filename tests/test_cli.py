@@ -197,7 +197,6 @@ class TestCommands:
             raise AssertionError("--sigma must replace the estimate")
 
         monkeypatch.setattr(cli, "estimate_sigma", no_estimate)
-        monkeypatch.setattr(cli, "_estimate_rows", no_estimate)
         out = tmp_path / "out"
         rc = run_cli("cluster", "--input", str(records_csv), "--out-dir", str(out),
                      "--sigma", "3")
@@ -253,6 +252,28 @@ class TestCommands:
         assert run_cli("denoise", "--input", str(path), "--out-dir", str(out), *argv) == 0
         assert "road-1/2026-01-03: denoise failed: non-finite iterate" in caplog.text
         for name in ("denoised.csv", "denoise_diagnostics.json"):
+            assert (out / name).read_bytes() == (clean_out / name).read_bytes()
+
+    @pytest.mark.parametrize("command", ["estimate-sigma", "denoise", "cluster"])
+    def test_road_day_with_subnormal_sigma_fails_alone(self, command, road_days, write_records,
+                                                       tmp_path, caplog):
+        # velocities near 1e-160 give a positive Method-1 sigma whose
+        # square is subnormal, which the solver config rejects when the
+        # combination rule solves at it
+        tiny = VelocitySeries("road-9", 5, 1e-160 * (5.0 + np.random.default_rng(0).random(288)),
+                              h=road_days[0].h)
+        clean_out, out = tmp_path / "clean", tmp_path / "out"
+        argv = ["--grid", "0,1,5"]
+        clean_csv = write_records(road_days, name="clean.csv")
+        assert run_cli(command, "--input", str(clean_csv), "--out-dir", str(clean_out),
+                       *argv) == 0
+        path = write_records(road_days + [tiny], name="tiny.csv")
+        assert run_cli(command, "--input", str(path), "--out-dir", str(out), *argv) == 0
+        assert "road-9/2026-01-05: " in caplog.text
+        assert "square underflows the normal float range" in caplog.text
+        files = sorted(p.name for p in clean_out.iterdir())
+        assert files == sorted(p.name for p in out.iterdir())
+        for name in files:
             assert (out / name).read_bytes() == (clean_out / name).read_bytes()
 
     def test_predict_writes_undefined_mape_as_null(self, road_days, write_records, tmp_path):

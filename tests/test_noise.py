@@ -1,16 +1,12 @@
-from unittest import mock
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tvroad import noise as noise_module, solver as solver_module
 from tvroad.noise import (
     DEFAULT_SIGMA_GRID,
     FLAG_NO_NOISE,
     FLAG_TV_BELOW_LOWER_BOUND,
     SWEEP_SOLVER,
-    _estimate_rows,
     _estimator_coefficients,
     _first_local_minimum,
     combine_estimates,
@@ -22,7 +18,7 @@ from tvroad.noise import (
 )
 from tvroad.series import VelocitySeries, total_variation
 from tvroad.solver import denoise_values, sweep_config
-from tvroad.synth import SyntheticSpec, generate, two_regime_corpus
+from tvroad.synth import SyntheticSpec, generate
 
 
 def square_wave(n_plateaus=8, low=5.0, high=25.0, width=36, noise=2.0, seed=4):
@@ -212,34 +208,10 @@ class TestCombined:
         out = combine_estimates(est.sigma1, est.sigma2, v, est.tv_curve, h=1.0)
         assert out == est.sigma_best
 
-
-class TestStackedEstimate:
-    GRID = (0.0, 1.0, 5.0, 10.0, 20.0, 30.0)
-
-    @pytest.fixture(scope="class")
-    def rows(self):
-        road = two_regime_corpus(n_roads=1, n_days=2, seed=7, diurnal=True)[0]
-        return np.array([noisy.values for _, noisy in road]
-                        + [np.full(288, 12.0), square_wave()])
-
-    def test_rows_equal_lone_estimates(self, rows):
-        # two series per solver call, in blocks of 5 rows, so that grids
-        # straddle block boundaries
-        with mock.patch.object(noise_module, "_BLOCK_BYTES", 2 * len(self.GRID) * 288 * 8), \
-                mock.patch.object(solver_module, "_BLOCK_BYTES", 5 * 288 * 8):
-            stacked = _estimate_rows(rows, self.GRID, SWEEP_SOLVER, 1.0)
-        assert len(stacked) == len(rows)
-        for row, est in zip(rows, stacked):
-            assert est == estimate_sigma(row, sigma_grid=self.GRID, h=1.0)
-        assert stacked[2].flags == (FLAG_NO_NOISE,)
-
-    def test_failing_row_fails_alone(self, rows, poison_rows):
-        want = [estimate_sigma(rows[i], sigma_grid=self.GRID, h=1.0) for i in (0, 2, 3)]
-        poisoned = rows.copy()
-        poisoned[1, 0] = 77.125
-        poison_rows(77.125)
-        stacked = _estimate_rows(poisoned, self.GRID, SWEEP_SOLVER, 1.0)
+    def test_failed_grid_solve_raises(self, poison_rows):
+        v = square_wave()
+        poison_rows(v[0])
         with pytest.raises(FloatingPointError, match="non-finite iterate"):
-            estimate_sigma(poisoned[1], sigma_grid=self.GRID, h=1.0)
-        assert isinstance(stacked[1], FloatingPointError)
-        assert [stacked[i] for i in (0, 2, 3)] == want
+            estimate_sigma(v, h=1.0)
+        with pytest.raises(FloatingPointError, match="non-finite iterate"):
+            estimate_sigma_balance(v, DEFAULT_SIGMA_GRID, SWEEP_SOLVER, h=1.0)
