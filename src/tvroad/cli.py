@@ -22,6 +22,8 @@ import json
 import logging
 import sys
 from dataclasses import dataclass, fields, replace
+from itertools import compress, islice
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -44,27 +46,15 @@ LENGTH_COLUMN = "road_length_m"
 
 
 @dataclass(frozen=True)
-class RecordRow:
-    """One ingested record: a velocity for one slice of one road-day."""
-
-    road_id: str
-    day: str
-    slice: int
-    velocity: float
-
-
-@dataclass(frozen=True)
 class RunConfig:
     """Run-wide settings; round-trips losslessly through key=value text.
 
-    epsilon / max_iters / rel_tol are the reference solver profile used
-    for one-off denoise calls; sweep_epsilon is the heavier smoothing
-    the sigma sweep and the prediction pipeline run with, where the
-    near-exact profile would spend its whole iteration budget chattering
-    around the kink of the absolute value.
+    Every command solves with sweep_epsilon, max_iters and rel_tol.
+    sweep_epsilon smooths more than a near-exact profile, which would
+    spend its whole iteration budget chattering around the kink of the
+    absolute value.
     """
 
-    epsilon: float = 1e-6
     max_iters: int = 5000
     rel_tol: float = 1e-4
     sweep_epsilon: float = 0.1
@@ -79,7 +69,7 @@ class RunConfig:
     table1_trials: int = 100
 
     def __post_init__(self):
-        for name in ("epsilon", "max_iters", "rel_tol", "sweep_epsilon", "dc_percentile",
+        for name in ("max_iters", "rel_tol", "sweep_epsilon", "dc_percentile",
                      "min_records", "min_records_cluster", "min_road_length_m",
                      "table1_trials"):
             if not (getattr(self, name) > 0):
@@ -105,7 +95,7 @@ def config_to_text(config: RunConfig) -> str:
 
 
 _CONFIG_PARSERS = {
-    "epsilon": float, "max_iters": int, "rel_tol": float, "sweep_epsilon": float,
+    "max_iters": int, "rel_tol": float, "sweep_epsilon": float,
     "sigma_grid": lambda s: tuple(float(x) for x in s.split(",")),
     "dc_percentile": float, "k": lambda s: int(s) if s else None,
     "min_records": int, "min_records_cluster": int, "min_road_length_m": float,
@@ -133,19 +123,179 @@ def config_from_text(text: str) -> RunConfig:
     return RunConfig(**updates)
 
 
+_REQUIRED = ("road_id", "day", "slice", "velocity")
+# Reader rows parsed per chunk: only one chunk's row lists are alive at a
+# time, so memory stays flat in the file's length.
+_CHUNK_ROWS = 1024
+
+
+def _parsed(parser, cells) -> list:
+    """``parser`` mapped over ``cells`` up to the first cell it rejects, so
+    a result shorter than ``cells`` ends where that cell sits."""
+    out = []
+    try:
+        out.extend(map(parser, cells))  # extend keeps what was mapped before the raise
+    except ValueError:
+        pass
+    return out
+
+
+def _row_error(row: list, cols: tuple, length_col: int | None) -> str | None:
+    """The message of a row's first failing check, in the record format's
+    order: road_id, day, slice and velocity parse, empty road_id, date,
+    slice range, velocity range, length."""
+    try:
+        road_id = row[cols[0]].strip()
+        day = row[cols[1]].strip()
+        slice_no = int(row[cols[2]])
+        velocity = float(row[cols[3]])
+        if not road_id:
+            raise ValueError("empty road_id")
+        datetime.date.fromisoformat(day)
+        if not (1 <= slice_no <= DEFAULT_SLICES):
+            raise ValueError(f"slice {slice_no} outside 1..{DEFAULT_SLICES}")
+        if not (np.isfinite(velocity) and velocity >= 0):
+            raise ValueError(f"velocity {velocity} not a nonnegative finite number")
+        if length_col is not None and length_col < len(row) and row[length_col].strip():
+            float(row[length_col])
+    except (ValueError, IndexError) as exc:
+        return str(exc)
+    return None
+
+
+class _Records:
+    """The checked records of one file, as a (road-day, slice) grid."""
+
+    def __init__(self, path, cols: tuple, length_col: int | None):
+        self.path = path
+        self.cols = cols  # road_id, day, slice, velocity column indices
+        self.length_col = length_col
+        self.ids: dict[tuple[str, str], int] = {}  # (road_id, day) -> grid row
+        self.dates: set[str] = set()  # day strings that parsed as ISO dates
+        self.values = np.empty((0, DEFAULT_SLICES))
+        self.observed = np.zeros((0, DEFAULT_SLICES), dtype=bool)
+        self.lengths: dict[int, float] = {}  # grid row -> last road length given
+
+    def add(self, rows: list, first_line: int) -> None:
+        """Check and store one chunk of reader rows, the first at file line
+        ``first_line``; raise for the chunk's first bad row.
+
+        Each check runs column by column and moves ``end`` back to the
+        first row it rejects, so the rows before ``end`` passed every
+        check; duplicates are then looked for among those rows.
+        """
+        lines = np.arange(first_line, first_line + len(rows))
+        filled = np.fromiter(map(bool, map(str.strip, map("".join, rows))), bool, len(rows))
+        if not filled.all():
+            rows, lines = list(compress(rows, filled)), lines[filled]
+        widths = np.fromiter(map(len, rows), np.intp, len(rows))
+        short = np.flatnonzero(widths <= max(self.cols))
+        end = int(short[0]) if short.size else len(rows)
+        head = rows[:end]
+        road_col, day_col, slice_col, speed_col = self.cols
+        roads = list(map(str.strip, map(itemgetter(road_col), head)))
+        days = list(map(str.strip, map(itemgetter(day_col), head)))
+        slices = _parsed(int, map(itemgetter(slice_col), head))
+        speeds = _parsed(float, map(itemgetter(speed_col), head))
+        end = min(end, len(slices), len(speeds))
+        if "" in roads:
+            end = min(end, roads.index(""))
+        for day in set(days) - self.dates:
+            try:
+                datetime.date.fromisoformat(day)
+            except ValueError:
+                end = min(end, days.index(day))
+            else:
+                self.dates.add(day)
+        try:
+            s = np.array(slices[:end], dtype=np.intp)
+        except OverflowError:  # past the integer range, so outside 1..288 too
+            s = np.array(slices[:end], dtype=object)
+        v = np.array(speeds[:end], dtype=float)
+        bad = np.flatnonzero((s < 1) | (s > DEFAULT_SLICES) | ~(np.isfinite(v) & (v >= 0)))
+        if bad.size:
+            end = int(bad[0])
+        length_rows, lengths = self._lengths(head[:end], widths[:end])
+        if len(lengths) < length_rows.size:
+            end = int(length_rows[len(lengths)])
+
+        g = self._grid_rows(list(zip(roads[:end], days[:end])))
+        slot = s[:end].astype(np.intp) - 1
+        flat = g * DEFAULT_SLICES + slot
+        order = np.argsort(flat, kind="stable")
+        dup = self.observed[g, slot]  # a copy seen in an earlier chunk
+        dup[order[1:][flat[order[1:]] == flat[order[:-1]]]] = True  # or earlier in this one
+        if dup.any():
+            i = int(np.flatnonzero(dup)[0])
+            raise ValueError(f"{self.path}: line {lines[i]}: duplicate record for "
+                             f"road_id={roads[i]} day={days[i]} slice={slices[i]}")
+        if end < len(rows):
+            message = _row_error(rows[end], self.cols, self.length_col)
+            raise ValueError(f"{self.path}: line {lines[end]}: {message}")
+        self.values[g, slot] = v
+        self.observed[g, slot] = True
+        self.lengths.update(zip(g[length_rows].tolist(), lengths))
+
+    def _lengths(self, rows: list, widths: np.ndarray) -> tuple[np.ndarray, list]:
+        """(positions of the rows giving a length, their lengths parsed up
+        to the first bad one)."""
+        if self.length_col is None:
+            return np.empty(0, np.intp), []
+        has = np.flatnonzero(widths > self.length_col)
+        cells = list(map(itemgetter(self.length_col), map(rows.__getitem__, has.tolist())))
+        given = np.fromiter(map(bool, map(str.strip, cells)), bool, len(cells))
+        return has[given], _parsed(float, compress(cells, given))
+
+    def _grid_rows(self, keys: list) -> np.ndarray:
+        """Grid row of each (road_id, day), adding rows for new road-days."""
+        ids = self.ids
+        new = [key for key in dict.fromkeys(keys) if key not in ids]
+        ids.update(zip(new, range(len(ids), len(ids) + len(new))))
+        if len(ids) > len(self.values):
+            extra = max(len(ids), 2 * len(self.values)) - len(self.values)
+            self.values = np.concatenate([self.values, np.empty((extra, DEFAULT_SLICES))])
+            self.observed = np.concatenate([self.observed,
+                                            np.zeros((extra, DEFAULT_SLICES), dtype=bool)])
+        return np.fromiter(map(ids.__getitem__, keys), np.intp, len(keys))
+
+    def road_days(self, min_records: int, min_length_m: float | None) -> dict:
+        """{(road_id, day): VelocitySeries} in sorted key order, gaps filled
+        by nearest_interpolate, short roads and thin days skipped."""
+        result = {}
+        for key in sorted(self.ids):
+            road_id, day = key
+            g = self.ids[key]
+            length = self.lengths.get(g)
+            if min_length_m is not None and length is not None and length < min_length_m:
+                log.info("%s/%s: skipped, road length %.0f m below %.0f m",
+                         road_id, day, length, min_length_m)
+                continue
+            obs = np.flatnonzero(self.observed[g])
+            if obs.size < min_records:
+                log.info("%s/%s: skipped, %d records below the minimum of %d",
+                         road_id, day, obs.size, min_records)
+                continue
+            result[key] = nearest_interpolate(
+                zip((obs + 1).tolist(), self.values[g, obs].tolist()), DEFAULT_SLICES,
+                road_id=road_id, day=day, h=DEFAULT_SLICE_MINUTES,
+            )
+        return result
+
+
 def ingest(path, *, min_records: int = 150, min_length_m: float | None = None):
     """Read a record CSV into a {(road_id, day): VelocitySeries} map.
 
     Required columns: road_id, day (ISO date), slice (1..288), velocity
     (nonnegative km/h).  Extra columns are ignored, except an optional
     road_length_m column used to drop roads shorter than min_length_m.
-    Duplicate (road_id, day, slice) keys are a hard error; malformed
-    rows report their line number; road-days with fewer than min_records
+    Blank rows are skipped.  The first malformed row in file order fails
+    the read with its line number (reader rows, counted from 2 after the
+    header, blank rows included); a duplicate (road_id, day, slice) key
+    is reported at its second copy.  Rows are parsed column by column in
+    chunks of ``_CHUNK_ROWS``.  Road-days with fewer than min_records
     observed slices are skipped with a log line.  Remaining gaps are
     filled by nearest-in-time interpolation.
     """
-    groups: dict[tuple[str, str], dict[int, float]] = {}
-    lengths: dict[tuple[str, str], float] = {}
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -153,60 +303,23 @@ def ingest(path, *, min_records: int = 150, min_length_m: float | None = None):
         except StopIteration:
             raise ValueError(f"{path}: empty file") from None
         header = [c.strip() for c in header]
-        required = ["road_id", "day", "slice", "velocity"]
-        if header[: len(required)] != required:
-            raise ValueError(f"{path}: header must start with {','.join(required)}")
+        if header[: len(_REQUIRED)] != list(_REQUIRED):
+            raise ValueError(f"{path}: header must start with {','.join(_REQUIRED)}")
         col = {name: i for i, name in enumerate(header)}
-        length_col = col.get(LENGTH_COLUMN)
-
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
+        records = _Records(path, tuple(col[name] for name in _REQUIRED), col.get(LENGTH_COLUMN))
+        line = 2
+        while True:
+            rows = []
             try:
-                road_id = row[col["road_id"]].strip()
-                day = row[col["day"]].strip()
-                slice_no = int(row[col["slice"]])
-                velocity = float(row[col["velocity"]])
-                if not road_id:
-                    raise ValueError("empty road_id")
-                datetime.date.fromisoformat(day)
-                if not (1 <= slice_no <= DEFAULT_SLICES):
-                    raise ValueError(f"slice {slice_no} outside 1..{DEFAULT_SLICES}")
-                if not (np.isfinite(velocity) and velocity >= 0):
-                    raise ValueError(f"velocity {velocity} not a nonnegative finite number")
-                length = None
-                if length_col is not None and length_col < len(row) and row[length_col].strip():
-                    length = float(row[length_col])
-            except (ValueError, IndexError) as exc:
-                raise ValueError(f"{path}: line {lineno}: {exc}") from None
-
-            key = (road_id, day)
-            slices = groups.setdefault(key, {})
-            if slice_no in slices:
-                raise ValueError(
-                    f"{path}: line {lineno}: duplicate record for "
-                    f"road_id={road_id} day={day} slice={slice_no}"
-                )
-            slices[slice_no] = velocity
-            if length is not None:
-                lengths[key] = length
-
-    result = {}
-    for key in sorted(groups):
-        road_id, day = key
-        slices = groups[key]
-        if min_length_m is not None and key in lengths and lengths[key] < min_length_m:
-            log.info("%s/%s: skipped, road length %.0f m below %.0f m",
-                     road_id, day, lengths[key], min_length_m)
-            continue
-        if len(slices) < min_records:
-            log.info("%s/%s: skipped, %d records below the minimum of %d",
-                     road_id, day, len(slices), min_records)
-            continue
-        result[key] = nearest_interpolate(
-            slices.items(), DEFAULT_SLICES, road_id=road_id, day=day, h=DEFAULT_SLICE_MINUTES
-        )
-    return result
+                rows.extend(islice(reader, _CHUNK_ROWS))
+            except (csv.Error, UnicodeDecodeError):
+                records.add(rows, line)  # a bad row read before the reader failed comes first
+                raise
+            if not rows:
+                break
+            records.add(rows, line)
+            line += len(rows)
+    return records.road_days(min_records, min_length_m)
 
 
 def _unit_spaced(series: VelocitySeries) -> VelocitySeries:
@@ -435,9 +548,10 @@ def cmd_predict(config: RunConfig, args) -> int:
 
 
 def _errors_entry(report) -> dict:
-    # MAPE is NaN when no target slice is above 1; JSON has no NaN, so null
-    mape = None if np.isnan(report.mape) else report.mape
-    return {"rmae": report.rmae, "mape": mape, "mape_retained_count": report.mape_retained_count}
+    # MAPE is NaN when no target slice is above 1, RMAE when every target
+    # slice is 0; JSON has no NaN, so null
+    rmae, mape = (None if np.isnan(x) else x for x in (report.rmae, report.mape))
+    return {"rmae": rmae, "mape": mape, "mape_retained_count": report.mape_retained_count}
 
 
 def cmd_table1(config: RunConfig, args) -> int:

@@ -192,7 +192,8 @@ def auto_select_k(gamma: np.ndarray) -> tuple[int, bool]:
 
     Scans positions 1..min(n-1, 10) of the descending gamma sequence and
     puts the cut where (gamma_p-1 - gamma_p) / gamma_p peaks; a gap onto
-    an exactly zero gamma counts as infinite.  Returns (k, degenerate);
+    an exactly zero gamma counts as infinite, as does one whose ratio
+    overflows (onto a subnormal gamma).  Returns (k, degenerate);
     degenerate means no usable gap existed (all gamma equal) and k is 1.
     """
     gs = np.sort(np.asarray(gamma, dtype=float))[::-1]
@@ -201,7 +202,8 @@ def auto_select_k(gamma: np.ndarray) -> tuple[int, bool]:
     k = 1
     for p in range(1, min(n - 1, 10) + 1):
         if gs[p] > 0.0:
-            ratio = (gs[p - 1] - gs[p]) / gs[p]
+            with np.errstate(over="ignore"):  # over a subnormal gamma the gap can be inf
+                ratio = (gs[p - 1] - gs[p]) / gs[p]
         elif gs[p - 1] > 0.0:
             ratio = np.inf
         else:

@@ -301,7 +301,8 @@ def compare_pipelines(
     1.0 and ``flags`` holds ``cluster.FLAG_DEGENERATE_DC``.  When no
     target slice is above 1, MAPE has nothing to average: both reports
     carry ``mape`` NaN and ``mape_retained_count`` 0, and ``flags``
-    holds ``"no-moving-traffic"``.  The history days are denoised as
+    holds ``"no-moving-traffic"``; when every target slice is 0 (a closed
+    road), ``rmae`` is NaN too.  The history days are denoised as
     one stacked solve.
     """
     days = list(history_days)
@@ -365,7 +366,7 @@ def compare_pipelines(
         reports[tag] = PredictionReport(
             predictions=preds[tag],
             slices=slices,
-            rmae=rmae(truth, preds[tag]),
+            rmae=rmae(truth, preds[tag]) if truth.any() else float("nan"),
             mape=m_value,
             mape_retained_count=m_count,
             fallback_count=fallbacks[tag],

@@ -1,17 +1,172 @@
+import csv
+import datetime
+import itertools
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from tvroad import cli
 from tvroad.cli import RunConfig, config_from_text, config_to_text, ingest, main
 from tvroad.cluster import cluster
 from tvroad.noise import DEFAULT_SIGMA_GRID, estimate_sigma
-from tvroad.series import VelocitySeries
+from tvroad.series import DEFAULT_SLICE_MINUTES, DEFAULT_SLICES, VelocitySeries, nearest_interpolate
 from tvroad.solver import SolverConfig, denoise_values, sweep_config
 from tvroad.synth import two_regime_corpus
 
 HEADER = "road_id,day,slice,velocity"
+
+
+def _reference_ingest(path, *, min_records: int = 150, min_length_m: float | None = None):
+    """The one-row-at-a-time ingest that cli.ingest replaced: the oracle
+    for its results, error messages and skip log lines."""
+    groups: dict[tuple[str, str], dict[int, float]] = {}
+    lengths: dict[tuple[str, str], float] = {}
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise ValueError(f"{path}: empty file") from None
+        header = [c.strip() for c in header]
+        required = ["road_id", "day", "slice", "velocity"]
+        if header[: len(required)] != required:
+            raise ValueError(f"{path}: header must start with {','.join(required)}")
+        col = {name: i for i, name in enumerate(header)}
+        length_col = col.get(cli.LENGTH_COLUMN)
+
+        for lineno, row in enumerate(reader, start=2):
+            if not row or all(not c.strip() for c in row):
+                continue
+            try:
+                road_id = row[col["road_id"]].strip()
+                day = row[col["day"]].strip()
+                slice_no = int(row[col["slice"]])
+                velocity = float(row[col["velocity"]])
+                if not road_id:
+                    raise ValueError("empty road_id")
+                datetime.date.fromisoformat(day)
+                if not (1 <= slice_no <= DEFAULT_SLICES):
+                    raise ValueError(f"slice {slice_no} outside 1..{DEFAULT_SLICES}")
+                if not (np.isfinite(velocity) and velocity >= 0):
+                    raise ValueError(f"velocity {velocity} not a nonnegative finite number")
+                length = None
+                if length_col is not None and length_col < len(row) and row[length_col].strip():
+                    length = float(row[length_col])
+            except (ValueError, IndexError) as exc:
+                raise ValueError(f"{path}: line {lineno}: {exc}") from None
+
+            key = (road_id, day)
+            slices = groups.setdefault(key, {})
+            if slice_no in slices:
+                raise ValueError(
+                    f"{path}: line {lineno}: duplicate record for "
+                    f"road_id={road_id} day={day} slice={slice_no}"
+                )
+            slices[slice_no] = velocity
+            if length is not None:
+                lengths[key] = length
+
+    result = {}
+    for key in sorted(groups):
+        road_id, day = key
+        slices = groups[key]
+        if min_length_m is not None and key in lengths and lengths[key] < min_length_m:
+            cli.log.info("%s/%s: skipped, road length %.0f m below %.0f m",
+                         road_id, day, lengths[key], min_length_m)
+            continue
+        if len(slices) < min_records:
+            cli.log.info("%s/%s: skipped, %d records below the minimum of %d",
+                         road_id, day, len(slices), min_records)
+            continue
+        result[key] = nearest_interpolate(
+            slices.items(), DEFAULT_SLICES, road_id=road_id, day=day, h=DEFAULT_SLICE_MINUTES
+        )
+    return result
+
+
+# Injected faults: each turns one data row's cells into a bad row.
+FAULTS = {
+    "short": lambda cells, rng, lc: cells[: rng.integers(1, 4)],
+    "bad-slice": lambda cells, rng, lc: _set(cells, 2, rng.choice(["x5", "5.0", "", "5 5"])),
+    "bad-velocity": lambda cells, rng, lc: _set(cells, 3, rng.choice(["fast", "", "1.5.0", "1e"])),
+    "slice-range": lambda cells, rng, lc: _set(cells, 2, rng.choice(
+        ["0", "289", "-3", " 300 ", "99999999999999999999999", "-99999999999999999999999"])),
+    "negative-velocity": lambda cells, rng, lc: _set(cells, 3, rng.choice(["-3", "-1e-300"])),
+    "nan-velocity": lambda cells, rng, lc: _set(cells, 3, rng.choice(["nan", " NaN"])),
+    "inf-velocity": lambda cells, rng, lc: _set(cells, 3, rng.choice(["inf", "-inf", "1e999"])),
+    "empty-road": lambda cells, rng, lc: _set(cells, 0, rng.choice(["", "  "])),
+    "bad-date": lambda cells, rng, lc: _set(cells, 1, rng.choice(["2026-13-01", "not-a-date", ""])),
+    "bad-length": lambda cells, rng, lc: _set(cells, lc, "long") if lc is not None else cells[:2],
+}
+
+
+def _set(cells, i, value):
+    return cells[:i] + [value] + cells[i + 1:]
+
+
+@st.composite
+def record_files(draw):
+    """(csv text, min_records, min_length_m) for a generated record
+    file: a few road-days in grouped or shuffled order, numbers written in
+    several accepted forms, blank rows, extra columns, an optional length
+    column given on some rows, and up to two injected faults, each at a
+    random line, often the same one (a duplicate repeats an earlier row
+    further down)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    columns = ["road_id", "day", "slice", "velocity"] + ["weather"] * draw(st.integers(1, 2))
+    length_col = None
+    if draw(st.booleans()):
+        length_col = draw(st.integers(4, len(columns)))
+        columns.insert(length_col, cli.LENGTH_COLUMN)
+    road_days = draw(st.lists(st.tuples(st.sampled_from(["r1", " r2", "r3 "]),
+                                        st.sampled_from(["2026-01-01", " 2026-01-02", "20260103"])),
+                              min_size=1, max_size=4, unique=True))
+    rows = []
+    for road, day in road_days:
+        n = draw(st.sampled_from([1, 5, 20, 60, 288]))
+        for s in rng.choice(np.arange(1, DEFAULT_SLICES + 1), size=n, replace=False):
+            v = float(rng.choice([0.0, -0.0, 1.0, 30.0])) + float(rng.random()) * 60.0
+            cells = [road, day, str(rng.choice([f"{s}", f" {s}", f"{s:03d}"])),
+                     str(rng.choice([repr(v), f"{v:.1f}", f" {v:.3e} ", f"{int(v)}"]))]
+            cells += ["sunny"] * (len(columns) - 4)
+            if length_col is not None:
+                cells[length_col] = str(rng.choice(["", "50", "150.5", " 99 "]))  # the last counts
+                if length_col == len(columns) - 1 and rng.random() < 0.2:
+                    cells.pop()  # a row may end before the length column
+            rows.append(cells)
+    if draw(st.booleans()):
+        rows = [rows[i] for i in rng.permutation(len(rows))]
+    faults = draw(st.lists(st.one_of(st.just("duplicate"), st.sampled_from(sorted(FAULTS))),
+                           max_size=2))
+    at = draw(st.integers(0, len(rows) - 1))
+    for fault in faults:
+        at = draw(st.one_of(st.just(at), st.integers(0, len(rows) - 1)))  # often on one row
+        if fault == "duplicate":
+            rows.insert(draw(st.integers(at + 1, len(rows))), list(rows[at]))
+        else:
+            rows[at] = FAULTS[fault](rows[at], rng, length_col)
+    for _ in range(draw(st.integers(1, 3))):
+        rows.insert(draw(st.integers(0, len(rows))), rng.choice(["", ",,,", " , "]).split(","))
+    lines = [",".join(columns)] + [",".join(cells) for cells in rows]
+    min_records = draw(st.sampled_from([1, 10, 150]))
+    min_length_m = draw(st.sampled_from([None, 100.0]))
+    return "\n".join(lines) + "\n", min_records, min_length_m
+
+
+def _ingest_outcome(read, path, caplog, **kwargs):
+    """(road-days as plain data, or the error message; the log lines)."""
+    caplog.clear()
+    try:
+        data = read(path, **kwargs)
+    except ValueError as exc:
+        result = str(exc)
+    else:
+        result = [(key, s.road_id, s.day, s.h, s.values.tolist(), s.observed_mask.tolist())
+                  for key, s in data.items()]
+    return result, [r.getMessage() for r in caplog.records]
 
 
 @pytest.fixture(scope="module")
@@ -43,7 +198,7 @@ class TestRunConfig:
         with pytest.raises(ValueError):
             RunConfig(max_iters=0)
         with pytest.raises(ValueError):
-            RunConfig(epsilon=-1.0)
+            RunConfig(sweep_epsilon=-1.0)
         with pytest.raises(ValueError):
             RunConfig(k=0)
 
@@ -71,12 +226,58 @@ class TestConfigText:
         with pytest.raises(ValueError, match="max_iters"):
             config_from_text("max_iters = many\n")
 
+    def test_epsilon_is_an_unknown_key(self):
+        with pytest.raises(ValueError, match="unknown key 'epsilon'"):
+            config_from_text("epsilon = 1e-6\n")
+
     def test_missing_equals_rejected(self):
         with pytest.raises(ValueError, match="key = value"):
             config_from_text("seed 5\n")
 
 
 class TestIngest:
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(case=record_files(), data=st.data())
+    def test_matches_reference(self, case, data, tmp_path, caplog):
+        text, min_records, min_length_m = case
+        path = tmp_path / "records.csv"
+        path.write_text(text, encoding="utf-8")
+        chunk = data.draw(st.integers(1, text.count("\n") + 2), label="chunk rows")
+        caplog.set_level("INFO", logger="tvroad")
+        kwargs = {"min_records": min_records, "min_length_m": min_length_m}
+        want = _ingest_outcome(_reference_ingest, path, caplog, **kwargs)
+        with mock.patch.object(cli, "_CHUNK_ROWS", chunk):
+            got = _ingest_outcome(ingest, path, caplog, **kwargs)
+        assert got == want
+
+    def test_row_with_two_faults_names_its_first_failing_check(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        rng = np.random.default_rng(0)
+        for first, second in itertools.product(FAULTS, repeat=2):
+            row = FAULTS[second](FAULTS[first](["r", "2026-02-01", "5", "20", "120"], rng, 4), rng, 4)
+            path.write_text(f"{HEADER},{cli.LENGTH_COLUMN}\nr,2026-02-01,4,20,120\n"
+                            f"{','.join(row)}\n")
+            with pytest.raises(ValueError) as want:
+                _reference_ingest(path)
+            with pytest.raises(ValueError) as got:
+                ingest(path)
+            assert str(got.value) == str(want.value), (first, second)
+
+    @pytest.mark.parametrize("bad_row", [None, "r,2026-02-01,5,fast"], ids=["alone", "bad-row-first"])
+    def test_reader_error_comes_after_the_rows_before_it(self, tmp_path, bad_row):
+        # a field over the csv module's size limit makes the reader raise
+        # in the middle of a chunk; a bad row read before it is reported
+        rows = [HEADER, "r,2026-02-01,1,20"] + [bad_row] * (bad_row is not None)
+        rows += ["r,2026-02-01,2," + "9" * (csv.field_size_limit() + 1), "r,2026-02-01,3,20"]
+        path = tmp_path / "huge.csv"
+        path.write_text("\n".join(rows) + "\n")
+        with pytest.raises((ValueError, csv.Error)) as want:
+            _reference_ingest(path)
+        with mock.patch.object(cli, "_CHUNK_ROWS", 8), pytest.raises(type(want.value)) as got:
+            ingest(path)
+        assert str(got.value) == str(want.value)
+
     def test_full_days(self, records_csv):
         data = ingest(records_csv)
         assert sorted(data) == [("road-1", "2026-01-01"), ("road-1", "2026-01-02")]
@@ -119,6 +320,7 @@ class TestIngest:
             "r,2026-02-01,5,fast",
             "r,2026-02-01,0,20",
             "r,2026-02-01,289,20",
+            "r,2026-02-01,18446744073709551616,20",
             "r,not-a-date,5,20",
             "r,2026-02-01,5,-3",
             "r,2026-02-01,5,nan",
@@ -289,6 +491,17 @@ class TestCommands:
         raw = json.loads(text)["road-1"]["raw"]
         assert raw["mape"] is None and raw["mape_retained_count"] == 0
         assert raw["rmae"] > 0.0  # history-speed predictions against a slow target
+
+    def test_predict_writes_closed_road_rmae_as_null(self, road_days, write_records, tmp_path):
+        target = road_days[1]
+        closed = VelocitySeries(target.road_id, target.day, np.zeros(288), h=target.h)
+        path = write_records([road_days[0], closed], name="closed.csv")
+        out = tmp_path / "out"
+        rc = run_cli("predict", "--input", str(path), "--out-dir", str(out),
+                     "--sigma", "2.5", "--no-denoise")
+        assert rc == 0
+        raw = json.loads((out / "prediction_metrics.json").read_text())["road-1"]["raw"]
+        assert raw == {"rmae": None, "mape": None, "mape_retained_count": 0}
 
     def test_estimate_sigma_rejects_fixed_sigma(self, records_csv, tmp_path):
         out = tmp_path / "out"

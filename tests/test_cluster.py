@@ -1,4 +1,5 @@
 import importlib
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -179,6 +180,12 @@ class TestAutoK:
 
     def test_gap_onto_zero_is_infinite(self):
         assert auto_select_k(np.array([5.0, 5.0, 0.0, 0.0])) == (2, False)
+
+    def test_gap_onto_subnormal_gamma_is_infinite_without_warning(self):
+        # (0.5 - 5e-324) / 5e-324 overflows; the gap counts as infinite
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert auto_select_k(np.array([1.0, 0.5, 5e-324])) == (2, False)
 
     def test_all_equal_is_degenerate(self):
         assert auto_select_k(np.array([3.0, 3.0, 3.0])) == (1, True)

@@ -353,6 +353,18 @@ class TestComparePipelines:
             assert math.isnan(report.mape) and report.mape_retained_count == 0
             assert report.rmae == rmae(truth, report.predictions)
 
+    def test_closed_road_target_reports_nan_rmae(self):
+        road = two_regime_corpus(n_roads=1, n_days=2, seed=3)[0]
+        target = road[1][1]
+        closed = VelocitySeries(target.road_id, target.day, np.zeros(288), h=target.h)
+        cp = compare_pipelines([road[0][1]], closed, sigma=2.5, include_denoised=False)
+        assert cp.flags == ("no-moving-traffic",)
+        assert math.isnan(cp.raw.rmae) and math.isnan(cp.raw.mape)
+        assert cp.raw.mape_retained_count == 0
+        assert np.isfinite(cp.raw.predictions).all()
+        with pytest.raises(ValueError, match="all-zero truth"):
+            rmae(closed.values[LABEL_OFFSET:], cp.raw.predictions)
+
     def test_stacked_history_matches_lone_solves(self, monkeypatch):
         # days of two slice lengths: each length is its own stack, and the
         # results come back in day order
