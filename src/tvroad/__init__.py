@@ -55,10 +55,8 @@ from .series import (
 )
 from .solver import (
     DenoiseResult,
-    LineSearchParams,
     SolverConfig,
     compute_gradient,
-    compute_lambda,
     denoise,
     denoise_values,
     smoothed_total_variation,
@@ -76,7 +74,6 @@ __all__ = [
     "DenoiseResult",
     "DistanceMatrix",
     "HistorySet",
-    "LineSearchParams",
     "MultiresVariations",
     "PipelineComparison",
     "PredictionReport",
@@ -93,7 +90,6 @@ __all__ = [
     "combine_estimates",
     "compare_pipelines",
     "compute_gradient",
-    "compute_lambda",
     "denoise",
     "denoise_values",
     "embed_2d",

@@ -49,15 +49,13 @@ LENGTH_COLUMN = "road_length_m"
 class RunConfig:
     """Run-wide settings; round-trips losslessly through key=value text.
 
-    Every command solves with sweep_epsilon, max_iters and rel_tol.
-    sweep_epsilon smooths more than a near-exact profile, which would
-    spend its whole iteration budget chattering around the kink of the
-    absolute value.
+    Every command solves with max_iters and rel_tol: a solve makes at
+    most max_iters prox calls and converges once its fidelity term is
+    within rel_tol sigma^2 of sigma^2.
     """
 
     max_iters: int = 5000
     rel_tol: float = 1e-4
-    sweep_epsilon: float = 0.1
     sigma_grid: tuple = DEFAULT_SIGMA_GRID
     dc_percentile: float = DEFAULT_DC_PERCENTILE
     k: int | None = None
@@ -69,7 +67,7 @@ class RunConfig:
     table1_trials: int = 100
 
     def __post_init__(self):
-        for name in ("max_iters", "rel_tol", "sweep_epsilon", "dc_percentile",
+        for name in ("max_iters", "rel_tol", "dc_percentile",
                      "min_records", "min_records_cluster", "min_road_length_m",
                      "table1_trials"):
             if not (getattr(self, name) > 0):
@@ -95,7 +93,7 @@ def config_to_text(config: RunConfig) -> str:
 
 
 _CONFIG_PARSERS = {
-    "max_iters": int, "rel_tol": float, "sweep_epsilon": float,
+    "max_iters": int, "rel_tol": float,
     "sigma_grid": lambda s: tuple(float(x) for x in s.split(",")),
     "dc_percentile": float, "k": lambda s: int(s) if s else None,
     "min_records": int, "min_records_cluster": int, "min_road_length_m": float,
@@ -329,8 +327,7 @@ def _unit_spaced(series: VelocitySeries) -> VelocitySeries:
 
 
 def _pipeline_solver(config: RunConfig) -> SolverConfig:
-    return SolverConfig(sigma=0.0, epsilon=config.sweep_epsilon,
-                        max_iters=config.max_iters, rel_tol=config.rel_tol)
+    return SolverConfig(sigma=0.0, max_iters=config.max_iters, rel_tol=config.rel_tol)
 
 
 def _key_name(key: tuple[str, str]) -> str:
@@ -370,7 +367,7 @@ def _sigmas_for(data, keys, config: RunConfig, args) -> dict:
 
 
 def _denoised(data, sigmas: dict, config: RunConfig) -> dict:
-    """{key: DenoiseResult or error}: one stacked solve over the road-days
+    """{key: DenoiseResult or error}: one denoise_sweep call over the road-days
     whose sigma was found and accepted by the solver config."""
     solver = _pipeline_solver(config)
     results, stack = {}, []
@@ -410,15 +407,15 @@ def cmd_denoise(config: RunConfig, args) -> int:
             log.error("%s: denoise failed: %s", _key_name(key), result)
             continue
         sigma, estimate = sigmas[key]
-        for i in range(series.n_slices):
-            out_rows.append(f"{key[0]},{key[1]},{i + 1},"
-                            f"{float(series.values[i])!r},{float(result.denoised[i])!r}")
+        prefix = f"{key[0]},{key[1]},"
+        out_rows += [f"{prefix}{i},{v!r},{u!r}" for i, (v, u) in
+                     enumerate(zip(series.values.tolist(), result.denoised.tolist()), start=1)]
         diagnostics[_key_name(key)] = {
             "sigma": sigma,
             "sigma_flags": list(estimate.flags) if estimate is not None else [],
             "iterations": result.iterations,
             "converged": result.converged,
-            "stalled": result.stalled,
+            "saturated": result.saturated,
             "final_tv": result.final_tv,
             "constraint_residual": result.constraint_residual,
         }

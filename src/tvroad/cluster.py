@@ -21,7 +21,7 @@ FLAG_DEGENERATE_DC = "degenerate-dc"
 FLAG_DEGENERATE_EMBEDDING = "degenerate-embedding"
 FLAG_NO_EMBEDDING = "embedding-skipped"
 
-_BLOCK_BYTES = 1 << 22  # difference-array size per row block of pairwise_distances
+_BLOCK_BYTES = 1 << 22  # temporary-array size per row block of an (n, n) or (n, n, d) pass
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,6 +70,12 @@ def _dmat(d) -> np.ndarray:
     return d.d if isinstance(d, DistanceMatrix) else np.asarray(d, dtype=float)
 
 
+def _row_blocks(n: int, row_bytes: int):
+    """Row slices of an n-row pass whose temporaries take row_bytes a row."""
+    rows = max(1, _BLOCK_BYTES // max(row_bytes, 1))
+    return (slice(lo, lo + rows) for lo in range(0, n, rows))
+
+
 def pairwise_distances(vectors) -> DistanceMatrix:
     """Symmetric l2 distance matrix between equal-length vectors.
 
@@ -81,20 +87,23 @@ def pairwise_distances(vectors) -> DistanceMatrix:
     if x.ndim != 2 or x.shape[0] < 2:
         raise ValueError("need at least 2 equal-length vectors")
     n = x.shape[0]
-    rows = max(1, _BLOCK_BYTES // (8 * n * max(x.shape[1], 1)))
     d = np.empty((n, n))
-    for lo in range(0, n, rows):
-        diff = x[lo : lo + rows, None, :] - x[None, :, :]
-        d[lo : lo + rows] = np.sqrt((diff ** 2).sum(axis=-1))
+    for rows in _row_blocks(n, 8 * n * x.shape[1]):
+        diff = x[rows, None, :] - x[None, :, :]
+        d[rows] = np.sqrt((diff ** 2).sum(axis=-1))
     return DistanceMatrix(d)
 
 
 def local_density(d, d_c: float) -> np.ndarray:
-    """rho_i = sum_{j != i} exp(-(d_ij / d_c)^2)."""
+    """rho_i = sum_{j != i} exp(-(d_ij / d_c)^2), in row blocks; each row
+    sums as it would in one (n, n) pass."""
     if not (d_c > 0):
         raise ValueError("d_c must be positive")
     dm = _dmat(d)
-    return np.exp(-((dm / d_c) ** 2)).sum(axis=1) - 1.0
+    rho = np.empty(len(dm))
+    for rows in _row_blocks(len(dm), 8 * dm.shape[1]):
+        rho[rows] = np.exp(-((dm[rows] / d_c) ** 2)).sum(axis=1)
+    return rho - 1.0
 
 
 def delta_neighbors(d, rho: np.ndarray):
@@ -135,7 +144,11 @@ class SortedNeighbors:
 
     def __init__(self, d):
         self.d = _dmat(d)
-        self.by_distance = np.argsort(self.d, axis=1, kind="stable").astype(np.int32)
+        n = len(self.d)
+        # sorted in row blocks, so only one block's int64 argsort is alive
+        self.by_distance = np.empty((n, n), dtype=np.int32)
+        for rows in _row_blocks(n, 8 * n):
+            self.by_distance[rows] = np.argsort(self.d[rows], axis=1, kind="stable")
         self.row_max = self.d.max(axis=1)
 
     def delta_neighbors(self, d_new: np.ndarray, rho: np.ndarray):

@@ -262,9 +262,9 @@ class PipelineComparison:
 
 
 def _denoise_days(days, sigma: float, solver: SolverConfig) -> list:
-    """The days' denoised values at one sigma, in day order: one stacked
-    solve over the days sharing each slice length h.  A row that failed
-    raises its error."""
+    """The days' denoised values at one sigma, in day order: one
+    denoise_sweep call over the days sharing each slice length h.  A row
+    that failed raises its error."""
     denoised = [None] * len(days)
     for h in dict.fromkeys(d.h for d in days):
         idx = [i for i, d in enumerate(days) if d.h == h]
@@ -302,8 +302,8 @@ def compare_pipelines(
     target slice is above 1, MAPE has nothing to average: both reports
     carry ``mape`` NaN and ``mape_retained_count`` 0, and ``flags``
     holds ``"no-moving-traffic"``; when every target slice is 0 (a closed
-    road), ``rmae`` is NaN too.  The history days are denoised as
-    one stacked solve.
+    road), ``rmae`` is NaN too.  The history days are denoised in
+    one denoise_sweep call.
     """
     days = list(history_days)
     if not days:

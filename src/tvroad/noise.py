@@ -36,12 +36,9 @@ from .solver import SolverConfig, denoise_sweep, denoise_values, sweep_config
 # 0 and 1, then every 5 up to 50.
 DEFAULT_SIGMA_GRID = (0.0, 1.0) + tuple(float(s) for s in range(5, 55, 5))
 
-# Sweep profile for the balance method and the pipeline.  The smoothing
-# here is deliberately coarser than the solver default: the balance
-# point is insensitive to epsilon but the stopping rule is not, and at
-# epsilon near machine level the sweeps would run to the iteration cap
-# on every grid point.
-SWEEP_SOLVER = SolverConfig(sigma=0.0, epsilon=0.1)
+# Solver profile of the balance sweep and the pipeline: the default
+# prox-call cap and budget tolerance.
+SWEEP_SOLVER = SolverConfig(sigma=0.0)
 
 FLAG_NO_NOISE = "no-noise"
 FLAG_TV_BELOW_LOWER_BOUND = "tv-below-lower-bound"
@@ -156,7 +153,7 @@ def _validate_grid(sigma_grid) -> np.ndarray:
 
 
 def _sweep_tv(values: np.ndarray, h: float, grid: np.ndarray, solver: SolverConfig):
-    # one batched solve over the whole grid; sigma = 0 rows return the input
+    # one denoise_sweep call over the whole grid; sigma = 0 rows return the input
     results = denoise_sweep(np.broadcast_to(values, (grid.size, values.size)), grid, solver, h=h)
     for res in results:
         if isinstance(res, FloatingPointError):
@@ -191,7 +188,7 @@ def _first_local_minimum(grid: np.ndarray, deltas: np.ndarray) -> float:
 def estimate_sigma_balance(series, sigma_grid, solver: SolverConfig, h: float | None = None) -> float:
     """Method 2: first local minimum of the TV * sigma^2 increments.
 
-    Solves the whole grid in one batched denoiser call.  Constant input
+    Solves the whole grid in one denoise_sweep call.  Constant input
     (an all-zero TV curve) has no noise to balance and returns 0.
     """
     v, h = _values_and_h(series, h)
@@ -265,7 +262,7 @@ def estimate_sigma(
     """Run both methods and the combination on one series.
 
     The grid sweep is shared between Method 2 and the combination rule:
-    one batched solver call covers every grid point, and the bisection
+    one denoise_sweep call covers every grid point, and the bisection
     adds single solves where it needs them.
     """
     v, h = _values_and_h(series, h)

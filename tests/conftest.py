@@ -34,19 +34,16 @@ def write_records(tmp_path):
 @pytest.fixture
 def poison_rows(monkeypatch):
     """Make the solver fail on every row whose input starts at a given
-    value: that row's first trial step is accepted with a non-finite
-    iterate.  Rows sharing its block are solved as before."""
+    value: that row's prox returns a non-finite iterate, which its solve
+    reports as FloatingPointError.  Other rows are solved as before."""
 
     def _poison(first_value):
-        real = solver._trial_block
+        real = solver._tv_prox
 
-        def poisoned(u, g, base, *rest):
-            ok, block = real(u, g, base, *rest)
-            hit = base[:, 0] == first_value
-            block[0][hit] = np.nan
-            ok[hit] = True
-            return ok, block
+        def poisoned(y, lam):
+            x = real(y, lam)
+            return [np.nan] * len(x) if y[0] == first_value else x
 
-        monkeypatch.setattr(solver, "_trial_block", poisoned)
+        monkeypatch.setattr(solver, "_tv_prox", poisoned)
 
     return _poison

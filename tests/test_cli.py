@@ -198,7 +198,7 @@ class TestRunConfig:
         with pytest.raises(ValueError):
             RunConfig(max_iters=0)
         with pytest.raises(ValueError):
-            RunConfig(sweep_epsilon=-1.0)
+            RunConfig(rel_tol=0.0)
         with pytest.raises(ValueError):
             RunConfig(k=0)
 
@@ -229,6 +229,11 @@ class TestConfigText:
     def test_epsilon_is_an_unknown_key(self):
         with pytest.raises(ValueError, match="unknown key 'epsilon'"):
             config_from_text("epsilon = 1e-6\n")
+
+    def test_sweep_epsilon_is_an_unknown_key(self):
+        # the solve has no smoothing to set any more
+        with pytest.raises(ValueError, match="unknown key 'sweep_epsilon'"):
+            config_from_text("sweep_epsilon = 0.1\n")
 
     def test_missing_equals_rejected(self):
         with pytest.raises(ValueError, match="key = value"):
@@ -404,7 +409,7 @@ class TestCommands:
                      "--sigma", "3")
         assert rc == 0
         data = ingest(records_csv, min_records=RunConfig().min_records_cluster)
-        solver = SolverConfig(sigma=3.0, epsilon=RunConfig().sweep_epsilon)
+        solver = SolverConfig(sigma=3.0)
         profiles = [denoise_values(data[key].values, solver).denoised for key in sorted(data)]
         expected = cluster(np.array(profiles))
         graph = (out / "decision_graph.csv").read_text().strip().split("\n")[1:]
@@ -423,7 +428,7 @@ class TestCommands:
         assert run_cli("denoise", "--input", str(path), "--out-dir", str(out),
                        "--grid", "0,1,5,10,20") == 0
         data = ingest(path, min_records=RunConfig().min_records)
-        solver = SolverConfig(sigma=0.0, epsilon=RunConfig().sweep_epsilon)
+        solver = SolverConfig(sigma=0.0)
         diag = json.loads((out / "denoise_diagnostics.json").read_text())
         rows = (out / "denoised.csv").read_text().strip().split("\n")[1:]
         sigmas = set()

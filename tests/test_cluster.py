@@ -111,6 +111,15 @@ class TestLocalDensity:
         edge = np.exp(-1.0) + np.exp(-4.0)
         np.testing.assert_allclose(rho, [edge, 2.0 * np.exp(-1.0), edge], rtol=1e-12)
 
+    @settings(max_examples=30, deadline=None)
+    @given(n=st.integers(2, 300), seed=st.integers(0, 2**32 - 1),
+           block=st.sampled_from([1, 8 * 7, 1 << 22]))
+    def test_row_blocks_equal_one_shot_formula(self, n, seed, block):
+        d = pairwise_distances(np.random.default_rng(seed).normal(30.0, 8.0, (n, 4))).d
+        expected = np.exp(-((d / 3.0) ** 2)).sum(axis=1) - 1.0
+        with mock.patch.object(cluster_module, "_BLOCK_BYTES", block):
+            assert np.array_equal(local_density(d, 3.0), expected)
+
     def test_requires_positive_dc(self):
         with pytest.raises(ValueError):
             local_density(pairwise_distances(LINE), d_c=0.0)
@@ -149,6 +158,15 @@ class TestSortedNeighbors:
         want_delta, want_nn, _ = delta_neighbors(full, rho)
         np.testing.assert_array_equal(delta, want_delta)
         np.testing.assert_array_equal(nn, want_nn)
+
+    @settings(max_examples=30, deadline=None)
+    @given(case=tied_points(min_n=3), block=st.sampled_from([1, 8 * 5, 1 << 22]))
+    def test_row_blocks_equal_full_argsort(self, case, block):
+        d = pairwise_distances(case[0]).d
+        with mock.patch.object(cluster_module, "_BLOCK_BYTES", block):
+            lists = SortedNeighbors(d)
+        assert lists.by_distance.dtype == np.int32
+        np.testing.assert_array_equal(lists.by_distance, np.argsort(d, axis=1, kind="stable"))
 
     @pytest.mark.parametrize("densest", [0, 2, 3])
     def test_added_item_loses_distance_ties(self, densest):

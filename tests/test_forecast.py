@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tvroad import forecast
 from tvroad.cluster import FLAG_DEGENERATE_DC, delta_neighbors, local_density, select_centers
@@ -323,6 +324,27 @@ class TestComparePipelines:
         np.testing.assert_array_equal(a[:97], b[:97])
         assert not np.array_equal(a, b)
 
+    @pytest.fixture(scope="class")
+    def causal_case(self):
+        road = two_regime_corpus(n_roads=1, n_days=2, seed=3)[0]
+        history, target = road[0][1], road[1][1]
+        run = compare_pipelines([history], target, sigma=2.5, include_raw=False)
+        return history, target, run.denoised.predictions
+
+    @settings(max_examples=8, deadline=None)
+    @given(cut=st.integers(min_value=WINDOW, max_value=284),
+           shift=st.floats(min_value=-20.0, max_value=20.0).filter(lambda x: abs(x) >= 1.0))
+    def test_denoised_goals_see_no_slice_past_any_cut(self, causal_case, cut, shift):
+        history, target, before = causal_case
+        altered = target.values.copy()
+        altered[cut:] = np.maximum(altered[cut:] + shift, 0.0)
+        target_b = VelocitySeries(target.road_id, target.day, altered, h=target.h)
+        after = compare_pipelines([history], target_b, sigma=2.5,
+                                  include_raw=False).denoised.predictions
+        # the goal at 0-based start s0 reads slices s0 + 1 .. s0 + 4
+        np.testing.assert_array_equal(before[:cut - WINDOW + 1], after[:cut - WINDOW + 1])
+        assert not np.array_equal(before, after)
+
     def test_flat_history_day_falls_back_to_unit_dc(self):
         road = two_regime_corpus(n_roads=1, n_days=2, seed=3)[0]
         target = road[1][1]
@@ -344,9 +366,7 @@ class TestComparePipelines:
         target = days[-1]
         slow = VelocitySeries(target.road_id, target.day, np.minimum(target.values, 0.9),
                               h=target.h)
-        # a capped solver keeps the causal solves short
-        solver = SolverConfig(sigma=0.0, epsilon=0.1, max_iters=40)
-        cp = compare_pipelines(days[:-1], slow, sigma=2.5, solver=solver)
+        cp = compare_pipelines(days[:-1], slow, sigma=2.5)
         assert cp.flags == ("no-moving-traffic",)
         truth = slow.values[LABEL_OFFSET:]
         for report in (cp.raw, cp.denoised):

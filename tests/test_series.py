@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from tvroad import series as series_module
 from tvroad.series import (
     CoarseSeries,
     VelocitySeries,
@@ -135,6 +136,24 @@ class TestNearestInterpolate:
     def test_duplicate_slice_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
             nearest_interpolate([(2, 1.0), (2, 2.0)], 4)
+
+    def test_increasing_records_are_not_sorted(self, monkeypatch):
+        def no_sort(*args, **kwargs):
+            raise AssertionError("strictly increasing records need no sort")
+
+        monkeypatch.setattr(series_module, "sorted", no_sort, raising=False)
+        s = nearest_interpolate([(1, 10.0), (4, 20.0), (6, 5.0)], 6)
+        np.testing.assert_array_equal(s.values, [10.0, 10.0, 20.0, 20.0, 20.0, 5.0])
+        np.testing.assert_array_equal(s.observed_mask, [True, False, False, True, False, True])
+
+    def test_unordered_records_are_sorted_and_checked(self):
+        records = [(1, 10.0), (4, 20.0), (6, 5.0)]
+        want = nearest_interpolate(records, 6)
+        got = nearest_interpolate(records[::-1], 6)
+        np.testing.assert_array_equal(got.values, want.values)
+        np.testing.assert_array_equal(got.observed_mask, want.observed_mask)
+        with pytest.raises(ValueError, match="duplicate slice index in records"):
+            nearest_interpolate([(4, 1.0), (1, 3.0), (4, 2.0)], 6)
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):

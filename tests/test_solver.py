@@ -1,19 +1,16 @@
 import dataclasses
-from unittest import mock
+import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from tvroad import solver as solver_module
 from tvroad.noise import DEFAULT_SIGMA_GRID, SWEEP_SOLVER
 from tvroad.series import total_variation
 from tvroad.solver import (
     DenoiseResult,
-    LineSearchParams,
     SolverConfig,
     compute_gradient,
-    compute_lambda,
     denoise_sweep,
     denoise_values,
     smoothed_total_variation,
@@ -42,19 +39,15 @@ class TestSmoothedTV:
 
 
 class TestLambdaAndGradient:
-    def test_lambda_zero_at_fixed_input(self):
-        u0 = np.array([1.0, 5.0, 2.0, 8.0])
-        assert compute_lambda(u0, u0, sigma=1.0, h=1.0, epsilon=0.1) == 0.0
-
     def test_lambda_hand_value(self):
-        # d = (1, -1), d0 = (2, -2), r = (1, -1)/(1 + eps):
-        # lambda = (h / 2 sigma^2) * 2 / (1 + eps) -> 1
-        lam = compute_lambda([0.0, 1.0, 0.0], [0.0, 2.0, 0.0], sigma=1.0, h=1.0, epsilon=1e-9)
-        assert lam == pytest.approx(1.0, abs=1e-8)
-
-    def test_lambda_requires_positive_sigma(self):
-        with pytest.raises(ValueError):
-            compute_lambda([0.0, 1.0], [0.0, 1.0], sigma=0.0, h=1.0, epsilon=0.1)
+        # u0 = (0, 2, 0) keeps three one-sample segments with c = (1, -2, 1):
+        # (1/2) lambda^2 (1 + 4 + 1) = sigma^2 = 1 gives lambda = 1/sqrt(3),
+        # which the first segment step takes
+        res = denoise_values([0.0, 2.0, 0.0], SolverConfig(sigma=1.0))
+        lam = 1.0 / np.sqrt(3.0)
+        assert res.iterations == 1
+        assert res.lambda_trace[0] == pytest.approx(lam, rel=1e-12)
+        np.testing.assert_allclose(res.denoised, [lam, 2.0 - 2.0 * lam, lam], rtol=1e-12)
 
     def test_gradient_peak(self):
         # a unit peak has r = (1, -1): descending along -g flattens it
@@ -106,14 +99,6 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="underflows"):
             denoise_values(values, SolverConfig(sigma=sigma, epsilon=0.1))
 
-    def test_line_search_rejects_bad_values(self):
-        with pytest.raises(ValueError):
-            LineSearchParams(initial_step=0.0)
-        with pytest.raises(ValueError):
-            LineSearchParams(shrink=1.0)
-        with pytest.raises(ValueError):
-            LineSearchParams(max_backtracks=-1)
-
     def test_result_checks_trace_length(self):
         with pytest.raises(ValueError):
             DenoiseResult(np.zeros(3), 0.0, 2, np.zeros(1), 0.0, True)
@@ -142,14 +127,7 @@ class TestDenoiseEdgeCases:
         assert res.final_tv == 0.0
         # u = u0 pins the fidelity term at zero, sigma^2 away from target
         assert res.constraint_residual == 4.0
-
-    def test_stall_reported(self):
-        ls = LineSearchParams(initial_step=1e12, max_backtracks=0)
-        config = SolverConfig(sigma=2.0, epsilon=0.1, line_search=ls)
-        res = denoise_values(STEP, config)
-        assert res.stalled and not res.converged
-        assert res.iterations == 1
-        assert res.lambda_trace.size == 1
+        assert res.saturated and not res.converged
 
 
 @pytest.fixture(scope="module")
@@ -168,7 +146,7 @@ class TestDenoiseStep:
 
     def test_constraint_residual_small(self, solved):
         _, sigma, res = solved
-        assert res.constraint_residual <= 0.15 * sigma**2
+        assert res.constraint_residual <= SolverConfig(sigma=sigma).rel_tol * sigma**2
 
     def test_tv_not_increased(self, solved):
         noisy, _, res = solved
@@ -181,8 +159,7 @@ class TestDenoiseStep:
         assert abs(jump - 19) <= 1
 
     def test_multipliers_nonnegative(self, solved):
-        # a negative multiplier would make the frozen-multiplier merit
-        # unbounded below, so the loop clamps at zero
+        # every prox weight lies in the bracket [0, lambda_max]
         _, _, res = solved
         assert (res.lambda_trace >= 0.0).all()
 
@@ -222,71 +199,76 @@ class TestDenoiseProperties:
         assert np.isfinite(u).all()
 
 
-def _reference_denoise(values, config: SolverConfig, h: float = 1.0) -> DenoiseResult:
-    """The solver as a plain one-solve loop: every quantity recomputed from
-    the iterate each time and one Armijo trial at a time.  Oracle for the
-    batched kernel, which must reproduce it bit for bit."""
-    u0 = np.asarray(values, dtype=float)
-    v0 = total_variation(u0)
-    if config.sigma == 0.0:
-        return DenoiseResult(u0.copy(), v0, 0, np.empty(0), 0.0, True)
-    if v0 == 0.0:
-        return DenoiseResult(u0.copy(), v0, 0, np.empty(0), config.sigma ** 2, True)
+def sigma_max(values, h=1.0) -> float:
+    v = np.asarray(values, dtype=float)
+    return float(np.sqrt(0.5 * h * np.sum((v - v.mean()) ** 2)))
 
-    sigma, eps, ls = config.sigma, config.epsilon, config.line_search
-    du0 = np.diff(u0)
-    u = u0.copy()
-    trace = []
-    converged = stalled = False
-    iterations = config.max_iters
-    backtracks = 0
-    for n in range(config.max_iters):
-        du = np.diff(u)
-        r = du / (np.abs(du) + eps)
-        lam = (h / (2.0 * sigma ** 2)) * float(np.sum(r * (du0 - du)))
-        if lam < 0.0:
-            lam = 0.0
-        trace.append(lam)
-        rpad = np.concatenate(([0.0], r, [0.0]))
-        g = -((np.diff(rpad) / h) - lam * (u - u0))
 
-        merit0 = smoothed_total_variation(u, eps) + 0.5 * lam * h * float(np.sum((u - u0) ** 2))
-        gg = h * float(np.sum(g * g))
-        t = ls.initial_step
-        accepted = False
-        for _ in range(ls.max_backtracks):
-            u_new = u - t * g
-            merit = smoothed_total_variation(u_new, eps) + 0.5 * lam * h * float(
-                np.sum((u_new - u0) ** 2)
-            )
-            if merit <= merit0 - ls.sufficient_decrease * t * gg:
-                accepted = True
-                break
-            t *= ls.shrink
-            backtracks += 1
-        if not accepted:
-            stalled = True
-            iterations = n + 1
-            break
-        if not np.isfinite(u_new).all():
-            raise FloatingPointError(
-                f"non-finite iterate at iteration {n} (step {t}); bad step size"
-            )
-        u = u_new
-        if np.max(np.abs(g)) / v0 <= config.rel_tol:
-            converged = True
-            iterations = n + 1
-            break
+def resolvable_sigma_max(values, h=1.0) -> float:
+    """sigma_max of a series whose spread is well above its rounding (a
+    budget of a few ulps cannot be met to rel_tol); other series are
+    rejected from the property."""
+    smax = sigma_max(values, h)
+    assume(smax > 1e-6 * max(1.0, max(values)))
+    return smax
 
-    residual = abs(0.5 * h * float(np.sum((u - u0) ** 2)) - sigma ** 2)
-    return DenoiseResult(u, total_variation(u), iterations, np.array(trace[:iterations]),
-                         residual, converged, stalled, backtracks)
+
+def assert_kkt(values, res: DenoiseResult):
+    """The optimality certificate of the last prox, x = argmin (1/2)|x - y|^2
+    + lambda TV(x): z = cumsum(y - x) has |z_i| <= lambda, equals
+    -lambda sign(x_{i+1} - x_i) at every jump, and ends at sum(y - x) = 0."""
+    y, x, lam = np.asarray(values, dtype=float), res.denoised, res.lambda_trace[-1]
+    z = np.cumsum(y - x)
+    atol = 1e-9 * max(1.0, float(np.abs(y).max())) * y.size
+    assert abs(z[-1]) <= atol
+    assert (np.abs(z[:-1]) <= lam + atol).all()
+    d = np.diff(x)
+    jump = d != 0
+    np.testing.assert_allclose(z[:-1][jump], -lam * np.sign(d[jump]), rtol=0, atol=atol)
+
+
+def assert_solved(values, sigma, res: DenoiseResult, config: SolverConfig, h=1.0):
+    """A solve below sigma_max meets its budget and carries the certificate;
+    one at or above it is the constant mean."""
+    if res.saturated:
+        assert sigma >= sigma_max(values, h) * (1 - 1e-12)
+        assert res.iterations == 0 and res.final_tv == 0.0
+        assert (res.denoised == res.denoised[0]).all()
+    else:
+        assert res.converged and res.constraint_residual <= config.rel_tol * sigma ** 2
+        assert_kkt(values, res)
+
+
+def brute_force_prox(y: np.ndarray, lam: float) -> np.ndarray:
+    """argmin (1/2)|x - y|^2 + lam TV(x) from its dual, min |y - D^T z|^2
+    over |z_i| <= lam, by trying every active set: each z_i at -lam, at
+    +lam or free, the free ones by least squares.  x = y - D^T z."""
+    dt = np.diff(np.eye(y.size), axis=0).T
+    best, best_x = np.inf, None
+    for pattern in itertools.product((-1.0, 0.0, 1.0), repeat=y.size - 1):
+        z = lam * np.array(pattern)
+        free = z == 0.0
+        if free.any():
+            rhs = y - dt[:, ~free] @ z[~free]
+            z[free] = np.linalg.lstsq(dt[:, free], rhs, rcond=None)[0]
+            if (np.abs(z[free]) > lam * (1 + 1e-12)).any():
+                continue
+        x = y - dt @ z
+        if x @ x < best:
+            best, best_x = x @ x, x
+    return best_x
 
 
 def assert_bit_identical(got: DenoiseResult, want: DenoiseResult):
     for f in dataclasses.fields(DenoiseResult):
         x, y = np.asarray(getattr(got, f.name)), np.asarray(getattr(want, f.name))
         assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes()), f.name
+
+
+def series_values(n_min=2, n_max=40):
+    """Strategy for a float series of n_min..n_max samples in 0..60."""
+    return st.integers(min_value=n_min, max_value=n_max).flatmap(lambda n: st.lists(
+        st.floats(min_value=0.0, max_value=60.0, allow_nan=False), min_size=n, max_size=n))
 
 
 @pytest.fixture(scope="module")
@@ -296,52 +278,96 @@ def diurnal_days():
 
 
 class TestKernelMatchesReference:
+    """Solves against references outside the solver: the optimality
+    certificate of the final prox, the constant mean at sigma >= sigma_max,
+    the short circuits, and lone solves."""
+
     @pytest.mark.parametrize("day", range(3))
     def test_default_grid_sweep(self, diurnal_days, day):
         values = diurnal_days[day]
-        grid = DEFAULT_SIGMA_GRID
-        sweep = denoise_sweep(np.tile(values, (len(grid), 1)), grid, SWEEP_SOLVER)
-        capped = [s for s, res in zip(DEFAULT_SIGMA_GRID, sweep)
-                  if res.iterations == SWEEP_SOLVER.max_iters]
-        if day == 0:
-            # the grid's ends run to the iteration cap on this day
-            assert capped[0] == 1.0 and capped[-1] == 50.0
-        for sigma, res in zip(DEFAULT_SIGMA_GRID, sweep):
-            assert_bit_identical(res, _reference_denoise(values, sweep_config(SWEEP_SOLVER, sigma)))
+        sweep = denoise_sweep(np.tile(values, (len(DEFAULT_SIGMA_GRID), 1)), DEFAULT_SIGMA_GRID,
+                              SWEEP_SOLVER)
+        for sigma, res in zip(DEFAULT_SIGMA_GRID[1:], sweep[1:]):
+            # the grid's ends used to run to the iteration cap on day 0
+            assert res.iterations < 20
+            assert_solved(values, sigma, res, SWEEP_SOLVER)
 
     @pytest.mark.parametrize("cut", [7, 60, 200])
     def test_causal_prefix(self, diurnal_days, cut):
         prefix = np.concatenate([diurnal_days[1][:cut], [diurnal_days[1][cut - 1]]])
         config = sweep_config(SWEEP_SOLVER, 10.0)
-        assert_bit_identical(denoise_values(prefix, config), _reference_denoise(prefix, config))
+        assert_solved(prefix, 10.0, denoise_values(prefix, config), config)
 
-    def test_stall(self):
-        ls = LineSearchParams(initial_step=1e12, max_backtracks=0)
-        config = SolverConfig(sigma=2.0, epsilon=0.1, line_search=ls)
-        res = denoise_values(STEP, config)
-        assert res.stalled and res.backtracks == 0
-        assert_bit_identical(res, _reference_denoise(STEP, config))
-
-    @pytest.mark.parametrize("values,sigma", [(STEP, 0.0), (np.full(10, 6.0), 2.0)])
+    @pytest.mark.parametrize("values,sigma", [(STEP, 0.0), (np.full(10, 6.0), 2.0),
+                                              (np.full(3, 11.459316183391156), 2.0)])
     def test_short_circuits(self, values, sigma):
         config = SolverConfig(sigma=sigma, epsilon=0.1)
-        assert_bit_identical(denoise_values(values, config), _reference_denoise(values, config))
+        # sigma = 0 leaves u0 on budget; flat u0 is already the constant mean,
+        # even where its computed mean rounds off it
+        want = DenoiseResult(values.copy(), total_variation(values), 0, np.empty(0),
+                             sigma ** 2, sigma == 0.0, saturated=sigma > 0.0)
+        assert_bit_identical(denoise_values(values, config), want)
 
     @settings(max_examples=30, deadline=None)
     @given(st.data())
     def test_sweep_rows_equal_lone_solves(self, data):
-        n = data.draw(st.integers(min_value=2, max_value=40))
-        values = np.asarray(data.draw(st.lists(
-            st.floats(min_value=0.0, max_value=60.0, allow_nan=False), min_size=n, max_size=n)))
+        values = np.asarray(data.draw(series_values()))
         sigmas = data.draw(st.lists(
             st.one_of(st.just(0.0), st.floats(min_value=0.01, max_value=8.0)),
             min_size=1, max_size=5))
-        shrink = data.draw(st.floats(min_value=0.05, max_value=0.95).filter(lambda s: s != 0.5))
-        ls = LineSearchParams(shrink=shrink, max_backtracks=data.draw(st.integers(0, 12)))
-        template = SolverConfig(sigma=0.0, epsilon=0.1, max_iters=150, line_search=ls)
+        template = SolverConfig(sigma=0.0, epsilon=0.1, max_iters=data.draw(st.integers(1, 150)))
         sweep = denoise_sweep(np.tile(values, (len(sigmas), 1)), sigmas, template)
         for sigma, res in zip(sigmas, sweep):
             assert_bit_identical(res, denoise_values(values, sweep_config(template, sigma)))
+
+
+class TestExactSolve:
+    @settings(max_examples=60, deadline=None)
+    @given(series_values(), st.floats(min_value=0.01, max_value=0.99), st.sampled_from([1.0, 2.5]))
+    def test_kkt_certificate(self, values, fraction, h):
+        sigma = fraction * resolvable_sigma_max(values, h)
+        res = denoise_values(values, SolverConfig(sigma=sigma), h=h)
+        assert not res.saturated and res.iterations > 0
+        assert_kkt(values, res)
+
+    @settings(max_examples=60, deadline=None)
+    @given(series_values(), st.floats(min_value=0.01, max_value=0.999),
+           st.sampled_from([1e-2, 1e-4, 1e-8]))
+    def test_residual_within_tolerance(self, values, fraction, rel_tol):
+        sigma = fraction * resolvable_sigma_max(values)
+        config = SolverConfig(sigma=sigma, rel_tol=rel_tol)
+        res = denoise_values(values, config)
+        assert res.converged
+        assert res.constraint_residual <= rel_tol * sigma ** 2
+
+    @settings(max_examples=30, deadline=None)
+    @given(series_values(n_min=8, n_max=80))
+    def test_tv_non_increasing_over_default_grid(self, values):
+        sweep = denoise_sweep(np.tile(values, (len(DEFAULT_SIGMA_GRID), 1)), DEFAULT_SIGMA_GRID,
+                              SWEEP_SOLVER)
+        tvs = np.array([res.final_tv for res in sweep])
+        assert (np.diff(tvs) <= 1e-9 * max(1.0, tvs[0])).all()
+
+    @settings(max_examples=40, deadline=None)
+    @given(series_values(n_min=2, n_max=6), st.floats(min_value=0.05, max_value=0.95))
+    def test_brute_force_small(self, values, fraction):
+        y = np.asarray(values)
+        sigma = fraction * resolvable_sigma_max(values)
+        config = SolverConfig(sigma=sigma)
+        res = denoise_values(y, config)
+        x = brute_force_prox(y, res.lambda_trace[-1])
+        np.testing.assert_allclose(res.denoised, x, rtol=0, atol=1e-9 * max(1.0, y.max()))
+        assert abs(0.5 * float(np.sum((x - y) ** 2)) - sigma ** 2) <= 2 * config.rel_tol * sigma ** 2
+
+    @settings(max_examples=40, deadline=None)
+    @given(series_values(), st.floats(min_value=1.0001, max_value=3.0))
+    def test_saturated_at_sigma_max(self, values, factor):
+        smax = resolvable_sigma_max(values)
+        res = denoise_values(values, SolverConfig(sigma=factor * smax))
+        assert res.saturated and res.iterations == 0 and res.final_tv == 0.0
+        np.testing.assert_array_equal(res.denoised, np.full(len(values), np.mean(values)))
+        below = denoise_values(values, SolverConfig(sigma=0.9 * smax))
+        assert not below.saturated and below.converged
 
 
 class TestStackedEntry:
@@ -361,23 +387,20 @@ class TestStackedEntry:
             sigmas.append(data.draw(st.one_of(st.just(0.0), st.floats(min_value=0.01,
                                                                       max_value=8.0))))
         template = SolverConfig(sigma=0.0, epsilon=0.1, max_iters=150)
-        # Blocks of one row up to the whole stack, and budgets that are
-        # not a whole number of rows.
-        budget = data.draw(st.integers(min_value=1, max_value=8 * n * (len(rows) + 1)))
-        with mock.patch.object(solver_module, "_BLOCK_BYTES", budget):
-            stacked = denoise_sweep(np.array(rows), sigmas, template)
+        stacked = denoise_sweep(np.array(rows), sigmas, template)
         assert len(stacked) == len(rows)
         for row, sigma, res in zip(rows, sigmas, stacked):
             assert_bit_identical(res, denoise_values(row, sweep_config(template, sigma)))
 
-    def test_road_days_across_blocks(self, diurnal_days):
-        # three 288-sample days at two sigmas each, in blocks of 4 rows
+    def test_road_days_equal_lone_solves(self, diurnal_days):
+        # three 288-sample days at two sigmas each
         stack = np.repeat(np.array(diurnal_days), 2, axis=0)
         sigmas = [10.0, 20.0] * 3
-        with mock.patch.object(solver_module, "_BLOCK_BYTES", 4 * 288 * 8):
-            stacked = denoise_sweep(stack, sigmas, SWEEP_SOLVER)
+        stacked = denoise_sweep(stack, sigmas, SWEEP_SOLVER)
         for row, sigma, res in zip(stack, sigmas, stacked):
-            assert_bit_identical(res, _reference_denoise(row, sweep_config(SWEEP_SOLVER, sigma)))
+            lone = denoise_values(row, sweep_config(SWEEP_SOLVER, sigma))
+            assert_bit_identical(res, lone)
+            assert_solved(row, sigma, res, SWEEP_SOLVER)
 
     def test_failing_row_fails_alone(self, poison_rows):
         rng = np.random.default_rng(5)
@@ -392,6 +415,17 @@ class TestStackedEntry:
         assert isinstance(stacked[2], FloatingPointError)
         for res, lone in zip(stacked[:2] + stacked[3:], want):
             assert_bit_identical(res, lone)
+
+    def test_overflowing_row_fails_alone(self):
+        # deviations near 1e199 square past the float range
+        rng = np.random.default_rng(5)
+        stack = np.stack([rng.normal(30.0, 5.0, 40), 1e200 * rng.normal(1.0, 0.1, 40)])
+        config = SolverConfig(sigma=3.0)
+        with pytest.raises(FloatingPointError, match="non-finite fidelity"):
+            denoise_values(stack[1], config)
+        stacked = denoise_sweep(stack, [3.0, 3.0], config)
+        assert isinstance(stacked[1], FloatingPointError)
+        assert_bit_identical(stacked[0], denoise_values(stack[0], config))
 
     def test_rejects_bad_stacks(self):
         with pytest.raises(ValueError, match="stack"):
