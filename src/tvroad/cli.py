@@ -138,6 +138,13 @@ def _parsed(parser, cells) -> list:
     return out
 
 
+def _check_day(day: str) -> None:
+    """Raise ValueError unless day is a date written as YYYY-MM-DD, the one
+    spelling of a date, so that each date is one road-day key."""
+    if datetime.date.fromisoformat(day).isoformat() != day:
+        raise ValueError(f"day {day!r} is not written as YYYY-MM-DD")
+
+
 def _row_error(row: list, cols: tuple, length_col: int | None) -> str | None:
     """The message of a row's first failing check, in the record format's
     order: road_id, day, slice and velocity parse, empty road_id, date,
@@ -149,7 +156,7 @@ def _row_error(row: list, cols: tuple, length_col: int | None) -> str | None:
         velocity = float(row[cols[3]])
         if not road_id:
             raise ValueError("empty road_id")
-        datetime.date.fromisoformat(day)
+        _check_day(day)
         if not (1 <= slice_no <= DEFAULT_SLICES):
             raise ValueError(f"slice {slice_no} outside 1..{DEFAULT_SLICES}")
         if not (np.isfinite(velocity) and velocity >= 0):
@@ -169,7 +176,7 @@ class _Records:
         self.cols = cols  # road_id, day, slice, velocity column indices
         self.length_col = length_col
         self.ids: dict[tuple[str, str], int] = {}  # (road_id, day) -> grid row
-        self.dates: set[str] = set()  # day strings that parsed as ISO dates
+        self.dates: set[str] = set()  # day strings that passed _check_day
         self.values = np.empty((0, DEFAULT_SLICES))
         self.observed = np.zeros((0, DEFAULT_SLICES), dtype=bool)
         self.lengths: dict[int, float] = {}  # grid row -> last road length given
@@ -200,7 +207,7 @@ class _Records:
             end = min(end, roads.index(""))
         for day in set(days) - self.dates:
             try:
-                datetime.date.fromisoformat(day)
+                _check_day(day)
             except ValueError:
                 end = min(end, days.index(day))
             else:
@@ -283,7 +290,7 @@ class _Records:
 def ingest(path, *, min_records: int = 150, min_length_m: float | None = None):
     """Read a record CSV into a {(road_id, day): VelocitySeries} map.
 
-    Required columns: road_id, day (ISO date), slice (1..288), velocity
+    Required columns: road_id, day (YYYY-MM-DD), slice (1..288), velocity
     (nonnegative km/h).  Extra columns are ignored, except an optional
     road_length_m column used to drop roads shorter than min_length_m.
     Blank rows are skipped.  The first malformed row in file order fails

@@ -6,9 +6,9 @@ the current 4-slice window is clustered together with all history
 windows; the prediction is the Gaussian-weighted average of the labels
 in the window's cluster, weighted by distance from the current window.
 The history side of that clustering (distances, densities and each
-window's neighbours sorted by distance) is built once per history, so
-each goal costs a search along those sorted lists rather than a scan of
-the whole (m+1)-square distance matrix.
+window's nearest neighbours in distance order) is built once per
+history, so each goal costs a search along those short lists rather
+than a scan of the whole (m+1)-square distance matrix.
 
 Denoising the target day causally needs one future boundary value, so a
 small least-squares model trained on 5-minute-ahead labels supplies the
@@ -24,8 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cluster import (
-    FLAG_DEGENERATE_DC,
     SortedNeighbors,
+    _percentile_cutoff,
     delta_neighbors,  # noqa: F401  (unused here; bench/tracing.py wraps this name)
     follow_neighbors,
     local_density,
@@ -323,11 +323,7 @@ def compare_pipelines(
     model = fit_boundary(build_history(days, label_offset=BOUNDARY_OFFSET))
 
     base = pairwise_distances(hist_raw.windows).d
-    d_c = float(np.percentile(base[np.triu_indices(len(base), 1)], dc_percentile))
-    flags = []
-    if not d_c > 0:
-        d_c = 1.0
-        flags.append(FLAG_DEGENERATE_DC)
+    d_c, flags = _percentile_cutoff(base, dc_percentile)
 
     variants: dict[str, _GoalMatcher] = {}
     if include_raw:

@@ -47,7 +47,8 @@ def _reference_ingest(path, *, min_records: int = 150, min_length_m: float | Non
                 velocity = float(row[col["velocity"]])
                 if not road_id:
                     raise ValueError("empty road_id")
-                datetime.date.fromisoformat(day)
+                if datetime.date.fromisoformat(day).isoformat() != day:
+                    raise ValueError(f"day {day!r} is not written as YYYY-MM-DD")
                 if not (1 <= slice_no <= DEFAULT_SLICES):
                     raise ValueError(f"slice {slice_no} outside 1..{DEFAULT_SLICES}")
                 if not (np.isfinite(velocity) and velocity >= 0):
@@ -98,7 +99,8 @@ FAULTS = {
     "nan-velocity": lambda cells, rng, lc: _set(cells, 3, rng.choice(["nan", " NaN"])),
     "inf-velocity": lambda cells, rng, lc: _set(cells, 3, rng.choice(["inf", "-inf", "1e999"])),
     "empty-road": lambda cells, rng, lc: _set(cells, 0, rng.choice(["", "  "])),
-    "bad-date": lambda cells, rng, lc: _set(cells, 1, rng.choice(["2026-13-01", "not-a-date", ""])),
+    "bad-date": lambda cells, rng, lc: _set(cells, 1, rng.choice(
+        ["2026-13-01", "not-a-date", "", "20260201", "2026-W05-7"])),
     "bad-length": lambda cells, rng, lc: _set(cells, lc, "long") if lc is not None else cells[:2],
 }
 
@@ -122,7 +124,7 @@ def record_files(draw):
         length_col = draw(st.integers(4, len(columns)))
         columns.insert(length_col, cli.LENGTH_COLUMN)
     road_days = draw(st.lists(st.tuples(st.sampled_from(["r1", " r2", "r3 "]),
-                                        st.sampled_from(["2026-01-01", " 2026-01-02", "20260103"])),
+                                        st.sampled_from(["2026-01-01", " 2026-01-02", "2026-01-03 "])),
                               min_size=1, max_size=4, unique=True))
     rows = []
     for road, day in road_days:
@@ -327,6 +329,8 @@ class TestIngest:
             "r,2026-02-01,289,20",
             "r,2026-02-01,18446744073709551616,20",
             "r,not-a-date,5,20",
+            "r,20260201,5,20",
+            "r,2026-W05-7,5,20",
             "r,2026-02-01,5,-3",
             "r,2026-02-01,5,nan",
             ",2026-02-01,5,20",
@@ -356,6 +360,21 @@ class TestIngest:
 
 
 class TestCommands:
+    @pytest.mark.parametrize("spelling", ["20260101", "2026-W01-4"])
+    def test_other_spelling_of_a_date_is_rejected(self, road_days, write_records, tmp_path,
+                                                  caplog, spelling):
+        # both spellings name 2026-01-01 to date.fromisoformat on Python
+        # 3.11 and later; read as given they would make a second road-day
+        # of that date, out of reach of the duplicate check
+        first, second = road_days
+        renamed = VelocitySeries(second.road_id, spelling, second.values, h=second.h)
+        path = write_records([first, renamed])
+        rc = run_cli("denoise", "--input", str(path), "--out-dir", str(tmp_path / "out"),
+                     "--sigma", "3")
+        assert rc == 1
+        assert f"line {2 + DEFAULT_SLICES}: day '{spelling}' is not written as YYYY-MM-DD" in caplog.text
+        assert not (tmp_path / "out" / "denoised.csv").exists()
+
     def test_denoise_with_fixed_sigma(self, records_csv, tmp_path):
         out = tmp_path / "out"
         rc = run_cli("denoise", "--input", str(records_csv), "--out-dir", str(out),

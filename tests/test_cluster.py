@@ -94,7 +94,11 @@ class TestDistances:
         # the one-shot reference holds two (n, n, dim) arrays
         n = data.draw(st.integers(2, 150 if dim == 288 else 400), label="n")
         seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
-        block = data.draw(st.sampled_from([1, 8 * dim * n, 3 * 8 * dim * n, 1 << 22]), label="block")
+        # one-row blocks, and blocks that start at 3 or 7 rows and lengthen
+        # down the triangle; each block's diagonal square is built whole
+        # before the block is mirrored
+        block = data.draw(st.sampled_from([1, 8 * dim * n, 3 * 8 * dim * n, 7 * 8 * dim * n, 1 << 22]),
+                          label="block")
         rng = np.random.default_rng(seed)
         x = rng.normal(30.0, 8.0, (n, dim))
         x[rng.integers(0, n, n // 3)] = x[0]  # repeated rows: exact zero distances
@@ -159,14 +163,37 @@ class TestSortedNeighbors:
         np.testing.assert_array_equal(delta, want_delta)
         np.testing.assert_array_equal(nn, want_nn)
 
-    @settings(max_examples=30, deadline=None)
-    @given(case=tied_points(min_n=3), block=st.sampled_from([1, 8 * 5, 1 << 22]))
-    def test_row_blocks_equal_full_argsort(self, case, block):
+    @settings(max_examples=200, deadline=None)
+    @given(case=tied_points(min_n=3), data=st.data())
+    def test_short_heads_fall_back_to_whole_rows(self, case, data):
+        # heads of 1 or 2 columns leave many rows without a denser item
+        # in them, so those rows take the whole-row scan, in row blocks
+        pts, rho = case
+        full = pairwise_distances(pts).d
+        n = len(pts) - 1
+        heads = data.draw(st.sampled_from([1, 2, n]), label="head columns")
+        block = data.draw(st.sampled_from([1, 8 * n * 2, 1 << 22]), label="block")
+        with mock.patch.object(cluster_module, "_NEIGHBORS", heads), \
+                mock.patch.object(cluster_module, "_BLOCK_BYTES", block):
+            lists = SortedNeighbors(full[:n, :n])
+            delta, nn = lists.delta_neighbors(full[n, :n], rho)
+        want_delta, want_nn, _ = delta_neighbors(full, rho)
+        np.testing.assert_array_equal(delta, want_delta)
+        np.testing.assert_array_equal(nn, want_nn)
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=tied_points(min_n=3), block=st.sampled_from([1, 8 * 5, 1 << 22]),
+           heads=st.sampled_from([1, 2, 5, 32]))
+    def test_row_blocks_equal_full_argsort(self, case, block, heads):
+        # the stored heads are the first columns of the stable argsort,
+        # also where the last head column cuts through a distance tie
         d = pairwise_distances(case[0]).d
-        with mock.patch.object(cluster_module, "_BLOCK_BYTES", block):
+        with mock.patch.object(cluster_module, "_NEIGHBORS", heads), \
+                mock.patch.object(cluster_module, "_BLOCK_BYTES", block):
             lists = SortedNeighbors(d)
-        assert lists.by_distance.dtype == np.int32
-        np.testing.assert_array_equal(lists.by_distance, np.argsort(d, axis=1, kind="stable"))
+        k = min(heads, len(d))
+        assert lists.nearest.dtype == np.int32 and lists.nearest.shape == (len(d), k)
+        np.testing.assert_array_equal(lists.nearest, np.argsort(d, axis=1, kind="stable")[:, :k])
 
     @pytest.mark.parametrize("densest", [0, 2, 3])
     def test_added_item_loses_distance_ties(self, densest):
