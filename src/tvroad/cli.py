@@ -620,7 +620,11 @@ def main(argv=None) -> int:
         logging.basicConfig(stream=sys.stderr, level=logging.INFO,
                             format="%(levelname)s %(message)s")
     args = _build_parser().parse_args(argv)
-    config = _resolve_config(args)
+    try:
+        config = _resolve_config(args)
+    except (OSError, ValueError) as exc:  # an unreadable config file or a bad setting
+        log.error("bad configuration: %s", exc)
+        return 2
     commands = {
         "denoise": cmd_denoise,
         "estimate-sigma": cmd_estimate,

@@ -229,10 +229,6 @@ class SortedNeighbors:
         ])
 
 
-def separation(d, rho: np.ndarray) -> np.ndarray:
-    return delta_neighbors(d, rho)[0]
-
-
 def auto_select_k(gamma: np.ndarray) -> tuple[int, bool]:
     """Cluster count at the largest relative gap of sorted gamma.
 
@@ -298,16 +294,6 @@ def follow_neighbors(nn: np.ndarray, centers, center_distances) -> np.ndarray:
     return label
 
 
-def assign(d, rho: np.ndarray, centers) -> np.ndarray:
-    """Cluster ids 1..k; non-centers follow their nearest denser neighbour."""
-    centers = np.asarray(centers, dtype=np.int64)
-    if centers.size == 0:
-        raise ValueError("centers must be non-empty")
-    dm = _dmat(d)
-    _, nn, _ = delta_neighbors(dm, rho)
-    return follow_neighbors(nn, centers, lambda items: dm[np.ix_(items, centers)])
-
-
 def halo_split(d, rho: np.ndarray, assignment: np.ndarray, d_c: float):
     """Core/halo flags and per-cluster border densities.
 
@@ -334,7 +320,7 @@ def halo_split(d, rho: np.ndarray, assignment: np.ndarray, d_c: float):
     return is_core, border_density
 
 
-def embed_2d(d, return_spectrum: bool = False):
+def embed_2d(d):
     """Classical 2-D scaling of a distance matrix.
 
     Double-centers the squared distances and keeps the top two spectral
@@ -362,8 +348,6 @@ def embed_2d(d, return_spectrum: bool = False):
             if nz.size and col[nz[0]] < 0:
                 col = -col
             coords[:, axis] = col
-    if return_spectrum:
-        return coords, w[top]
     return coords
 
 
@@ -393,14 +377,14 @@ def cluster(
     if d_c is None:
         d_c, flags = _percentile_cutoff(dm.d, dc_percentile)
     rho = local_density(dm, d_c)
-    delta = separation(dm, rho)
+    delta, nn, _ = delta_neighbors(dm, rho)
     gamma = rho * delta
     if k is None:
         k, degenerate = auto_select_k(gamma)
         if degenerate:
             flags.append(FLAG_DEGENERATE_GAMMA)
     centers = select_centers(rho, delta, k)
-    assignment = assign(dm, rho, centers)
+    assignment = follow_neighbors(nn, centers, lambda items: dm.d[np.ix_(items, centers)])
     is_core, border_density = halo_split(dm, rho, assignment, d_c)
     if dm.n >= 3:
         embedding = embed_2d(dm)

@@ -133,11 +133,6 @@ def fit_boundary(history: HistorySet) -> BoundaryModel:
     return BoundaryModel(coef=tuple(coef), used_fallback=False)
 
 
-def boundary_forecast(history: HistorySet, goal_window) -> float:
-    """One-slice-ahead forecast for the slice following goal_window."""
-    return fit_boundary(history).predict_next(goal_window)
-
-
 def causal_denoise_window(
     day_so_far, boundary: float, sigma: float, solver: SolverConfig, h: float = 1.0
 ) -> np.ndarray:

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .series import VelocitySeries, pair_average, total_variation, _as_float_vector
+from .series import VelocitySeries, pair_average, _as_float_vector
 from .solver import SolverConfig, denoise_sweep, denoise_values, sweep_config
 
 # Grid used by the balance sweep unless the caller says otherwise:
@@ -166,11 +166,6 @@ def _tv_lower(v: np.ndarray) -> float:
     return 2.5 * (float(v.max()) - float(v.min()))
 
 
-def _balance_deltas(grid: np.ndarray, tvs) -> np.ndarray:
-    products = np.asarray(tvs) * grid ** 2
-    return np.diff(products)
-
-
 def _first_local_minimum(grid: np.ndarray, deltas: np.ndarray) -> float:
     # deltas[i] is the increment into grid point i+1; the first grid
     # point with an increment (index 1) has no left neighbour and is
@@ -185,6 +180,20 @@ def _first_local_minimum(grid: np.ndarray, deltas: np.ndarray) -> float:
     return float(grid[int(np.argmin(deltas)) + 1])
 
 
+def _balance(v: np.ndarray, h: float, sigma_grid, solver: SolverConfig):
+    """(grid, TVs, increments of TV * sigma^2, sigma2) of one grid sweep.
+
+    sigma2 is the first local minimum of the increments, or None for
+    constant input (an all-zero TV curve), which has no noise to balance.
+    """
+    grid = _validate_grid(sigma_grid)
+    tvs = _sweep_tv(v, h, grid, solver)
+    deltas = np.diff(np.asarray(tvs) * grid ** 2)
+    if all(t == 0.0 for t in tvs):
+        return grid, tvs, deltas, None
+    return grid, tvs, deltas, _first_local_minimum(grid, deltas)
+
+
 def estimate_sigma_balance(series, sigma_grid, solver: SolverConfig, h: float | None = None) -> float:
     """Method 2: first local minimum of the TV * sigma^2 increments.
 
@@ -192,11 +201,8 @@ def estimate_sigma_balance(series, sigma_grid, solver: SolverConfig, h: float | 
     (an all-zero TV curve) has no noise to balance and returns 0.
     """
     v, h = _values_and_h(series, h)
-    grid = _validate_grid(sigma_grid)
-    tvs = _sweep_tv(v, h, grid, solver)
-    if all(t == 0.0 for t in tvs):
-        return 0.0
-    return _first_local_minimum(grid, _balance_deltas(grid, tvs))
+    sigma2 = _balance(v, h, sigma_grid, solver)[3]
+    return 0.0 if sigma2 is None else sigma2
 
 
 def combine_estimates(
@@ -266,10 +272,8 @@ def estimate_sigma(
     adds single solves where it needs them.
     """
     v, h = _values_and_h(series, h)
-    grid = _validate_grid(sigma_grid)
     sigma1 = estimate_sigma_multires(v, h)
-    tvs = _sweep_tv(v, h, grid, solver)
-    deltas = _balance_deltas(grid, tvs)
+    grid, tvs, deltas, sigma2 = _balance(v, h, sigma_grid, solver)
     tv_curve = tuple((float(s), float(t)) for s, t in zip(grid, tvs))
     delta_curve = tuple(
         (float(s * s), float(d)) for s, d in zip(grid[1:], deltas)
@@ -277,12 +281,11 @@ def estimate_sigma(
     tv_lower = _tv_lower(v)
 
     flags = []
-    if all(t == 0.0 for t in tvs):
+    if sigma2 is None:
         sigma2 = 0.0
         flags.append(FLAG_NO_NOISE)
         best = 0.0
     else:
-        sigma2 = _first_local_minimum(grid, deltas)
         best = combine_estimates(sigma1, sigma2, v, tv_curve, solver, h=h)
         if best == 0.0 and min(sigma1, sigma2) > 0.0:
             flags.append(FLAG_TV_BELOW_LOWER_BOUND)

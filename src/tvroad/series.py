@@ -1,4 +1,4 @@
-"""Velocity time-series containers, total variation, and dyadic coarsening.
+"""Velocity time-series containers, total variation and interpolation.
 
 A road-day is a vector of velocity samples on a uniform grid of N time
 slices, each h minutes long (288 slices of 5 minutes by default).  The
@@ -72,22 +72,6 @@ class VelocitySeries:
         return self.values.size
 
 
-@dataclass(frozen=True, eq=False)
-class CoarseSeries:
-    """Dyadically averaged view of a series at level j (0, 1 or 2)."""
-
-    level: int
-    values: np.ndarray
-    effective_h: float
-
-    def __post_init__(self):
-        if self.level not in (0, 1, 2):
-            raise ValueError(f"level must be 0, 1 or 2, got {self.level}")
-        v = _as_float_vector(self.values, "values")
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
-
-
 def total_variation(values) -> float:
     """Sum of absolute successive differences; 0 for a single sample."""
     v = _as_float_vector(values, "values")
@@ -104,24 +88,6 @@ def pair_average(values: np.ndarray) -> np.ndarray:
     if v.size % 2:
         raise ValueError(f"length {v.size} is not divisible by 2")
     return 0.5 * (v[0::2] + v[1::2])
-
-
-def coarsen(series: VelocitySeries, level: int) -> CoarseSeries:
-    """Apply pairwise averaging ``level`` times (level 1 or 2).
-
-    Rejects series whose length is not divisible by 2**level; padding
-    would silently distort the multi-resolution variance formulas, which
-    assume exact halving.
-    """
-    if level not in (1, 2):
-        raise ValueError(f"level must be 1 or 2, got {level}")
-    n = series.n_slices
-    if n % (2 ** level):
-        raise ValueError(f"series length {n} not divisible by {2 ** level}")
-    v = series.values
-    for _ in range(level):
-        v = pair_average(v)
-    return CoarseSeries(level=level, values=v, effective_h=series.h * 2 ** level)
 
 
 def nearest_interpolate(

@@ -586,6 +586,16 @@ class TestCommands:
     def test_missing_input_is_usage_error(self, tmp_path):
         assert run_cli("denoise", "--out-dir", str(tmp_path / "out")) == 2
 
+    @pytest.mark.parametrize("flag,value", [("--grid", "0,x"), ("--dc-percentile", "-1"),
+                                            ("--k", "0"), ("--config", None)],
+                             ids=["grid", "dc-percentile", "k", "config"])
+    def test_bad_setting_is_usage_error(self, flag, value, tmp_path, caplog):
+        out = tmp_path / "out"
+        value = value or str(tmp_path / "missing.cfg")
+        assert run_cli("table1", "--out-dir", str(out), flag, value) == 2
+        assert [r.levelname for r in caplog.records] == ["ERROR"]
+        assert not out.exists()
+
     def test_unreadable_input_fails_cleanly(self, tmp_path):
         rc = run_cli("denoise", "--input", str(tmp_path / "missing.csv"),
                      "--out-dir", str(tmp_path / "out"), "--sigma", "1")

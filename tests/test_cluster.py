@@ -13,7 +13,6 @@ from tvroad.cluster import (
     FLAG_NO_EMBEDDING,
     DistanceMatrix,
     SortedNeighbors,
-    assign,
     auto_select_k,
     cluster,
     delta_neighbors,
@@ -23,13 +22,19 @@ from tvroad.cluster import (
     local_density,
     pairwise_distances,
     select_centers,
-    separation,
 )
 
 # the package's ``cluster`` attribute is the function, not the module
 cluster_module = importlib.import_module("tvroad.cluster")
 
 LINE = np.array([[0.0], [1.0], [3.0]])
+
+
+def _walk(dm, rho, centers):
+    """Labels from follow_neighbors on the neighbours of delta_neighbors."""
+    centers = np.asarray(centers)
+    return follow_neighbors(delta_neighbors(dm, rho)[1], centers,
+                            lambda items: dm[np.ix_(items, centers)])
 
 
 def _reference_assign(dm, rho, centers):
@@ -144,11 +149,6 @@ class TestDeltaNeighbors:
         assert nn[1] == 0 and delta[1] == 1.0
         assert nn[0] == 0 and delta[0] == 3.0
 
-    def test_separation_is_delta(self):
-        dm = pairwise_distances(LINE)
-        rho = np.array([1.0, 5.0, 2.0])
-        np.testing.assert_array_equal(separation(dm, rho), delta_neighbors(dm, rho)[0])
-
 
 class TestSortedNeighbors:
     @settings(max_examples=200, deadline=None)
@@ -261,31 +261,30 @@ class TestCenters:
 class TestAssign:
     def test_two_groups_on_a_line(self):
         pts = np.array([[0.0], [1.0], [2.0], [10.0], [11.0], [12.0]])
-        dm = pairwise_distances(pts)
+        dm = pairwise_distances(pts).d
         rho = np.array([2.0, 3.0, 2.0, 2.0, 3.0, 2.0])
-        labels = assign(dm, rho, centers=[1, 4])
+        labels = _walk(dm, rho, centers=[1, 4])
         np.testing.assert_array_equal(labels, [1, 1, 1, 2, 2, 2])
+        np.testing.assert_array_equal(labels, _reference_assign(dm, rho, [1, 4]))
 
     def test_densest_item_outside_centers_still_labelled(self):
         # its nearest-denser neighbour is itself, so the walk leaves it
         # at zero and the fallback snaps it to the closest center
-        dm = pairwise_distances(LINE)
-        labels = assign(dm, np.array([3.0, 2.0, 1.0]), centers=[2])
+        dm = pairwise_distances(LINE).d
+        rho = np.array([3.0, 2.0, 1.0])
+        labels = _walk(dm, rho, centers=[2])
         np.testing.assert_array_equal(labels, [1, 1, 1])
-
-    def test_rejects_empty_centers(self):
-        with pytest.raises(ValueError):
-            assign(pairwise_distances(LINE), np.ones(3), centers=[])
+        np.testing.assert_array_equal(labels, _reference_assign(dm, rho, [2]))
 
     def test_chain_of_the_densest_non_center_snaps_item_by_item(self):
         # 0 is densest and no center; 1 and 2 follow it, so each takes
         # its own nearest center instead of a shared id
         pts = np.array([[0.0], [-1.0], [1.0], [-3.0], [3.0]])
-        dm = pairwise_distances(pts)
+        dm = pairwise_distances(pts).d
         rho = np.array([5.0, 4.0, 4.0, 1.0, 1.0])
-        labels = assign(dm, rho, centers=[3, 4])
+        labels = _walk(dm, rho, centers=[3, 4])
         np.testing.assert_array_equal(labels, [1, 1, 2, 1, 2])
-        np.testing.assert_array_equal(labels, _reference_assign(dm.d, rho, [3, 4]))
+        np.testing.assert_array_equal(labels, _reference_assign(dm, rho, [3, 4]))
 
     @settings(max_examples=200, deadline=None)
     @given(case=tied_points(), data=st.data())
@@ -293,7 +292,19 @@ class TestAssign:
         pts, rho = case
         dm = pairwise_distances(pts).d
         centers = data.draw(st.lists(st.integers(0, len(pts) - 1), min_size=1, max_size=4, unique=True))
-        np.testing.assert_array_equal(assign(dm, rho, centers), _reference_assign(dm, rho, centers))
+        np.testing.assert_array_equal(_walk(dm, rho, centers), _reference_assign(dm, rho, centers))
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=tied_points(), data=st.data())
+    def test_cluster_labels_match_sequential_walk(self, case, data):
+        # cluster() labels from the neighbours of its one delta_neighbors call
+        pts = case[0]
+        d_c = data.draw(st.sampled_from([0.5, 1.0, 2.5]), label="d_c")
+        k = data.draw(st.one_of(st.none(), st.integers(1, len(pts))), label="k")
+        result = cluster(pts, d_c=d_c, k=k)
+        dm = pairwise_distances(pts).d
+        np.testing.assert_array_equal(result.assignment,
+                                      _reference_assign(dm, result.rho, result.centers))
 
     def test_follow_neighbors_asks_distances_only_when_needed(self):
         nn = np.array([0, 0, 1, 2])

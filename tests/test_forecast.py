@@ -13,7 +13,6 @@ from tvroad.forecast import (
     HistorySet,
     _GoalMatcher,
     _weighted_label,
-    boundary_forecast,
     build_history,
     causal_denoise_window,
     compare_pipelines,
@@ -149,13 +148,6 @@ class TestBoundaryModel:
     def test_requires_enough_pairs(self):
         with pytest.raises(ValueError):
             fit_boundary(family_history(10.0, np.zeros(5), n=5))
-
-    def test_forecast_helper_matches_model(self):
-        rng = np.random.default_rng(2)
-        day = rng.normal(25.0, 4.0, 288)
-        hs = build_history([day], label_offset=BOUNDARY_OFFSET)
-        goal = [20.0, 21.0, 22.0, 23.0]
-        assert boundary_forecast(hs, goal) == fit_boundary(hs).predict_next(goal)
 
 
 class TestCausalWindow:

@@ -4,9 +4,7 @@ from hypothesis import given, strategies as st
 
 from tvroad import series as series_module
 from tvroad.series import (
-    CoarseSeries,
     VelocitySeries,
-    coarsen,
     nearest_interpolate,
     pair_average,
     total_variation,
@@ -89,33 +87,10 @@ class TestCoarsening:
         with pytest.raises(ValueError):
             pair_average([1.0, 2.0, 3.0])
 
-    def test_coarsen_levels(self):
-        s = VelocitySeries(road_id="r", day=1, values=[1.0, 3.0, 3.0, 5.0], h=5.0)
-        c1 = coarsen(s, 1)
-        np.testing.assert_array_equal(c1.values, [2.0, 4.0])
-        assert c1.level == 1 and c1.effective_h == 10.0
-        c2 = coarsen(s, 2)
-        np.testing.assert_array_equal(c2.values, [3.0])
-        assert c2.effective_h == 20.0
-
-    def test_coarsen_rejects_indivisible(self):
-        s = VelocitySeries(road_id="r", day=1, values=[1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
-        with pytest.raises(ValueError):
-            coarsen(s, 2)
-
-    def test_coarsen_level_range(self):
-        s = VelocitySeries(road_id="r", day=1, values=[1.0, 2.0, 3.0, 4.0])
-        with pytest.raises(ValueError):
-            coarsen(s, 3)
-
-    def test_coarse_series_level_checked(self):
-        with pytest.raises(ValueError):
-            CoarseSeries(level=5, values=[1.0], effective_h=5.0)
-
     @given(st.lists(finite_floats, min_size=4, max_size=64).filter(lambda v: len(v) % 4 == 0))
     def test_mean_preserved(self, values):
-        s = VelocitySeries(road_id="r", day=1, values=values)
-        assert np.mean(coarsen(s, 2).values) == pytest.approx(np.mean(values), rel=1e-9, abs=1e-9)
+        twice = pair_average(pair_average(values))
+        assert np.mean(twice) == pytest.approx(np.mean(values), rel=1e-9, abs=1e-9)
 
 
 class TestNearestInterpolate:
