@@ -21,7 +21,7 @@ import datetime
 import json
 import logging
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from itertools import compress, islice
 from operator import itemgetter
 from pathlib import Path
@@ -30,14 +30,9 @@ import numpy as np
 
 from .cluster import DEFAULT_DC_PERCENTILE, cluster
 from .forecast import compare_pipelines
-from .noise import DEFAULT_SIGMA_GRID, estimate_sigma
+from .noise import DEFAULT_SIGMA_GRID, _validate_grid, estimate_sigma
 from .series import DEFAULT_SLICES, DEFAULT_SLICE_MINUTES, VelocitySeries, nearest_interpolate
-from .solver import (
-    SolverConfig,
-    denoise_sweep,
-    denoise_values,  # noqa: F401  (unused here; bench/tracing.py wraps this name)
-    sweep_config,
-)
+from .solver import SolverConfig, denoise_values, sweep_config
 from .synth import run_table1, table1_csv
 
 log = logging.getLogger("tvroad")
@@ -47,7 +42,7 @@ LENGTH_COLUMN = "road_length_m"
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Run-wide settings; round-trips losslessly through key=value text.
+    """Run-wide settings, read from key=value text by :func:`config_from_text`.
 
     Every command solves with max_iters and rel_tol: a solve makes at
     most max_iters prox calls and converges once its fidelity term is
@@ -75,21 +70,7 @@ class RunConfig:
         if self.k is not None and self.k < 1:
             raise ValueError("k must be a positive cluster count")
         object.__setattr__(self, "sigma_grid", tuple(float(s) for s in self.sigma_grid))
-
-
-def _format_value(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, tuple):
-        return ",".join(repr(float(v)) for v in value)
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
-def config_to_text(config: RunConfig) -> str:
-    lines = [f"{f.name} = {_format_value(getattr(config, f.name))}" for f in fields(config)]
-    return "\n".join(lines) + "\n"
+        _validate_grid(self.sigma_grid)
 
 
 _CONFIG_PARSERS = {
@@ -350,70 +331,35 @@ def _write_json(out_dir: Path, name: str, payload) -> None:
     _write_text(out_dir, name, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _estimates_for(data, keys, config: RunConfig) -> dict:
-    """{key: SigmaEstimate or error}: each road-day's sigma estimate, or
-    the error its estimate raised."""
-    solver = _pipeline_solver(config)
-    estimates = {}
-    for key in keys:
-        try:
-            estimates[key] = estimate_sigma(data[key].values, sigma_grid=config.sigma_grid,
-                                            solver=solver, h=1.0)
-        except Exception as exc:
-            estimates[key] = exc
-    return estimates
+def _estimate(series: VelocitySeries, config: RunConfig):
+    """The road-day's SigmaEstimate over the configured grid."""
+    return estimate_sigma(series.values, sigma_grid=config.sigma_grid,
+                          solver=_pipeline_solver(config), h=1.0)
 
 
-def _sigmas_for(data, keys, config: RunConfig, args) -> dict:
-    """{key: (sigma, estimate) or error}: the --sigma override, else
-    each road-day's estimated sigma."""
-    if args.sigma is not None:
-        return {key: (float(args.sigma), None) for key in keys}
-    return {key: est if isinstance(est, Exception) else (est.sigma_best, est)
-            for key, est in _estimates_for(data, keys, config).items()}
-
-
-def _denoised(data, sigmas: dict, config: RunConfig) -> dict:
-    """{key: DenoiseResult or error}: one denoise_sweep call over the road-days
-    whose sigma was found and accepted by the solver config."""
-    solver = _pipeline_solver(config)
-    results, stack = {}, []
-    for key, found in sigmas.items():
-        if isinstance(found, Exception):
-            results[key] = found
-            continue
-        try:
-            sweep_config(solver, found[0])
-        except ValueError as exc:  # a rejected sigma never enters the stack
-            results[key] = exc
-            continue
-        stack.append(key)
-    if stack:
-        try:
-            solved = denoise_sweep(np.array([data[key].values for key in stack]),
-                                   [sigmas[key][0] for key in stack], solver, h=1.0)
-        except Exception as exc:  # an error of the whole call is every row's error
-            solved = [exc] * len(stack)
-        results.update(zip(stack, solved))
-    return results
+def _solve(series: VelocitySeries, config: RunConfig, args):
+    """(sigma, its SigmaEstimate or None, DenoiseResult) of one road-day,
+    solved at the --sigma override, else at its estimated sigma."""
+    estimate = None if args.sigma is not None else _estimate(series, config)
+    sigma = float(args.sigma) if estimate is None else estimate.sigma_best
+    result = denoise_values(series.values, sweep_config(_pipeline_solver(config), sigma), h=1.0)
+    return sigma, estimate, result
 
 
 def cmd_denoise(config: RunConfig, args) -> int:
     data = ingest(args.input, min_records=config.min_records,
                   min_length_m=config.min_road_length_m)
-    keys = sorted(data)
-    sigmas = _sigmas_for(data, keys, config, args)
-    results = _denoised(data, sigmas, config)
     out_rows = ["road_id,day,slice,velocity,denoised_velocity"]
     diagnostics = {}
     failures = 0
-    for key in keys:
-        series, result = data[key], results[key]
-        if isinstance(result, Exception):
+    for key in sorted(data):
+        series = data[key]
+        try:
+            sigma, estimate, result = _solve(series, config, args)
+        except Exception as exc:
             failures += 1
-            log.error("%s: denoise failed: %s", _key_name(key), result)
+            log.error("%s: denoise failed: %s", _key_name(key), exc)
             continue
-        sigma, estimate = sigmas[key]
         prefix = f"{key[0]},{key[1]},"
         out_rows += [f"{prefix}{i},{v!r},{u!r}" for i, (v, u) in
                      enumerate(zip(series.values.tolist(), result.denoised.tolist()), start=1)]
@@ -435,15 +381,14 @@ def cmd_denoise(config: RunConfig, args) -> int:
 def cmd_estimate(config: RunConfig, args) -> int:
     data = ingest(args.input, min_records=config.min_records,
                   min_length_m=config.min_road_length_m)
-    keys = sorted(data)
-    estimates = _estimates_for(data, keys, config)
     report = {}
     failures = 0
-    for key in keys:
-        est = estimates[key]
-        if isinstance(est, Exception):
+    for key in sorted(data):
+        try:
+            est = _estimate(data[key], config)
+        except Exception as exc:
             failures += 1
-            log.error("%s: sigma estimate failed: %s", _key_name(key), est)
+            log.error("%s: sigma estimate failed: %s", _key_name(key), exc)
             continue
         report[_key_name(key)] = {
             "sigma1": est.sigma1,
@@ -461,20 +406,17 @@ def cmd_estimate(config: RunConfig, args) -> int:
 def cmd_cluster(config: RunConfig, args) -> int:
     data = ingest(args.input, min_records=config.min_records_cluster,
                   min_length_m=config.min_road_length_m)
-    if args.no_denoise:
-        prepared = {key: series.values for key, series in data.items()}
-    else:
-        prepared = {key: res if isinstance(res, Exception) else res.denoised for key, res in
-                    _denoised(data, _sigmas_for(data, sorted(data), config, args), config).items()}
-    keys = []
+    keys, profiles = [], []
     failures = 0
     for key in sorted(data):
-        if isinstance(prepared[key], Exception):
+        try:
+            profiles.append(data[key].values if args.no_denoise
+                            else _solve(data[key], config, args)[2].denoised)
+        except Exception as exc:
             failures += 1
-            log.error("%s: profile preparation failed: %s", _key_name(key), prepared[key])
+            log.error("%s: profile preparation failed: %s", _key_name(key), exc)
             continue
         keys.append(key)
-    profiles = [prepared[key] for key in keys]
     if len(keys) < 2:
         log.error("clustering needs at least 2 road-days, have %d", len(keys))
         return 1
@@ -605,7 +547,7 @@ def _resolve_config(args) -> RunConfig:
     if args.out_dir is not None:
         overrides["out_dir"] = args.out_dir
     if args.grid is not None:
-        overrides["sigma_grid"] = tuple(float(x) for x in args.grid.split(","))
+        overrides["sigma_grid"] = _CONFIG_PARSERS["sigma_grid"](args.grid)
     if args.k is not None:
         overrides["k"] = args.k
     if args.dc_percentile is not None:

@@ -34,7 +34,7 @@ from .cluster import (
 )
 from .noise import DEFAULT_SIGMA_GRID, SWEEP_SOLVER, estimate_sigma
 from .series import DEFAULT_SLICES, VelocitySeries
-from .solver import SolverConfig, denoise_sweep, denoise_values, sweep_config
+from .solver import SolverConfig, denoise_values, sweep_config
 
 WINDOW = 4
 LABEL_OFFSET = 6  # slices from window start to the 15-minute label
@@ -256,21 +256,6 @@ class PipelineComparison:
     flags: tuple[str, ...] = ()  # cluster.FLAG_DEGENERATE_DC, "no-moving-traffic"
 
 
-def _denoise_days(days, sigma: float, solver: SolverConfig) -> list:
-    """The days' denoised values at one sigma, in day order: one
-    denoise_sweep call over the days sharing each slice length h.  A row
-    that failed raises its error."""
-    denoised = [None] * len(days)
-    for h in dict.fromkeys(d.h for d in days):
-        idx = [i for i, d in enumerate(days) if d.h == h]
-        stack = np.array([days[i].values for i in idx])
-        for i, res in zip(idx, denoise_sweep(stack, [sigma] * len(idx), solver, h=h)):
-            if isinstance(res, FloatingPointError):
-                raise res
-            denoised[i] = res.denoised
-    return denoised
-
-
 def compare_pipelines(
     history_days,
     target: VelocitySeries,
@@ -297,8 +282,8 @@ def compare_pipelines(
     target slice is above 1, MAPE has nothing to average: both reports
     carry ``mape`` NaN and ``mape_retained_count`` 0, and ``flags``
     holds ``"no-moving-traffic"``; when every target slice is 0 (a closed
-    road), ``rmae`` is NaN too.  The history days are denoised in
-    one denoise_sweep call.
+    road), ``rmae`` is NaN too.  Each history day is denoised in one
+    solve at its own slice length.
     """
     days = list(history_days)
     if not days:
@@ -324,7 +309,8 @@ def compare_pipelines(
     if include_raw:
         variants["raw"] = _GoalMatcher(hist_raw.windows, hist_raw.labels, d_c, k, base=base)
     if include_denoised:
-        hist_den = build_history(_denoise_days(days, sigma, solver))
+        config = sweep_config(solver, sigma)
+        hist_den = build_history([denoise_values(d.values, config, h=d.h).denoised for d in days])
         variants["denoised"] = _GoalMatcher(hist_den.windows, hist_den.labels, d_c, k)
 
     n_goals = DEFAULT_SLICES - LABEL_OFFSET

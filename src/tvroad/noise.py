@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .series import VelocitySeries, pair_average, _as_float_vector
-from .solver import SolverConfig, denoise_sweep, denoise_values, sweep_config
+from .solver import SolverConfig, denoise_values, sweep_config
 
 # Grid used by the balance sweep unless the caller says otherwise:
 # 0 and 1, then every 5 up to 50.
@@ -152,15 +152,6 @@ def _validate_grid(sigma_grid) -> np.ndarray:
     return grid
 
 
-def _sweep_tv(values: np.ndarray, h: float, grid: np.ndarray, solver: SolverConfig):
-    # one denoise_sweep call over the whole grid; sigma = 0 rows return the input
-    results = denoise_sweep(np.broadcast_to(values, (grid.size, values.size)), grid, solver, h=h)
-    for res in results:
-        if isinstance(res, FloatingPointError):
-            raise res
-    return [res.final_tv for res in results]
-
-
 def _tv_lower(v: np.ndarray) -> float:
     """The combination rule's floor TV_l = (5/2)(v_max - v_min)."""
     return 2.5 * (float(v.max()) - float(v.min()))
@@ -187,7 +178,8 @@ def _balance(v: np.ndarray, h: float, sigma_grid, solver: SolverConfig):
     constant input (an all-zero TV curve), which has no noise to balance.
     """
     grid = _validate_grid(sigma_grid)
-    tvs = _sweep_tv(v, h, grid, solver)
+    # one solve per grid point; the sigma = 0 solve returns the input
+    tvs = [denoise_values(v, sweep_config(solver, float(s)), h=h).final_tv for s in grid]
     deltas = np.diff(np.asarray(tvs) * grid ** 2)
     if all(t == 0.0 for t in tvs):
         return grid, tvs, deltas, None
@@ -197,7 +189,7 @@ def _balance(v: np.ndarray, h: float, sigma_grid, solver: SolverConfig):
 def estimate_sigma_balance(series, sigma_grid, solver: SolverConfig, h: float | None = None) -> float:
     """Method 2: first local minimum of the TV * sigma^2 increments.
 
-    Solves the whole grid in one denoise_sweep call.  Constant input
+    Solves once per grid point.  Constant input
     (an all-zero TV curve) has no noise to balance and returns 0.
     """
     v, h = _values_and_h(series, h)
@@ -268,8 +260,8 @@ def estimate_sigma(
     """Run both methods and the combination on one series.
 
     The grid sweep is shared between Method 2 and the combination rule:
-    one denoise_sweep call covers every grid point, and the bisection
-    adds single solves where it needs them.
+    one solve per grid point, and the bisection adds single solves where
+    it needs them.
     """
     v, h = _values_and_h(series, h)
     sigma1 = estimate_sigma_multires(v, h)

@@ -42,9 +42,9 @@ constant mean, which has TV 0 and F = sigma_max^2, flagged
 sigma_max^2 (squares of the input's spread that overflow) or prox
 iterate raises FloatingPointError.
 
-:func:`denoise_sweep` solves each row of a (B, N) stack at its own
-sigma, one :func:`denoise_values` call per row, and keeps a failing
-row's error in place of its result.
+Every call solves one series at one sigma; a grid sweep is one
+:func:`denoise_values` call per grid point, each with its config from
+:func:`sweep_config`.
 
 ``epsilon`` does not enter the solve.  It is the smoothing of
 :func:`smoothed_total_variation`, which replaces each |d| by
@@ -278,34 +278,6 @@ def denoise_values(values, config: SolverConfig, h: float = 1.0) -> DenoiseResul
     # Overflow shows as a non-finite fidelity or iterate, which raises.
     with np.errstate(over="ignore", invalid="ignore"):
         return _solve(u0, config, h)
-
-
-def denoise_sweep(values, sigmas, template: SolverConfig, h: float = 1.0) -> list:
-    """Solve every row of a (B, N) stack at its own sigma.
-
-    Result b is ``denoise_values(values[b], sweep_config(template,
-    sigmas[b]), h)``.  Every sigma is checked before any row is solved; a
-    row whose solve raises FloatingPointError holds that error in place
-    of a result, and the other rows are unaffected.
-    """
-    u0 = np.asarray(values, dtype=float)
-    if u0.ndim != 2:
-        raise ValueError(f"values must be a (B, N) stack, got shape {u0.shape}")
-    if u0.shape[1] < 2:
-        raise ValueError("need at least two samples")
-    bad = np.argwhere(~np.isfinite(u0))
-    if bad.size:
-        raise ValueError(f"non-finite sample in values at {tuple(int(i) for i in bad[0])}")
-    configs = [sweep_config(template, float(s)) for s in sigmas]
-    if len(configs) != u0.shape[0]:
-        raise ValueError(f"need one sigma per row: {len(configs)} sigmas, {u0.shape[0]} rows")
-    results = []
-    for row, config in zip(u0, configs):
-        try:
-            results.append(denoise_values(row, config, h))
-        except FloatingPointError as exc:
-            results.append(exc)
-    return results
 
 
 def denoise(series: VelocitySeries, config: SolverConfig) -> DenoiseResult:

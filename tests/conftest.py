@@ -33,9 +33,9 @@ def write_records(tmp_path):
 
 @pytest.fixture
 def poison_rows(monkeypatch):
-    """Make the solver fail on every row whose input starts at a given
-    value: that row's prox returns a non-finite iterate, which its solve
-    reports as FloatingPointError.  Other rows are solved as before."""
+    """Make the solver fail on every series that starts at a given value:
+    its prox returns a non-finite iterate, which the solve reports as
+    FloatingPointError.  Other series are solved as before."""
 
     def _poison(first_value):
         real = solver._tv_prox

@@ -2,14 +2,17 @@ import csv
 import datetime
 import itertools
 import json
+import tempfile
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from tvroad import cli
-from tvroad.cli import RunConfig, config_from_text, config_to_text, ingest, main
+from tvroad.cli import RunConfig, config_from_text, ingest, main
 from tvroad.cluster import cluster
 from tvroad.noise import DEFAULT_SIGMA_GRID, estimate_sigma
 from tvroad.series import DEFAULT_SLICE_MINUTES, DEFAULT_SLICES, VelocitySeries, nearest_interpolate
@@ -206,12 +209,20 @@ class TestRunConfig:
 
 
 class TestConfigText:
-    def test_default_round_trip(self):
-        assert config_from_text(config_to_text(RunConfig())) == RunConfig()
+    def test_every_key_at_its_default_parses_to_defaults(self):
+        text = ("max_iters = 5000\nrel_tol = 0.0001\n"
+                "sigma_grid = 0,1,5,10,15,20,25,30,35,40,45,50\n"
+                "dc_percentile = 2.0\nk =\nmin_records = 150\nmin_records_cluster = 120\n"
+                "min_road_length_m = 100\nout_dir = out\nseed = 0\ntable1_trials = 100\n")
+        assert config_from_text(text) == RunConfig()
 
-    def test_custom_round_trip(self):
-        config = RunConfig(k=3, sigma_grid=(0.0, 2.0, 4.0), out_dir="elsewhere", seed=9)
-        assert config_from_text(config_to_text(config)) == config
+    def test_custom_keys_parse(self):
+        config = config_from_text("k = 3\nsigma_grid = 0, 2.0, 4\nout_dir = elsewhere\nseed = 9\n")
+        assert config == RunConfig(k=3, sigma_grid=(0.0, 2.0, 4.0), out_dir="elsewhere", seed=9)
+
+    def test_grid_that_is_not_a_sweep_grid_rejected(self):
+        with pytest.raises(ValueError, match="sigma grid must start at 0"):
+            config_from_text("sigma_grid = 1,2,3\n")
 
     def test_comments_and_blanks_ignored(self):
         config = config_from_text("# comment\n\nseed = 5  # trailing\n")
@@ -357,6 +368,39 @@ class TestIngest:
         path = tmp_path / "extra.csv"
         path.write_text("\n".join(rows) + "\n")
         assert len(ingest(path)) == 1
+
+
+class TestRecordRoundTrip:
+    @settings(max_examples=20, deadline=None)
+    @given(roads=st.lists(st.text("abrz09-_.", min_size=1, max_size=6), min_size=1, max_size=3,
+                          unique=True),
+           days=st.lists(st.dates(), min_size=1, max_size=2, unique=True), data=st.data())
+    def test_ingest_denoise_at_sigma_0_ingest(self, roads, days, data):
+        # road-days with gaps are read, written whole by denoise --sigma 0,
+        # and read back
+        min_records = RunConfig().min_records
+        rows = [HEADER]
+        for road, day in itertools.product(roads, days):
+            values = data.draw(arrays(float, DEFAULT_SLICES, elements=st.floats(0.0, 200.0)))
+            dropped = data.draw(st.sets(st.integers(1, DEFAULT_SLICES),
+                                        max_size=DEFAULT_SLICES - min_records))
+            rows += [f"{road},{day.isoformat()},{s},{v!r}"
+                     for s, v in enumerate(values.tolist(), start=1) if s not in dropped]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "records.csv"
+            path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+            first = ingest(path, min_records=min_records)
+            assert run_cli("denoise", "--input", str(path), "--out-dir", tmp, "--sigma", "0") == 0
+            written = Path(tmp) / "denoised.csv"
+            second = ingest(written, min_records=min_records)
+            with open(written, newline="", encoding="utf-8") as fh:
+                records = list(csv.DictReader(fh))
+        assert list(second) == list(first) == sorted(itertools.product(
+            roads, (day.isoformat() for day in days)))
+        for key, series in first.items():
+            assert second[key].values.tobytes() == series.values.tobytes()
+        assert len(records) == DEFAULT_SLICES * len(first)
+        assert all(r["denoised_velocity"] == r["velocity"] for r in records)
 
 
 class TestCommands:
@@ -586,9 +630,11 @@ class TestCommands:
     def test_missing_input_is_usage_error(self, tmp_path):
         assert run_cli("denoise", "--out-dir", str(tmp_path / "out")) == 2
 
-    @pytest.mark.parametrize("flag,value", [("--grid", "0,x"), ("--dc-percentile", "-1"),
+    @pytest.mark.parametrize("flag,value", [("--grid", "0,x"), ("--grid", "1,2,3"),
+                                            ("--grid", "0,2,1"), ("--dc-percentile", "-1"),
                                             ("--k", "0"), ("--config", None)],
-                             ids=["grid", "dc-percentile", "k", "config"])
+                             ids=["grid", "grid-start", "grid-order", "dc-percentile", "k",
+                                  "config"])
     def test_bad_setting_is_usage_error(self, flag, value, tmp_path, caplog):
         out = tmp_path / "out"
         value = value or str(tmp_path / "missing.cfg")

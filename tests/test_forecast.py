@@ -377,9 +377,9 @@ class TestComparePipelines:
         with pytest.raises(ValueError, match="all-zero truth"):
             rmae(closed.values[LABEL_OFFSET:], cp.raw.predictions)
 
-    def test_stacked_history_matches_lone_solves(self, monkeypatch):
-        # days of two slice lengths: each length is its own stack, and the
-        # results come back in day order
+    def test_history_days_denoised_at_their_own_slice_length(self, monkeypatch):
+        # days of two slice lengths: each day is solved at its own h, and
+        # the results come back in day order
         road = two_regime_corpus(n_roads=1, n_days=4, seed=3)[0]
         days = [noisy for _, noisy in road]
         history = [days[0], VelocitySeries("r", 2, days[1].values, h=2.0), days[2]]

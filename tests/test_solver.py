@@ -11,7 +11,6 @@ from tvroad.solver import (
     DenoiseResult,
     SolverConfig,
     compute_gradient,
-    denoise_sweep,
     denoise_values,
     smoothed_total_variation,
     sweep_config,
@@ -87,8 +86,6 @@ class TestConfigValidation:
         values = np.random.default_rng(0).normal(size=50)
         with pytest.raises(ValueError, match="underflows"):
             denoise_values(values, SolverConfig(sigma=1e-200))
-        with pytest.raises(ValueError, match="underflows"):
-            denoise_sweep(np.stack([values, values]), [1.0, 1e-200], SWEEP_SOLVER)
         assert SolverConfig(sigma=1e-150).sigma == 1e-150
 
     @pytest.mark.parametrize("sigma", [1e-160, 1e-155, 1e-154])
@@ -285,9 +282,8 @@ class TestKernelMatchesReference:
     @pytest.mark.parametrize("day", range(3))
     def test_default_grid_sweep(self, diurnal_days, day):
         values = diurnal_days[day]
-        sweep = denoise_sweep(np.tile(values, (len(DEFAULT_SIGMA_GRID), 1)), DEFAULT_SIGMA_GRID,
-                              SWEEP_SOLVER)
-        for sigma, res in zip(DEFAULT_SIGMA_GRID[1:], sweep[1:]):
+        for sigma in DEFAULT_SIGMA_GRID[1:]:
+            res = denoise_values(values, sweep_config(SWEEP_SOLVER, sigma))
             # the grid's ends used to run to the iteration cap on day 0
             assert res.iterations < 20
             assert_solved(values, sigma, res, SWEEP_SOLVER)
@@ -307,18 +303,6 @@ class TestKernelMatchesReference:
         want = DenoiseResult(values.copy(), total_variation(values), 0, np.empty(0),
                              sigma ** 2, sigma == 0.0, saturated=sigma > 0.0)
         assert_bit_identical(denoise_values(values, config), want)
-
-    @settings(max_examples=30, deadline=None)
-    @given(st.data())
-    def test_sweep_rows_equal_lone_solves(self, data):
-        values = np.asarray(data.draw(series_values()))
-        sigmas = data.draw(st.lists(
-            st.one_of(st.just(0.0), st.floats(min_value=0.01, max_value=8.0)),
-            min_size=1, max_size=5))
-        template = SolverConfig(sigma=0.0, epsilon=0.1, max_iters=data.draw(st.integers(1, 150)))
-        sweep = denoise_sweep(np.tile(values, (len(sigmas), 1)), sigmas, template)
-        for sigma, res in zip(sigmas, sweep):
-            assert_bit_identical(res, denoise_values(values, sweep_config(template, sigma)))
 
 
 class TestExactSolve:
@@ -343,9 +327,8 @@ class TestExactSolve:
     @settings(max_examples=30, deadline=None)
     @given(series_values(n_min=8, n_max=80))
     def test_tv_non_increasing_over_default_grid(self, values):
-        sweep = denoise_sweep(np.tile(values, (len(DEFAULT_SIGMA_GRID), 1)), DEFAULT_SIGMA_GRID,
-                              SWEEP_SOLVER)
-        tvs = np.array([res.final_tv for res in sweep])
+        tvs = np.array([denoise_values(values, sweep_config(SWEEP_SOLVER, sigma)).final_tv
+                        for sigma in DEFAULT_SIGMA_GRID])
         assert (np.diff(tvs) <= 1e-9 * max(1.0, tvs[0])).all()
 
     @settings(max_examples=40, deadline=None)
@@ -370,69 +353,24 @@ class TestExactSolve:
         assert not below.saturated and below.converged
 
 
-class TestStackedEntry:
-    @settings(max_examples=40, deadline=None)
-    @given(st.data())
-    def test_stacked_rows_equal_lone_solves(self, data):
-        n = data.draw(st.integers(min_value=2, max_value=30))
-        rows, sigmas = [], []
-        for _ in range(data.draw(st.integers(min_value=1, max_value=9))):
-            if data.draw(st.booleans()):
-                row = np.full(n, data.draw(st.floats(min_value=0.0, max_value=60.0)))
-            else:
-                row = np.asarray(data.draw(st.lists(
-                    st.floats(min_value=0.0, max_value=60.0, allow_nan=False),
-                    min_size=n, max_size=n)))
-            rows.append(row)
-            sigmas.append(data.draw(st.one_of(st.just(0.0), st.floats(min_value=0.01,
-                                                                      max_value=8.0))))
-        template = SolverConfig(sigma=0.0, epsilon=0.1, max_iters=150)
-        stacked = denoise_sweep(np.array(rows), sigmas, template)
-        assert len(stacked) == len(rows)
-        for row, sigma, res in zip(rows, sigmas, stacked):
-            assert_bit_identical(res, denoise_values(row, sweep_config(template, sigma)))
+class TestSolveFailures:
+    def test_rejects_bad_input(self):
+        with pytest.raises(ValueError, match="non-finite sample in values at index 1"):
+            denoise_values([1.0, np.nan], SWEEP_SOLVER)
+        with pytest.raises(ValueError, match="one-dimensional"):
+            denoise_values(np.zeros((2, 10)), SWEEP_SOLVER)
+        with pytest.raises(ValueError, match="at least two samples"):
+            denoise_values([1.0], SWEEP_SOLVER)
 
-    def test_road_days_equal_lone_solves(self, diurnal_days):
-        # three 288-sample days at two sigmas each
-        stack = np.repeat(np.array(diurnal_days), 2, axis=0)
-        sigmas = [10.0, 20.0] * 3
-        stacked = denoise_sweep(stack, sigmas, SWEEP_SOLVER)
-        for row, sigma, res in zip(stack, sigmas, stacked):
-            lone = denoise_values(row, sweep_config(SWEEP_SOLVER, sigma))
-            assert_bit_identical(res, lone)
-            assert_solved(row, sigma, res, SWEEP_SOLVER)
-
-    def test_failing_row_fails_alone(self, poison_rows):
-        rng = np.random.default_rng(5)
-        stack = rng.normal(30.0, 5.0, (4, 40))
-        stack[2, 0] = 77.125
-        config = SolverConfig(sigma=3.0, epsilon=0.1)
-        want = [denoise_values(row, config) for row in np.delete(stack, 2, axis=0)]
+    def test_poisoned_prox_raises_non_finite_iterate(self, poison_rows):
+        values = np.random.default_rng(5).normal(30.0, 5.0, 40)
+        values[0] = 77.125
         poison_rows(77.125)
-        stacked = denoise_sweep(stack, [3.0] * 4, config)
         with pytest.raises(FloatingPointError, match="non-finite iterate"):
-            denoise_values(stack[2], config)
-        assert isinstance(stacked[2], FloatingPointError)
-        for res, lone in zip(stacked[:2] + stacked[3:], want):
-            assert_bit_identical(res, lone)
+            denoise_values(values, SolverConfig(sigma=3.0, epsilon=0.1))
 
-    def test_overflowing_row_fails_alone(self):
+    def test_overflowing_spread_raises_non_finite_fidelity(self):
         # deviations near 1e199 square past the float range
-        rng = np.random.default_rng(5)
-        stack = np.stack([rng.normal(30.0, 5.0, 40), 1e200 * rng.normal(1.0, 0.1, 40)])
-        config = SolverConfig(sigma=3.0)
+        values = 1e200 * np.random.default_rng(5).normal(1.0, 0.1, 40)
         with pytest.raises(FloatingPointError, match="non-finite fidelity"):
-            denoise_values(stack[1], config)
-        stacked = denoise_sweep(stack, [3.0, 3.0], config)
-        assert isinstance(stacked[1], FloatingPointError)
-        assert_bit_identical(stacked[0], denoise_values(stack[0], config))
-
-    def test_rejects_bad_stacks(self):
-        with pytest.raises(ValueError, match="stack"):
-            denoise_sweep(np.zeros(10), [1.0], SWEEP_SOLVER)
-        with pytest.raises(ValueError, match="one sigma per row"):
-            denoise_sweep(np.zeros((2, 10)), [1.0], SWEEP_SOLVER)
-        with pytest.raises(ValueError, match="non-finite"):
-            denoise_sweep(np.array([[1.0, np.nan]]), [1.0], SWEEP_SOLVER)
-        with pytest.raises(ValueError, match="sigma must be >= 0"):
-            denoise_sweep(np.zeros((2, 10)), [1.0, -1.0], SWEEP_SOLVER)
+            denoise_values(values, SolverConfig(sigma=3.0))
