@@ -543,6 +543,8 @@ def _resolve_config(args) -> RunConfig:
     config = RunConfig()
     if args.config:
         config = config_from_text(Path(args.config).read_text(encoding="utf-8"))
+    if args.sigma is not None:
+        SolverConfig(sigma=args.sigma)  # a --sigma no solve can take is a usage error
     overrides = {}
     if args.out_dir is not None:
         overrides["out_dir"] = args.out_dir

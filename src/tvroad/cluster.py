@@ -23,6 +23,7 @@ FLAG_NO_EMBEDDING = "embedding-skipped"
 
 _BLOCK_BYTES = 1 << 22  # temporary-array size per row block of an (n, n) or (n, n, d) pass
 _NEIGHBORS = 32  # columns kept of each row's (distance, index) order in SortedNeighbors
+_FIRST_HEAD = 4  # head columns SortedNeighbors.delta_neighbors checks for all items at once
 
 
 @dataclass(frozen=True, eq=False)
@@ -116,42 +117,47 @@ def local_density(d, d_c: float) -> np.ndarray:
     return rho - 1.0
 
 
+def _denser(rho_j, rho_i, j_lower):
+    """Where item j is denser than item i: rho_j > rho_i, or the densities
+    are equal and j has the lower index (``j_lower``)."""
+    return (rho_j > rho_i) | ((rho_j == rho_i) & j_lower)
+
+
 def delta_neighbors(d, rho: np.ndarray):
     """Separation of each item and the neighbour that realizes it.
 
-    Returns (delta, nn, order): delta_i is the distance to the nearest
-    item denser than i, nn_i that item's index, order the item indices
-    in decreasing density.  Density ties treat the lower index as the
-    denser one.  The globally densest item gets delta = max distance and
-    itself as neighbour.
+    Returns (delta, nn): delta_i is the distance to the nearest item
+    denser than i, nn_i that item's index, the lowest one on a distance
+    tie.  Density ties treat the lower index as the denser one.  The
+    densest item, the first maximum of rho, gets delta = max distance
+    and itself as neighbour.
     """
     dm = _dmat(d)
-    n = rho.size
-    order = np.argsort(-rho, kind="stable")
-    rank = np.empty(n, dtype=np.int64)
-    rank[order] = np.arange(n)
-    masked = np.where(rank[None, :] < rank[:, None], dm, np.inf)
+    idx = np.arange(rho.size)
+    masked = np.where(_denser(rho[None, :], rho[:, None], idx[None, :] < idx[:, None]), dm, np.inf)
     delta = masked.min(axis=1)
     nn = masked.argmin(axis=1)
-    top = order[0]
+    top = np.argmax(rho)
     delta[top] = dm[top].max()
     nn[top] = top
-    return delta, nn, order
+    return delta, nn
 
 
 class SortedNeighbors:
-    """Nearest-denser searches over a fixed item set plus one added item.
+    """Nearest-denser searches over a fixed item set plus one added item,
+    for a stack of added items at once.
 
     Stores each fixed item's first ``_NEIGHBORS`` neighbours in
     (distance, index) order, the head of a stable argsort of its row,
-    and its row maximum.  For an added item n with distances ``d_new``
-    to the n fixed items, :meth:`delta_neighbors` returns what
-    :func:`delta_neighbors` gives on the bordered (n+1)-square matrix,
-    bit for bit, without building that matrix: each fixed item's
-    nearest denser fixed item is the first denser entry of its sorted
-    row, found in the stored head or else by a scan of the whole row,
-    and the added item takes over only at a strictly smaller distance,
-    since its index loses ties.
+    and its row maximum.  For a stack of added items, row r giving the
+    distances ``d_new[r]`` of one added item (index n) to the n fixed
+    items, :meth:`delta_neighbors` returns for each row what
+    :func:`delta_neighbors` gives on that row's bordered (n+1)-square
+    matrix, bit for bit, without building it and without sorting the
+    densities: each fixed item's nearest denser fixed item is the first
+    denser entry of its sorted row, found in the stored head or else by
+    a scan of the whole row, and the added item takes over only at a
+    strictly smaller distance, since its index loses ties.
     """
 
     def __init__(self, d):
@@ -176,48 +182,67 @@ class SortedNeighbors:
                 fill = np.take_along_axis(tied, np.maximum(np.arange(k) - below, 0), axis=1)
                 part[cut] = np.where(np.arange(k) < below, part[cut], fill)
             self.nearest[rows] = part
+        self.lower = self.nearest < np.arange(n)[:, None]  # head entry of lower index than its row
+        self.head_d = np.take_along_axis(self.d, self.nearest, axis=1)
         self.row_max = self.d.max(axis=1)
 
     def delta_neighbors(self, d_new: np.ndarray, rho: np.ndarray):
-        """(delta, nn) of the n + 1 items; rho[n] is the added item's density."""
-        n = len(self.d)
-        order = np.argsort(-rho, kind="stable")
-        rank = np.empty(n + 1, dtype=np.int64)
-        rank[order] = np.arange(n + 1)
-        delta = np.full(n + 1, np.inf)
-        nn = np.full(n + 1, n, dtype=np.int64)
+        """(delta, nn), each (g, n + 1), of a (g, n) stack of added items;
+        row r of rho (g, n + 1) holds its densities, the added item's last."""
+        g, n = d_new.shape
+        fixed, added = rho[:, :n], rho[:, n:]
+        heads = self.nearest.shape[1]
+        # the first head column holding a denser fixed item, for every
+        # fixed item of every row at once; width where there is none
+        width = min(_FIRST_HEAD, heads)
+        first = np.full((g, n), width)
+        for j in reversed(range(width)):
+            denser = _denser(np.take(fixed, self.nearest[:, j], axis=1), fixed, self.lower[:, j])
+            first[denser] = j
+        hit = first < width
+        at = np.minimum(first, width - 1) + heads * np.arange(n)
+        nn = np.full((g, n + 1), n, dtype=np.int64)
+        delta = np.full((g, n + 1), np.inf)
+        nn[:, :n] = np.where(hit, self.nearest.ravel()[at], n)
+        delta[:, :n] = np.where(hit, self.head_d.ravel()[at], np.inf)
         # every fixed item but the densest one has a denser fixed item;
-        # scan the sorted heads in doubling column blocks until it shows
-        densest_fixed = order[0] if order[0] < n else order[1]
-        rows = np.delete(np.arange(n), densest_fixed)
-        lo, hi = 0, 8
-        while rows.size and lo < self.nearest.shape[1]:
-            cols = self.nearest[rows, lo:hi]
-            denser = rank[cols] < rank[rows, None]
+        # scan the rest of the heads in doubling column blocks, only for
+        # the (row, item) pairs still open, until it shows
+        hit[np.arange(g), fixed.argmax(axis=1)] = True
+        late_g, late_i = np.nonzero(~hit)
+        left_g, left_i = late_g, late_i
+        lo = width
+        while left_g.size and lo < heads:
+            cols = self.nearest[left_i, lo : 2 * lo]
+            denser = _denser(fixed[left_g[:, None], cols], fixed[left_g, left_i][:, None],
+                             self.lower[left_i, lo : 2 * lo])
             hit = denser.any(axis=1)
-            nn[rows[hit]] = cols[hit, denser[hit].argmax(axis=1)]
-            rows = rows[~hit]
-            lo, hi = hi, 2 * hi
+            nn[left_g[hit], left_i[hit]] = cols[hit, denser[hit].argmax(axis=1)]
+            left_g, left_i = left_g[~hit], left_i[~hit]
+            lo *= 2
         # the rest: the first minimum over the denser items of the whole
         # row, the lowest index on a distance tie as in the sorted order
-        for block in _row_blocks(rows.size, 8 * n):
-            left = rows[block]
-            masked = np.where(rank[None, :n] < rank[left, None], self.d[left], np.inf)
-            nn[left] = masked.argmin(axis=1)
-        found = np.flatnonzero(nn[:n] < n)
-        delta[found] = self.d[found, nn[found]]
-        take = (rank[n] < rank[:n]) & (d_new < delta[:n])
-        delta[:n][take] = d_new[take]
-        nn[:n][take] = n
-        top = order[0]
-        if top == n:
-            delta[n] = d_new.max()
-        else:
-            row = np.where(rank[:n] < rank[n], d_new, np.inf)
-            nn[n] = np.argmin(row)
-            delta[n] = row[nn[n]]
-            delta[top] = max(self.row_max[top], d_new[top])
-        nn[top] = top
+        for block in _row_blocks(left_g.size, 24 * n):
+            bg, bi = left_g[block], left_i[block]
+            denser = _denser(fixed[bg], fixed[bg, bi][:, None], np.arange(n) < bi[:, None])
+            nn[bg, bi] = np.where(denser, self.d[bi], np.inf).argmin(axis=1)
+        delta[late_g, late_i] = self.d[late_i, nn[late_g, late_i]]
+        take = (added > fixed) & (d_new < delta[:, :n])
+        delta[:, :n][take] = d_new[take]
+        nn[:, :n][take] = n
+        # the added item's nearest denser fixed item; an added item that
+        # is densest of all takes its largest distance and itself
+        rows = np.arange(g)
+        above = np.where(fixed >= added, d_new, np.inf)
+        nn[:, n] = above.argmin(axis=1)
+        delta[:, n] = above[rows, nn[:, n]]
+        top = rho.argmax(axis=1)
+        top_added = top == n
+        delta[top_added, n] = d_new[top_added].max(axis=1)
+        nn[top_added, n] = n
+        rows, top = rows[~top_added], top[~top_added]
+        delta[rows, top] = np.maximum(self.row_max[top], d_new[rows, top])
+        nn[rows, top] = top
         return delta, nn
 
     def bordered(self, d_new: np.ndarray, items, cols) -> np.ndarray:
@@ -229,69 +254,88 @@ class SortedNeighbors:
         ])
 
 
-def auto_select_k(gamma: np.ndarray) -> tuple[int, bool]:
-    """Cluster count at the largest relative gap of sorted gamma.
+def auto_select_k(gamma: np.ndarray):
+    """Cluster count at the largest relative gap of sorted gamma, per row.
 
-    Scans positions 1..min(n-1, 10) of the descending gamma sequence and
-    puts the cut where (gamma_p-1 - gamma_p) / gamma_p peaks; a gap onto
-    an exactly zero gamma counts as infinite, as does one whose ratio
-    overflows (onto a subnormal gamma).  Returns (k, degenerate);
-    degenerate means no usable gap existed (all gamma equal) and k is 1.
+    Over each row of gamma (one row, or a (g, n) stack) scans positions
+    1..min(n-1, 10) of the descending gamma sequence, read from a
+    partition rather than a full sort, and puts the cut where
+    (gamma_p-1 - gamma_p) / gamma_p peaks, the first such position on a
+    tie; a gap onto an exactly zero gamma counts as infinite, as does one
+    whose ratio overflows (onto a subnormal gamma).  Returns (k,
+    degenerate), one entry per row; degenerate means no usable gap
+    existed (all gamma equal) and k is 1.
     """
-    gs = np.sort(np.asarray(gamma, dtype=float))[::-1]
-    n = gs.size
-    best = -1.0
-    k = 1
-    for p in range(1, min(n - 1, 10) + 1):
-        if gs[p] > 0.0:
-            with np.errstate(over="ignore"):  # over a subnormal gamma the gap can be inf
-                ratio = (gs[p - 1] - gs[p]) / gs[p]
-        elif gs[p - 1] > 0.0:
-            ratio = np.inf
-        else:
-            continue
-        if ratio > best:
-            best = ratio
-            k = p
-    return k, best <= 0.0
+    gamma = np.asarray(gamma, dtype=float)
+    n = gamma.shape[-1]
+    p = min(n - 1, 10)
+    if p < 1:
+        rows = gamma.shape[:-1]
+        return np.ones(rows, dtype=np.int64)[()], np.ones(rows, dtype=bool)[()]
+    top = np.sort(np.partition(gamma, n - p - 1, axis=-1)[..., n - p - 1 :], axis=-1)[..., ::-1]
+    prev, cur = top[..., :-1], top[..., 1:]
+    # over a subnormal gamma the gap can be inf; a gap onto 0 is set
+    # apart by np.where, and a gap from 0 onto 0 is skipped (-inf)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        ratio = np.where(cur > 0.0, (prev - cur) / cur, np.where(prev > 0.0, np.inf, -np.inf))
+    return ratio.argmax(axis=-1) + 1, ratio.max(axis=-1) <= 0.0
 
 
-def select_centers(rho: np.ndarray, delta: np.ndarray, k: int | None = None) -> np.ndarray:
-    """Indices of the k largest gamma = rho * delta (auto k by gamma gap)."""
+def select_centers(rho: np.ndarray, delta: np.ndarray, k=None):
+    """Indices of the k largest gamma = rho * delta (auto k by gamma gap).
+
+    The centers come in (-gamma, index) order, without a full sort: the
+    items at or above the k-th largest gamma, from a partition, are
+    sorted stably by gamma.  One row of rho and delta gives one index
+    array; a (g, n) stack gives a list of g, with k per row.
+    """
     gamma = np.asarray(rho, dtype=float) * np.asarray(delta, dtype=float)
-    if k is None:
-        k, _ = auto_select_k(gamma)
-    if not (1 <= k <= gamma.size):
-        raise ValueError(f"k must lie in 1..{gamma.size}")
-    return np.argsort(-gamma, kind="stable")[:k]
+    stack = np.atleast_2d(gamma)
+    g, n = stack.shape
+    ks = np.broadcast_to(auto_select_k(stack)[0] if k is None else k, (g,))
+    if not ((1 <= ks) & (ks <= n)).all():
+        raise ValueError(f"k must lie in 1..{n}")
+    kth = np.partition(stack, np.unique(n - ks), axis=1)[np.arange(g), n - ks]
+    rows, cols = np.nonzero(stack >= kth[:, None])
+    order = np.lexsort((-stack[rows, cols], rows))  # stable: tied gammas stay in index order
+    cols = cols[order]
+    starts = np.searchsorted(rows[order], np.arange(g))
+    centers = [cols[lo : lo + kr] for lo, kr in zip(starts, ks)]
+    return centers[0] if gamma.ndim == 1 else centers
 
 
 def follow_neighbors(nn: np.ndarray, centers, center_distances) -> np.ndarray:
     """Cluster ids 1..k from nearest-denser neighbours (nn of delta_neighbors).
 
-    Each item takes the id of the first center on its chain i -> nn[i]
-    -> ..., found by pointer jumping with the centers as fixed points.
-    The other fixed point is the densest item, its own neighbour; when
-    it is not a center, it and every item whose chain ends at it take
-    the id of their own nearest center (the first one on a distance
-    tie).  ``center_distances(items)`` gives those items' distances to
-    the centers, one row per item.
+    ``nn`` is one row with ``centers`` an index array, or a (g, n) stack
+    with ``centers`` a list of g index arrays.  Each item takes the id of
+    the first center on its chain i -> nn[i] -> ..., found by pointer
+    jumping over the whole stack with the centers as fixed points.  The
+    other fixed point is the densest item, its own neighbour; when it is
+    not a center, it and every item whose chain ends at it take the id
+    of their own nearest center (the first one on a distance tie).
+    ``center_distances(row, items)`` gives those items' distances to the
+    row's centers, one row per item.
     """
-    centers = np.asarray(centers, dtype=np.int64)
-    ids = np.zeros(nn.size, dtype=np.int64)
-    ids[centers] = np.arange(1, centers.size + 1)
-    root = np.array(nn, dtype=np.int64)
-    root[centers] = centers
+    stack = np.array(nn, dtype=np.int64, ndmin=2)
+    per_row = [np.asarray(c, dtype=np.int64) for c in ([centers] if np.ndim(nn) == 1 else centers)]
+    g, n = stack.shape
+    # item i of row r is entry r * n + i of the flattened stack
+    at = n * np.repeat(np.arange(g), [c.size for c in per_row]) + np.concatenate(per_row)
+    ids = np.zeros(g * n, dtype=np.int64)
+    ids[at] = np.concatenate([np.arange(1, c.size + 1) for c in per_row])
+    root = (stack + n * np.arange(g)[:, None]).ravel()
+    root[at] = at
     while True:
         jumped = root[root]
         if np.array_equal(jumped, root):
             break
         root = jumped
-    label = ids[root]
-    lost = np.flatnonzero(label == 0)
-    if lost.size:
-        label[lost] = 1 + np.argmin(center_distances(lost), axis=1)
-    return label
+    label = ids[root].reshape(g, n)
+    for row in np.flatnonzero((label == 0).any(axis=1)):
+        lost = np.flatnonzero(label[row] == 0)
+        label[row, lost] = 1 + np.argmin(center_distances(row, lost), axis=1)
+    return label[0] if np.ndim(nn) == 1 else label
 
 
 def halo_split(d, rho: np.ndarray, assignment: np.ndarray, d_c: float):
@@ -377,14 +421,14 @@ def cluster(
     if d_c is None:
         d_c, flags = _percentile_cutoff(dm.d, dc_percentile)
     rho = local_density(dm, d_c)
-    delta, nn, _ = delta_neighbors(dm, rho)
+    delta, nn = delta_neighbors(dm, rho)
     gamma = rho * delta
     if k is None:
         k, degenerate = auto_select_k(gamma)
         if degenerate:
             flags.append(FLAG_DEGENERATE_GAMMA)
     centers = select_centers(rho, delta, k)
-    assignment = follow_neighbors(nn, centers, lambda items: dm.d[np.ix_(items, centers)])
+    assignment = follow_neighbors(nn, centers, lambda _, items: dm.d[np.ix_(items, centers)])
     is_core, border_density = halo_split(dm, rho, assignment, d_c)
     if dm.n >= 3:
         embedding = embed_2d(dm)

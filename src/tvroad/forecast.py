@@ -7,8 +7,10 @@ windows; the prediction is the Gaussian-weighted average of the labels
 in the window's cluster, weighted by distance from the current window.
 The history side of that clustering (distances, densities and each
 window's nearest neighbours in distance order) is built once per
-history, so each goal costs a search along those short lists rather
-than a scan of the whole (m+1)-square distance matrix.
+history.  A day's goals are then matched as one stack, in goal blocks:
+each block costs a search along those short lists, density comparisons
+instead of sorts, and one pointer-jumping pass, rather than a scan of
+the whole (m+1)-square distance matrix per goal.
 
 Denoising the target day causally needs one future boundary value, so a
 small least-squares model trained on 5-minute-ahead labels supplies the
@@ -26,6 +28,7 @@ import numpy as np
 from .cluster import (
     SortedNeighbors,
     _percentile_cutoff,
+    _row_blocks,
     delta_neighbors,  # noqa: F401  (unused here; bench/tracing.py wraps this name)
     follow_neighbors,
     local_density,
@@ -159,14 +162,14 @@ def _weighted_label(weights: np.ndarray, labels: np.ndarray) -> float:
 def predict(history: HistorySet, goal, d_c: float, k: int | None = None) -> float:
     """Cluster the goal window with the history and average its cluster.
 
-    One goal through the same matcher the pipeline uses.  A goal alone
-    in its cluster falls back to the Gaussian-weighted average over all
-    windows.
+    One goal, as a stack of one, through the same matcher the pipeline
+    uses.  A goal alone in its cluster falls back to the Gaussian-weighted
+    average over all windows.
     """
     if len(history) == 0:
         raise ValueError("empty history")
     matcher = _GoalMatcher(history.windows, history.labels, d_c, k)
-    return matcher.predict(np.asarray(goal, dtype=float))[0]
+    return float(matcher.predict(np.asarray(goal, dtype=float)[None])[0][0])
 
 
 def rmae(truth, pred) -> float:
@@ -198,17 +201,21 @@ def mape(truth, pred) -> tuple[float, int]:
 
 
 class _GoalMatcher:
-    """Per-goal clustering against a fixed window set.
+    """Goal clustering against a fixed window set, a stack of goals at once.
 
     Builds the history distance matrix (or takes it as ``base``), its
-    kernel densities and its sorted neighbour lists once.  Each
-    predict() computes the goal's distances and the densities with the
+    kernel densities and its sorted neighbour lists once.  predict()
+    takes a (G, 4) goal stack and works through it in goal blocks: for a
+    block it computes the goals' distances and the densities with each
     goal added, finds every item's nearest denser neighbour from the
-    sorted lists, picks the centers and follows the neighbour chains to
-    the goal's cluster; no (m+1)-square matrix is built.  Clustering the
-    goal with the windows from scratch gives the same delta, neighbours
-    and labels, except that summing a whole density row can differ from
-    ``rho_base + w_goal`` in the last bit and so reorder exact ties.
+    sorted lists, picks each goal's centers and follows the neighbour
+    chains to each goal's cluster; no (m+1)-square matrix is built and
+    no density is sorted.  Only the rare lost-item fallback and the
+    weighted average over the goal's cluster run goal by goal.
+    Clustering a goal with the windows from scratch gives the same
+    delta, neighbours and labels, except that summing a whole density
+    row can differ from ``rho_base + w_goal`` in the last bit and so
+    reorder exact ties.
     """
 
     def __init__(
@@ -222,26 +229,46 @@ class _GoalMatcher:
         self.labels = labels
         self.d_c = d_c
         self.k = k
-        self.windows = windows
+        self.columns = np.ascontiguousarray(windows.T)  # (4, m)
         if base is None:
             base = pairwise_distances(windows).d if len(windows) > 1 else np.zeros((1, 1))
         self.rho_base = local_density(base, d_c)
         self.neighbors = SortedNeighbors(base)
 
-    def predict(self, goal: np.ndarray) -> tuple[float, bool]:
-        m = self.windows.shape[0]
-        d_goal = np.sqrt(((self.windows - goal) ** 2).sum(axis=-1))
-        w_goal = np.exp(-((d_goal / self.d_c) ** 2))
-        rho = np.concatenate([self.rho_base + w_goal, [w_goal.sum()]])
-        delta, nn = self.neighbors.delta_neighbors(d_goal, rho)
-        centers = select_centers(rho, delta, self.k)
-        label = follow_neighbors(
-            nn, centers, lambda items: self.neighbors.bordered(d_goal, items, centers)
-        )
-        members = np.flatnonzero(label[:m] == label[m])
-        if members.size == 0:
-            return _weighted_label(w_goal, self.labels), True
-        return _weighted_label(w_goal[members], self.labels[members]), False
+    def predict(self, goals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(values, fell_back) of a (G, 4) goal stack, one entry per goal;
+        a goal alone in its cluster falls back to the Gaussian-weighted
+        average over all windows."""
+        m = self.columns.shape[1]
+        values = np.empty(len(goals))
+        fell_back = np.zeros(len(goals), dtype=bool)
+        # a block holds about eight (g, m) arrays of 8-byte items at once
+        for block in _row_blocks(len(goals), 8 * 8 * m):
+            # column by column: each row's 4 squares summed left to right,
+            # as numpy reduces a row shorter than 8
+            sq = (self.columns[0] - goals[block, 0, None]) ** 2
+            for col in range(1, WINDOW):
+                sq += (self.columns[col] - goals[block, col, None]) ** 2
+            d_goal = np.sqrt(sq, out=sq)
+            w_goal = np.exp(-((d_goal / self.d_c) ** 2))
+            rho = np.empty((len(d_goal), m + 1))
+            np.add(self.rho_base, w_goal, out=rho[:, :m])
+            rho[:, m] = w_goal.sum(axis=1)
+            delta, nn = self.neighbors.delta_neighbors(d_goal, rho)
+            centers = select_centers(rho, delta, self.k)
+            label = follow_neighbors(
+                nn, centers,
+                lambda r, items: self.neighbors.bordered(d_goal[r], items, centers[r]),
+            )
+            same = label[:, :m] == label[:, m:]
+            for r, goal in enumerate(range(len(goals))[block]):
+                members = np.flatnonzero(same[r])
+                if members.size == 0:
+                    values[goal] = _weighted_label(w_goal[r], self.labels)
+                    fell_back[goal] = True
+                else:
+                    values[goal] = _weighted_label(w_goal[r, members], self.labels[members])
+        return values, fell_back
 
 
 @dataclass(frozen=True, eq=False)
@@ -313,24 +340,26 @@ def compare_pipelines(
         hist_den = build_history([denoise_values(d.values, config, h=d.h).denoised for d in days])
         variants["denoised"] = _GoalMatcher(hist_den.windows, hist_den.labels, d_c, k)
 
+    # both goal stacks first: the denoised goals read only the target
+    # and the boundary model, never a prediction
     n_goals = DEFAULT_SLICES - LABEL_OFFSET
-    preds = {tag: np.empty(n_goals) for tag in variants}
-    fallbacks = {tag: 0 for tag in variants}
     tv = target.values
-    for s0 in range(n_goals):
-        goal_raw = tv[s0 : s0 + WINDOW]
-        goal = {"raw": goal_raw}
-        if "denoised" in variants:
-            boundary = model.predict_next(goal_raw)
-            observed = s0 + WINDOW + 1
-            sigma_k = sigma * np.sqrt(observed / DEFAULT_SLICES)
-            goal["denoised"] = causal_denoise_window(
-                tv[: s0 + WINDOW], boundary, sigma_k, solver, h=h
+    goals = {"raw": np.lib.stride_tricks.sliding_window_view(tv, WINDOW)[:n_goals]}
+    if "denoised" in variants:
+        goals["denoised"] = np.array([
+            causal_denoise_window(
+                tv[: s0 + WINDOW],
+                model.predict_next(goals["raw"][s0]),
+                sigma * np.sqrt((s0 + WINDOW + 1) / DEFAULT_SLICES),  # observed fraction
+                solver,
+                h=h,
             )
-        for tag, matcher in variants.items():
-            value, fell_back = matcher.predict(goal[tag])
-            preds[tag][s0] = value
-            fallbacks[tag] += fell_back
+            for s0 in range(n_goals)
+        ])
+    preds, fallbacks = {}, {}
+    for tag, matcher in variants.items():
+        preds[tag], fell_back = matcher.predict(goals[tag])
+        fallbacks[tag] = int(fell_back.sum())
 
     truth = tv[LABEL_OFFSET:]
     slices = np.arange(LABEL_OFFSET + 1, DEFAULT_SLICES + 1)

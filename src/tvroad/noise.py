@@ -145,6 +145,8 @@ def _validate_grid(sigma_grid) -> np.ndarray:
     grid = np.asarray(sigma_grid, dtype=float)
     if grid.size < 3:
         raise ValueError("sigma grid needs at least 3 values")
+    if not np.isfinite(grid).all():
+        raise ValueError("sigma grid points must be finite")
     if grid[0] != 0.0:
         raise ValueError("sigma grid must start at 0")
     if not np.all(np.diff(grid) > 0):

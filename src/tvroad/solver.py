@@ -75,8 +75,8 @@ class SolverConfig:
     rel_tol: float = 1e-4
 
     def __post_init__(self):
-        if not (self.sigma >= 0):
-            raise ValueError("sigma must be >= 0")
+        if not (0.0 <= self.sigma < math.inf):
+            raise ValueError(f"sigma must be finite and >= 0, got {self.sigma!r}")
         if self.sigma > 0 and self.sigma ** 2 < sys.float_info.min:
             # 2 sigma^2 / h would lose the budget to underflow
             raise ValueError(f"sigma {self.sigma!r} is too small: its square underflows "

@@ -631,16 +631,24 @@ class TestCommands:
         assert run_cli("denoise", "--out-dir", str(tmp_path / "out")) == 2
 
     @pytest.mark.parametrize("flag,value", [("--grid", "0,x"), ("--grid", "1,2,3"),
-                                            ("--grid", "0,2,1"), ("--dc-percentile", "-1"),
-                                            ("--k", "0"), ("--config", None)],
-                             ids=["grid", "grid-start", "grid-order", "dc-percentile", "k",
-                                  "config"])
+                                            ("--grid", "0,2,1"), ("--grid", "0,1,inf"),
+                                            ("--sigma", "inf"), ("--sigma", "-1"),
+                                            ("--dc-percentile", "-1"), ("--k", "0"),
+                                            ("--config", None)],
+                             ids=["grid", "grid-start", "grid-order", "grid-inf", "sigma-inf",
+                                  "sigma-negative", "dc-percentile", "k", "config"])
     def test_bad_setting_is_usage_error(self, flag, value, tmp_path, caplog):
         out = tmp_path / "out"
         value = value or str(tmp_path / "missing.cfg")
         assert run_cli("table1", "--out-dir", str(out), flag, value) == 2
         assert [r.levelname for r in caplog.records] == ["ERROR"]
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["denoise", "cluster", "predict"])
+    def test_bad_sigma_is_rejected_before_input_is_read(self, command, tmp_path):
+        # a missing input would exit 1; the --sigma check comes first
+        assert run_cli(command, "--input", str(tmp_path / "missing.csv"),
+                       "--out-dir", str(tmp_path / "out"), "--sigma", "-1") == 2
 
     def test_unreadable_input_fails_cleanly(self, tmp_path):
         rc = run_cli("denoise", "--input", str(tmp_path / "missing.csv"),

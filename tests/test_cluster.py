@@ -30,11 +30,29 @@ cluster_module = importlib.import_module("tvroad.cluster")
 LINE = np.array([[0.0], [1.0], [3.0]])
 
 
+def _reference_delta_neighbors(d, rho):
+    """Full-matrix nearest-denser search by the stable argsort of -rho:
+    the rank oracle for delta_neighbors.  Returns (delta, nn, order),
+    order the item indices in decreasing density."""
+    dm = np.asarray(d.d if isinstance(d, DistanceMatrix) else d, dtype=float)
+    n = rho.size
+    order = np.argsort(-rho, kind="stable")
+    rank = np.empty(n, dtype=np.int64)
+    rank[order] = np.arange(n)
+    masked = np.where(rank[None, :] < rank[:, None], dm, np.inf)
+    delta = masked.min(axis=1)
+    nn = masked.argmin(axis=1)
+    top = order[0]
+    delta[top] = dm[top].max()
+    nn[top] = top
+    return delta, nn, order
+
+
 def _walk(dm, rho, centers):
     """Labels from follow_neighbors on the neighbours of delta_neighbors."""
     centers = np.asarray(centers)
     return follow_neighbors(delta_neighbors(dm, rho)[1], centers,
-                            lambda items: dm[np.ix_(items, centers)])
+                            lambda _, items: dm[np.ix_(items, centers)])
 
 
 def _reference_assign(dm, rho, centers):
@@ -43,7 +61,7 @@ def _reference_assign(dm, rho, centers):
     label = np.zeros(rho.size, dtype=np.int64)
     for cid, c in enumerate(centers, start=1):
         label[c] = cid
-    _, nn, order = delta_neighbors(dm, rho)
+    _, nn, order = _reference_delta_neighbors(dm, rho)
     for i in order:
         if label[i] == 0:
             label[i] = label[nn[i]]
@@ -137,17 +155,26 @@ class TestLocalDensity:
 class TestDeltaNeighbors:
     def test_chain(self):
         dm = pairwise_distances(LINE)
-        delta, nn, order = delta_neighbors(dm, np.array([3.0, 2.0, 1.0]))
+        delta, nn = delta_neighbors(dm, np.array([3.0, 2.0, 1.0]))
         # densest item reaches across its whole row; the others look up
         np.testing.assert_array_equal(delta, [3.0, 1.0, 2.0])
         np.testing.assert_array_equal(nn, [0, 0, 1])
-        np.testing.assert_array_equal(order, [0, 1, 2])
 
     def test_density_tie_breaks_by_index(self):
         dm = pairwise_distances(LINE)
-        delta, nn, _ = delta_neighbors(dm, np.array([2.0, 2.0, 1.0]))
+        delta, nn = delta_neighbors(dm, np.array([2.0, 2.0, 1.0]))
         assert nn[1] == 0 and delta[1] == 1.0
         assert nn[0] == 0 and delta[0] == 3.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=tied_points())
+    def test_matches_stable_rank_oracle(self, case):
+        pts, rho = case
+        dm = pairwise_distances(pts).d
+        delta, nn = delta_neighbors(dm, rho)
+        want_delta, want_nn, _ = _reference_delta_neighbors(dm, rho)
+        np.testing.assert_array_equal(delta, want_delta)
+        np.testing.assert_array_equal(nn, want_nn)
 
 
 class TestSortedNeighbors:
@@ -158,10 +185,35 @@ class TestSortedNeighbors:
         full = pairwise_distances(pts).d
         n = len(pts) - 1
         lists = SortedNeighbors(full[:n, :n])
-        delta, nn = lists.delta_neighbors(full[n, :n], rho)
-        want_delta, want_nn, _ = delta_neighbors(full, rho)
-        np.testing.assert_array_equal(delta, want_delta)
-        np.testing.assert_array_equal(nn, want_nn)
+        delta, nn = lists.delta_neighbors(full[None, n, :n], rho[None])
+        want_delta, want_nn, _ = _reference_delta_neighbors(full, rho)
+        np.testing.assert_array_equal(delta, [want_delta])
+        np.testing.assert_array_equal(nn, [want_nn])
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=tied_points(min_n=2, max_n=12), data=st.data())
+    def test_stack_rows_match_full_matrix(self, case, data):
+        # several added items at once, each with its own densities; heads
+        # of 1, 2, 5 or 32 columns and small blocks split the stack
+        pts = case[0]
+        n = len(pts)
+        added = np.array(data.draw(st.lists(
+            st.lists(st.integers(0, 3), min_size=pts.shape[1], max_size=pts.shape[1]),
+            min_size=1, max_size=6), label="added"), dtype=float)
+        values = st.sampled_from([0.0, 1.0, 2.0, 2.5])
+        rho = np.array([data.draw(st.lists(values, min_size=n + 1, max_size=n + 1), label="rho")
+                        for _ in added])
+        heads = data.draw(st.sampled_from([1, 2, 5, 32]), label="head columns")
+        block = data.draw(st.sampled_from([1, 8 * n * 2, 1 << 22]), label="block")
+        d_new = np.sqrt(((added[:, None, :] - pts[None, :, :]) ** 2).sum(axis=-1))
+        with mock.patch.object(cluster_module, "_NEIGHBORS", heads), \
+                mock.patch.object(cluster_module, "_BLOCK_BYTES", block):
+            delta, nn = SortedNeighbors(pairwise_distances(pts).d).delta_neighbors(d_new, rho)
+        for r, point in enumerate(added):
+            full = pairwise_distances(np.vstack([pts, point])).d
+            want_delta, want_nn, _ = _reference_delta_neighbors(full, rho[r])
+            np.testing.assert_array_equal(delta[r], want_delta)
+            np.testing.assert_array_equal(nn[r], want_nn)
 
     @settings(max_examples=200, deadline=None)
     @given(case=tied_points(min_n=3), data=st.data())
@@ -176,10 +228,10 @@ class TestSortedNeighbors:
         with mock.patch.object(cluster_module, "_NEIGHBORS", heads), \
                 mock.patch.object(cluster_module, "_BLOCK_BYTES", block):
             lists = SortedNeighbors(full[:n, :n])
-            delta, nn = lists.delta_neighbors(full[n, :n], rho)
-        want_delta, want_nn, _ = delta_neighbors(full, rho)
-        np.testing.assert_array_equal(delta, want_delta)
-        np.testing.assert_array_equal(nn, want_nn)
+            delta, nn = lists.delta_neighbors(full[None, n, :n], rho[None])
+        want_delta, want_nn, _ = _reference_delta_neighbors(full, rho)
+        np.testing.assert_array_equal(delta, [want_delta])
+        np.testing.assert_array_equal(nn, [want_nn])
 
     @settings(max_examples=60, deadline=None)
     @given(case=tied_points(min_n=3), block=st.sampled_from([1, 8 * 5, 1 << 22]),
@@ -203,8 +255,9 @@ class TestSortedNeighbors:
         rho = np.ones(4)
         rho[densest] = 2.0
         full = pairwise_distances(pts).d
-        delta, nn = SortedNeighbors(full[:3, :3]).delta_neighbors(full[3, :3], rho)
-        want_delta, want_nn, _ = delta_neighbors(full, rho)
+        delta, nn = SortedNeighbors(full[:3, :3]).delta_neighbors(full[None, 3, :3], rho[None])
+        delta, nn = delta[0], nn[0]
+        want_delta, want_nn, _ = _reference_delta_neighbors(full, rho)
         np.testing.assert_array_equal(delta, want_delta)
         np.testing.assert_array_equal(nn, want_nn)
         assert nn[1] == 0
@@ -241,7 +294,43 @@ class TestAutoK:
         assert (k, degenerate) == (10, False)
 
 
+def _reference_auto_k(gamma):
+    """The sequential gap scan over the fully sorted gamma."""
+    gs = np.sort(gamma)[::-1]
+    best, k = -1.0, 1
+    for p in range(1, min(gs.size - 1, 10) + 1):
+        if gs[p] > 0.0:
+            with np.errstate(over="ignore"):
+                ratio = (gs[p - 1] - gs[p]) / gs[p]
+        elif gs[p - 1] > 0.0:
+            ratio = np.inf
+        else:
+            continue
+        if ratio > best:
+            best, k = ratio, p
+    return k, best <= 0.0
+
+
 class TestCenters:
+    @settings(max_examples=200, deadline=None)
+    @given(gamma=st.lists(st.lists(st.sampled_from([0.0, 5e-324, 0.5, 1.0, 2.0, 3.0, 7.5]),
+                                   min_size=13, max_size=13), min_size=1, max_size=5),
+           width=st.integers(1, 13), k=st.one_of(st.none(), st.integers(1, 13)))
+    def test_stack_matches_stable_argsort(self, gamma, width, k):
+        # rho * delta with rho = gamma and delta = 1; many tied gammas
+        gamma = np.array(gamma)[:, :width]
+        k = None if k is None else min(k, width)
+        got_k, got_degenerate = auto_select_k(gamma)
+        stack = select_centers(gamma, np.ones_like(gamma), k)
+        assert len(stack) == len(gamma)
+        for row, centers, row_k, degenerate in zip(gamma, stack, got_k, got_degenerate):
+            want_k, want_degenerate = _reference_auto_k(row)
+            assert (row_k, degenerate) == (want_k, want_degenerate)
+            assert auto_select_k(row) == (want_k, want_degenerate)
+            want = np.argsort(-row, kind="stable")[: want_k if k is None else k]
+            np.testing.assert_array_equal(centers, want)
+            np.testing.assert_array_equal(select_centers(row, np.ones_like(row), k), want)
+
     def test_stable_top_k(self):
         centers = select_centers(np.array([1.0, 3.0, 1.0]), np.array([5.0, 3.0, 5.0]), k=2)
         np.testing.assert_array_equal(centers, [1, 0])
@@ -308,7 +397,7 @@ class TestAssign:
 
     def test_follow_neighbors_asks_distances_only_when_needed(self):
         nn = np.array([0, 0, 1, 2])
-        def no_distances(items):
+        def no_distances(row, items):
             raise AssertionError("every chain ends at a center")
         np.testing.assert_array_equal(follow_neighbors(nn, [0, 2], no_distances), [1, 1, 2, 2])
 

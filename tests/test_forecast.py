@@ -1,4 +1,7 @@
+import functools
+import importlib
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -27,6 +30,7 @@ from tvroad.solver import SolverConfig, denoise_values, sweep_config
 from tvroad.synth import two_regime_corpus
 
 RAMP = np.arange(288.0)
+cluster_module = importlib.import_module("tvroad.cluster")
 
 
 def family_history(level, labels, n=8):
@@ -39,8 +43,8 @@ def _reference_match(windows, labels, d_c, k, goal):
 
     Borders the history distance matrix with the goal's row and column,
     runs delta_neighbors over the whole (m+1)-square matrix and walks the
-    density order.  Returns (value, fell_back, path), path naming the
-    branches taken.
+    order of a stable argsort of -rho.  Returns (value, fell_back, path),
+    path naming the branches taken.
     """
     m = windows.shape[0]
     base = np.sqrt(((windows[:, None, :] - windows[None, :, :]) ** 2).sum(axis=-1))
@@ -52,7 +56,8 @@ def _reference_match(windows, labels, d_c, k, goal):
     dist[:m, m] = d_goal
     w_goal = np.exp(-((d_goal / d_c) ** 2))
     rho = np.concatenate([rho_base + w_goal, [w_goal.sum()]])
-    delta, nn, order = delta_neighbors(dist, rho)
+    delta, nn = delta_neighbors(dist, rho)
+    order = np.argsort(-rho, kind="stable")
     centers = select_centers(rho, delta, k)
     label = np.zeros(m + 1, dtype=np.int64)
     for cid, c in enumerate(centers, start=1):
@@ -217,6 +222,46 @@ class TestPredict:
             predict(HistorySet(np.zeros((0, 4)), np.zeros(0), ()), [1.0] * 4, d_c=1.0)
 
 
+def axes_history():
+    """Eight windows on the axes around the origin, every pair tied; a
+    goal at the origin is denser than each of them."""
+    axes = 0.6 * np.vstack([np.eye(WINDOW), -np.eye(WINDOW)])
+    return HistorySet(axes, np.arange(8.0), tuple([None] * 8))
+
+
+def _goal_pools():
+    """(history, goals) cases rich in exact distance and density ties."""
+    rng = np.random.default_rng(11)
+    hs = tie_heavy_history()
+    axes = axes_history()
+    return {
+        "tie-heavy": (hs, [hs.windows[i] for i in range(0, len(hs), 29)]
+                      + [np.round(rng.normal(30.0, 1.5, WINDOW)) for _ in range(15)]
+                      + [np.full(WINDOW, 30.0), np.full(WINDOW, 45.0)]),
+        "axes": (axes, [np.zeros(WINDOW), *axes.windows, np.full(WINDOW, 0.3),
+                        np.full(WINDOW, 5.0)]),
+        "family": (family_history(10.0, np.arange(8.0)),
+                   [np.full(WINDOW, 11.5), np.full(WINDOW, 10.0), np.full(WINDOW, 10.7)]),
+        "identical": (build_history([np.full(288, 20.0)]),
+                      [np.full(WINDOW, 20.0), np.full(WINDOW, 20.5), np.full(WINDOW, 40.0)]),
+    }
+
+
+GOAL_POOLS = _goal_pools()
+
+
+@functools.lru_cache(maxsize=None)
+def _pool_reference(case, k, index):
+    history, goals = GOAL_POOLS[case]
+    return _reference_match(history.windows, history.labels, 1.0, k, goals[index])
+
+
+@functools.lru_cache(maxsize=None)
+def _pool_matcher(case, k):
+    history = GOAL_POOLS[case][0]
+    return _GoalMatcher(history.windows, history.labels, 1.0, k)
+
+
 class TestGoalMatcher:
     def test_matches_reference_predict(self):
         rng = np.random.default_rng(5)
@@ -226,40 +271,57 @@ class TestGoalMatcher:
         iu = np.triu_indices(len(hs), 1)
         d_c = float(np.percentile(base[iu], 2.0))
         matcher = _GoalMatcher(hs.windows, hs.labels, d_c, None)
-        for _ in range(15):
-            goal = rng.normal(30.0, 6.0, WINDOW)
-            value, fell_back = matcher.predict(goal)
-            assert (value, fell_back) == _reference_match(hs.windows, hs.labels, d_c, None, goal)[:2]
+        goals = rng.normal(30.0, 6.0, (15, WINDOW))
+        values, fell_back = matcher.predict(goals)
+        assert values.shape == fell_back.shape == (15,) and fell_back.dtype == bool
+        for goal, value, flag in zip(goals, values, fell_back):
+            assert (value, flag) == _reference_match(hs.windows, hs.labels, d_c, None, goal)[:2]
             assert value == predict(hs, goal, d_c)
-            assert isinstance(fell_back, bool)
 
     @pytest.mark.parametrize("k", [None, 1, 2, 3, 5])
     def test_tie_heavy_histories_match_reference(self, k):
-        rng = np.random.default_rng(11)
-        hs = tie_heavy_history()
-        # eight windows on the axes around the origin, every pair tied;
-        # a goal at the origin is denser than each of them
-        axes = 0.6 * np.vstack([np.eye(WINDOW), -np.eye(WINDOW)])
-        family = family_history(10.0, np.arange(8.0))
-        cases = [
-            (hs, [hs.windows[i] for i in range(0, len(hs), 29)]
-                 + [np.round(rng.normal(30.0, 1.5, WINDOW)) for _ in range(15)]
-                 + [np.full(WINDOW, 30.0), np.full(WINDOW, 45.0)]),
-            (HistorySet(axes, np.arange(8.0), tuple([None] * 8)),
-             [np.zeros(WINDOW), *axes, np.full(WINDOW, 0.3), np.full(WINDOW, 5.0)]),
-            (family, [np.full(WINDOW, 11.5), np.full(WINDOW, 10.0), np.full(WINDOW, 10.7)]),
-        ]
         seen = {"goal-densest": False, "fallback": False}
-        for history, goals in cases:
-            matcher = _GoalMatcher(history.windows, history.labels, 1.0, k)
-            for goal in goals:
-                value, fell_back, path = _reference_match(history.windows, history.labels, 1.0, k, goal)
-                assert matcher.predict(goal) == (value, fell_back)
+        for case in ("tie-heavy", "axes", "family"):
+            goals = GOAL_POOLS[case][1]
+            values, fell_back = _pool_matcher(case, k).predict(np.array(goals))
+            for index in range(len(goals)):
+                value, flag, path = _pool_reference(case, k, index)
+                assert (values[index], fell_back[index]) == (value, flag)
                 for name in seen:
                     seen[name] |= bool(path[name])
         assert seen["goal-densest"]
         # one cluster always holds some window besides the goal
         assert seen["fallback"] == (k != 1)
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=st.sampled_from(sorted(GOAL_POOLS)), k=st.sampled_from([None, 1, 2, 3]),
+           per_block=st.sampled_from([1, 2, 3, 1000]), data=st.data())
+    def test_stack_matches_reference_in_any_block_layout(self, case, k, per_block, data):
+        # goal blocks of 1, 2 or 3 goals (a partial last block, many
+        # blocks) or one block for the whole stack; a small block budget
+        # also splits the whole-row scans of delta_neighbors
+        history, pool = GOAL_POOLS[case]
+        picks = data.draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=7),
+                          label="goals")
+        goals = np.array([pool[i] for i in picks])
+        matcher = _pool_matcher(case, k)
+        layouts = []
+        real_blocks = forecast._row_blocks
+
+        def spy(n, row_bytes):
+            layouts.append([len(range(n)[b]) for b in real_blocks(n, row_bytes)])
+            return real_blocks(n, row_bytes)
+
+        budget = per_block * 64 * len(history)  # a goal takes 64 bytes per window of a block
+        with mock.patch.object(cluster_module, "_BLOCK_BYTES", budget), \
+                mock.patch.object(forecast, "_row_blocks", spy):
+            values, fell_back = matcher.predict(goals)
+        assert layouts == [[min(per_block, len(goals) - lo)
+                            for lo in range(0, len(goals), per_block)]]
+        for goal, index, value, flag in zip(goals, picks, values, fell_back):
+            assert (value, flag) == _pool_reference(case, k, index)[:2]
+            assert predict(history, goal, 1.0, k) == value
+            assert (value, flag) == tuple(x[0] for x in matcher.predict(goal[None]))
 
     def test_densest_item_outside_centers_matches_reference(self):
         # at this scale every product rho * delta underflows to 0, so the
@@ -275,14 +337,15 @@ class TestGoalMatcher:
         goal = np.zeros(WINDOW)
         value, fell_back, path = _reference_match(windows, labels, d_c, None, goal)
         assert path["goal-densest"] and path["densest-not-center"]
-        assert _GoalMatcher(windows, labels, d_c, None).predict(goal) == (value, fell_back)
+        values, flags = _GoalMatcher(windows, labels, d_c, None).predict(goal[None])
+        assert (values[0], flags[0]) == (value, fell_back)
 
     def test_identical_windows(self):
-        hs = build_history([np.full(288, 20.0)])
-        matcher = _GoalMatcher(hs.windows, hs.labels, 1.0, None)
-        for goal in (np.full(WINDOW, 20.0), np.full(WINDOW, 20.5), np.full(WINDOW, 40.0)):
-            ref = _reference_match(hs.windows, hs.labels, 1.0, None, goal)[:2]
-            assert matcher.predict(goal) == ref
+        values, fell_back = _pool_matcher("identical", None).predict(
+            np.array(GOAL_POOLS["identical"][1]))
+        for index in range(3):
+            ref = _pool_reference("identical", None, index)[:2]
+            assert (values[index], fell_back[index]) == ref
             assert ref[0] == pytest.approx(20.0)
 
 
@@ -336,6 +399,25 @@ class TestComparePipelines:
         # the goal at 0-based start s0 reads slices s0 + 1 .. s0 + 4
         np.testing.assert_array_equal(before[:cut - WINDOW + 1], after[:cut - WINDOW + 1])
         assert not np.array_equal(before, after)
+
+    @settings(max_examples=3, deadline=None)
+    @given(seed=st.integers(0, 50), k=st.sampled_from([None, 1, 3]))
+    def test_runs_are_deterministic_and_variants_independent(self, seed, k):
+        # the shared goal stacks couple neither run to run nor variant to
+        # variant: a lone raw or denoised run gives that variant's report
+        road = two_regime_corpus(n_roads=1, n_days=2, seed=seed)[0]
+        history, target = [road[0][1]], road[1][1]
+        runs = [compare_pipelines(history, target, sigma=2.5, k=k) for _ in range(2)]
+        raw_only = compare_pipelines(history, target, sigma=2.5, k=k, include_denoised=False)
+        denoised_only = compare_pipelines(history, target, sigma=2.5, k=k, include_raw=False)
+        assert runs[0].flags == runs[1].flags == raw_only.flags == denoised_only.flags
+        for a, b in ((runs[0].raw, runs[1].raw), (runs[0].denoised, runs[1].denoised),
+                     (runs[0].raw, raw_only.raw), (runs[0].denoised, denoised_only.denoised)):
+            np.testing.assert_array_equal(a.predictions, b.predictions)
+            np.testing.assert_array_equal(a.slices, b.slices)
+            assert (a.fallback_count, a.mape_retained_count) == (b.fallback_count,
+                                                                 b.mape_retained_count)
+            assert repr((a.rmae, a.mape)) == repr((b.rmae, b.mape))
 
     def test_flat_history_day_falls_back_to_unit_dc(self):
         road = two_regime_corpus(n_roads=1, n_days=2, seed=3)[0]

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -74,6 +75,8 @@ class TestConfigValidation:
     def test_solver_config_rejects_bad_values(self):
         with pytest.raises(ValueError):
             SolverConfig(sigma=-1.0)
+        with pytest.raises(ValueError, match="finite"):
+            SolverConfig(sigma=math.inf)
         with pytest.raises(ValueError):
             SolverConfig(sigma=1.0, epsilon=0.0)
         with pytest.raises(ValueError):
