@@ -32,7 +32,7 @@ from .cluster import DEFAULT_DC_PERCENTILE, cluster
 from .forecast import compare_pipelines
 from .noise import DEFAULT_SIGMA_GRID, _validate_grid, estimate_sigma
 from .series import DEFAULT_SLICES, DEFAULT_SLICE_MINUTES, VelocitySeries, nearest_interpolate
-from .solver import SolverConfig, denoise_values, sweep_config
+from .solver import SolverConfig, denoise_values
 from .synth import run_table1, table1_csv
 
 log = logging.getLogger("tvroad")
@@ -44,9 +44,10 @@ LENGTH_COLUMN = "road_length_m"
 class RunConfig:
     """Run-wide settings, read from key=value text by :func:`config_from_text`.
 
-    Every command solves with max_iters and rel_tol: a solve makes at
-    most max_iters prox calls and converges once its fidelity term is
-    within rel_tol sigma^2 of sigma^2.
+    Every command solves with max_iters and rel_tol: a solve walks the
+    TV solution path for at most max_iters steps, and it is flagged
+    converged when its fidelity term ends within rel_tol sigma^2 of
+    sigma^2.
     """
 
     max_iters: int = 5000
@@ -342,7 +343,7 @@ def _solve(series: VelocitySeries, config: RunConfig, args):
     solved at the --sigma override, else at its estimated sigma."""
     estimate = None if args.sigma is not None else _estimate(series, config)
     sigma = float(args.sigma) if estimate is None else estimate.sigma_best
-    result = denoise_values(series.values, sweep_config(_pipeline_solver(config), sigma), h=1.0)
+    result = denoise_values(series.values, replace(_pipeline_solver(config), sigma=sigma), h=1.0)
     return sigma, estimate, result
 
 

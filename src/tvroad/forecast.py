@@ -21,7 +21,7 @@ kept.  No slice beyond the boundary is ever read.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -37,7 +37,7 @@ from .cluster import (
 )
 from .noise import DEFAULT_SIGMA_GRID, SWEEP_SOLVER, estimate_sigma
 from .series import DEFAULT_SLICES, VelocitySeries
-from .solver import SolverConfig, denoise_values, sweep_config
+from .solver import SolverConfig, denoise_values
 
 WINDOW = 4
 LABEL_OFFSET = 6  # slices from window start to the 15-minute label
@@ -148,7 +148,7 @@ def causal_denoise_window(
     if prefix.size < WINDOW:
         raise ValueError(f"need at least {WINDOW} past slices")
     series = np.concatenate([prefix, [float(boundary)]])
-    res = denoise_values(series, sweep_config(solver, sigma), h=h)
+    res = denoise_values(series, replace(solver, sigma=sigma), h=h)
     return res.denoised[-(WINDOW + 1) : -1]
 
 
@@ -159,17 +159,21 @@ def _weighted_label(weights: np.ndarray, labels: np.ndarray) -> float:
     return float(labels.mean())
 
 
-def predict(history: HistorySet, goal, d_c: float, k: int | None = None) -> float:
-    """Cluster the goal window with the history and average its cluster.
+def predict(history: HistorySet, goal, d_c: float, k: int | None = None) -> float | np.ndarray:
+    """Cluster each goal window with the history and average its cluster.
 
-    One goal, as a stack of one, through the same matcher the pipeline
-    uses.  A goal alone in its cluster falls back to the Gaussian-weighted
-    average over all windows.
+    A (4,) goal gives a float and a (G, 4) stack an array of G values,
+    each that of its goal alone; the stack shares one matcher build, as
+    in the pipeline.  A goal alone in its cluster falls back to the
+    Gaussian-weighted average over all windows.
     """
     if len(history) == 0:
         raise ValueError("empty history")
-    matcher = _GoalMatcher(history.windows, history.labels, d_c, k)
-    return float(matcher.predict(np.asarray(goal, dtype=float)[None])[0][0])
+    goals = np.asarray(goal, dtype=float)
+    if goals.ndim not in (1, 2) or goals.shape[-1] != WINDOW:
+        raise ValueError(f"goal must be ({WINDOW},) or (G, {WINDOW}), got {goals.shape}")
+    values = _GoalMatcher(history.windows, history.labels, d_c, k).predict(np.atleast_2d(goals))[0]
+    return float(values[0]) if goals.ndim == 1 else values
 
 
 def rmae(truth, pred) -> float:
@@ -336,7 +340,7 @@ def compare_pipelines(
     if include_raw:
         variants["raw"] = _GoalMatcher(hist_raw.windows, hist_raw.labels, d_c, k, base=base)
     if include_denoised:
-        config = sweep_config(solver, sigma)
+        config = replace(solver, sigma=sigma)
         hist_den = build_history([denoise_values(d.values, config, h=d.h).denoised for d in days])
         variants["denoised"] = _GoalMatcher(hist_den.windows, hist_den.labels, d_c, k)
 

@@ -25,19 +25,19 @@ sigma^2 = (1/2) h sum residual^2, i.e. velocity times sqrt(minutes).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .series import VelocitySeries, pair_average, _as_float_vector
-from .solver import SolverConfig, denoise_values, sweep_config
+from .solver import SolverConfig, denoise_values
 
 # Grid used by the balance sweep unless the caller says otherwise:
 # 0 and 1, then every 5 up to 50.
 DEFAULT_SIGMA_GRID = (0.0, 1.0) + tuple(float(s) for s in range(5, 55, 5))
 
 # Solver profile of the balance sweep and the pipeline: the default
-# prox-call cap and budget tolerance.
+# step cap and convergence threshold.
 SWEEP_SOLVER = SolverConfig(sigma=0.0)
 
 FLAG_NO_NOISE = "no-noise"
@@ -181,7 +181,7 @@ def _balance(v: np.ndarray, h: float, sigma_grid, solver: SolverConfig):
     """
     grid = _validate_grid(sigma_grid)
     # one solve per grid point; the sigma = 0 solve returns the input
-    tvs = [denoise_values(v, sweep_config(solver, float(s)), h=h).final_tv for s in grid]
+    tvs = [denoise_values(v, replace(solver, sigma=float(s)), h=h).final_tv for s in grid]
     deltas = np.diff(np.asarray(tvs) * grid ** 2)
     if all(t == 0.0 for t in tvs):
         return grid, tvs, deltas, None
@@ -225,7 +225,7 @@ def combine_estimates(
     def tv_at(s: float) -> float:
         if s in known:
             return known[s]
-        t = denoise_values(v, sweep_config(solver, s), h=h).final_tv
+        t = denoise_values(v, replace(solver, sigma=s), h=h).final_tv
         known[s] = t
         return t
 

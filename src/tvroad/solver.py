@@ -15,36 +15,41 @@ continuously with lambda, from 0 at lambda = 0 to
 
     sigma_max^2 = (h/2) sum_i (u0_i - mean(u0))^2
 
-at lambda_max = max_i |sum_{j <= i} (u0_j - mean(u0))|, where x is the
-constant mean, so a solve is a 1-D root find over [0, lambda_max]:
+where x is the constant mean.  A solve walks the solution path x(lambda)
+from lambda = 0 up to that weight:
 
-* Prox.  x(lambda) comes from Condat's direct algorithm (L. Condat, "A
-  direct algorithm for 1D total variation denoising", IEEE Signal
-  Processing Letters 20(11), 2013): exact, in one pass over the series.
-* Segment step.  x(lambda) is piecewise constant.  On a segment of
-  length L whose jumps at its left and right ends have signs s_l and s_r
-  (0 at the series' ends), x = mean(u0 over the segment) + lambda c with
-  c = (s_r - s_l) / L.  While the segments stay the same, F is
-  therefore (h/2)(A + B lambda^2), with A the sum of squares of u0
-  about its segment means and B = sum L c^2, and the next weight solves
-  it: lambda = sqrt((2 sigma^2 / h - A) / B).
-* Bracket.  Each prox call narrows a bracket [lo, hi] around the root,
-  which starts as [0, lambda_max].  A step that leaves the bracket, or
-  cannot be taken (B = 0, or A already over budget), bisects it.
+* Segments.  x(lambda) is piecewise constant, and its segments only
+  merge as lambda grows (J. Friedman, T. Hastie, H. Hoefling and
+  R. Tibshirani, "Pathwise coordinate optimization", Ann. Appl. Stat.
+  2007; H. Hoefling, "A path algorithm for the fused lasso signal
+  approximator", JCGS 2010).  At lambda = 0 they are the runs of equal
+  values of u0.
+* Between merges.  On a segment of length L whose jumps at its left and
+  right ends have signs s_l and s_r (0 at the series' ends), x =
+  mean(u0 over the segment) + lambda c with c = (s_r - s_l) / L.  F is
+  therefore (h/2)(A + B lambda^2), with A the sum of squares of u0 about
+  its segment means and B = sum L c^2.
+* Merges.  Two neighbours meet at the weight where their values cross; a
+  heap holds that weight for every pair whose gap closes.  Each step
+  takes the walk to the next such weight and merges every pair that
+  meets there, until (h/2)(A + B lambda^2) would pass sigma^2 first;
+  the last step ends at lambda* = sqrt((2 sigma^2 / h - A) / B).
 
-The first weight is the segment step of x(0+), whose segments are the
-runs of equal values of u0.  A solve stops when |F - sigma^2| <=
-rel_tol sigma^2 (``converged``), when the bracket cannot be split any
-further in floating point, or after ``max_iters`` prox calls.  sigma = 0
-returns u0, as the budget forces u = u0; sigma >= sigma_max returns the
-constant mean, which has TV 0 and F = sigma_max^2, flagged
-``saturated`` (flat input is returned as it is).  A non-finite
-sigma_max^2 (squares of the input's spread that overflow) or prox
-iterate raises FloatingPointError.
+The walk takes at most one step per run of u0 and lands on the budget
+up to rounding; there is no tolerance loop.  ``max_iters`` caps its
+steps: a capped walk ends at the smaller of lambda* and the next merge
+weight, so x is still the proximal point at its last weight, short of
+the budget.  sigma = 0 returns u0, as the budget forces u = u0; sigma >=
+sigma_max returns the constant mean, which has TV 0 and F =
+sigma_max^2, flagged ``saturated`` (flat input is returned as it is).
+So does a walk that merges down to one segment, which only rounding
+allows, with sigma a few ulps below sigma_max.  A non-finite
+sigma_max^2 (squares of the input's spread that overflow) or solution
+raises FloatingPointError.
 
 Every call solves one series at one sigma; a grid sweep is one
 :func:`denoise_values` call per grid point, each with its config from
-:func:`sweep_config`.
+``dataclasses.replace(config, sigma=s)``.
 
 ``epsilon`` does not enter the solve.  It is the smoothing of
 :func:`smoothed_total_variation`, which replaces each |d| by
@@ -54,9 +59,10 @@ gradient of that smoothed objective.
 
 from __future__ import annotations
 
+import heapq
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -65,9 +71,11 @@ from .series import VelocitySeries, total_variation, _as_float_vector
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """``max_iters`` caps the prox calls of one solve, ``rel_tol`` bounds
-    |F - sigma^2| / sigma^2 for ``converged``; ``epsilon`` is not used
-    by the solve (see the module docstring)."""
+    """``max_iters`` caps the steps of one path walk: a series of n
+    samples takes at most n, so only a cap below that can stop a walk
+    short of its budget.  ``rel_tol`` only sets the ``converged``
+    threshold on |F - sigma^2| / sigma^2; the walk does not read it.
+    ``epsilon`` is not used by the solve (see the module docstring)."""
 
     sigma: float
     epsilon: float = 1e-6
@@ -95,10 +103,16 @@ class DenoiseResult:
 
     ``constraint_residual`` is |(1/2) h sum (u - u0)^2 - sigma^2|, the
     distance from the fidelity budget, and ``converged`` means it is at
-    most rel_tol sigma^2.  ``iterations`` counts prox calls and
-    ``lambda_trace`` holds the weight of each.  ``saturated`` means
-    sigma >= sigma_max, so the result is the constant mean.
-    ``stalled`` is always False: the solve has no line search to stall.
+    most rel_tol sigma^2.  ``lambda_trace`` holds the weight of each step
+    of the path walk: each merge weight, then the weight lambda* of the
+    result (for a walk stopped by max_iters, the smaller of lambda* and
+    the next merge weight).  It never decreases, the result is the
+    proximal point at its last entry, and ``iterations`` is its length.
+    It is empty for sigma = 0, flat input and sigma >= sigma_max, which
+    need no walk.  ``saturated`` means the result is the constant
+    mean: sigma >= sigma_max, or a walk that merged down to one segment,
+    whose trace ends at its last merge.  ``stalled`` is always False:
+    the solve has no line search to stall.
     """
 
     denoised: np.ndarray
@@ -144,90 +158,90 @@ def compute_gradient(u_n, u0, lam: float, h: float, epsilon: float) -> np.ndarra
     return -((np.diff(r) / h) - lam * (u - v0))
 
 
-def _tv_prox(y: list, lam: float) -> list:
-    """argmin_x (1/2) sum (x_i - y_i)^2 + lam sum |x_{i+1} - x_i| for
-    lam > 0, by Condat's direct algorithm.
+def _walk(u0: np.ndarray, budget: float, max_iters: int):
+    """(x, trace) of the path walk to sum (x - u0)^2 = budget; x is None
+    when the walk merged down to one segment.
 
-    The current segment starts at k0 and has been read up to k; vmin and
-    vmax bound its value, umin and umax are the matching dual values,
-    and kminus (kplus) is the last position where vmin (vmax) moved.  A
-    segment ends with a negative (positive) jump when no value in the
-    bounds fits the next sample; it then ends at kminus (kplus), at
-    least one sample past k0.
+    Segment k keeps its size, sum, mean, rate c and the sign of the jump
+    at its right end (0 for the last); it keeps its index k as it
+    absorbs its right neighbours.  A heap entry (lambda, k, ver[k],
+    ver[next]) of neighbours k and next is stale once either has changed
+    (ver + 1) or been absorbed (ver -1).  A pair that meets at the
+    current weight merges in the current step, so ties leave no jump of
+    rounding size.  a and b are A and B; b is summed afresh for the last
+    step, as its running value loses digits to cancellation.
     """
-    n = len(y)
-    last = n - 1
-    x = [0.0] * n
-    k = k0 = kminus = kplus = 0
-    mlam = -lam
-    umin, umax = lam, mlam
-    vmin, vmax = y[0] - lam, y[0] + lam
-    while True:
-        while k == last:  # the right end: no jump after the last sample
-            if umin < 0.0:  # vmin is too high: a negative jump
-                end = kminus + 1 if kminus >= k0 else k0 + 1
-                x[k0:end] = [vmin] * (end - k0)
-                k = k0 = kminus = end
-                vmin, umin = y[k], lam
-                umax = vmin + lam - vmax
-            elif umax > 0.0:  # vmax is too low: a positive jump
-                end = kplus + 1 if kplus >= k0 else k0 + 1
-                x[k0:end] = [vmax] * (end - k0)
-                k = k0 = kplus = end
-                vmax, umax = y[k], mlam
-                umin = vmax - lam - vmin
-            else:
-                x[k0:] = [vmin + umin / (k - k0 + 1)] * (n - k0)
-                return x
-        y_next = y[k + 1]
-        umin += y_next - vmin
-        if umin < mlam:  # a negative jump
-            end = kminus + 1 if kminus >= k0 else k0 + 1
-            x[k0:end] = [vmin] * (end - k0)
-            k = k0 = kminus = kplus = end
-            vmin = y[k]
-            vmax = vmin + 2.0 * lam
-            umin, umax = lam, mlam
-            continue
-        umax += y_next - vmax
-        if umax > lam:  # a positive jump
-            end = kplus + 1 if kplus >= k0 else k0 + 1
-            x[k0:end] = [vmax] * (end - k0)
-            k = k0 = kminus = kplus = end
-            vmax = y[k]
-            vmin = vmax - 2.0 * lam
-            umin, umax = lam, mlam
-            continue
-        k += 1
-        if umin >= lam:
-            kminus = k
-            vmin += (umin - lam) / (k - k0 + 1)
-            umin = lam
-        if umax <= mlam:
-            kplus = k
-            vmax += (umax + lam) / (k - k0 + 1)
-            umax = mlam
-
-
-def _segment_step(u0: np.ndarray, x: np.ndarray, budget: float) -> float:
-    """The weight at which the segments of x meet sum (x - u0)^2 = budget:
-    sqrt((budget - A) / B), or NaN where B = 0 or A >= budget."""
-    d = np.diff(x)
+    d = np.diff(u0)
     jumps = np.flatnonzero(d)
     starts = np.concatenate(([0], jumps + 1))
-    lengths = np.diff(np.append(starts, x.size))
-    s = np.sign(d[jumps])
-    c = (np.append(s, 0.0) - np.concatenate(([0.0], s))) / lengths
-    means = np.add.reduceat(u0, starts) / lengths
-    a = float(np.sum((u0 - np.repeat(means, lengths)) ** 2))
-    b = float(np.sum(lengths * c * c))
-    return math.sqrt((budget - a) / b) if b > 0.0 and budget > a else math.nan
+    size = np.diff(np.append(starts, u0.size))
+    sign = np.append(np.sign(d[jumps]), 0.0)
+    rate = (sign - np.concatenate(([0.0], sign[:-1]))) / size
+    closes = np.diff(rate)
+    pairs = np.flatnonzero(sign[:-1] * closes < 0.0)  # neighbours whose gap closes
+    zeros = [0] * pairs.size
+    heap = list(zip((-d[jumps][pairs] / closes[pairs]).tolist(), pairs.tolist(), zeros, zeros))
+    heapq.heapify(heap)
+
+    last = starts.size - 1
+    a, b = 0.0, float(np.sum(size * rate * rate))
+    mean, total = u0[starts].tolist(), (u0[starts] * size).tolist()
+    size, sign, rate = size.tolist(), sign.tolist(), rate.tolist()
+    prev, nxt, ver = list(range(-1, last)), list(range(1, last + 2)), [0] * (last + 1)
+    lam, trace = 0.0, []
+
+    def push(k, j):  # neighbours k and j = nxt[k]
+        closes = rate[j] - rate[k]
+        if sign[k] * closes < 0.0:
+            heapq.heappush(heap, (max(lam, (mean[k] - mean[j]) / closes), k, ver[k], ver[j]))
+
+    while heap:
+        t, k, vk, vj = heap[0]
+        if ver[k] != vk or ver[nxt[k]] != vj:
+            heapq.heappop(heap)
+            continue
+        if t > lam:  # a step to a new weight
+            if a + b * t * t >= budget or len(trace) == max_iters:
+                break
+            lam = t
+            trace.append(t)
+        heapq.heappop(heap)
+        j = nxt[k]
+        sk, sj = size[k], size[j]
+        n = sk + sj
+        gap = mean[k] - mean[j]
+        a += sk * sj / n * gap * gap
+        b -= sk * rate[k] * rate[k] + sj * rate[j] * rate[j]
+        size[k], total[k], sign[k] = n, total[k] + total[j], sign[j]
+        mean[k] = total[k] / n
+        rate[k] = (sign[k] - (sign[prev[k]] if k else 0.0)) / n
+        b += n * rate[k] * rate[k]
+        ver[k] += 1
+        ver[j] = -1
+        nxt[k] = i = nxt[j]
+        if i <= last:
+            prev[i] = k
+            push(k, i)
+        elif not k:  # one segment left
+            return None, trace
+        if k:
+            push(prev[k], k)
+
+    live, k = [], 0
+    while k <= last:
+        live.append(k)
+        k = nxt[k]
+    if len(trace) < max_iters:
+        b = math.fsum(size[k] * rate[k] * rate[k] for k in live)
+        lam = max(lam, math.sqrt(max(budget - a, 0.0) / b))
+        trace.append(lam)
+    return np.repeat([mean[k] + lam * rate[k] for k in live], [size[k] for k in live]), trace
 
 
 def _result(u, u0, sigma, h, trace, config, saturated=False) -> DenoiseResult:
     residual = abs(0.5 * h * float(np.sum((u - u0) ** 2)) - sigma * sigma)
     if not math.isfinite(residual):
-        raise FloatingPointError(f"non-finite iterate after {len(trace)} prox calls "
+        raise FloatingPointError(f"non-finite iterate after {len(trace)} steps "
                                  f"(lambda {trace[-1]}): fidelity residual {residual}")
     return DenoiseResult(u, total_variation(u), len(trace), trace, residual,
                          residual <= config.rel_tol * sigma * sigma, saturated=saturated)
@@ -245,28 +259,9 @@ def _solve(u0: np.ndarray, config: SolverConfig, h: float) -> DenoiseResult:
         return _result(u0.copy(), u0, sigma, h, [], config, saturated=True)
     if sigma * sigma >= spread:
         return _result(np.full(u0.size, u0.mean()), u0, sigma, h, [], config, saturated=True)
-
-    budget = 2.0 * sigma * sigma / h
-    tol = config.rel_tol * budget
-    y = u0.tolist()
-    lo, hi = 0.0, float(np.abs(np.cumsum(dev)[:-1]).max())
-    lam = _segment_step(u0, u0, budget)
-    x, trace = u0.copy(), []
-    while len(trace) < config.max_iters:
-        if not lo < lam < hi:
-            lam = 0.5 * (lo + hi)
-            if not lo < lam < hi:  # the bracket is down to adjacent floats
-                break
-        x = np.array(_tv_prox(y, lam))
-        trace.append(lam)
-        gap = float(np.sum((x - u0) ** 2)) - budget
-        if not math.isfinite(gap) or abs(gap) <= tol:
-            break
-        if gap < 0.0:
-            lo = lam
-        else:
-            hi = lam
-        lam = _segment_step(u0, x, budget)
+    x, trace = _walk(u0, 2.0 * sigma * sigma / h, config.max_iters)
+    if x is None:  # sigma is within rounding of sigma_max
+        return _result(np.full(u0.size, u0.mean()), u0, sigma, h, trace, config, saturated=True)
     return _result(x, u0, sigma, h, trace, config)
 
 
@@ -285,13 +280,9 @@ def denoise(series: VelocitySeries, config: SolverConfig) -> DenoiseResult:
 
     sigma = 0 returns the input unchanged, since the constraint then
     forces u = u0; sigma >= sigma_max returns the constant mean under
-    ``saturated``.  Otherwise the weight search runs until the fidelity
-    term is within rel_tol sigma^2 of sigma^2, the bracket is exhausted,
-    or max_iters prox calls are spent.
+    ``saturated``.  Otherwise the solve walks the TV solution path up to
+    the weight at which the fidelity term meets sigma^2, or for at most
+    max_iters steps.
     """
     return denoise_values(series.values, config, h=series.h)
 
-
-def sweep_config(template: SolverConfig, sigma: float) -> SolverConfig:
-    """The template config with its sigma replaced (grid sweeps)."""
-    return replace(template, sigma=sigma)

@@ -34,16 +34,16 @@ def write_records(tmp_path):
 @pytest.fixture
 def poison_rows(monkeypatch):
     """Make the solver fail on every series that starts at a given value:
-    its prox returns a non-finite iterate, which the solve reports as
-    FloatingPointError.  Other series are solved as before."""
+    its path walk returns a non-finite solution, which the solve reports
+    as FloatingPointError.  Other series are solved as before."""
 
     def _poison(first_value):
-        real = solver._tv_prox
+        real = solver._walk
 
-        def poisoned(y, lam):
-            x = real(y, lam)
-            return [np.nan] * len(x) if y[0] == first_value else x
+        def poisoned(u0, budget, max_iters):
+            x, trace = real(u0, budget, max_iters)
+            return (np.full(u0.size, np.nan) if u0[0] == first_value else x), trace
 
-        monkeypatch.setattr(solver, "_tv_prox", poisoned)
+        monkeypatch.setattr(solver, "_walk", poisoned)
 
     return _poison

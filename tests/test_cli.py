@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import datetime
 import itertools
 import json
@@ -16,7 +17,7 @@ from tvroad.cli import RunConfig, config_from_text, ingest, main
 from tvroad.cluster import cluster
 from tvroad.noise import DEFAULT_SIGMA_GRID, estimate_sigma
 from tvroad.series import DEFAULT_SLICE_MINUTES, DEFAULT_SLICES, VelocitySeries, nearest_interpolate
-from tvroad.solver import SolverConfig, denoise_values, sweep_config
+from tvroad.solver import SolverConfig, denoise_values
 from tvroad.synth import two_regime_corpus
 
 HEADER = "road_id,day,slice,velocity"
@@ -499,7 +500,7 @@ class TestCommands:
             values = data[key].values
             sigma = estimate_sigma(values, sigma_grid=(0.0, 1.0, 5.0, 10.0, 20.0), solver=solver,
                                    h=1.0).sigma_best
-            want = denoise_values(values, sweep_config(solver, sigma)).denoised
+            want = denoise_values(values, dataclasses.replace(solver, sigma=sigma)).denoised
             assert diag[f"{key[0]}/{key[1]}"]["sigma"] == sigma
             got = [float(line.split(",")[4]) for line in rows[288 * n:288 * (n + 1)]]
             assert got == want.tolist()

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import importlib
 import math
@@ -26,7 +27,7 @@ from tvroad.forecast import (
 )
 from tvroad.noise import SWEEP_SOLVER, estimate_sigma
 from tvroad.series import VelocitySeries
-from tvroad.solver import SolverConfig, denoise_values, sweep_config
+from tvroad.solver import SolverConfig, denoise_values
 from tvroad.synth import two_regime_corpus
 
 RAMP = np.arange(288.0)
@@ -160,7 +161,8 @@ class TestCausalWindow:
         rng = np.random.default_rng(3)
         prefix = rng.normal(30.0, 3.0, 40)
         series = np.concatenate([prefix, [25.3]])
-        expected = denoise_values(series, sweep_config(SWEEP_SOLVER, 3.0), h=1.0).denoised[-5:-1]
+        config = dataclasses.replace(SWEEP_SOLVER, sigma=3.0)
+        expected = denoise_values(series, config, h=1.0).denoised[-5:-1]
         out = causal_denoise_window(prefix, 25.3, 3.0, SWEEP_SOLVER)
         np.testing.assert_array_equal(out, expected)
         assert out.shape == (WINDOW,)
@@ -220,6 +222,26 @@ class TestPredict:
     def test_empty_history_rejected(self):
         with pytest.raises(ValueError):
             predict(HistorySet(np.zeros((0, 4)), np.zeros(0), ()), [1.0] * 4, d_c=1.0)
+
+    def test_rejects_goal_shape(self):
+        hs = family_history(10.0, np.arange(8.0))
+        for goal in ([1.0] * 3, np.zeros((2, 3)), np.zeros((1, 2, 4))):
+            with pytest.raises(ValueError, match="goal must be"):
+                predict(hs, goal, d_c=2.0)
+
+    @settings(max_examples=30, deadline=None)
+    @given(case=st.sampled_from(["tie-heavy", "axes", "family"]),
+           k=st.sampled_from([None, 1, 2]), data=st.data())
+    def test_stack_equals_goals_one_by_one(self, case, k, data):
+        history, pool = GOAL_POOLS[case]
+        picks = data.draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=6),
+                          label="goals")
+        goals = np.array([pool[i] for i in picks])
+        values = predict(history, goals, 1.0, k)
+        assert isinstance(values, np.ndarray) and values.shape == (len(goals),)
+        lone = [predict(history, goal, 1.0, k) for goal in goals]
+        assert all(type(v) is float for v in lone)
+        np.testing.assert_array_equal(values, lone)
 
 
 def axes_history():
@@ -480,8 +502,8 @@ class TestComparePipelines:
         per_day = [estimate_sigma(d.values, sigma_grid=grid, solver=solver, h=d.h)
                    for d in history]
         assert cp.sigma == float(np.mean([est.sigma_best for est in per_day]))
-        lone = [denoise_values(d.values, sweep_config(solver, cp.sigma), h=d.h).denoised
-                for d in history]
+        config = dataclasses.replace(solver, sigma=cp.sigma)
+        lone = [denoise_values(d.values, config, h=d.h).denoised for d in history]
         denoised_days = built[-1]
         assert len(denoised_days) == 3
         for got, want in zip(denoised_days, lone):

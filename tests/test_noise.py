@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,7 +19,7 @@ from tvroad.noise import (
     multires_variations,
 )
 from tvroad.series import VelocitySeries, total_variation
-from tvroad.solver import denoise_values, sweep_config
+from tvroad.solver import denoise_values
 from tvroad.synth import SyntheticSpec, generate
 
 
@@ -185,7 +187,7 @@ class TestCombined:
         est = estimate_sigma(v, h=1.0)
         cand = min(est.sigma1, est.sigma2)
         assert 0.0 < est.sigma_best < cand
-        res = denoise_values(v, sweep_config(SWEEP_SOLVER, est.sigma_best), h=1.0)
+        res = denoise_values(v, dataclasses.replace(SWEEP_SOLVER, sigma=est.sigma_best), h=1.0)
         assert total_variation(res.denoised) >= est.tv_lower
 
     def test_tv_lower_matches_range(self):

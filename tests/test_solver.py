@@ -14,7 +14,6 @@ from tvroad.solver import (
     compute_gradient,
     denoise_values,
     smoothed_total_variation,
-    sweep_config,
 )
 from tvroad.synth import two_regime_corpus
 
@@ -42,7 +41,7 @@ class TestLambdaAndGradient:
     def test_lambda_hand_value(self):
         # u0 = (0, 2, 0) keeps three one-sample segments with c = (1, -2, 1):
         # (1/2) lambda^2 (1 + 4 + 1) = sigma^2 = 1 gives lambda = 1/sqrt(3),
-        # which the first segment step takes
+        # before the first merge at lambda = 2/3, so the walk takes one step
         res = denoise_values([0.0, 2.0, 0.0], SolverConfig(sigma=1.0))
         lam = 1.0 / np.sqrt(3.0)
         assert res.iterations == 1
@@ -103,12 +102,6 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             DenoiseResult(np.zeros(3), 0.0, 2, np.zeros(1), 0.0, True)
 
-    def test_sweep_config_replaces_sigma_only(self):
-        template = SolverConfig(sigma=0.0, epsilon=0.1, max_iters=123)
-        out = sweep_config(template, 7.0)
-        assert out.sigma == 7.0
-        assert out.epsilon == 0.1 and out.max_iters == 123
-
 
 class TestDenoiseEdgeCases:
     def test_sigma_zero_is_identity(self):
@@ -159,9 +152,9 @@ class TestDenoiseStep:
         assert abs(jump - 19) <= 1
 
     def test_multipliers_nonnegative(self, solved):
-        # every prox weight lies in the bracket [0, lambda_max]
+        # the walk starts at lambda = 0 and never steps back
         _, _, res = solved
-        assert (res.lambda_trace >= 0.0).all()
+        assert res.lambda_trace[0] >= 0.0 and (np.diff(res.lambda_trace) >= 0.0).all()
 
     def test_trace_length_matches_iterations(self, solved):
         _, _, res = solved
@@ -214,9 +207,10 @@ def resolvable_sigma_max(values, h=1.0) -> float:
 
 
 def assert_kkt(values, res: DenoiseResult):
-    """The optimality certificate of the last prox, x = argmin (1/2)|x - y|^2
-    + lambda TV(x): z = cumsum(y - x) has |z_i| <= lambda, equals
-    -lambda sign(x_{i+1} - x_i) at every jump, and ends at sum(y - x) = 0."""
+    """The optimality certificate of the result as the proximal point at
+    its last weight, x = argmin (1/2)|x - y|^2 + lambda TV(x): z =
+    cumsum(y - x) has |z_i| <= lambda, equals -lambda sign(x_{i+1} - x_i)
+    at every jump, and ends at sum(y - x) = 0."""
     y, x, lam = np.asarray(values, dtype=float), res.denoised, res.lambda_trace[-1]
     z = np.cumsum(y - x)
     atol = 1e-9 * max(1.0, float(np.abs(y).max())) * y.size
@@ -286,15 +280,16 @@ class TestKernelMatchesReference:
     def test_default_grid_sweep(self, diurnal_days, day):
         values = diurnal_days[day]
         for sigma in DEFAULT_SIGMA_GRID[1:]:
-            res = denoise_values(values, sweep_config(SWEEP_SOLVER, sigma))
-            # the grid's ends used to run to the iteration cap on day 0
-            assert res.iterations < 20
+            res = denoise_values(values, dataclasses.replace(SWEEP_SOLVER, sigma=sigma))
+            # at most one merge per run of equal values, then lambda*
+            assert res.iterations <= len(values)
+            assert (np.diff(res.lambda_trace) >= 0.0).all()
             assert_solved(values, sigma, res, SWEEP_SOLVER)
 
     @pytest.mark.parametrize("cut", [7, 60, 200])
     def test_causal_prefix(self, diurnal_days, cut):
         prefix = np.concatenate([diurnal_days[1][:cut], [diurnal_days[1][cut - 1]]])
-        config = sweep_config(SWEEP_SOLVER, 10.0)
+        config = dataclasses.replace(SWEEP_SOLVER, sigma=10.0)
         assert_solved(prefix, 10.0, denoise_values(prefix, config), config)
 
     @pytest.mark.parametrize("values,sigma", [(STEP, 0.0), (np.full(10, 6.0), 2.0),
@@ -330,8 +325,8 @@ class TestExactSolve:
     @settings(max_examples=30, deadline=None)
     @given(series_values(n_min=8, n_max=80))
     def test_tv_non_increasing_over_default_grid(self, values):
-        tvs = np.array([denoise_values(values, sweep_config(SWEEP_SOLVER, sigma)).final_tv
-                        for sigma in DEFAULT_SIGMA_GRID])
+        configs = [dataclasses.replace(SWEEP_SOLVER, sigma=sigma) for sigma in DEFAULT_SIGMA_GRID]
+        tvs = np.array([denoise_values(values, config).final_tv for config in configs])
         assert (np.diff(tvs) <= 1e-9 * max(1.0, tvs[0])).all()
 
     @settings(max_examples=40, deadline=None)
@@ -354,6 +349,55 @@ class TestExactSolve:
         np.testing.assert_array_equal(res.denoised, np.full(len(values), np.mean(values)))
         below = denoise_values(values, SolverConfig(sigma=0.9 * smax))
         assert not below.saturated and below.converged
+
+
+class TestPathWalk:
+    """The walk lands on the budget up to rounding, stays on the solution
+    path when capped, and returns the constant mean where rounding merges
+    it down to one segment."""
+
+    @pytest.mark.parametrize("day", range(3))
+    def test_exact_on_default_grid(self, diurnal_days, day):
+        values = diurnal_days[day]
+        for sigma in DEFAULT_SIGMA_GRID:
+            res = denoise_values(values, SolverConfig(sigma=sigma))
+            assert res.constraint_residual <= 1e-9 * sigma ** 2
+
+    @settings(max_examples=60, deadline=None)
+    @given(series_values(), st.floats(min_value=0.01, max_value=0.99))
+    def test_exact_below_sigma_max(self, values, fraction):
+        sigma = fraction * resolvable_sigma_max(values)
+        res = denoise_values(values, SolverConfig(sigma=sigma))
+        assert res.constraint_residual <= 1e-9 * sigma ** 2
+
+    @settings(max_examples=60, deadline=None)
+    @given(series_values(), st.sampled_from([1e-15, 1e-12, 1e-9]))
+    def test_just_below_sigma_max(self, values, eps):
+        res = denoise_values(values, SolverConfig(sigma=resolvable_sigma_max(values) * (1 - eps)))
+        if res.saturated:
+            np.testing.assert_array_equal(res.denoised, np.full(len(values), np.mean(values)))
+            assert res.final_tv == 0.0
+        else:
+            assert res.converged
+            assert_kkt(values, res)
+
+    def test_one_segment_walk_is_saturated(self):
+        # a few ulps below sigma_max the walk merges all four samples
+        values = np.array([40.6, 39.41, 41.24, 35.18])
+        res = denoise_values(values, SolverConfig(sigma=sigma_max(values) * (1 - 2e-16)))
+        assert res.saturated and res.iterations == 3 and res.final_tv == 0.0
+        assert (np.diff(res.lambda_trace) >= 0.0).all()
+        np.testing.assert_array_equal(res.denoised, np.full(4, values.mean()))
+
+    @settings(max_examples=60, deadline=None)
+    @given(series_values(), st.floats(min_value=0.01, max_value=0.99), st.integers(1, 5))
+    def test_capped_walk_stays_on_the_path(self, values, fraction, max_iters):
+        sigma = fraction * resolvable_sigma_max(values)
+        res = denoise_values(values, SolverConfig(sigma=sigma, max_iters=max_iters))
+        assert 1 <= res.iterations <= max_iters
+        assert res.converged or res.iterations == max_iters
+        assert (np.diff(res.lambda_trace) >= 0.0).all()
+        assert_kkt(values, res)
 
 
 class TestSolveFailures:
