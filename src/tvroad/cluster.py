@@ -45,6 +45,18 @@ class DistanceMatrix:
         d.setflags(write=False)
         object.__setattr__(self, "d", d)
 
+    @classmethod
+    def _built(cls, d: np.ndarray) -> "DistanceMatrix":
+        """A float (n, n) matrix built by this module: square, symmetric,
+        zero on the diagonal and nonnegative by construction, so only its
+        finiteness is checked (a NaN propagates into the maximum)."""
+        if not np.isfinite(d.max()):
+            raise ValueError("non-finite distance")
+        d.setflags(write=False)
+        dm = object.__new__(cls)
+        object.__setattr__(dm, "d", d)
+        return dm
+
     @property
     def n(self) -> int:
         return self.d.shape[0]
@@ -78,31 +90,61 @@ def _row_blocks(n: int, row_bytes: int):
     return (slice(lo, lo + rows) for lo in range(0, n, rows))
 
 
+def _column_distances(rows: np.ndarray, columns: np.ndarray) -> np.ndarray:
+    """(g, m) l2 distances between the vectors of a (g, d) stack and the m
+    vectors held column-wise in a (d, m) array, for d below 8.
+
+    Squares are summed column by column, left to right; below width 8
+    that is the order in which numpy reduces a row, so each entry equals
+    ``sqrt(((x_i - x_j) ** 2).sum())`` bit for bit.  It takes two (g, m)
+    temporaries, one of which it returns.
+    """
+    total = np.subtract(rows[:, :1], columns[0])
+    np.square(total, out=total)
+    step = np.empty_like(total)
+    for col in range(1, rows.shape[1]):
+        np.subtract(rows[:, col, None], columns[col], out=step)
+        total += np.square(step, out=step)
+    return np.sqrt(total, out=total)
+
+
 def pairwise_distances(vectors) -> DistanceMatrix:
     """Symmetric l2 distance matrix between equal-length vectors.
 
     Rows lo..hi are built from column lo on and mirrored below the
     diagonal, which is exact since (a - b) ** 2 == (b - a) ** 2; each
     entry is the same ``sqrt(((x_i - x_j) ** 2).sum())`` reduction as a
-    one-shot (n, n, d) difference array would give.  A block takes as
-    many rows as keep its temporaries within ``_BLOCK_BYTES``, so blocks
-    lengthen as rows shorten; temporaries that shrank block by block
-    would be served from the malloc heap and stay resident (with glibc,
-    +6 MB peak RSS when clustering 180 profiles of 288 slices).
+    one-shot (n, n, d) difference array would give.  Vectors narrower
+    than 8 are summed column by column (:func:`_column_distances`), the
+    order in which numpy reduces such a row; from width 8 numpy sums a
+    row in another order, so wider vectors take the (rows, n - lo, d)
+    difference array and its reduction.  A block takes as many rows as
+    keep its temporaries within ``_BLOCK_BYTES``, so blocks lengthen as
+    rows shorten; temporaries that shrank block by block would be served
+    from the malloc heap and stay resident (with glibc, +6 MB peak RSS
+    when clustering 180 profiles of 288 slices).  The matrix is square,
+    symmetric, zero on the diagonal and nonnegative by construction;
+    only its finiteness is checked, so NaN input or squares that
+    overflow raise ValueError.
     """
     x = np.asarray(vectors, dtype=float)
     if x.ndim != 2 or x.shape[0] < 2:
         raise ValueError("need at least 2 equal-length vectors")
-    n = x.shape[0]
+    n, width = x.shape
+    narrow = width < 8
+    columns = np.ascontiguousarray(x.T)
     d = np.empty((n, n))
     lo = 0
     while lo < n:
-        hi = min(n, lo + max(1, _BLOCK_BYTES // (8 * (n - lo) * x.shape[1])))
-        diff = x[lo:hi, None, :] - x[None, lo:, :]
-        d[lo:hi, lo:] = np.sqrt((diff ** 2).sum(axis=-1))
+        hi = min(n, lo + max(1, _BLOCK_BYTES // (8 * (n - lo) * (2 if narrow else width))))
+        if narrow:
+            d[lo:hi, lo:] = _column_distances(x[lo:hi], columns[:, lo:])
+        else:
+            diff = x[lo:hi, None, :] - x[None, lo:, :]
+            d[lo:hi, lo:] = np.sqrt((diff ** 2).sum(axis=-1))
         d[lo:, lo:hi] = d[lo:hi, lo:].T
         lo = hi
-    return DistanceMatrix(d)
+    return DistanceMatrix._built(d)
 
 
 def local_density(d, d_c: float) -> np.ndarray:
@@ -398,7 +440,8 @@ def embed_2d(d):
 def _percentile_cutoff(d: np.ndarray, percentile: float) -> tuple[float, list]:
     """(d_c, flags): the percentile of the distances between distinct
     items, or 1.0 flagged FLAG_DEGENERATE_DC when that is not positive."""
-    d_c = float(np.percentile(d[np.triu(np.ones(d.shape, dtype=bool), 1)], percentile))
+    # the row tails d[i, i+1:] hold the upper triangle in row-major order
+    d_c = float(np.percentile(np.concatenate([row[i + 1:] for i, row in enumerate(d)]), percentile))
     if not d_c > 0:
         return 1.0, [FLAG_DEGENERATE_DC]
     return d_c, []

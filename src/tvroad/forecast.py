@@ -27,6 +27,7 @@ import numpy as np
 
 from .cluster import (
     SortedNeighbors,
+    _column_distances,
     _percentile_cutoff,
     _row_blocks,
     delta_neighbors,  # noqa: F401  (unused here; bench/tracing.py wraps this name)
@@ -248,12 +249,7 @@ class _GoalMatcher:
         fell_back = np.zeros(len(goals), dtype=bool)
         # a block holds about eight (g, m) arrays of 8-byte items at once
         for block in _row_blocks(len(goals), 8 * 8 * m):
-            # column by column: each row's 4 squares summed left to right,
-            # as numpy reduces a row shorter than 8
-            sq = (self.columns[0] - goals[block, 0, None]) ** 2
-            for col in range(1, WINDOW):
-                sq += (self.columns[col] - goals[block, col, None]) ** 2
-            d_goal = np.sqrt(sq, out=sq)
+            d_goal = _column_distances(goals[block], self.columns)
             w_goal = np.exp(-((d_goal / self.d_c) ** 2))
             rho = np.empty((len(d_goal), m + 1))
             np.add(self.rho_base, w_goal, out=rho[:, :m])

@@ -30,7 +30,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .series import VelocitySeries, pair_average, _as_float_vector
-from .solver import SolverConfig, denoise_values
+from .solver import SolverConfig, _sweep, denoise_values
 
 # Grid used by the balance sweep unless the caller says otherwise:
 # 0 and 1, then every 5 up to 50.
@@ -60,7 +60,10 @@ class SigmaEstimate:
 
     tv_curve holds (sigma, TV) pairs over the sweep grid; delta_curve
     holds (sigma_k^2, delta_k) pairs where delta_k is the increment of
-    TV * sigma^2 between consecutive grid points.
+    TV * sigma^2 between consecutive grid points.  grid_converged holds
+    the ``converged`` flag of each grid point's solve: False where the
+    walk hit max_iters, or where sigma is beyond sigma_max and the
+    constant mean falls short of the budget.
     """
 
     sigma1: float
@@ -70,6 +73,7 @@ class SigmaEstimate:
     delta_curve: tuple[tuple[float, float], ...]
     tv_lower: float
     flags: tuple[str, ...] = ()
+    grid_converged: tuple[bool, ...] = ()
 
 
 def _values_and_h(series, h):
@@ -174,25 +178,28 @@ def _first_local_minimum(grid: np.ndarray, deltas: np.ndarray) -> float:
 
 
 def _balance(v: np.ndarray, h: float, sigma_grid, solver: SolverConfig):
-    """(grid, TVs, increments of TV * sigma^2, sigma2) of one grid sweep.
+    """(grid, solves, increments of TV * sigma^2, sigma2) of one grid sweep.
 
-    sigma2 is the first local minimum of the increments, or None for
-    constant input (an all-zero TV curve), which has no noise to balance.
+    The grid points below sigma_max are solved in one path walk, each as
+    a solve at that sigma alone would give; the sigma = 0 solve returns
+    the input.  sigma2 is the first local minimum of the increments, or
+    None for constant input (an all-zero TV curve), which has no noise
+    to balance.
     """
     grid = _validate_grid(sigma_grid)
-    # one solve per grid point; the sigma = 0 solve returns the input
-    tvs = [denoise_values(v, replace(solver, sigma=float(s)), h=h).final_tv for s in grid]
-    deltas = np.diff(np.asarray(tvs) * grid ** 2)
-    if all(t == 0.0 for t in tvs):
-        return grid, tvs, deltas, None
-    return grid, tvs, deltas, _first_local_minimum(grid, deltas)
+    solves = _sweep(v, [replace(solver, sigma=float(s)) for s in grid], h=h)
+    tvs = np.array([r.final_tv for r in solves])
+    deltas = np.diff(tvs * grid ** 2)
+    if not tvs.any():
+        return grid, solves, deltas, None
+    return grid, solves, deltas, _first_local_minimum(grid, deltas)
 
 
 def estimate_sigma_balance(series, sigma_grid, solver: SolverConfig, h: float | None = None) -> float:
     """Method 2: first local minimum of the TV * sigma^2 increments.
 
-    Solves once per grid point.  Constant input
-    (an all-zero TV curve) has no noise to balance and returns 0.
+    Solves the grid points below sigma_max in one path walk.  Constant
+    input (an all-zero TV curve) has no noise to balance and returns 0.
     """
     v, h = _values_and_h(series, h)
     sigma2 = _balance(v, h, sigma_grid, solver)[3]
@@ -262,13 +269,13 @@ def estimate_sigma(
     """Run both methods and the combination on one series.
 
     The grid sweep is shared between Method 2 and the combination rule:
-    one solve per grid point, and the bisection adds single solves where
-    it needs them.
+    one path walk solves the grid points below sigma_max, and the
+    bisection adds single solves where it needs them.
     """
     v, h = _values_and_h(series, h)
     sigma1 = estimate_sigma_multires(v, h)
-    grid, tvs, deltas, sigma2 = _balance(v, h, sigma_grid, solver)
-    tv_curve = tuple((float(s), float(t)) for s, t in zip(grid, tvs))
+    grid, solves, deltas, sigma2 = _balance(v, h, sigma_grid, solver)
+    tv_curve = tuple((float(s), float(r.final_tv)) for s, r in zip(grid, solves))
     delta_curve = tuple(
         (float(s * s), float(d)) for s, d in zip(grid[1:], deltas)
     )
@@ -291,4 +298,5 @@ def estimate_sigma(
         delta_curve=delta_curve,
         tv_lower=float(tv_lower),
         flags=tuple(flags),
+        grid_converged=tuple(r.converged for r in solves),
     )

@@ -47,9 +47,12 @@ allows, with sigma a few ulps below sigma_max.  A non-finite
 sigma_max^2 (squares of the input's spread that overflow) or solution
 raises FloatingPointError.
 
-Every call solves one series at one sigma; a grid sweep is one
-:func:`denoise_values` call per grid point, each with its config from
-``dataclasses.replace(config, sigma=s)``.
+:func:`denoise_values` solves one series at one sigma.  A grid sweep
+(the noise module's balance sweep) solves one series at an increasing
+list of sigmas, each config from ``dataclasses.replace(config,
+sigma=s)``, in one walk: the walk passes every budget below sigma_max
+in order, and the result at each is the one a solve at that sigma alone
+gives, bit for bit.
 
 ``epsilon`` does not enter the solve.  It is the smoothing of
 :func:`smoothed_total_variation`, which replaces each |d| by
@@ -158,9 +161,16 @@ def compute_gradient(u_n, u0, lam: float, h: float, epsilon: float) -> np.ndarra
     return -((np.diff(r) / h) - lam * (u - v0))
 
 
-def _walk(u0: np.ndarray, budget: float, max_iters: int):
-    """(x, trace) of the path walk to sum (x - u0)^2 = budget; x is None
-    when the walk merged down to one segment.
+def _walk(u0: np.ndarray, budgets, max_iters: int) -> list:
+    """[(x, trace), ...] of the path walk to sum (x - u0)^2 = budget, one
+    pair per budget of a non-decreasing list; x is None when the walk
+    merged down to one segment.
+
+    One walk passes every budget in order, and each pair is what a walk
+    to that budget alone gives: the same merges lead up to it, its trace
+    counts towards ``max_iters`` on its own, and its last step leaves
+    the running a, b and lambda untouched for the next budget.  A walk
+    that merged down to one segment has passed every later budget too.
 
     Segment k keeps its size, sum, mean, rate c and the sign of the jump
     at its right end (0 for the last); it keeps its index k as it
@@ -188,21 +198,38 @@ def _walk(u0: np.ndarray, budget: float, max_iters: int):
     mean, total = u0[starts].tolist(), (u0[starts] * size).tolist()
     size, sign, rate = size.tolist(), sign.tolist(), rate.tolist()
     prev, nxt, ver = list(range(-1, last)), list(range(1, last + 2)), [0] * (last + 1)
-    lam, trace = 0.0, []
+    lam, trace, out = 0.0, [], []
 
     def push(k, j):  # neighbours k and j = nxt[k]
         closes = rate[j] - rate[k]
         if sign[k] * closes < 0.0:
             heapq.heappush(heap, (max(lam, (mean[k] - mean[j]) / closes), k, ver[k], ver[j]))
 
-    while heap:
+    def land(budget):  # (x, trace) at budget: the last step, from the last merge
+        live, k = [], 0
+        while k <= last:
+            live.append(k)
+            k = nxt[k]
+        if len(trace) == max_iters:
+            end, steps = lam, trace[:]
+        else:
+            b_end = math.fsum(size[k] * rate[k] * rate[k] for k in live)
+            end = max(lam, math.sqrt(max(budget - a, 0.0) / b_end))
+            steps = trace + [end]
+        return np.repeat([mean[k] + end * rate[k] for k in live], [size[k] for k in live]), steps
+
+    pending = iter(budgets)
+    budget = next(pending, None)
+    while heap and budget is not None:
         t, k, vk, vj = heap[0]
         if ver[k] != vk or ver[nxt[k]] != vj:
             heapq.heappop(heap)
             continue
         if t > lam:  # a step to a new weight
             if a + b * t * t >= budget or len(trace) == max_iters:
-                break
+                out.append(land(budget))
+                budget = next(pending, None)
+                continue
             lam = t
             trace.append(t)
         heapq.heappop(heap)
@@ -223,19 +250,10 @@ def _walk(u0: np.ndarray, budget: float, max_iters: int):
             prev[i] = k
             push(k, i)
         elif not k:  # one segment left
-            return None, trace
+            return out + [(None, trace[:])] * (len(budgets) - len(out))
         if k:
             push(prev[k], k)
-
-    live, k = [], 0
-    while k <= last:
-        live.append(k)
-        k = nxt[k]
-    if len(trace) < max_iters:
-        b = math.fsum(size[k] * rate[k] * rate[k] for k in live)
-        lam = max(lam, math.sqrt(max(budget - a, 0.0) / b))
-        trace.append(lam)
-    return np.repeat([mean[k] + lam * rate[k] for k in live], [size[k] for k in live]), trace
+    return out + [land(budget) for budget in budgets[len(out):]]
 
 
 def _result(u, u0, sigma, h, trace, config, saturated=False) -> DenoiseResult:
@@ -247,32 +265,49 @@ def _result(u, u0, sigma, h, trace, config, saturated=False) -> DenoiseResult:
                          residual <= config.rel_tol * sigma * sigma, saturated=saturated)
 
 
-def _solve(u0: np.ndarray, config: SolverConfig, h: float) -> DenoiseResult:
-    sigma = config.sigma
-    if sigma == 0.0:
-        return DenoiseResult(u0.copy(), total_variation(u0), 0, (), 0.0, True)
+def _solve(u0: np.ndarray, configs, h: float) -> list:
+    """One DenoiseResult per config; the configs differ only in sigma,
+    which does not decrease along them."""
+    results = []
+    for config in configs:
+        if config.sigma != 0.0:
+            break
+        results.append(DenoiseResult(u0.copy(), total_variation(u0), 0, (), 0.0, True))
+    rest = configs[len(results):]
+    if not rest:
+        return results
     dev = u0 - u0.mean()
     spread = 0.5 * h * float(np.sum(dev * dev))  # sigma_max^2
     if not math.isfinite(spread):
         raise FloatingPointError(f"non-finite fidelity: sigma_max^2 of the input is {spread}")
     if (u0 == u0[0]).all():  # flat, though its mean may round off u0
-        return _result(u0.copy(), u0, sigma, h, [], config, saturated=True)
-    if sigma * sigma >= spread:
-        return _result(np.full(u0.size, u0.mean()), u0, sigma, h, [], config, saturated=True)
-    x, trace = _walk(u0, 2.0 * sigma * sigma / h, config.max_iters)
-    if x is None:  # sigma is within rounding of sigma_max
-        return _result(np.full(u0.size, u0.mean()), u0, sigma, h, trace, config, saturated=True)
-    return _result(x, u0, sigma, h, trace, config)
+        return results + [_result(u0.copy(), u0, c.sigma, h, [], c, saturated=True) for c in rest]
+    walked = [c for c in rest if c.sigma * c.sigma < spread]
+    if walked:
+        walks = _walk(u0, [2.0 * c.sigma * c.sigma / h for c in walked], rest[0].max_iters)
+        for config, (x, trace) in zip(walked, walks):
+            saturated = x is None  # sigma is within rounding of sigma_max
+            x = np.full(u0.size, u0.mean()) if saturated else x
+            results.append(_result(x, u0, config.sigma, h, trace, config, saturated))
+    return results + [_result(np.full(u0.size, u0.mean()), u0, c.sigma, h, [], c, saturated=True)
+                      for c in rest[len(walked):]]
 
 
-def denoise_values(values, config: SolverConfig, h: float = 1.0) -> DenoiseResult:
-    """Array entry point of the solver; see :func:`denoise`."""
+def _sweep(values, configs, h: float = 1.0) -> list:
+    """What :func:`denoise_values` gives at each of ``configs``, which
+    differ only in sigma, listed in non-decreasing order; the sigmas below
+    sigma_max share one path walk."""
     u0 = _as_float_vector(values, "values")
     if u0.size < 2:
         raise ValueError("need at least two samples")
     # Overflow shows as a non-finite fidelity or iterate, which raises.
     with np.errstate(over="ignore", invalid="ignore"):
-        return _solve(u0, config, h)
+        return _solve(u0, configs, h)
+
+
+def denoise_values(values, config: SolverConfig, h: float = 1.0) -> DenoiseResult:
+    """Array entry point of the solver; see :func:`denoise`."""
+    return _sweep(values, [config], h)[0]
 
 
 def denoise(series: VelocitySeries, config: SolverConfig) -> DenoiseResult:

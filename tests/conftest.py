@@ -34,15 +34,18 @@ def write_records(tmp_path):
 @pytest.fixture
 def poison_rows(monkeypatch):
     """Make the solver fail on every series that starts at a given value:
-    its path walk returns a non-finite solution, which the solve reports
-    as FloatingPointError.  Other series are solved as before."""
+    its path walk returns a non-finite solution at every budget, which
+    the solve reports as FloatingPointError.  Other series are solved as
+    before."""
 
     def _poison(first_value):
         real = solver._walk
 
-        def poisoned(u0, budget, max_iters):
-            x, trace = real(u0, budget, max_iters)
-            return (np.full(u0.size, np.nan) if u0[0] == first_value else x), trace
+        def poisoned(u0, budgets, max_iters):
+            walks = real(u0, budgets, max_iters)
+            if u0[0] != first_value:
+                return walks
+            return [(np.full(u0.size, np.nan), trace) for _, trace in walks]
 
         monkeypatch.setattr(solver, "_walk", poisoned)
 

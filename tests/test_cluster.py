@@ -94,16 +94,27 @@ class TestDistances:
         assert dm.n == 3
 
     def test_matrix_validation(self):
-        with pytest.raises(ValueError):
-            DistanceMatrix(np.ones((2, 3)))
-        with pytest.raises(ValueError):
-            DistanceMatrix(np.array([[0.0, 1.0], [2.0, 0.0]]))
-        with pytest.raises(ValueError):
-            DistanceMatrix(np.array([[0.0, -1.0], [-1.0, 0.0]]))
-        with pytest.raises(ValueError):
-            DistanceMatrix(np.array([[1.0, 1.0], [1.0, 1.0]]))
-        with pytest.raises(ValueError):
-            DistanceMatrix(np.array([[0.0, np.nan], [np.nan, 0.0]]))
+        # a caller's matrix keeps every check, also a copy of a built one
+        built = pairwise_distances(three_blobs(n_per=3)).d.copy()
+        built[1, 4] += 1e-12
+        for d, message in [(np.ones((2, 3)), "square"), (built, "symmetric"),
+                           (np.array([[0.0, 1.0], [2.0, 0.0]]), "symmetric"),
+                           (np.array([[0.0, -1.0], [-1.0, 0.0]]), "negative"),
+                           (np.array([[1.0, 1.0], [1.0, 1.0]]), "diagonal"),
+                           (np.array([[0.0, np.nan], [np.nan, 0.0]]), "non-finite"),
+                           (np.array([[0.0, np.inf], [np.inf, 0.0]]), "non-finite")]:
+            with pytest.raises(ValueError, match=message):
+                DistanceMatrix(d)
+
+    @pytest.mark.parametrize("dim", [4, 288])
+    def test_non_finite_distances_raise(self, dim):
+        x = np.random.default_rng(0).normal(30.0, 8.0, (6, dim))
+        x[3, 1] = np.nan
+        with pytest.raises(ValueError, match="non-finite distance"):
+            pairwise_distances(x)
+        x[3, 1] = 1e200  # its squared differences overflow to inf
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="non-finite distance"):
+            pairwise_distances(x)
 
     def test_matrix_read_only(self):
         dm = pairwise_distances(LINE)
@@ -113,7 +124,8 @@ class TestDistances:
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
     def test_row_blocks_equal_one_shot_formula(self, data):
-        dim = data.draw(st.sampled_from([1, 4, 288]), label="dim")
+        # widths below 8 are summed column by column, wider ones reduced
+        dim = data.draw(st.sampled_from([1, 2, 3, 4, 7, 8, 288]), label="dim")
         # the one-shot reference holds two (n, n, dim) arrays
         n = data.draw(st.integers(2, 150 if dim == 288 else 400), label="n")
         seed = data.draw(st.integers(0, 2**32 - 1), label="seed")

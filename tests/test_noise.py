@@ -210,6 +210,16 @@ class TestCombined:
         out = combine_estimates(est.sigma1, est.sigma2, v, est.tv_curve, h=1.0)
         assert out == est.sigma_best
 
+    @pytest.mark.parametrize("max_iters", [5000, 3])
+    def test_grid_converged_reads_each_solve(self, max_iters):
+        v = square_wave()
+        solver = dataclasses.replace(SWEEP_SOLVER, max_iters=max_iters)
+        est = estimate_sigma(v, solver=solver, h=1.0)
+        lone = [denoise_values(v, dataclasses.replace(solver, sigma=s), h=1.0).converged
+                for s in DEFAULT_SIGMA_GRID]
+        assert est.grid_converged == tuple(lone)
+        assert all(est.grid_converged) == (max_iters == 5000)
+
     def test_failed_grid_solve_raises(self, poison_rows):
         v = square_wave()
         poison_rows(v[0])

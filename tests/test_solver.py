@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from tvroad import solver
 from tvroad.noise import DEFAULT_SIGMA_GRID, SWEEP_SOLVER
 from tvroad.series import total_variation
 from tvroad.solver import (
@@ -398,6 +399,57 @@ class TestPathWalk:
         assert res.converged or res.iterations == max_iters
         assert (np.diff(res.lambda_trace) >= 0.0).all()
         assert_kkt(values, res)
+
+
+def run_series():
+    """Strategy for a series of 2..40 samples made of runs of 1..5 equal
+    values from a few levels, so runs repeat and some series are flat."""
+    runs = st.lists(st.tuples(st.sampled_from([0.0, 7.5, 12.25, 30.0, 59.0]), st.integers(1, 5)),
+                    min_size=1, max_size=12)
+    return runs.map(lambda rs: np.repeat([v for v, _ in rs], [k for _, k in rs])).filter(
+        lambda v: v.size >= 2)
+
+
+class TestSweep:
+    """A sweep solves one series at a list of sigmas in one walk; each
+    result is the lone solve at that sigma, bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(run_series(), series_values()),
+           st.lists(st.one_of(st.just(0.0), st.floats(min_value=1e-6, max_value=1.5),
+                              st.sampled_from([1.0, 1 - 1e-15, 1 - 1e-12, 1 - 1e-9])),
+                    min_size=1, max_size=12),
+           st.sampled_from([1, 2, 3, 4, 5, 40, 5000]), st.sampled_from([1.0, 2.5]))
+    def test_equals_lone_solves(self, values, fractions, max_iters, h):
+        # grid points as fractions of sigma_max, some at or beyond it
+        smax = sigma_max(values, h)
+        scale = smax if smax > 1e-100 else 1.0  # flat series: any sigma saturates
+        configs = [SolverConfig(sigma=f * scale, max_iters=max_iters) for f in sorted(fractions)]
+        swept = solver._sweep(values, configs, h)
+        assert len(swept) == len(configs)
+        for config, res in zip(configs, swept):
+            assert_bit_identical(res, denoise_values(values, config, h))
+
+    def test_collapse_saturates_every_later_walked_sigma(self):
+        # one and two ulps below sigma_max the walk merges all four samples
+        values = np.array([40.6, 39.41, 41.24, 35.18])
+        smax = sigma_max(values)
+        below = np.nextafter(smax, 0.0)
+        sigmas = [0.5 * smax, float(np.nextafter(below, 0.0)), float(below), smax]
+        configs = [SolverConfig(sigma=s) for s in sigmas]
+        swept = solver._sweep(values, configs)
+        assert [(r.saturated, r.iterations) for r in swept] == [(False, 3), (True, 3), (True, 3),
+                                                                (True, 0)]
+        for config, res in zip(configs, swept):
+            assert_bit_identical(res, denoise_values(values, config))
+
+    @pytest.mark.parametrize("max_iters", [5000, 150, 40])
+    @pytest.mark.parametrize("day", range(3))
+    def test_default_grid_equals_lone_solves(self, diurnal_days, day, max_iters):
+        values = diurnal_days[day]
+        configs = [SolverConfig(sigma=s, max_iters=max_iters) for s in DEFAULT_SIGMA_GRID]
+        for config, res in zip(configs, solver._sweep(values, configs)):
+            assert_bit_identical(res, denoise_values(values, config))
 
 
 class TestSolveFailures:
