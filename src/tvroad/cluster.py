@@ -119,10 +119,13 @@ def pairwise_distances(vectors) -> DistanceMatrix:
     order in which numpy reduces such a row; from width 8 numpy sums a
     row in another order, so wider vectors take the (rows, n - lo, d)
     difference array and its reduction.  A block takes as many rows as
-    keep its temporaries within ``_BLOCK_BYTES``, so blocks lengthen as
-    rows shorten; temporaries that shrank block by block would be served
-    from the malloc heap and stay resident (with glibc, +6 MB peak RSS
-    when clustering 180 profiles of 288 slices).  The matrix is square,
+    keep its temporaries within ``_BLOCK_BYTES``, or within a quarter of
+    it for narrow vectors, whose few flops per byte make the pass wait
+    on memory unless a block stays in cache (1974 windows of 4 slices:
+    38 -> 30 ms a build).  Blocks lengthen as rows shorten; temporaries
+    that shrank block by block would be served from the malloc heap and
+    stay resident (with glibc, +6 MB peak RSS when clustering 180
+    profiles of 288 slices).  The matrix is square,
     symmetric, zero on the diagonal and nonnegative by construction;
     only its finiteness is checked, so NaN input or squares that
     overflow raise ValueError.
@@ -132,11 +135,13 @@ def pairwise_distances(vectors) -> DistanceMatrix:
         raise ValueError("need at least 2 equal-length vectors")
     n, width = x.shape
     narrow = width < 8
+    # bytes of temporaries per block and per entry of a block's rows
+    block_bytes, entry_bytes = (_BLOCK_BYTES // 4, 16) if narrow else (_BLOCK_BYTES, 8 * width)
     columns = np.ascontiguousarray(x.T)
     d = np.empty((n, n))
     lo = 0
     while lo < n:
-        hi = min(n, lo + max(1, _BLOCK_BYTES // (8 * (n - lo) * (2 if narrow else width))))
+        hi = min(n, lo + max(1, block_bytes // (entry_bytes * (n - lo))))
         if narrow:
             d[lo:hi, lo:] = _column_distances(x[lo:hi], columns[:, lo:])
         else:

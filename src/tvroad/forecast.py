@@ -16,7 +16,10 @@ Denoising the target day causally needs one future boundary value, so a
 small least-squares model trained on 5-minute-ahead labels supplies the
 velocity for the next slice; the denoiser then runs on the observed
 prefix plus that boundary and only the last four denoised slices are
-kept.  No slice beyond the boundary is ever read.
+kept.  No slice beyond the boundary is ever read.  A day's 282 prefixes
+are denoised as one stack before the matchers are built: the prefixes
+walk the TV solution path in lockstep, one merge per prefix per numpy
+step, and each window is that of its prefix solved alone.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from .cluster import (
 )
 from .noise import DEFAULT_SIGMA_GRID, SWEEP_SOLVER, estimate_sigma
 from .series import DEFAULT_SLICES, VelocitySeries
-from .solver import SolverConfig, denoise_values
+from .solver import SolverConfig, _denoise_stack, denoise_values
 
 WINDOW = 4
 LABEL_OFFSET = 6  # slices from window start to the 15-minute label
@@ -138,19 +141,31 @@ def fit_boundary(history: HistorySet) -> BoundaryModel:
 
 
 def causal_denoise_window(
-    day_so_far, boundary: float, sigma: float, solver: SolverConfig, h: float = 1.0
+    day_so_far, boundary, sigma, solver: SolverConfig, h: float = 1.0
 ) -> np.ndarray:
     """Denoised last-4-slices window using only the past and one boundary.
 
-    Appends the boundary as slice K+1, denoises slices 1..K+1, and
-    returns the denoised slices K-3..K.
+    Appends the boundary as slice K+1, denoises slices 1..K+1 at sigma,
+    and returns the denoised slices K-3..K.  A 1-D prefix with a scalar
+    boundary and sigma gives a (4,) window; a sequence of G prefixes with
+    (G,) boundaries and sigmas gives a (G, 4) stack, each row that of its
+    prefix alone.  Both forms take one stacked solve, in which the
+    prefixes that need a walk share one lockstep path walk.
     """
-    prefix = np.asarray(day_so_far, dtype=float)
-    if prefix.size < WINDOW:
-        raise ValueError(f"need at least {WINDOW} past slices")
-    series = np.concatenate([prefix, [float(boundary)]])
-    res = denoise_values(series, replace(solver, sigma=sigma), h=h)
-    return res.denoised[-(WINDOW + 1) : -1]
+    one = np.ndim(boundary) == 0
+    prefixes = [day_so_far] if one else list(day_so_far)
+    boundaries, sigmas = np.atleast_1d(boundary), np.atleast_1d(sigma)
+    if not (len(prefixes) == boundaries.shape[0] == sigmas.shape[0]):
+        raise ValueError("need one boundary and one sigma per prefix")
+    series = []
+    for prefix, value in zip(prefixes, boundaries):
+        prefix = np.asarray(prefix, dtype=float)
+        if prefix.size < WINDOW:
+            raise ValueError(f"need at least {WINDOW} past slices")
+        series.append(np.concatenate([prefix, [float(value)]]))
+    solves = _denoise_stack(series, [replace(solver, sigma=s) for s in sigmas], h)
+    windows = np.array([res.denoised[-(WINDOW + 1) : -1] for res in solves])
+    return windows[0] if one else windows
 
 
 def _weighted_label(weights: np.ndarray, labels: np.ndarray) -> float:
@@ -329,6 +344,22 @@ def compare_pipelines(
 
     model = fit_boundary(build_history(days, label_offset=BOUNDARY_OFFSET))
 
+    # both goal stacks before the matchers: the denoised goals read only
+    # the target and the boundary model, never a prediction, and their
+    # solve's arrays are gone before the distance matrices are built
+    n_goals = DEFAULT_SLICES - LABEL_OFFSET
+    tv = target.values
+    goals = {"raw": np.lib.stride_tricks.sliding_window_view(tv, WINDOW)[:n_goals]}
+    if include_denoised:
+        seen = np.arange(WINDOW, WINDOW + n_goals)  # slices observed at each goal
+        goals["denoised"] = causal_denoise_window(
+            [tv[:n] for n in seen],
+            [model.predict_next(window) for window in goals["raw"]],
+            sigma * np.sqrt((seen + 1) / DEFAULT_SLICES),  # observed fraction
+            solver,
+            h=h,
+        )
+
     base = pairwise_distances(hist_raw.windows).d
     d_c, flags = _percentile_cutoff(base, dc_percentile)
 
@@ -339,23 +370,6 @@ def compare_pipelines(
         config = replace(solver, sigma=sigma)
         hist_den = build_history([denoise_values(d.values, config, h=d.h).denoised for d in days])
         variants["denoised"] = _GoalMatcher(hist_den.windows, hist_den.labels, d_c, k)
-
-    # both goal stacks first: the denoised goals read only the target
-    # and the boundary model, never a prediction
-    n_goals = DEFAULT_SLICES - LABEL_OFFSET
-    tv = target.values
-    goals = {"raw": np.lib.stride_tricks.sliding_window_view(tv, WINDOW)[:n_goals]}
-    if "denoised" in variants:
-        goals["denoised"] = np.array([
-            causal_denoise_window(
-                tv[: s0 + WINDOW],
-                model.predict_next(goals["raw"][s0]),
-                sigma * np.sqrt((s0 + WINDOW + 1) / DEFAULT_SLICES),  # observed fraction
-                solver,
-                h=h,
-            )
-            for s0 in range(n_goals)
-        ])
     preds, fallbacks = {}, {}
     for tag, matcher in variants.items():
         preds[tag], fell_back = matcher.predict(goals[tag])

@@ -34,19 +34,24 @@ def write_records(tmp_path):
 @pytest.fixture
 def poison_rows(monkeypatch):
     """Make the solver fail on every series that starts at a given value:
-    its path walk returns a non-finite solution at every budget, which
-    the solve reports as FloatingPointError.  Other series are solved as
-    before."""
+    its path walk, alone or in a lockstep stack, returns a non-finite
+    solution at every budget, which the solve reports as
+    FloatingPointError.  Other series are solved as before."""
 
     def _poison(first_value):
-        real = solver._walk
+        walk, walk_stack = solver._walk, solver._walk_stack
 
         def poisoned(u0, budgets, max_iters):
-            walks = real(u0, budgets, max_iters)
+            walks = walk(u0, budgets, max_iters)
             if u0[0] != first_value:
                 return walks
             return [(np.full(u0.size, np.nan), trace) for _, trace in walks]
 
+        def poisoned_stack(series, budgets, max_iters):
+            return [(np.full(u0.size, np.nan), trace) if u0[0] == first_value else (x, trace)
+                    for u0, (x, trace) in zip(series, walk_stack(series, budgets, max_iters))]
+
         monkeypatch.setattr(solver, "_walk", poisoned)
+        monkeypatch.setattr(solver, "_walk_stack", poisoned_stack)
 
     return _poison

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import warnings
 from unittest import mock
@@ -23,6 +24,9 @@ from tvroad.cluster import (
     pairwise_distances,
     select_centers,
 )
+from tvroad.noise import SWEEP_SOLVER, estimate_sigma
+from tvroad.solver import denoise_values
+from tvroad.synth import two_regime_corpus
 
 # the package's ``cluster`` attribute is the function, not the module
 cluster_module = importlib.import_module("tvroad.cluster")
@@ -530,3 +534,42 @@ class TestClusterPipeline:
         res = cluster(np.array([[0.0], [5.0]]))
         assert FLAG_NO_EMBEDDING in res.flags
         np.testing.assert_array_equal(res.embedding, np.zeros((2, 2)))
+
+
+def adjusted_rand_index(truth, labels) -> float:
+    """The Rand index of two labelings corrected for chance (Hubert and
+    Arabie 1985): 1 for identical partitions, about 0 for random ones."""
+    _, a = np.unique(truth, return_inverse=True)
+    _, b = np.unique(labels, return_inverse=True)
+    table = np.zeros((a.max() + 1, b.max() + 1))
+    np.add.at(table, (a, b), 1.0)
+
+    def pairs(counts):
+        return float((counts * (counts - 1) / 2).sum())
+
+    index, rows, cols = pairs(table), pairs(table.sum(axis=1)), pairs(table.sum(axis=0))
+    expected = rows * cols / pairs(np.array([a.size]))
+    return (index - expected) / ((rows + cols) / 2 - expected)
+
+
+class TestDenoisingClaim:
+    """The paper's claim that denoised road-days cluster much better than
+    raw ones, scored against road identity at k = number of roads."""
+
+    def test_adjusted_rand_index(self):
+        assert adjusted_rand_index([0, 0, 1, 1], [5, 5, 3, 3]) == 1.0
+        # 2 of 6 pairs agree against 2 * 2 / 6 expected by chance
+        assert adjusted_rand_index([0, 0, 1, 1], [0, 1, 0, 1]) == pytest.approx(-0.5)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_denoised_profiles_match_roads_better_than_raw(self, seed):
+        days = [noisy for road in two_regime_corpus(6, 10, seed) for _, noisy in road]
+        roads = [day.road_id for day in days]
+        denoised = []
+        for day in days:
+            sigma = estimate_sigma(day.values, h=day.h).sigma_best
+            config = dataclasses.replace(SWEEP_SOLVER, sigma=sigma)
+            denoised.append(denoise_values(day.values, config, h=day.h).denoised)
+        raw = adjusted_rand_index(roads, cluster([day.values for day in days], k=6).assignment)
+        smooth = adjusted_rand_index(roads, cluster(denoised, k=6).assignment)
+        assert smooth > raw

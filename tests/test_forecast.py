@@ -156,6 +156,20 @@ class TestBoundaryModel:
             fit_boundary(family_history(10.0, np.zeros(5), n=5))
 
 
+def causal_prefix():
+    """Strategy for a prefix of 4..30 slices: noisy, in runs of a few
+    levels, flat, or all zero."""
+    sizes = st.integers(WINDOW, 30)
+    return st.one_of(
+        sizes.flatmap(lambda n: st.lists(st.floats(0.0, 60.0), min_size=n, max_size=n)),
+        st.lists(st.tuples(st.sampled_from([0.0, 7.5, 30.0]), st.integers(1, 6)),
+                 min_size=1, max_size=6).map(lambda rs: [v for v, k in rs for _ in range(k)])
+                                          .filter(lambda v: len(v) >= WINDOW),
+        st.tuples(st.floats(0.0, 60.0), sizes).map(lambda t: [t[0]] * t[1]),
+        sizes.map(lambda n: [0.0] * n),
+    ).map(lambda v: np.asarray(v, dtype=float))
+
+
 class TestCausalWindow:
     def test_matches_manual_assembly(self):
         rng = np.random.default_rng(3)
@@ -170,6 +184,42 @@ class TestCausalWindow:
     def test_needs_full_window(self):
         with pytest.raises(ValueError):
             causal_denoise_window([1.0, 2.0, 3.0], 4.0, 1.0, SWEEP_SOLVER)
+        with pytest.raises(ValueError, match="need at least 4 past slices"):
+            causal_denoise_window([RAMP[:9], RAMP[:3]], [4.0, 4.0], [1.0, 1.0], SWEEP_SOLVER)
+
+    def test_needs_one_boundary_and_sigma_per_prefix(self):
+        with pytest.raises(ValueError, match="one boundary and one sigma per prefix"):
+            causal_denoise_window([RAMP[:9], RAMP[:7]], [4.0], [1.0, 1.0], SWEEP_SOLVER)
+        with pytest.raises(ValueError, match="one boundary and one sigma per prefix"):
+            causal_denoise_window([RAMP[:9], RAMP[:7]], [4.0, 5.0], [1.0], SWEEP_SOLVER)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(causal_prefix(), st.one_of(st.none(), st.floats(0.0, 60.0)),
+                              st.one_of(st.just(0.0), st.floats(0.01, 30.0), st.just(1e6))),
+                    min_size=1, max_size=8),
+           st.sampled_from([1.0, 2.5]), st.sampled_from([3, 5000]))
+    def test_stack_equals_goals_one_by_one(self, goals, h, max_iters):
+        # a boundary of None repeats the prefix's last slice, so a flat
+        # prefix stays flat; sigma 1e6 is beyond every sigma_max
+        goals = [(p, p[-1] if b is None else b, s) for p, b, s in goals]
+        solver = dataclasses.replace(SWEEP_SOLVER, max_iters=max_iters)
+        prefixes, boundaries, sigmas = zip(*goals)
+        stacked = causal_denoise_window(list(prefixes), np.array(boundaries), np.array(sigmas),
+                                        solver, h=h)
+        assert stacked.shape == (len(goals), WINDOW)
+        for row, (prefix, boundary, sigma) in zip(stacked, goals):
+            one = causal_denoise_window(prefix, boundary, sigma, solver, h=h)
+            config = dataclasses.replace(solver, sigma=sigma)
+            lone = denoise_values(np.append(prefix, boundary), config, h=h).denoised[-5:-1]
+            assert row.tobytes() == one.tobytes() == lone.tobytes()
+
+    def test_poisoned_goal_fails_the_stack(self, poison_rows):
+        rng = np.random.default_rng(4)
+        prefixes = [rng.normal(30.0, 5.0, n) for n in (6, 20, 50)]
+        prefixes[1][0] = 77.125
+        poison_rows(77.125)
+        with pytest.raises(FloatingPointError, match="non-finite iterate"):
+            causal_denoise_window(prefixes, [30.0] * 3, [3.0] * 3, SWEEP_SOLVER)
 
 
 class TestMetrics:

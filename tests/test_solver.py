@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from tvroad import solver
 from tvroad.noise import DEFAULT_SIGMA_GRID, SWEEP_SOLVER
@@ -449,6 +449,76 @@ class TestSweep:
         values = diurnal_days[day]
         configs = [SolverConfig(sigma=s, max_iters=max_iters) for s in DEFAULT_SIGMA_GRID]
         for config, res in zip(configs, solver._sweep(values, configs)):
+            assert_bit_identical(res, denoise_values(values, config))
+
+
+def mirrored(values: np.ndarray) -> np.ndarray:
+    """values followed by their reverse: its pairs meet in mirrored pairs,
+    at one weight."""
+    return np.concatenate([values, values[::-1]])
+
+
+def assert_same_walk(got, want):
+    """(x, trace) pairs of two walks, bit for bit; x is None for both or
+    for neither."""
+    (x, trace), (x0, trace0) = got, want
+    assert np.asarray(trace).tobytes() == np.asarray(trace0).tobytes()
+    assert (x is None) == (x0 is None)
+    if x0 is not None:
+        assert (x.dtype, x.shape, x.tobytes()) == (x0.dtype, x0.shape, x0.tobytes())
+
+
+class TestWalkStack:
+    """A stack of series walked in lockstep: each row is the heap walk of
+    its series to its budget alone, bit for bit in x and trace, and None
+    where that walk merged down to one segment."""
+
+    FRACTIONS = st.one_of(st.floats(min_value=1e-6, max_value=1.0),
+                          st.sampled_from([1 - 1e-15, 1 - 1e-12, 1 - 1e-9, 1.0, 1.5]))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.tuples(st.one_of(run_series(), run_series().map(mirrored), series_values()),
+                              FRACTIONS), min_size=1, max_size=8),
+           st.sampled_from([1, 2, 3, 4, 5, 40, 5000]), st.sampled_from([1.0, 2.5]))
+    # two pairs meet at one weight, and the lower index merges first
+    @example([(np.array([30.0, 7.5, 0.0, 0.0, 0.0, 0.0, 0.0, 7.5, 7.5, 30.0]), 0.9)], 5000, 1.0)
+    def test_rows_equal_lone_walks(self, rows, max_iters, h):
+        # a flat series has no walk: its solve returns it as it is
+        rows = [(np.asarray(v, dtype=float), f) for v, f in rows if min(v) != max(v)]
+        assume(rows)
+        series = [v for v, _ in rows]
+        # sigma a fraction of sigma_max, some a few ulps below it, at it or
+        # beyond it, and the budget 2 sigma^2 / h of a solve
+        budgets = [2.0 * (f * sigma_max(v, h)) ** 2 / h for v, f in rows]
+        walks = solver._walk_stack(series, budgets, max_iters)
+        assert len(walks) == len(series)
+        for u0, budget, walk in zip(series, budgets, walks):
+            assert_same_walk(walk, solver._walk(u0, [budget], max_iters)[0])
+
+    @pytest.mark.parametrize("max_iters", [5000, 40])
+    def test_causal_prefixes_equal_lone_walks(self, diurnal_days, max_iters):
+        # a day's causal prefixes, each with its last slice repeated as
+        # the boundary, at a sigma scaled to the observed fraction
+        day = diurnal_days[2]
+        series = [np.append(day[:n], day[n - 1]) for n in range(4, 286, 3)]
+        budgets = [2.0 * min(25.0 ** 2 * (v.size / 288), 0.9 * sigma_max(v) ** 2) for v in series]
+        walks = solver._walk_stack(series, budgets, max_iters)
+        for u0, budget, walk in zip(series, budgets, walks):
+            assert_same_walk(walk, solver._walk(u0, [budget], max_iters)[0])
+
+    def test_stack_solve_equals_lone_solves(self):
+        # the short circuits (sigma 0, flat rows, sigma >= sigma_max) and
+        # the walked rows, at sigmas in no order along the stack
+        rng = np.random.default_rng(11)
+        series = [rng.normal(30.0, 5.0, n) for n in (5, 40, 12, 3, 288)]
+        series += [np.full(7, 4.0), np.zeros(9), np.array([40.6, 39.41, 41.24, 35.18])]
+        sigmas = [2.0, 0.0, 50.0, 1.0, 25.0, 3.0, 0.5, sigma_max(series[-1]) * (1 - 2e-16)]
+        configs = [SolverConfig(sigma=s) for s in sigmas]
+        stacked = solver._denoise_stack(series, configs)
+        # the last row merges down to one segment a few ulps below sigma_max
+        assert [r.saturated for r in stacked] == [False] * 2 + [True] + [False] * 2 + [True] * 3
+        assert stacked[-1].iterations == 3
+        for values, config, res in zip(series, configs, stacked):
             assert_bit_identical(res, denoise_values(values, config))
 
 
