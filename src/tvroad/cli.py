@@ -68,6 +68,8 @@ class RunConfig:
                      "table1_trials"):
             if not (getattr(self, name) > 0):
                 raise ValueError(f"{name} must be positive")
+        if not (self.dc_percentile <= 100):
+            raise ValueError("dc_percentile must be a percentile in (0, 100]")
         if self.k is not None and self.k < 1:
             raise ValueError("k must be a positive cluster count")
         object.__setattr__(self, "sigma_grid", tuple(float(s) for s in self.sigma_grid))

@@ -29,8 +29,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .series import VelocitySeries, pair_average, _as_float_vector
-from .solver import SolverConfig, _sweep, denoise_values
+from .series import VelocitySeries, pair_average, _as_float_vector, _check_h
+from .solver import SolverConfig, _sweep, denoise_values  # noqa: F401 (a traced name)
 
 # Grid used by the balance sweep unless the caller says otherwise:
 # 0 and 1, then every 5 up to 50.
@@ -63,7 +63,9 @@ class SigmaEstimate:
     TV * sigma^2 between consecutive grid points.  grid_converged holds
     the ``converged`` flag of each grid point's solve: False where the
     walk hit max_iters, or where sigma is beyond sigma_max and the
-    constant mean falls short of the budget.
+    constant mean falls short of the budget.  A solve keeps TV >=
+    tv_lower at each sigma up to sigma_floor and at none beyond it: 0 if
+    TV(input) < tv_lower, and inf for constant input.
     """
 
     sigma1: float
@@ -74,6 +76,7 @@ class SigmaEstimate:
     tv_lower: float
     flags: tuple[str, ...] = ()
     grid_converged: tuple[bool, ...] = ()
+    sigma_floor: float = np.inf
 
 
 def _values_and_h(series, h):
@@ -81,7 +84,7 @@ def _values_and_h(series, h):
         return series.values, series.h
     if h is None:
         raise ValueError("h is required when passing a bare array")
-    return _as_float_vector(series, "series"), float(h)
+    return _as_float_vector(series, "series"), _check_h(h)
 
 
 def _check_resolution(n: int):
@@ -178,21 +181,21 @@ def _first_local_minimum(grid: np.ndarray, deltas: np.ndarray) -> float:
 
 
 def _balance(v: np.ndarray, h: float, sigma_grid, solver: SolverConfig):
-    """(grid, solves, increments of TV * sigma^2, sigma2) of one grid sweep.
+    """(grid, solves, increments of TV * sigma^2, sigma2, sigma_floor) of one grid sweep.
 
-    The grid points below sigma_max are solved in one path walk, each as
-    a solve at that sigma alone would give; the sigma = 0 solve returns
-    the input.  sigma2 is the first local minimum of the increments, or
-    None for constant input (an all-zero TV curve), which has no noise
-    to balance.
+    The grid points below sigma_max and sigma_floor come from one path
+    walk, each solve as a solve at that sigma alone would give; the sigma
+    = 0 solve returns the input.  sigma2 is the first local minimum of the
+    increments, or None for constant input (an all-zero TV curve), which
+    has no noise to balance.
     """
     grid = _validate_grid(sigma_grid)
-    solves = _sweep(v, [replace(solver, sigma=float(s)) for s in grid], h=h)
+    solves, sigma_floor = _sweep(v, [replace(solver, sigma=float(s)) for s in grid], h=h,
+                                 tv_floor=_tv_lower(v))
     tvs = np.array([r.final_tv for r in solves])
     deltas = np.diff(tvs * grid ** 2)
-    if not tvs.any():
-        return grid, solves, deltas, None
-    return grid, solves, deltas, _first_local_minimum(grid, deltas)
+    sigma2 = _first_local_minimum(grid, deltas) if tvs.any() else None
+    return grid, solves, deltas, sigma2, sigma_floor
 
 
 def estimate_sigma_balance(series, sigma_grid, solver: SolverConfig, h: float | None = None) -> float:
@@ -206,58 +209,28 @@ def estimate_sigma_balance(series, sigma_grid, solver: SolverConfig, h: float | 
     return 0.0 if sigma2 is None else sigma2
 
 
-def combine_estimates(
-    sigma1: float,
-    sigma2: float,
-    series,
-    tv_curve,
-    solver: SolverConfig = SWEEP_SOLVER,
-    h: float | None = None,
-) -> float:
+def combine_estimates(sigma1: float, sigma2: float, sigma_floor: float, sigma_grid) -> float:
     """Pick min(sigma1, sigma2) unless that oversmooths.
 
-    The guard is TV_l = (5/2)(v_max - v_min): if the TV of the denoised
-    series at the candidate sigma stays at or above TV_l the candidate
-    stands; otherwise the sigma where the TV curve crosses TV_l is found
-    by bisection between the bracketing grid points (to 0.1 in sigma)
-    and returned.  A series whose full TV is already below TV_l gets 0.
-    TV values at off-grid sigmas come from dedicated solver runs, never
-    from interpolation.
+    The guard is TV_l = (5/2)(v_max - v_min): a candidate at or below
+    sigma_floor (see :class:`SigmaEstimate`) stands; otherwise sigma_floor
+    is bisected between the grid points that bracket it (the last one and
+    the candidate past the grid), to 0.1 in sigma, and the lower end
+    returned, 0 if the input's own TV is below TV_l.
     """
-    v, h = _values_and_h(series, h)
-    curve = [(float(s), float(t)) for s, t in tv_curve]
-    tv_lower = _tv_lower(v)
-    known = dict(curve)
-
-    def tv_at(s: float) -> float:
-        if s in known:
-            return known[s]
-        t = denoise_values(v, replace(solver, sigma=s), h=h).final_tv
-        known[s] = t
-        return t
-
-    s = min(sigma1, sigma2)
-    if tv_at(s) >= tv_lower:
+    grid = _validate_grid(sigma_grid)
+    s = SolverConfig(sigma=min(sigma1, sigma2)).sigma  # a candidate no solve takes raises
+    if s <= sigma_floor:
         return float(s)
-
-    lo = hi = None
-    for (s0, t0), (s1, t1) in zip(curve, curve[1:]):
-        if t0 >= tv_lower > t1:
-            lo, hi = s0, s1
-    if lo is None:
-        if curve and curve[-1][1] >= tv_lower:
-            # the curve never drops below the bound on the grid; the
-            # candidate must sit beyond it, so the largest grid sigma
-            # is the best guarded choice
-            return float(curve[-1][0])
-        return 0.0
+    i = int(np.searchsorted(grid, sigma_floor, side="right"))
+    lo, hi = float(grid[i - 1]), float(grid[i]) if i < grid.size else s
     while hi - lo > 0.1:
         mid = 0.5 * (lo + hi)
-        if tv_at(mid) >= tv_lower:
+        if mid <= sigma_floor:
             lo = mid
         else:
             hi = mid
-    return float(lo)
+    return lo
 
 
 def estimate_sigma(
@@ -268,13 +241,12 @@ def estimate_sigma(
 ) -> SigmaEstimate:
     """Run both methods and the combination on one series.
 
-    The grid sweep is shared between Method 2 and the combination rule:
-    one path walk solves the grid points below sigma_max, and the
-    bisection adds single solves where it needs them.
+    One path walk serves Method 2 and the combination rule: it solves
+    the grid points below sigma_max and finds sigma_floor.
     """
     v, h = _values_and_h(series, h)
     sigma1 = estimate_sigma_multires(v, h)
-    grid, solves, deltas, sigma2 = _balance(v, h, sigma_grid, solver)
+    grid, solves, deltas, sigma2, sigma_floor = _balance(v, h, sigma_grid, solver)
     tv_curve = tuple((float(s), float(r.final_tv)) for s, r in zip(grid, solves))
     delta_curve = tuple(
         (float(s * s), float(d)) for s, d in zip(grid[1:], deltas)
@@ -287,7 +259,7 @@ def estimate_sigma(
         flags.append(FLAG_NO_NOISE)
         best = 0.0
     else:
-        best = combine_estimates(sigma1, sigma2, v, tv_curve, solver, h=h)
+        best = combine_estimates(sigma1, sigma2, sigma_floor, grid)
         if best == 0.0 and min(sigma1, sigma2) > 0.0:
             flags.append(FLAG_TV_BELOW_LOWER_BOUND)
     return SigmaEstimate(
@@ -299,4 +271,5 @@ def estimate_sigma(
         tv_lower=float(tv_lower),
         flags=tuple(flags),
         grid_converged=tuple(r.converged for r in solves),
+        sigma_floor=float(sigma_floor),
     )

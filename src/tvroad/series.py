@@ -29,6 +29,13 @@ def _as_float_vector(values, name: str) -> np.ndarray:
     return v
 
 
+def _check_h(h) -> float:
+    """The slice duration h as a float; it must be finite and positive."""
+    if not (0.0 < h < np.inf):
+        raise ValueError(f"slice duration must be finite and positive, got {h!r}")
+    return float(h)
+
+
 @dataclass(frozen=True, eq=False)
 class VelocitySeries:
     """One road-day of velocities on a uniform time grid.
@@ -53,8 +60,7 @@ class VelocitySeries:
         v = _as_float_vector(self.values, "values")
         if v.size < 2:
             raise ValueError("a series needs at least two samples")
-        if not (self.h > 0):
-            raise ValueError(f"slice duration must be positive, got {self.h}")
+        _check_h(self.h)
         mask = self.observed_mask
         if mask is None:
             mask = np.ones(v.size, dtype=bool)

@@ -52,18 +52,21 @@ raises FloatingPointError.
 list of sigmas, each config from ``dataclasses.replace(config,
 sigma=s)``, in one walk: the walk passes every budget below sigma_max
 in order, and the result at each is the one a solve at that sigma alone
-gives, bit for bit.
+gives, bit for bit.  The walk also carries TV(x), and past its last
+budget it walks on to the sigma at which TV(x) falls below a floor, the
+noise module's TV_l.
 
 Two walks serve these solves, and the caller's shape picks one.  The
 heap walk (:func:`_walk`) takes one series to a list of budgets: it
-serves :func:`denoise_values`, the grid sweep, the noise module's
-bisection and every CLI solve.  The lockstep walk (:func:`_walk_stack`)
-takes a stack of series with one budget each, a target day's causal
-prefixes: each numpy step merges one pair in every series that still
-walks, and each series ends as the heap walk would, bit for bit.  A
-numpy step costs about as much for one series as for hundreds, while a
-heap step is a few Python operations, so the lockstep walk loses on one
-series and wins on a stack.  On 2 cores with numpy 2.4.6, one 288-slice
+serves :func:`denoise_values`, the grid sweep with its floor crossing
+and every CLI solve.  The lockstep walk (:func:`_walk_stack`) takes a
+stack of series with one budget each, a target day's causal prefixes:
+each numpy step merges one pair in every series that still walks, and
+each series ends as the heap walk would, bit for bit.  A numpy step
+costs about as much for one series as for hundreds, while a heap step
+is a few Python operations, so the lockstep walk loses on one series
+and wins on a stack; a stack with one series to walk takes the heap
+walk.  On 2 cores with numpy 2.4.6, one 288-slice
 day at sigma 25 takes 17-18 ms in lockstep against 1.3-1.5 ms on the
 heap, 7 such days 10-19 ms against 5-9 ms, and a road's 282 causal
 prefixes 26-44 ms against 88-175 ms.  Both walks share the runs of
@@ -79,12 +82,13 @@ from __future__ import annotations
 
 import heapq
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .series import VelocitySeries, total_variation, _as_float_vector
+from .series import VelocitySeries, total_variation, _as_float_vector, _check_h
 
 
 @dataclass(frozen=True)
@@ -109,8 +113,8 @@ class SolverConfig:
                              "the normal float range")
         if not (self.epsilon > 0):
             raise ValueError("epsilon must be positive")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
+        if not (isinstance(self.max_iters, numbers.Integral) and self.max_iters >= 1):
+            raise ValueError(f"max_iters must be an integer >= 1, got {self.max_iters!r}")
         if not (self.rel_tol > 0):
             raise ValueError("rel_tol must be positive")
 
@@ -200,16 +204,23 @@ def _runs(u0: np.ndarray, heads=None):
     return starts, size, sign, rate, pairs, -d[jumps][pairs] / closes[pairs]
 
 
-def _walk(u0: np.ndarray, budgets, max_iters: int) -> list:
-    """[(x, trace), ...] of the path walk to sum (x - u0)^2 = budget, one
-    pair per budget of a non-decreasing list; x is None when the walk
-    merged down to one segment.
+def _walk(u0: np.ndarray, budgets, max_iters: int, floor: float = 0.0) -> tuple:
+    """([(x, trace), ...], crossing): the path walk to sum (x - u0)^2 =
+    budget, one pair per budget of a non-decreasing list, x None when the
+    walk merged down to one segment; and for a positive TV ``floor``, the
+    budget at which the solve's TV falls below it.
 
     One walk passes every budget in order, and each pair is what a walk
     to that budget alone gives: the same merges lead up to it, its trace
     counts towards ``max_iters`` on its own, and its last step leaves
     the running a, b and lambda untouched for the next budget.  A walk
     that merged down to one segment has passed every later budget too.
+
+    TV(x) falls at rate b between merges and does not jump at one, so
+    one update per step carries it.  The crossing is a + b lambda^2 at
+    the weight where TV(x) meets the floor: 0 if TV(u0) is below it, and
+    sum (u0 - mean)^2, the constant mean's, if max_iters stops the walk
+    first.
 
     Segment k keeps its size, sum, mean, rate c and the sign of the jump
     at its right end (0 for the last); it keeps its index k as it
@@ -231,6 +242,9 @@ def _walk(u0: np.ndarray, budgets, max_iters: int) -> list:
     size, sign, rate = size.tolist(), sign.tolist(), rate.tolist()
     prev, nxt, ver = list(range(-1, last)), list(range(1, last + 2)), [0] * (last + 1)
     lam, trace, out = 0.0, [], []
+    tv = total_variation(u0)  # TV(x) at lam
+    seek = 0.0 < floor <= tv
+    crossing = float(np.sum((u0 - u0.mean()) ** 2)) if seek else 0.0
 
     def push(k, j):  # neighbours k and j = nxt[k]
         closes = rate[j] - rate[k]
@@ -252,16 +266,24 @@ def _walk(u0: np.ndarray, budgets, max_iters: int) -> list:
 
     pending = iter(budgets)
     budget = next(pending, None)
-    while heap and budget is not None:
+    while heap and (budget is not None or seek):
         t, k, vk, vj = heap[0]
         if ver[k] != vk or ver[nxt[k]] != vj:
             heapq.heappop(heap)
             continue
         if t > lam:  # a step to a new weight
-            if a + b * t * t >= budget or len(trace) == max_iters:
+            capped = len(trace) == max_iters
+            if seek and (capped or tv - b * (t - lam) < floor):
+                if not capped:
+                    meet = lam + (tv - floor) / b
+                    crossing = a + b * meet * meet
+                seek = False
+                continue
+            if budget is not None and (capped or a + b * t * t >= budget):
                 out.append(land(budget))
                 budget = next(pending, None)
                 continue
+            tv -= b * (t - lam)
             lam = t
             trace.append(t)
         heapq.heappop(heap)
@@ -282,10 +304,10 @@ def _walk(u0: np.ndarray, budgets, max_iters: int) -> list:
             prev[i] = k
             push(k, i)
         elif not k:  # one segment left
-            return out + [(None, trace[:])] * (len(budgets) - len(out))
+            return out + [(None, trace[:])] * (len(budgets) - len(out)), crossing
         if k:
             push(prev[k], k)
-    return out + [land(budget) for budget in budgets[len(out):]]
+    return out + [land(budget) for budget in budgets[len(out):]], crossing
 
 
 def _walk_stack(series, budgets, max_iters: int) -> list:
@@ -442,35 +464,42 @@ def _series(values) -> np.ndarray:
     return u0
 
 
-def _sweep(values, configs, h: float = 1.0) -> list:
-    """What :func:`denoise_values` gives at each of ``configs``, which
-    differ only in sigma, listed in non-decreasing order; the sigmas below
-    sigma_max share one path walk."""
+def _sweep(values, configs, h: float = 1.0, tv_floor: float = 0.0) -> tuple:
+    """(results, sigma_floor): what :func:`denoise_values` gives at each of
+    ``configs``, which differ only in sigma, listed in non-decreasing
+    order, and the sigma up to which a solve keeps TV >= tv_floor (inf
+    for tv_floor <= 0).  Both come from one path walk."""
     u0 = _series(values)
+    h = _check_h(h)
     # Overflow shows as a non-finite fidelity or iterate, which raises.
     with np.errstate(over="ignore", invalid="ignore"):
         results = _shortcuts(u0, configs, h)
         walked = [c for c, res in zip(configs, results) if res is None]
-        if walked:
-            walks = iter(_walk(u0, [2.0 * c.sigma * c.sigma / h for c in walked],
-                               walked[0].max_iters))
-            results = [_finish(u0, c, h, *next(walks)) if res is None else res
-                       for c, res in zip(configs, results)]
-    return results
+        walks, crossing = _walk(u0, [2.0 * c.sigma * c.sigma / h for c in walked],
+                                configs[0].max_iters, tv_floor)
+        walks = iter(walks)
+        results = [_finish(u0, c, h, *next(walks)) if res is None else res
+                   for c, res in zip(configs, results)]
+    return results, math.sqrt(0.5 * h * crossing) if tv_floor > 0.0 else math.inf
 
 
 def _denoise_stack(series, configs, h: float = 1.0) -> list:
     """What :func:`denoise_values` gives for each series of a list at its
-    config; the configs differ only in sigma, and the series that need a
-    walk share one lockstep walk (:func:`_walk_stack`)."""
+    config; the configs differ only in sigma.  The series that need a
+    walk share one lockstep walk (:func:`_walk_stack`), or take the heap
+    walk if only one does."""
     u0s = [_series(values) for values in series]
+    h = _check_h(h)
     with np.errstate(over="ignore", invalid="ignore"):
         results = [_shortcuts(u0, [c], h)[0] for u0, c in zip(u0s, configs)]
         rows = [r for r, res in enumerate(results) if res is None]
         if rows:
-            walks = _walk_stack([u0s[r] for r in rows],
-                                [2.0 * configs[r].sigma * configs[r].sigma / h for r in rows],
-                                configs[rows[0]].max_iters)
+            budgets = [2.0 * configs[r].sigma * configs[r].sigma / h for r in rows]
+            max_iters = configs[rows[0]].max_iters
+            if len(rows) == 1:
+                walks = _walk(u0s[rows[0]], budgets, max_iters)[0]
+            else:
+                walks = _walk_stack([u0s[r] for r in rows], budgets, max_iters)
             for r, (x, trace) in zip(rows, walks):
                 results[r] = _finish(u0s[r], configs[r], h, x, trace)
     return results
@@ -478,7 +507,7 @@ def _denoise_stack(series, configs, h: float = 1.0) -> list:
 
 def denoise_values(values, config: SolverConfig, h: float = 1.0) -> DenoiseResult:
     """Array entry point of the solver; see :func:`denoise`."""
-    return _sweep(values, [config], h)[0]
+    return _sweep(values, [config], h)[0][0]
 
 
 def denoise(series: VelocitySeries, config: SolverConfig) -> DenoiseResult:

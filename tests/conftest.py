@@ -41,11 +41,11 @@ def poison_rows(monkeypatch):
     def _poison(first_value):
         walk, walk_stack = solver._walk, solver._walk_stack
 
-        def poisoned(u0, budgets, max_iters):
-            walks = walk(u0, budgets, max_iters)
+        def poisoned(u0, budgets, max_iters, floor=0.0):
+            walks, crossing = walk(u0, budgets, max_iters, floor)
             if u0[0] != first_value:
-                return walks
-            return [(np.full(u0.size, np.nan), trace) for _, trace in walks]
+                return walks, crossing
+            return [(np.full(u0.size, np.nan), trace) for _, trace in walks], crossing
 
         def poisoned_stack(series, budgets, max_iters):
             return [(np.full(u0.size, np.nan), trace) if u0[0] == first_value else (x, trace)

@@ -529,8 +529,8 @@ class TestCommands:
     def test_road_day_with_subnormal_sigma_fails_alone(self, command, road_days, write_records,
                                                        tmp_path, caplog):
         # velocities near 1e-160 give a positive Method-1 sigma whose
-        # square is subnormal, which the solver config rejects when the
-        # combination rule solves at it
+        # square is subnormal, which the solver config rejects as the
+        # combination rule's candidate
         tiny = VelocitySeries("road-9", 5, 1e-160 * (5.0 + np.random.default_rng(0).random(288)),
                               h=road_days[0].h)
         clean_out, out = tmp_path / "clean", tmp_path / "out"
@@ -634,16 +634,26 @@ class TestCommands:
     @pytest.mark.parametrize("flag,value", [("--grid", "0,x"), ("--grid", "1,2,3"),
                                             ("--grid", "0,2,1"), ("--grid", "0,1,inf"),
                                             ("--sigma", "inf"), ("--sigma", "-1"),
-                                            ("--dc-percentile", "-1"), ("--k", "0"),
+                                            ("--dc-percentile", "-1"), ("--dc-percentile", "150"),
+                                            ("--dc-percentile", "inf"), ("--k", "0"),
                                             ("--config", None)],
                              ids=["grid", "grid-start", "grid-order", "grid-inf", "sigma-inf",
-                                  "sigma-negative", "dc-percentile", "k", "config"])
+                                  "sigma-negative", "dc-percentile", "dc-percentile-above-100",
+                                  "dc-percentile-inf", "k", "config"])
     def test_bad_setting_is_usage_error(self, flag, value, tmp_path, caplog):
         out = tmp_path / "out"
         value = value or str(tmp_path / "missing.cfg")
         assert run_cli("table1", "--out-dir", str(out), flag, value) == 2
         assert [r.levelname for r in caplog.records] == ["ERROR"]
         assert not out.exists()
+
+    def test_bad_dc_percentile_is_rejected_before_input_is_read(self, tmp_path):
+        # it used to read the input and fail every road on numpy's range check, exit 1
+        assert run_cli("cluster", "--input", str(tmp_path / "missing.csv"), "--out-dir",
+                       str(tmp_path / "out"), "--no-denoise", "--dc-percentile", "150") == 2
+        with pytest.raises(ValueError, match=r"dc_percentile must be a percentile in \(0, 100\]"):
+            RunConfig(dc_percentile=100.5)
+        assert RunConfig(dc_percentile=100.0).dc_percentile == 100.0
 
     @pytest.mark.parametrize("command", ["denoise", "cluster", "predict"])
     def test_bad_sigma_is_rejected_before_input_is_read(self, command, tmp_path):

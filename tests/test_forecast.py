@@ -193,6 +193,13 @@ class TestCausalWindow:
         with pytest.raises(ValueError, match="one boundary and one sigma per prefix"):
             causal_denoise_window([RAMP[:9], RAMP[:7]], [4.0, 5.0], [1.0], SWEEP_SOLVER)
 
+    @pytest.mark.parametrize("h", [-1.0, 0.0, np.inf, np.nan])
+    def test_rejects_bad_h(self, h):
+        with pytest.raises(ValueError, match="slice duration must be finite and positive"):
+            causal_denoise_window(RAMP[:9] % 5.0, 4.0, 1.0, SWEEP_SOLVER, h=h)
+        with pytest.raises(ValueError, match="slice duration must be finite and positive"):
+            causal_denoise_window([RAMP[:9] % 5.0] * 2, [4.0] * 2, [1.0] * 2, SWEEP_SOLVER, h=h)
+
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.tuples(causal_prefix(), st.one_of(st.none(), st.floats(0.0, 60.0)),
                               st.one_of(st.just(0.0), st.floats(0.01, 30.0), st.just(1e6))),

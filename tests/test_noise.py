@@ -18,8 +18,9 @@ from tvroad.noise import (
     multires_bias,
     multires_variations,
 )
+from tvroad import noise, solver as solver_module
 from tvroad.series import VelocitySeries, total_variation
-from tvroad.solver import denoise_values
+from tvroad.solver import SolverConfig, denoise_values
 from tvroad.synth import SyntheticSpec, generate
 
 
@@ -207,7 +208,7 @@ class TestCombined:
     def test_combine_accepts_candidate_at_or_above_floor(self):
         v = square_wave()
         est = estimate_sigma(v, h=1.0)
-        out = combine_estimates(est.sigma1, est.sigma2, v, est.tv_curve, h=1.0)
+        out = combine_estimates(est.sigma1, est.sigma2, est.sigma_floor, DEFAULT_SIGMA_GRID)
         assert out == est.sigma_best
 
     @pytest.mark.parametrize("max_iters", [5000, 3])
@@ -227,3 +228,85 @@ class TestCombined:
             estimate_sigma(v, h=1.0)
         with pytest.raises(FloatingPointError, match="non-finite iterate"):
             estimate_sigma_balance(v, DEFAULT_SIGMA_GRID, SWEEP_SOLVER, h=1.0)
+
+
+class TestSigmaFloor:
+    """The grid walk goes on to the sigma at which the denoised TV falls
+    below TV_l, and the combination rule reads it off with no solve."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=2, max_value=12).flatmap(
+               lambda n: st.lists(st.floats(0.0, 60.0), min_size=4 * n, max_size=4 * n)),
+           st.lists(st.one_of(st.just(0.0), st.floats(1e-3, 50.0)), min_size=1, max_size=8),
+           st.sampled_from([5000, 3]))
+    def test_floor_verdict_matches_lone_solves(self, values, sigmas, max_iters):
+        v = np.asarray(values)
+        solver = dataclasses.replace(SWEEP_SOLVER, max_iters=max_iters)
+        est = estimate_sigma(v, solver=solver, h=1.0)
+
+        def keeps(sigma):
+            res = denoise_values(v, dataclasses.replace(solver, sigma=sigma), h=1.0)
+            return total_variation(res.denoised) >= est.tv_lower
+
+        for sigma in sigmas:
+            if abs(sigma - est.sigma_floor) > 1e-9 * est.sigma_floor:
+                assert (sigma <= est.sigma_floor) == keeps(sigma)
+        assert est.sigma_best <= est.sigma_floor
+        if est.sigma_floor > 0.0:
+            assert keeps(est.sigma_best)
+
+    def test_one_walk_per_estimate(self, monkeypatch):
+        # the square wave's floor crossing lies past its candidate; the
+        # short day's grid lies at or above its sigma_max of 1 past
+        # sigma = 0, and the walk still runs to find sigma_floor
+        days = [square_wave(), np.array([0.0, 1.0] * 4)]
+        want = [estimate_sigma(v, h=1.0) for v in days]
+        walks = []
+
+        def spy(*args):
+            walks.append(args)
+            return walk(*args)
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("denoise_values called")
+
+        walk = solver_module._walk
+        monkeypatch.setattr(solver_module, "_walk", spy)
+        monkeypatch.setattr(solver_module, "denoise_values", no_solve)
+        monkeypatch.setattr(noise, "denoise_values", no_solve)
+        for v, w in zip(days, want):
+            walks.clear()
+            assert estimate_sigma(v, h=1.0) == w
+            assert len(walks) == 1
+        assert walks[0][1] == []  # no grid budget below sigma_max
+        assert want[1].sigma_floor > 0.0
+
+    def test_floor_of_special_days(self):
+        # constant: every sigma keeps TV >= 0; a ramp's own TV is its
+        # range, below TV_l; a capped walk that stops above the floor
+        # keeps it up to sigma_max, where the solve turns constant
+        assert estimate_sigma(np.full(16, 3.0), h=1.0).sigma_floor == np.inf
+        ramp = estimate_sigma(np.arange(16.0) * 4.0, h=1.0)
+        assert ramp.sigma_floor == 0.0 and ramp.sigma_best == 0.0
+        v = square_wave()
+        capped = estimate_sigma(v, solver=dataclasses.replace(SWEEP_SOLVER, max_iters=3), h=1.0)
+        assert capped.sigma_floor == np.sqrt(0.5 * np.sum((v - v.mean()) ** 2))
+
+    def test_bisection_reads_the_floor(self):
+        grid = (0.0, 1.0, 5.0, 10.0)
+        assert combine_estimates(4.0, 5.0, 7.3, grid) == 4.0
+        assert combine_estimates(9.0, 10.0, 7.3, grid) == 7.265625
+        assert combine_estimates(2.0, 5.0, 0.0, grid) == 0.0
+        # a candidate past the grid, whose last point keeps the floor
+        assert combine_estimates(60.0, 60.0, 55.0, DEFAULT_SIGMA_GRID) == 55.0
+
+
+@pytest.mark.parametrize("h", [-1.0, 0.0, np.inf, np.nan])
+@pytest.mark.parametrize("entry", [estimate_sigma, estimate_sigma_multires, multires_bias,
+                                   lambda v, h: estimate_sigma_balance(v, DEFAULT_SIGMA_GRID,
+                                                                       SWEEP_SOLVER, h=h)],
+                         ids=["estimate_sigma", "multires", "bias", "balance"])
+def test_bad_h_rejected(entry, h):
+    # h = -1 used to give sigma_best 0 with no flag, and h = 0 divided by 0
+    with pytest.raises(ValueError, match="slice duration must be finite and positive"):
+        entry(square_wave(), h=h)

@@ -84,6 +84,24 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             SolverConfig(sigma=1.0, rel_tol=0.0)
 
+    @pytest.mark.parametrize("max_iters", [2.5, 0, -3, "40", None])
+    def test_max_iters_must_be_a_positive_integer(self, max_iters):
+        # a float cap was never met by the integer step count: 2.5 walked
+        # on to its budget and reported converged
+        with pytest.raises(ValueError, match="max_iters must be an integer >= 1"):
+            SolverConfig(sigma=3.0, max_iters=max_iters)
+        assert SolverConfig(sigma=3.0, max_iters=np.int64(2)).max_iters == 2
+
+    @pytest.mark.parametrize("h", [-1.0, 0.0, math.inf, math.nan])
+    def test_bad_h_rejected(self, h):
+        # a non-positive h used to flip the budget's sign, so the solve
+        # returned the constant mean flagged saturated
+        values = np.random.default_rng(0).normal(30.0, 5.0, 40)
+        with pytest.raises(ValueError, match="slice duration must be finite and positive"):
+            denoise_values(values, SolverConfig(sigma=3.0), h=h)
+        with pytest.raises(ValueError, match="slice duration must be finite and positive"):
+            solver._denoise_stack([values, values[::-1]], [SolverConfig(sigma=3.0)] * 2, h=h)
+
     def test_sigma_whose_square_underflows_rejected(self):
         # h / (2 sigma^2) would divide by zero inside the solver
         values = np.random.default_rng(0).normal(size=50)
@@ -425,10 +443,42 @@ class TestSweep:
         smax = sigma_max(values, h)
         scale = smax if smax > 1e-100 else 1.0  # flat series: any sigma saturates
         configs = [SolverConfig(sigma=f * scale, max_iters=max_iters) for f in sorted(fractions)]
-        swept = solver._sweep(values, configs, h)
+        swept = solver._sweep(values, configs, h)[0]
         assert len(swept) == len(configs)
         for config, res in zip(configs, swept):
             assert_bit_identical(res, denoise_values(values, config, h))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(run_series(), series_values()),
+           st.lists(st.floats(min_value=0.0, max_value=1.5), min_size=1, max_size=12),
+           st.one_of(st.floats(min_value=0.0, max_value=1.2), st.sampled_from([1.0, 1e-9])),
+           st.sampled_from([1, 2, 3, 40, 5000]), st.sampled_from([1.0, 2.5]))
+    def test_floor_crossing_matches_lone_solves(self, values, fractions, floor, max_iters, h):
+        # a floor as a fraction of TV(u0): the walk that seeks it gives
+        # the same solves, and a lone solve keeps TV >= floor exactly at
+        # the sigmas up to sigma_floor, outside a band of rounding (in
+        # sigma around sigma_floor, and in TV around the floor, which a
+        # tiny sigma leaves unchanged when TV(u0) is the floor)
+        values = np.asarray(values, dtype=float)
+        smax = sigma_max(values, h)
+        assume(smax > 1e-100 and smax ** 2 > 1e-290)
+        tv_floor = floor * total_variation(values)
+        configs = [SolverConfig(sigma=f * smax, max_iters=max_iters) for f in sorted(fractions)
+                   if f * smax == 0.0 or (f * smax) ** 2 > 1e-300]
+        assume(configs)
+        swept, sigma_floor = solver._sweep(values, configs, h, tv_floor)
+        assert swept == [] or len(swept) == len(configs)
+        for config, res in zip(configs, swept):
+            assert_bit_identical(res, denoise_values(values, config, h))
+            if (tv_floor > 0.0 and abs(config.sigma - sigma_floor) > 1e-9 * sigma_floor
+                    and abs(res.final_tv - tv_floor) > 1e-12 * tv_floor):
+                assert (config.sigma <= sigma_floor) == (res.final_tv >= tv_floor)
+        if tv_floor == 0.0:  # also flat input, whose mean may round off u0
+            assert sigma_floor == math.inf
+        elif floor > 1.0:
+            assert sigma_floor == 0.0
+        else:
+            assert 0.0 <= sigma_floor <= smax * (1 + 1e-12)
 
     def test_collapse_saturates_every_later_walked_sigma(self):
         # one and two ulps below sigma_max the walk merges all four samples
@@ -437,7 +487,7 @@ class TestSweep:
         below = np.nextafter(smax, 0.0)
         sigmas = [0.5 * smax, float(np.nextafter(below, 0.0)), float(below), smax]
         configs = [SolverConfig(sigma=s) for s in sigmas]
-        swept = solver._sweep(values, configs)
+        swept = solver._sweep(values, configs)[0]
         assert [(r.saturated, r.iterations) for r in swept] == [(False, 3), (True, 3), (True, 3),
                                                                 (True, 0)]
         for config, res in zip(configs, swept):
@@ -448,7 +498,7 @@ class TestSweep:
     def test_default_grid_equals_lone_solves(self, diurnal_days, day, max_iters):
         values = diurnal_days[day]
         configs = [SolverConfig(sigma=s, max_iters=max_iters) for s in DEFAULT_SIGMA_GRID]
-        for config, res in zip(configs, solver._sweep(values, configs)):
+        for config, res in zip(configs, solver._sweep(values, configs)[0]):
             assert_bit_identical(res, denoise_values(values, config))
 
 
@@ -493,7 +543,7 @@ class TestWalkStack:
         walks = solver._walk_stack(series, budgets, max_iters)
         assert len(walks) == len(series)
         for u0, budget, walk in zip(series, budgets, walks):
-            assert_same_walk(walk, solver._walk(u0, [budget], max_iters)[0])
+            assert_same_walk(walk, solver._walk(u0, [budget], max_iters)[0][0])
 
     @pytest.mark.parametrize("max_iters", [5000, 40])
     def test_causal_prefixes_equal_lone_walks(self, diurnal_days, max_iters):
@@ -504,7 +554,7 @@ class TestWalkStack:
         budgets = [2.0 * min(25.0 ** 2 * (v.size / 288), 0.9 * sigma_max(v) ** 2) for v in series]
         walks = solver._walk_stack(series, budgets, max_iters)
         for u0, budget, walk in zip(series, budgets, walks):
-            assert_same_walk(walk, solver._walk(u0, [budget], max_iters)[0])
+            assert_same_walk(walk, solver._walk(u0, [budget], max_iters)[0][0])
 
     def test_stack_solve_equals_lone_solves(self):
         # the short circuits (sigma 0, flat rows, sigma >= sigma_max) and
@@ -520,6 +570,23 @@ class TestWalkStack:
         assert stacked[-1].iterations == 3
         for values, config, res in zip(series, configs, stacked):
             assert_bit_identical(res, denoise_values(values, config))
+
+
+    def test_one_walking_row_takes_the_heap_walk(self, monkeypatch):
+        # a lone prefix costs a dozen times more in lockstep; the short
+        # circuits around it leave one row to walk
+        def no_stack(*args):
+            raise AssertionError("lockstep walk for one row")
+
+        rng = np.random.default_rng(12)
+        series = [rng.normal(30.0, 5.0, 288), np.full(7, 4.0), rng.normal(30.0, 5.0, 9)]
+        configs = [SolverConfig(sigma=20.0), SolverConfig(sigma=2.0), SolverConfig(sigma=0.0)]
+        want = [denoise_values(values, config) for values, config in zip(series, configs)]
+        monkeypatch.setattr(solver, "_walk_stack", no_stack)
+        for values, config, w in zip(series, configs, want):
+            assert_bit_identical(solver._denoise_stack([values], [config])[0], w)
+        for res, w in zip(solver._denoise_stack(series, configs), want):
+            assert_bit_identical(res, w)
 
 
 class TestSolveFailures:
