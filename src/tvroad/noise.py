@@ -180,18 +180,18 @@ def _first_local_minimum(grid: np.ndarray, deltas: np.ndarray) -> float:
     return float(grid[int(np.argmin(deltas)) + 1])
 
 
-def _balance(v: np.ndarray, h: float, sigma_grid, solver: SolverConfig):
+def _balance(v: np.ndarray, h: float, sigma_grid, solver: SolverConfig, tv_floor: float = 0.0):
     """(grid, solves, increments of TV * sigma^2, sigma2, sigma_floor) of one grid sweep.
 
-    The grid points below sigma_max and sigma_floor come from one path
-    walk, each solve as a solve at that sigma alone would give; the sigma
-    = 0 solve returns the input.  sigma2 is the first local minimum of the
-    increments, or None for constant input (an all-zero TV curve), which
-    has no noise to balance.
+    One path walk solves the grid points below sigma_max, each as a solve
+    at that sigma alone would give, and finds sigma_floor, where the
+    solve's TV falls below ``tv_floor`` (inf for 0); the sigma = 0 solve
+    returns the input.  sigma2 is the first local minimum of the
+    increments, or None for constant input, which has no noise to balance.
     """
     grid = _validate_grid(sigma_grid)
     solves, sigma_floor = _sweep(v, [replace(solver, sigma=float(s)) for s in grid], h=h,
-                                 tv_floor=_tv_lower(v))
+                                 tv_floor=tv_floor)
     tvs = np.array([r.final_tv for r in solves])
     deltas = np.diff(tvs * grid ** 2)
     sigma2 = _first_local_minimum(grid, deltas) if tvs.any() else None
@@ -218,8 +218,10 @@ def combine_estimates(sigma1: float, sigma2: float, sigma_floor: float, sigma_gr
     the candidate past the grid), to 0.1 in sigma, and the lower end
     returned, 0 if the input's own TV is below TV_l.
     """
-    grid = _validate_grid(sigma_grid)
-    s = SolverConfig(sigma=min(sigma1, sigma2)).sigma  # a candidate no solve takes raises
+    grid = np.asarray(sigma_grid, dtype=float)
+    # SolverConfig checks the candidate as a solve at it would, so a
+    # candidate whose square underflows fails its road-day alone
+    s = SolverConfig(sigma=min(sigma1, sigma2)).sigma
     if s <= sigma_floor:
         return float(s)
     i = int(np.searchsorted(grid, sigma_floor, side="right"))
@@ -246,12 +248,12 @@ def estimate_sigma(
     """
     v, h = _values_and_h(series, h)
     sigma1 = estimate_sigma_multires(v, h)
-    grid, solves, deltas, sigma2, sigma_floor = _balance(v, h, sigma_grid, solver)
+    tv_lower = _tv_lower(v)
+    grid, solves, deltas, sigma2, sigma_floor = _balance(v, h, sigma_grid, solver, tv_lower)
     tv_curve = tuple((float(s), float(r.final_tv)) for s, r in zip(grid, solves))
     delta_curve = tuple(
         (float(s * s), float(d)) for s, d in zip(grid[1:], deltas)
     )
-    tv_lower = _tv_lower(v)
 
     flags = []
     if sigma2 is None:

@@ -216,11 +216,10 @@ def _walk(u0: np.ndarray, budgets, max_iters: int, floor: float = 0.0) -> tuple:
     the running a, b and lambda untouched for the next budget.  A walk
     that merged down to one segment has passed every later budget too.
 
-    TV(x) falls at rate b between merges and does not jump at one, so
-    one update per step carries it.  The crossing is a + b lambda^2 at
-    the weight where TV(x) meets the floor: 0 if TV(u0) is below it, and
-    sum (u0 - mean)^2, the constant mean's, if max_iters stops the walk
-    first.
+    TV(x) falls at rate b between merges and does not jump at one: one
+    update per step carries it.  The crossing is a + b lambda^2 where it
+    meets the floor, 0 if TV(u0) is below it, and sum (u0 - mean)^2, the
+    constant mean's, if max_iters stops the walk first.
 
     Segment k keeps its size, sum, mean, rate c and the sign of the jump
     at its right end (0 for the last); it keeps its index k as it
@@ -242,7 +241,7 @@ def _walk(u0: np.ndarray, budgets, max_iters: int, floor: float = 0.0) -> tuple:
     size, sign, rate = size.tolist(), sign.tolist(), rate.tolist()
     prev, nxt, ver = list(range(-1, last)), list(range(1, last + 2)), [0] * (last + 1)
     lam, trace, out = 0.0, [], []
-    tv = total_variation(u0)  # TV(x) at lam
+    tv = total_variation(u0) if floor > 0.0 else 0.0  # TV(x) at lam while seeking
     seek = 0.0 < floor <= tv
     crossing = float(np.sum((u0 - u0.mean()) ** 2)) if seek else 0.0
 
@@ -265,25 +264,27 @@ def _walk(u0: np.ndarray, budgets, max_iters: int, floor: float = 0.0) -> tuple:
         return np.repeat([mean[k] + end * rate[k] for k in live], [size[k] for k in live]), steps
 
     pending = iter(budgets)
-    budget = next(pending, None)
-    while heap and (budget is not None or seek):
+    inf = math.inf
+    budget = next(pending, inf)  # inf past the last budget
+    while heap and (budget < inf or seek):
         t, k, vk, vj = heap[0]
         if ver[k] != vk or ver[nxt[k]] != vj:
             heapq.heappop(heap)
             continue
         if t > lam:  # a step to a new weight
-            capped = len(trace) == max_iters
-            if seek and (capped or tv - b * (t - lam) < floor):
-                if not capped:
+            if a + b * t * t >= budget or len(trace) == max_iters:
+                if budget == inf:  # capped on the way to the floor
+                    break
+                out.append(land(budget))
+                budget = next(pending, inf)
+                continue
+            if seek:
+                if tv - b * (t - lam) < floor:
                     meet = lam + (tv - floor) / b
                     crossing = a + b * meet * meet
-                seek = False
-                continue
-            if budget is not None and (capped or a + b * t * t >= budget):
-                out.append(land(budget))
-                budget = next(pending, None)
-                continue
-            tv -= b * (t - lam)
+                    seek = False
+                    continue
+                tv -= b * (t - lam)
             lam = t
             trace.append(t)
         heapq.heappop(heap)
@@ -311,7 +312,7 @@ def _walk(u0: np.ndarray, budgets, max_iters: int, floor: float = 0.0) -> tuple:
 
 
 def _walk_stack(series, budgets, max_iters: int) -> list:
-    """[(x, trace), ...]: ``_walk(u0, [budget], max_iters)[0]`` for each
+    """[(x, trace), ...]: ``_walk(u0, [budget], max_iters)[0][0]`` for each
     series of a list and its budget, bit for bit, from one walk of all
     series in lockstep; every series has two runs or more.
 
@@ -475,11 +476,13 @@ def _sweep(values, configs, h: float = 1.0, tv_floor: float = 0.0) -> tuple:
     with np.errstate(over="ignore", invalid="ignore"):
         results = _shortcuts(u0, configs, h)
         walked = [c for c, res in zip(configs, results) if res is None]
-        walks, crossing = _walk(u0, [2.0 * c.sigma * c.sigma / h for c in walked],
-                                configs[0].max_iters, tv_floor)
-        walks = iter(walks)
-        results = [_finish(u0, c, h, *next(walks)) if res is None else res
-                   for c, res in zip(configs, results)]
+        crossing = 0.0
+        if walked or tv_floor > 0.0:
+            walks, crossing = _walk(u0, [2.0 * c.sigma * c.sigma / h for c in walked],
+                                    configs[0].max_iters, tv_floor)
+            walks = iter(walks)
+            results = [_finish(u0, c, h, *next(walks)) if res is None else res
+                       for c, res in zip(configs, results)]
     return results, math.sqrt(0.5 * h * crossing) if tv_floor > 0.0 else math.inf
 
 

@@ -281,6 +281,15 @@ class TestSigmaFloor:
         assert walks[0][1] == []  # no grid budget below sigma_max
         assert want[1].sigma_floor > 0.0
 
+    def test_balance_alone_seeks_no_floor(self, monkeypatch):
+        floors = []
+        walk = solver_module._walk
+        monkeypatch.setattr(solver_module, "_walk",
+                            lambda u0, budgets, max_iters, floor=0.0:
+                            floors.append(floor) or walk(u0, budgets, max_iters, floor))
+        estimate_sigma_balance(square_wave(), DEFAULT_SIGMA_GRID, SWEEP_SOLVER, h=1.0)
+        assert floors == [0.0]
+
     def test_floor_of_special_days(self):
         # constant: every sigma keeps TV >= 0; a ramp's own TV is its
         # range, below TV_l; a capped walk that stops above the floor

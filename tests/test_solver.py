@@ -493,6 +493,20 @@ class TestSweep:
         for config, res in zip(configs, swept):
             assert_bit_identical(res, denoise_values(values, config))
 
+    def test_walks_only_for_a_budget_or_a_floor(self, monkeypatch):
+        # sigma 0 and sigma >= sigma_max need no walk; a floor still does
+        values = np.array([3.0, 9.0, 1.0, 7.0, 2.0])
+        configs = [SolverConfig(sigma=0.0), SolverConfig(sigma=2.0 * sigma_max(values))]
+        walks = []
+        walk = solver._walk
+        monkeypatch.setattr(solver, "_walk", lambda *args: walks.append(args) or walk(*args))
+        for config in configs:
+            denoise_values(values, config)
+        assert solver._sweep(values, configs)[1] == math.inf
+        assert walks == []
+        assert 0.0 < solver._sweep(values, configs, tv_floor=1.0)[1] < math.inf
+        assert len(walks) == 1 and walks[0][1] == []
+
     @pytest.mark.parametrize("max_iters", [5000, 150, 40])
     @pytest.mark.parametrize("day", range(3))
     def test_default_grid_equals_lone_solves(self, diurnal_days, day, max_iters):
