@@ -159,7 +159,10 @@ def local_density(d, d_c: float) -> np.ndarray:
         raise ValueError("d_c must be positive")
     dm = _dmat(d)
     rho = np.empty(len(dm))
-    for rows in _row_blocks(len(dm), 8 * dm.shape[1]):
+    # two 8-byte temporaries per entry, held within a quarter of
+    # _BLOCK_BYTES: a matcher build runs this on a worker thread, and that
+    # thread's malloc arena keeps what its largest blocks took
+    for rows in _row_blocks(len(dm), 4 * 16 * dm.shape[1]):
         rho[rows] = np.exp(-((dm[rows] / d_c) ** 2)).sum(axis=1)
     return rho - 1.0
 
@@ -216,7 +219,9 @@ class SortedNeighbors:
         # keeps an arbitrary subset, so rows that had more such columns
         # than room take the lowest-index ones instead
         self.nearest = np.empty((n, k), dtype=np.int32)
-        for rows in _row_blocks(n, 8 * n):
+        # an 8-byte partition index per entry, held within a quarter of
+        # _BLOCK_BYTES, as in local_density
+        for rows in _row_blocks(n, 4 * 8 * n):
             block = self.d[rows]
             part = np.argpartition(block, k - 1, axis=1)[:, :k]
             dist = np.take_along_axis(block, part, axis=1)
@@ -445,8 +450,10 @@ def embed_2d(d):
 def _percentile_cutoff(d: np.ndarray, percentile: float) -> tuple[float, list]:
     """(d_c, flags): the percentile of the distances between distinct
     items, or 1.0 flagged FLAG_DEGENERATE_DC when that is not positive."""
-    # the row tails d[i, i+1:] hold the upper triangle in row-major order
-    d_c = float(np.percentile(np.concatenate([row[i + 1:] for i, row in enumerate(d)]), percentile))
+    # the row tails d[i, i+1:] hold the upper triangle in row-major order,
+    # in a fresh array that the percentile may partition in place
+    upper = np.concatenate([row[i + 1:] for i, row in enumerate(d)])
+    d_c = float(np.percentile(upper, percentile, overwrite_input=True))
     if not d_c > 0:
         return 1.0, [FLAG_DEGENERATE_DC]
     return d_c, []

@@ -20,11 +20,23 @@ kept.  No slice beyond the boundary is ever read.  A day's 282 prefixes
 are denoised as one stack before the matchers are built: the prefixes
 walk the TV solution path in lockstep, one merge per prefix per numpy
 step, and each window is that of its prefix solved alone.
+
+``compare_pipelines`` matches the raw and the denoised goal stacks on
+two threads.  Every solve, both history distance matrices and d_c come
+first, on the calling thread; then a worker thread builds the denoised
+matcher and matches its goals while the calling thread does the raw
+ones, and numpy releases the interpreter lock in those passes.  The
+worker makes no large allocation, only block temporaries, which the
+matcher passes keep small: glibc gives each thread its own malloc
+arena, and an arena keeps what its thread allocated.
 """
 
 from __future__ import annotations
 
+import contextvars
+import threading
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -262,8 +274,10 @@ class _GoalMatcher:
         m = self.columns.shape[1]
         values = np.empty(len(goals))
         fell_back = np.zeros(len(goals), dtype=bool)
-        # a block holds about eight (g, m) arrays of 8-byte items at once
-        for block in _row_blocks(len(goals), 8 * 8 * m):
+        # a block's temporaries peak at 92 bytes per goal and window
+        # (tracemalloc, 1974 windows), about twelve (g, m) arrays of 8-byte
+        # items
+        for block in _row_blocks(len(goals), 96 * m):
             d_goal = _column_distances(goals[block], self.columns)
             w_goal = np.exp(-((d_goal / self.d_c) ** 2))
             rho = np.empty((len(d_goal), m + 1))
@@ -284,6 +298,33 @@ class _GoalMatcher:
                 else:
                     values[goal] = _weighted_label(w_goal[r, members], self.labels[members])
         return values, fell_back
+
+
+def _on_two_threads(first, second):
+    """(first(), second()), second called on a worker thread meanwhile.
+
+    The worker runs in a copy of the caller's context, so a caller's
+    ``np.errstate`` holds on both threads.  The worker is joined before
+    anything is returned or raised; an error of ``first`` wins over one
+    of ``second``.
+    """
+    outcome = {}
+
+    def work():
+        try:
+            outcome["value"] = second()
+        except BaseException as exc:  # handed to the calling thread below
+            outcome["error"] = exc
+
+    worker = threading.Thread(target=contextvars.copy_context().run, args=(work,))
+    worker.start()
+    try:
+        value = first()
+    finally:
+        worker.join()
+    if "error" in outcome:
+        raise outcome["error"]
+    return value, outcome["value"]
 
 
 @dataclass(frozen=True, eq=False)
@@ -326,6 +367,19 @@ def compare_pipelines(
     holds ``"no-moving-traffic"``; when every target slice is 0 (a closed
     road), ``rmae`` is NaN too.  Each history day is denoised in one
     solve at its own slice length.
+
+    Every solve (the sigma estimates, the causal goal stack, the history
+    denoise), both history distance matrices and d_c run on the calling
+    thread, before any matching.  Then, when both variants run, a worker
+    thread builds the denoised variant's matcher and matches its goals
+    while the calling thread does the raw variant's.  The worker
+    allocates only block temporaries, as a thread's malloc arena (glibc)
+    keeps what the thread allocated, and a span tracer that keeps one
+    stack (``bench/tracing.py``) still sees every solve on one thread.
+    The worker runs in a copy of the caller's context, so a caller's
+    ``np.errstate`` holds in both variants.  A variant's error is raised
+    once both have ended, the raw variant's when both fail.  A run with
+    one variant starts no thread.
     """
     days = list(history_days)
     if not days:
@@ -363,17 +417,22 @@ def compare_pipelines(
     base = pairwise_distances(hist_raw.windows).d
     d_c, flags = _percentile_cutoff(base, dc_percentile)
 
-    variants: dict[str, _GoalMatcher] = {}
+    def match(history: HistorySet, distances: np.ndarray, goal_stack: np.ndarray):
+        matcher = _GoalMatcher(history.windows, history.labels, d_c, k, base=distances)
+        return matcher.predict(goal_stack)
+
+    jobs = {}
     if include_raw:
-        variants["raw"] = _GoalMatcher(hist_raw.windows, hist_raw.labels, d_c, k, base=base)
+        jobs["raw"] = partial(match, hist_raw, base, goals["raw"])
     if include_denoised:
         config = replace(solver, sigma=sigma)
         hist_den = build_history([denoise_values(d.values, config, h=d.h).denoised for d in days])
-        variants["denoised"] = _GoalMatcher(hist_den.windows, hist_den.labels, d_c, k)
-    preds, fallbacks = {}, {}
-    for tag, matcher in variants.items():
-        preds[tag], fell_back = matcher.predict(goals[tag])
-        fallbacks[tag] = int(fell_back.sum())
+        jobs["denoised"] = partial(match, hist_den, pairwise_distances(hist_den.windows).d,
+                                   goals["denoised"])
+    if len(jobs) == 2:
+        matched = dict(zip(jobs, _on_two_threads(jobs["raw"], jobs["denoised"])))
+    else:
+        matched = {tag: job() for tag, job in jobs.items()}
 
     truth = tv[LABEL_OFFSET:]
     slices = np.arange(LABEL_OFFSET + 1, DEFAULT_SLICES + 1)
@@ -381,15 +440,15 @@ def compare_pipelines(
     if not moving:
         flags.append(_FLAG_NO_MOVING_TRAFFIC)
     reports = {}
-    for tag in variants:
-        m_value, m_count = mape(truth, preds[tag]) if moving else (float("nan"), 0)
+    for tag, (values, fell_back) in matched.items():
+        m_value, m_count = mape(truth, values) if moving else (float("nan"), 0)
         reports[tag] = PredictionReport(
-            predictions=preds[tag],
+            predictions=values,
             slices=slices,
-            rmae=rmae(truth, preds[tag]) if truth.any() else float("nan"),
+            rmae=rmae(truth, values) if truth.any() else float("nan"),
             mape=m_value,
             mape_retained_count=m_count,
-            fallback_count=fallbacks[tag],
+            fallback_count=int(fell_back.sum()),
         )
     return PipelineComparison(
         raw=reports.get("raw"),

@@ -220,7 +220,7 @@ class TestSortedNeighbors:
         rho = np.array([data.draw(st.lists(values, min_size=n + 1, max_size=n + 1), label="rho")
                         for _ in added])
         heads = data.draw(st.sampled_from([1, 2, 5, 32]), label="head columns")
-        block = data.draw(st.sampled_from([1, 8 * n * 2, 1 << 22]), label="block")
+        block = data.draw(st.sampled_from([1, 32 * n * 2, 1 << 22]), label="block")
         d_new = np.sqrt(((added[:, None, :] - pts[None, :, :]) ** 2).sum(axis=-1))
         with mock.patch.object(cluster_module, "_NEIGHBORS", heads), \
                 mock.patch.object(cluster_module, "_BLOCK_BYTES", block):
@@ -240,7 +240,7 @@ class TestSortedNeighbors:
         full = pairwise_distances(pts).d
         n = len(pts) - 1
         heads = data.draw(st.sampled_from([1, 2, n]), label="head columns")
-        block = data.draw(st.sampled_from([1, 8 * n * 2, 1 << 22]), label="block")
+        block = data.draw(st.sampled_from([1, 32 * n * 2, 1 << 22]), label="block")
         with mock.patch.object(cluster_module, "_NEIGHBORS", heads), \
                 mock.patch.object(cluster_module, "_BLOCK_BYTES", block):
             lists = SortedNeighbors(full[:n, :n])

@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import importlib
 import math
+import threading
 from unittest import mock
 
 import numpy as np
@@ -391,7 +392,7 @@ class TestGoalMatcher:
             layouts.append([len(range(n)[b]) for b in real_blocks(n, row_bytes)])
             return real_blocks(n, row_bytes)
 
-        budget = per_block * 64 * len(history)  # a goal takes 64 bytes per window of a block
+        budget = per_block * 96 * len(history)  # a goal takes 96 bytes per window of a block
         with mock.patch.object(cluster_module, "_BLOCK_BYTES", budget), \
                 mock.patch.object(forecast, "_row_blocks", spy):
             values, fell_back = matcher.predict(goals)
@@ -502,11 +503,14 @@ class TestComparePipelines:
         road = two_regime_corpus(n_roads=1, n_days=2, seed=3)[0]
         target = road[1][1]
         flat = VelocitySeries(target.road_id, 0, np.full(288, 30.0), h=target.h)
-        cp = compare_pipelines([flat], target, sigma=2.5, include_denoised=False)
+        cp = compare_pipelines([flat], target, sigma=2.5)
         assert cp.d_c == 1.0
         assert cp.flags == (FLAG_DEGENERATE_DC,)
-        # 282 identical windows, all labelled by the flat day's value
+        # 282 identical windows, all labelled by the flat day's value; the
+        # denoised day is flat too, and 76 denoised goals fall back
         np.testing.assert_allclose(cp.raw.predictions, 30.0, rtol=1e-12)
+        np.testing.assert_allclose(cp.denoised.predictions, 30.0, rtol=1e-12)
+        assert cp.denoised.fallback_count == 76
 
     def test_no_flags_on_ordinary_history(self):
         road = two_regime_corpus(n_roads=1, n_days=2, seed=3)[0]
@@ -530,13 +534,82 @@ class TestComparePipelines:
         road = two_regime_corpus(n_roads=1, n_days=2, seed=3)[0]
         target = road[1][1]
         closed = VelocitySeries(target.road_id, target.day, np.zeros(288), h=target.h)
-        cp = compare_pipelines([road[0][1]], closed, sigma=2.5, include_denoised=False)
+        cp = compare_pipelines([road[0][1]], closed, sigma=2.5)
         assert cp.flags == ("no-moving-traffic",)
-        assert math.isnan(cp.raw.rmae) and math.isnan(cp.raw.mape)
-        assert cp.raw.mape_retained_count == 0
-        assert np.isfinite(cp.raw.predictions).all()
-        with pytest.raises(ValueError, match="all-zero truth"):
-            rmae(closed.values[LABEL_OFFSET:], cp.raw.predictions)
+        for report in (cp.raw, cp.denoised):
+            assert math.isnan(report.rmae) and math.isnan(report.mape)
+            assert report.mape_retained_count == 0
+            assert np.isfinite(report.predictions).all()
+            with pytest.raises(ValueError, match="all-zero truth"):
+                rmae(closed.values[LABEL_OFFSET:], report.predictions)
+
+    @pytest.fixture(scope="class")
+    def short_road(self):
+        road = two_regime_corpus(n_roads=1, n_days=2, seed=3)[0]
+        return [road[0][1]], road[1][1]
+
+    def test_denoised_matcher_runs_under_the_callers_errstate(self, short_road, monkeypatch):
+        # the denoised variant matches on a worker thread, in a copy of the
+        # caller's context: a plain thread would see the default "warn"
+        seen = []
+        real = _GoalMatcher.predict
+
+        def spy(matcher, goals):
+            seen.append((threading.get_ident(), np.geterr()["divide"]))
+            return real(matcher, goals)
+
+        monkeypatch.setattr(_GoalMatcher, "predict", spy)
+        with np.errstate(divide="raise"):
+            compare_pipelines(*short_road, sigma=2.5)
+        assert len(seen) == 2 and len({ident for ident, _ in seen}) == 2
+        assert threading.get_ident() in {ident for ident, _ in seen}
+        assert [mode for _, mode in seen] == ["raise", "raise"]
+
+    @pytest.mark.parametrize("failing, raised", [
+        ({"raw"}, "raw"), ({"denoised"}, "denoised"), ({"raw", "denoised"}, "raw")],
+        ids=["raw", "denoised", "both"])
+    def test_matcher_error_surfaces_after_both_variants_end(self, short_road, monkeypatch,
+                                                            failing, raised):
+        history, target = short_road
+        raw_goals = np.lib.stride_tricks.sliding_window_view(target.values, WINDOW)[:282]
+        ended = []
+        real = _GoalMatcher.predict
+
+        def predict_or_fail(matcher, goals):
+            tag = "raw" if np.array_equal(goals, raw_goals) else "denoised"
+            try:
+                if tag in failing:
+                    raise RuntimeError(f"{tag} matcher failed")
+                return real(matcher, goals)
+            finally:
+                ended.append(tag)
+
+        monkeypatch.setattr(_GoalMatcher, "predict", predict_or_fail)
+        threads = threading.active_count()
+        with pytest.raises(RuntimeError, match=f"^{raised} matcher failed$"):
+            compare_pipelines(history, target, sigma=2.5)
+        assert sorted(ended) == ["denoised", "raw"]
+        assert threading.active_count() == threads
+
+    def test_worker_thread_is_joined(self, short_road):
+        threads = threading.active_count()
+        cp = compare_pipelines(*short_road, sigma=2.5)
+        assert cp.raw is not None and cp.denoised is not None
+        assert threading.active_count() == threads
+
+    def test_solves_stay_on_the_calling_thread(self, short_road, monkeypatch):
+        history, target = short_road
+        callers = []
+        for name in ("denoise_values", "estimate_sigma", "causal_denoise_window"):
+            def spy(*args, _real=getattr(forecast, name), _name=name, **kwargs):
+                callers.append((_name, threading.get_ident()))
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(forecast, name, spy)
+        compare_pipelines(history, target)
+        assert {name for name, _ in callers} == {"denoise_values", "estimate_sigma",
+                                                 "causal_denoise_window"}
+        assert {ident for _, ident in callers} == {threading.get_ident()}
 
     def test_history_days_denoised_at_their_own_slice_length(self, monkeypatch):
         # days of two slice lengths: each day is solved at its own h, and
