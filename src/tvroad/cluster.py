@@ -22,8 +22,6 @@ FLAG_DEGENERATE_EMBEDDING = "degenerate-embedding"
 FLAG_NO_EMBEDDING = "embedding-skipped"
 
 _BLOCK_BYTES = 1 << 22  # temporary-array size per row block of an (n, n) or (n, n, d) pass
-_NEIGHBORS = 32  # columns kept of each row's (distance, index) order in SortedNeighbors
-_FIRST_HEAD = 4  # head columns SortedNeighbors.delta_neighbors checks for all items at once
 
 
 @dataclass(frozen=True, eq=False)
@@ -180,105 +178,108 @@ def delta_neighbors(d, rho: np.ndarray):
     denser than i, nn_i that item's index, the lowest one on a distance
     tie.  Density ties treat the lower index as the denser one.  The
     densest item, the first maximum of rho, gets delta = max distance
-    and itself as neighbour.
+    and itself as neighbour.  Rows are searched in blocks, each row over
+    the items ahead of it in a stable sort of -rho.
     """
     dm = _dmat(d)
-    idx = np.arange(rho.size)
-    masked = np.where(_denser(rho[None, :], rho[:, None], idx[None, :] < idx[:, None]), dm, np.inf)
-    delta = masked.min(axis=1)
-    nn = masked.argmin(axis=1)
+    n = rho.size
+    rank = np.empty(n, dtype=np.int64)
+    rank[np.argsort(-rho, kind="stable")] = np.arange(n)
+    delta, nn = np.empty(n), np.empty(n, dtype=np.int64)
+    # masked distances and a mask within a quarter of _BLOCK_BYTES, as in local_density
+    for rows in _row_blocks(n, 4 * 16 * n):
+        masked = np.where(rank < rank[rows, None], dm[rows], np.inf)
+        nn[rows] = masked.argmin(axis=1)
+        delta[rows] = np.take_along_axis(masked, nn[rows, None], axis=1)[:, 0]
     top = np.argmax(rho)
     delta[top] = dm[top].max()
     nn[top] = top
     return delta, nn
 
 
-class SortedNeighbors:
+class HistoryPeaks:
     """Nearest-denser searches over a fixed item set plus one added item,
-    for a stack of added items at once.
+    for a stack of added items at once, corrected from the fixed items'
+    own density peaks: rho and ``(delta, nn) = delta_neighbors(d, rho)``.
 
-    Stores each fixed item's first ``_NEIGHBORS`` neighbours in
-    (distance, index) order, the head of a stable argsort of its row,
-    and its row maximum.  For a stack of added items, row r giving the
-    distances ``d_new[r]`` of one added item (index n) to the n fixed
-    items, :meth:`delta_neighbors` returns for each row what
-    :func:`delta_neighbors` gives on that row's bordered (n+1)-square
-    matrix, bit for bit, without building it and without sorting the
-    densities: each fixed item's nearest denser fixed item is the first
-    denser entry of its sorted row, found in the stored head or else by
-    a scan of the whole row, and the added item takes over only at a
+    An added item raises each density by a kernel weight w in [0, 1], so
+    item j can turn denser than item i only where rho_j + 1, rounded,
+    reaches rho_i.  The build keeps the flip candidates, pairs (i, j) with
+    j ahead of nn_i in (distance, index) order, not denser than i and in
+    reach of it, found along a band of the density order rather than in an
+    (n, n) pass; and the fragile items, whose nn is in their reach.
+
+    Row r of a stack gives the distances ``d_new[r]`` of one added item
+    (index n) to the fixed items and ``rho[r]``, the densities rho + w
+    with the added item's last.  For each row :meth:`delta_neighbors`
+    gives what :func:`delta_neighbors` gives on the bordered (n+1)-square
+    matrix, bit for bit: each fixed item keeps its (delta, nn) unless the
+    first of its candidates to turn denser takes over; a fragile item whose
+    nn is no longer denser, and the densest fixed item once another item is
+    densest, search their whole row; the added item takes over only at a
     strictly smaller distance, since its index loses ties.
     """
 
-    def __init__(self, d):
-        self.d = _dmat(d)
-        n = len(self.d)
-        k = min(_NEIGHBORS, n)
-        # per row block: the k nearest columns, put in (distance, index)
-        # order; of the columns tied at a row's k-th distance argpartition
-        # keeps an arbitrary subset, so rows that had more such columns
-        # than room take the lowest-index ones instead
-        self.nearest = np.empty((n, k), dtype=np.int32)
-        # an 8-byte partition index per entry, held within a quarter of
-        # _BLOCK_BYTES, as in local_density
-        for rows in _row_blocks(n, 4 * 8 * n):
-            block = self.d[rows]
-            part = np.argpartition(block, k - 1, axis=1)[:, :k]
-            dist = np.take_along_axis(block, part, axis=1)
-            part = np.take_along_axis(part, np.lexsort((part, dist), axis=1), axis=1)
-            kth = dist.max(axis=1, keepdims=True)
-            cut = np.flatnonzero((block <= kth).sum(axis=1) > k)
-            if cut.size:
-                below = (block[cut] < kth[cut]).sum(axis=1, keepdims=True)
-                tied = np.argsort(block[cut] != kth[cut], axis=1, kind="stable")
-                fill = np.take_along_axis(tied, np.maximum(np.arange(k) - below, 0), axis=1)
-                part[cut] = np.where(np.arange(k) < below, part[cut], fill)
-            self.nearest[rows] = part
-        self.lower = self.nearest < np.arange(n)[:, None]  # head entry of lower index than its row
-        self.head_d = np.take_along_axis(self.d, self.nearest, axis=1)
-        self.row_max = self.d.max(axis=1)
+    def __init__(self, d, rho: np.ndarray, delta: np.ndarray, nn: np.ndarray):
+        self.d, self.delta, self.nn = _dmat(d), delta, nn
+        self.top = int(np.argmax(rho))
+        n = rho.size
+        reach = rho + 1.0  # the largest density a weight of at most 1 can give
+        # items by increasing denseness (rho, then the higher index first);
+        # item i's band is the run below it whose reach is at least rho_i
+        order = np.lexsort((-np.arange(n), rho))
+        lo = np.searchsorted(reach[order], rho)
+        count = np.maximum(np.argsort(order) - lo, 0)
+        count[self.top] = 0
+        ends = np.cumsum(count)
+        # band pairs in chunks of some 40 bytes a pair within a quarter of
+        # _BLOCK_BYTES, or of one whole band
+        per = max(n, _BLOCK_BYTES // 160)
+        kept = []
+        for items in np.split(np.arange(n), np.searchsorted(ends, np.arange(per, ends[-1], per))):
+            c = count[items]
+            i = np.repeat(items, c)
+            j = order[np.repeat(lo[items] - (np.cumsum(c) - c), c) + np.arange(c.sum())]
+            dist = self.d[i, j]
+            ahead = (dist < delta[i]) | ((dist == delta[i]) & (j < nn[i]))
+            kept.append((i[ahead], j[ahead], dist[ahead]))
+        i, j, dist = (np.concatenate(part) for part in zip(*kept))
+        by_row = np.lexsort((j, dist, i))  # each item's candidates in (distance, index) order
+        self.cand_i, self.cand_j, self.cand_d = i[by_row], j[by_row], dist[by_row]
+        self.cand_lower = self.cand_j < self.cand_i
+        self.fragile = np.flatnonzero((reach >= rho[nn]) & (np.arange(n) != self.top))
 
     def delta_neighbors(self, d_new: np.ndarray, rho: np.ndarray):
         """(delta, nn), each (g, n + 1), of a (g, n) stack of added items;
-        row r of rho (g, n + 1) holds its densities, the added item's last."""
+        row r of rho (g, n + 1) holds rho + w, w in [0, 1], and the added
+        item's density last."""
         g, n = d_new.shape
         fixed, added = rho[:, :n], rho[:, n:]
-        heads = self.nearest.shape[1]
-        # the first head column holding a denser fixed item, for every
-        # fixed item of every row at once; width where there is none
-        width = min(_FIRST_HEAD, heads)
-        first = np.full((g, n), width)
-        for j in reversed(range(width)):
-            denser = _denser(np.take(fixed, self.nearest[:, j], axis=1), fixed, self.lower[:, j])
-            first[denser] = j
-        hit = first < width
-        at = np.minimum(first, width - 1) + heads * np.arange(n)
-        nn = np.full((g, n + 1), n, dtype=np.int64)
-        delta = np.full((g, n + 1), np.inf)
-        nn[:, :n] = np.where(hit, self.nearest.ravel()[at], n)
-        delta[:, :n] = np.where(hit, self.head_d.ravel()[at], np.inf)
-        # every fixed item but the densest one has a denser fixed item;
-        # scan the rest of the heads in doubling column blocks, only for
-        # the (row, item) pairs still open, until it shows
-        hit[np.arange(g), fixed.argmax(axis=1)] = True
-        late_g, late_i = np.nonzero(~hit)
-        left_g, left_i = late_g, late_i
-        lo = width
-        while left_g.size and lo < heads:
-            cols = self.nearest[left_i, lo : 2 * lo]
-            denser = _denser(fixed[left_g[:, None], cols], fixed[left_g, left_i][:, None],
-                             self.lower[left_i, lo : 2 * lo])
-            hit = denser.any(axis=1)
-            nn[left_g[hit], left_i[hit]] = cols[hit, denser[hit].argmax(axis=1)]
-            left_g, left_i = left_g[~hit], left_i[~hit]
-            lo *= 2
-        # the rest: the first minimum over the denser items of the whole
-        # row, the lowest index on a distance tie as in the sorted order
-        for block in _row_blocks(left_g.size, 24 * n):
-            bg, bi = left_g[block], left_i[block]
+        nn, delta = np.empty((g, n + 1), dtype=np.int64), np.empty((g, n + 1))
+        nn[:, :n], delta[:, :n] = self.nn, self.delta
+        # hits come row by row, each row's in candidate order: an item
+        # takes its first one
+        hit_g, hit = np.nonzero(_denser(fixed[:, self.cand_j], fixed[:, self.cand_i],
+                                        self.cand_lower))
+        first = np.unique(hit_g * n + self.cand_i[hit], return_index=True)[1]
+        hit_g, hit = hit_g[first], hit[first]
+        nn[hit_g, self.cand_i[hit]] = self.cand_j[hit]
+        delta[hit_g, self.cand_i[hit]] = self.cand_d[hit]
+        # whole rows: the first minimum over the denser fixed items, inf
+        # where there is none (the densest fixed item under a denser goal)
+        near = self.nn[self.fragile]
+        lost_g, lost = np.nonzero(~_denser(fixed[:, near], fixed[:, self.fragile],
+                                           near < self.fragile))
+        top = rho.argmax(axis=1)
+        moved = np.flatnonzero(top != self.top)
+        lost_g = np.concatenate([lost_g, moved])
+        lost_i = np.concatenate([self.fragile[lost], np.full(moved.size, self.top)])
+        for block in _row_blocks(lost_g.size, 24 * n):
+            bg, bi = lost_g[block], lost_i[block]
             denser = _denser(fixed[bg], fixed[bg, bi][:, None], np.arange(n) < bi[:, None])
-            nn[bg, bi] = np.where(denser, self.d[bi], np.inf).argmin(axis=1)
-        delta[late_g, late_i] = self.d[late_i, nn[late_g, late_i]]
+            masked = np.where(denser, self.d[bi], np.inf)
+            nn[bg, bi] = masked.argmin(axis=1)
+            delta[bg, bi] = masked.min(axis=1)
         take = (added > fixed) & (d_new < delta[:, :n])
         delta[:, :n][take] = d_new[take]
         nn[:, :n][take] = n
@@ -288,12 +289,11 @@ class SortedNeighbors:
         above = np.where(fixed >= added, d_new, np.inf)
         nn[:, n] = above.argmin(axis=1)
         delta[:, n] = above[rows, nn[:, n]]
-        top = rho.argmax(axis=1)
         top_added = top == n
         delta[top_added, n] = d_new[top_added].max(axis=1)
         nn[top_added, n] = n
         rows, top = rows[~top_added], top[~top_added]
-        delta[rows, top] = np.maximum(self.row_max[top], d_new[rows, top])
+        delta[rows, top] = np.maximum(self.d[top].max(axis=1), d_new[rows, top])
         nn[rows, top] = top
         return delta, nn
 

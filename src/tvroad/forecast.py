@@ -5,12 +5,15 @@ with the velocity 15 minutes (3 slices) past each window.  At run time
 the current 4-slice window is clustered together with all history
 windows; the prediction is the Gaussian-weighted average of the labels
 in the window's cluster, weighted by distance from the current window.
-The history side of that clustering (distances, densities and each
-window's nearest neighbours in distance order) is built once per
-history.  A day's goals are then matched as one stack, in goal blocks:
-each block costs a search along those short lists, density comparisons
-instead of sorts, and one pointer-jumping pass, rather than a scan of
-the whole (m+1)-square distance matrix per goal.
+The history side of that clustering is built once per history: the
+distances, the densities and the history's own density peaks (each
+window's nearest denser window), plus the few window pairs whose order
+a goal's kernel weights, each in [0, 1], can flip.  A day's goals are
+then matched as one stack, in goal blocks: each block corrects the
+history's neighbours where a flip pair turned or a window lost its
+neighbour, adds the goal's own column, and follows the neighbour chains
+in one pointer-jumping pass, rather than searching the whole
+(m+1)-square distance matrix per goal.
 
 Denoising the target day causally needs one future boundary value, so a
 small least-squares model trained on 5-minute-ahead labels supplies the
@@ -41,11 +44,11 @@ from functools import partial
 import numpy as np
 
 from .cluster import (
-    SortedNeighbors,
+    HistoryPeaks,
     _column_distances,
     _percentile_cutoff,
     _row_blocks,
-    delta_neighbors,  # noqa: F401  (unused here; bench/tracing.py wraps this name)
+    delta_neighbors,
     follow_neighbors,
     local_density,
     pairwise_distances,
@@ -235,15 +238,20 @@ def mape(truth, pred) -> tuple[float, int]:
 class _GoalMatcher:
     """Goal clustering against a fixed window set, a stack of goals at once.
 
-    Builds the history distance matrix (or takes it as ``base``), its
-    kernel densities and its sorted neighbour lists once.  predict()
-    takes a (G, 4) goal stack and works through it in goal blocks: for a
-    block it computes the goals' distances and the densities with each
-    goal added, finds every item's nearest denser neighbour from the
-    sorted lists, picks each goal's centers and follows the neighbour
-    chains to each goal's cluster; no (m+1)-square matrix is built and
-    no density is sorted.  Only the rare lost-item fallback and the
-    weighted average over the goal's cluster run goal by goal.
+    The build is history first: the history distance matrix (or ``base``),
+    its kernel densities rho_base, the history-only ``delta_neighbors``
+    pass, and from those a ``cluster.HistoryPeaks`` holding the window
+    pairs a goal can flip and the windows whose neighbour it can take
+    away.  predict() takes a (G, 4) goal stack and works through it in
+    goal blocks: for a block it computes the goals' distances and the
+    densities rho_base + w with each goal added, corrects each window's
+    history neighbour only where a flip pair turned denser or its
+    neighbour stopped being denser (a whole-row search for those few),
+    adds the goal's own column, picks each goal's centers and follows the
+    neighbour chains to each goal's cluster; no (m+1)-square matrix is
+    built and no goal's densities are sorted.  Only the rare lost-item
+    fallback and the weighted average over the goal's cluster run goal by
+    goal.
     Clustering a goal with the windows from scratch gives the same
     delta, neighbours and labels, except that summing a whole density
     row can differ from ``rho_base + w_goal`` in the last bit and so
@@ -265,7 +273,7 @@ class _GoalMatcher:
         if base is None:
             base = pairwise_distances(windows).d if len(windows) > 1 else np.zeros((1, 1))
         self.rho_base = local_density(base, d_c)
-        self.neighbors = SortedNeighbors(base)
+        self.peaks = HistoryPeaks(base, self.rho_base, *delta_neighbors(base, self.rho_base))
 
     def predict(self, goals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(values, fell_back) of a (G, 4) goal stack, one entry per goal;
@@ -283,11 +291,11 @@ class _GoalMatcher:
             rho = np.empty((len(d_goal), m + 1))
             np.add(self.rho_base, w_goal, out=rho[:, :m])
             rho[:, m] = w_goal.sum(axis=1)
-            delta, nn = self.neighbors.delta_neighbors(d_goal, rho)
+            delta, nn = self.peaks.delta_neighbors(d_goal, rho)
             centers = select_centers(rho, delta, self.k)
             label = follow_neighbors(
                 nn, centers,
-                lambda r, items: self.neighbors.bordered(d_goal[r], items, centers[r]),
+                lambda r, items: self.peaks.bordered(d_goal[r], items, centers[r]),
             )
             same = label[:, :m] == label[:, m:]
             for r, goal in enumerate(range(len(goals))[block]):

@@ -13,7 +13,7 @@ from tvroad.cluster import (
     FLAG_DEGENERATE_GAMMA,
     FLAG_NO_EMBEDDING,
     DistanceMatrix,
-    SortedNeighbors,
+    HistoryPeaks,
     auto_select_k,
     cluster,
     delta_neighbors,
@@ -192,76 +192,156 @@ class TestDeltaNeighbors:
         np.testing.assert_array_equal(delta, want_delta)
         np.testing.assert_array_equal(nn, want_nn)
 
-
-class TestSortedNeighbors:
-    @settings(max_examples=200, deadline=None)
-    @given(case=tied_points(min_n=3))
-    def test_matches_full_matrix_with_last_item_added(self, case):
-        pts, rho = case
-        full = pairwise_distances(pts).d
-        n = len(pts) - 1
-        lists = SortedNeighbors(full[:n, :n])
-        delta, nn = lists.delta_neighbors(full[None, n, :n], rho[None])
-        want_delta, want_nn, _ = _reference_delta_neighbors(full, rho)
-        np.testing.assert_array_equal(delta, [want_delta])
-        np.testing.assert_array_equal(nn, [want_nn])
-
     @settings(max_examples=100, deadline=None)
-    @given(case=tied_points(min_n=2, max_n=12), data=st.data())
-    def test_stack_rows_match_full_matrix(self, case, data):
-        # several added items at once, each with its own densities; heads
-        # of 1, 2, 5 or 32 columns and small blocks split the stack
-        pts = case[0]
-        n = len(pts)
-        added = np.array(data.draw(st.lists(
-            st.lists(st.integers(0, 3), min_size=pts.shape[1], max_size=pts.shape[1]),
-            min_size=1, max_size=6), label="added"), dtype=float)
-        values = st.sampled_from([0.0, 1.0, 2.0, 2.5])
-        rho = np.array([data.draw(st.lists(values, min_size=n + 1, max_size=n + 1), label="rho")
-                        for _ in added])
-        heads = data.draw(st.sampled_from([1, 2, 5, 32]), label="head columns")
-        block = data.draw(st.sampled_from([1, 32 * n * 2, 1 << 22]), label="block")
-        d_new = np.sqrt(((added[:, None, :] - pts[None, :, :]) ** 2).sum(axis=-1))
-        with mock.patch.object(cluster_module, "_NEIGHBORS", heads), \
-                mock.patch.object(cluster_module, "_BLOCK_BYTES", block):
-            delta, nn = SortedNeighbors(pairwise_distances(pts).d).delta_neighbors(d_new, rho)
-        for r, point in enumerate(added):
-            full = pairwise_distances(np.vstack([pts, point])).d
-            want_delta, want_nn, _ = _reference_delta_neighbors(full, rho[r])
+    @given(case=tied_points(), block=st.sampled_from([1, 2000, 6000, 1 << 22]))
+    def test_row_blocks_match_stable_rank_oracle(self, case, block):
+        # blocks of one row, of a few rows and one block for all rows
+        pts, rho = case
+        dm = pairwise_distances(pts).d
+        with mock.patch.object(cluster_module, "_BLOCK_BYTES", block):
+            delta, nn = delta_neighbors(dm, rho)
+        want_delta, want_nn, _ = _reference_delta_neighbors(dm, rho)
+        np.testing.assert_array_equal(delta, want_delta)
+        np.testing.assert_array_equal(nn, want_nn)
+
+
+# History densities for HistoryPeaks: a base plus whole steps, each exact
+# or one rounding step either side, so gaps fall at 1 and just past it;
+# 1 + 3 * 2**-52 plus 1 rounds up, past the gap of the exact sum.
+_BASES = [0.0, 0.75, 1.0 + 3 * 2.0 ** -52, 7.0]
+# kernel weights: 0 (underflow from a far goal), the smallest subnormal,
+# 0.5, 1 - 2**-53 and 1 (a goal equal to a window)
+_WEIGHTS = [0.0, 5e-324, 0.5, np.nextafter(1.0, 0.0), 1.0]
+
+
+def _bordered(d, d_new_row):
+    """The (n+1)-square matrix of d with one added item's distances."""
+    n = len(d)
+    full = np.zeros((n + 1, n + 1))
+    full[:n, :n] = d
+    full[n, :n] = full[:n, n] = d_new_row
+    return full
+
+
+@st.composite
+def history_goals(draw, max_n=14, max_rows=6):
+    """(d, rho0, d_new, rho): small-integer history points, their distances
+    and densities rho0 with gaps at and around 1, and a stack of added
+    points: row r of rho holds rho0 + w_r, 0 <= w_r <= 1 (1 where the added
+    point is a history point), then the added item's density, which is
+    sometimes the largest of all."""
+    pts, _ = draw(tied_points(min_n=2, max_n=max_n))
+    n, dim = pts.shape
+    base = draw(st.sampled_from(_BASES), label="base")
+    steps = draw(st.lists(st.tuples(st.integers(0, 3), st.sampled_from([-1, 0, 1])),
+                          min_size=n, max_size=n), label="steps")
+    rho0 = np.array([np.nextafter(base + k, side * np.inf) if side else base + k
+                     for k, side in steps])
+    added = np.array(draw(st.lists(st.lists(st.integers(0, 3), min_size=dim, max_size=dim),
+                                   min_size=1, max_size=max_rows), label="added"), dtype=float)
+    d_new = np.sqrt(((added[:, None, :] - pts[None, :, :]) ** 2).sum(axis=-1))
+    w = np.array(draw(st.lists(st.sampled_from(_WEIGHTS), min_size=d_new.size,
+                               max_size=d_new.size), label="w")).reshape(d_new.shape)
+    w[d_new == 0.0] = 1.0
+    rho = np.empty((len(added), n + 1))
+    rho[:, :n] = rho0 + w
+    rho[:, n] = [draw(st.sampled_from([0.0, float(row.sum()), base + 1.0, 1e3]), label="added rho")
+                 for row in w]
+    return pairwise_distances(pts).d, rho0, d_new, rho
+
+
+def _peaks(d, rho0):
+    return HistoryPeaks(d, rho0, *delta_neighbors(d, rho0))
+
+
+class TestHistoryPeaks:
+    @settings(max_examples=300, deadline=None)
+    @given(case=history_goals(), block=st.sampled_from([1, 700, 1 << 22]))
+    def test_rows_match_bordered_search(self, case, block):
+        # a tiny block budget splits the history pass, the band of flip
+        # candidates and the whole-row searches into many blocks
+        d, rho0, d_new, rho = case
+        with mock.patch.object(cluster_module, "_BLOCK_BYTES", block):
+            delta, nn = _peaks(d, rho0).delta_neighbors(d_new, rho)
+        assert delta.shape == nn.shape == rho.shape
+        for r in range(len(rho)):
+            want_delta, want_nn, _ = _reference_delta_neighbors(_bordered(d, d_new[r]), rho[r])
             np.testing.assert_array_equal(delta[r], want_delta)
             np.testing.assert_array_equal(nn[r], want_nn)
 
-    @settings(max_examples=200, deadline=None)
-    @given(case=tied_points(min_n=3), data=st.data())
-    def test_short_heads_fall_back_to_whole_rows(self, case, data):
-        # heads of 1 or 2 columns leave many rows without a denser item
-        # in them, so those rows take the whole-row scan, in row blocks
-        pts, rho = case
-        full = pairwise_distances(pts).d
-        n = len(pts) - 1
-        heads = data.draw(st.sampled_from([1, 2, n]), label="head columns")
-        block = data.draw(st.sampled_from([1, 32 * n * 2, 1 << 22]), label="block")
-        with mock.patch.object(cluster_module, "_NEIGHBORS", heads), \
-                mock.patch.object(cluster_module, "_BLOCK_BYTES", block):
-            lists = SortedNeighbors(full[:n, :n])
-            delta, nn = lists.delta_neighbors(full[None, n, :n], rho[None])
-        want_delta, want_nn, _ = _reference_delta_neighbors(full, rho)
-        np.testing.assert_array_equal(delta, [want_delta])
-        np.testing.assert_array_equal(nn, [want_nn])
+    @settings(max_examples=100, deadline=None)
+    @given(case=history_goals(max_rows=1), block=st.sampled_from([1, 700, 1 << 22]))
+    def test_build_keeps_every_pair_and_item_a_weight_can_flip(self, case, block):
+        # the band search finds what a test of every (i, j) pair would:
+        # j ahead of nn_i in (distance, index) order, not denser than i,
+        # and rho0_j + 1, rounded, at least rho0_i
+        d, rho0 = case[:2]
+        n = rho0.size
+        delta, nn = delta_neighbors(d, rho0)
+        with mock.patch.object(cluster_module, "_BLOCK_BYTES", block):
+            peaks = HistoryPeaks(d, rho0, delta, nn)
+        top = int(np.argmax(rho0))
+        want = sorted(
+            (i, d[i, j], j) for i in range(n) for j in range(n)
+            if i not in (j, top) and (d[i, j], j) < (delta[i], nn[i])
+            and not (rho0[j] > rho0[i] or (rho0[j] == rho0[i] and j < i))
+            and rho0[j] + 1.0 >= rho0[i])
+        assert list(zip(peaks.cand_i.tolist(), peaks.cand_d.tolist(), peaks.cand_j.tolist())) == want
+        assert peaks.fragile.tolist() == [i for i in range(n)
+                                          if i != top and rho0[i] + 1.0 >= rho0[nn[i]]]
 
-    @settings(max_examples=60, deadline=None)
-    @given(case=tied_points(min_n=3), block=st.sampled_from([1, 8 * 5, 1 << 22]),
-           heads=st.sampled_from([1, 2, 5, 32]))
-    def test_row_blocks_equal_full_argsort(self, case, block, heads):
-        # the stored heads are the first columns of the stable argsort,
-        # also where the last head column cuts through a distance tie
-        d = pairwise_distances(case[0]).d
-        with mock.patch.object(cluster_module, "_NEIGHBORS", heads), \
-                mock.patch.object(cluster_module, "_BLOCK_BYTES", block):
-            lists = SortedNeighbors(d)
-        k = min(heads, len(d))
-        assert lists.nearest.dtype == np.int32 and lists.nearest.shape == (len(d), k)
-        np.testing.assert_array_equal(lists.nearest, np.argsort(d, axis=1, kind="stable")[:, :k])
+    def test_gap_one_rounding_step_past_1(self):
+        # 1 + 3 * 2**-52 and 2 + 2**-50 lie 1 + 2**-52 apart, so a plain
+        # `gap <= 1` test drops the pair; yet the lower one plus a weight
+        # of 1 rounds up to the higher one and wins the tie on its lower
+        # index: item 1 takes item 0 as nearest denser (a flip candidate),
+        # and item 0 loses its nearest denser item 1 (a fragile item)
+        low, high = 1.0 + 3 * 2.0 ** -52, 2.0 + 2.0 ** -50
+        assert low + 1.0 == high and high - low > 1.0
+        d = pairwise_distances(np.array([[0.0], [1.0], [9.0]])).d
+        rho0 = np.array([low, high, 10.0])
+        d_new = np.array([[5.0, 4.0, 4.0]])
+        rho = np.array([[high, high, 10.0, 0.0]])
+        delta, nn = _peaks(d, rho0).delta_neighbors(d_new, rho)
+        want_delta, want_nn, _ = _reference_delta_neighbors(_bordered(d, d_new[0]), rho[0])
+        np.testing.assert_array_equal(delta[0], want_delta)
+        np.testing.assert_array_equal(nn[0], want_nn)
+        assert nn[0].tolist() == [2, 0, 2, 1]
+
+    @pytest.mark.parametrize("tied", [0, 3])
+    def test_distance_tie_at_delta0_goes_to_the_lower_index(self, tied):
+        # item 1 at 0 has nn 2 at distance 1; the item at -1, tied at that
+        # distance, turns denser and takes over only when its index is lower
+        far = 3 - tied
+        pts = np.zeros((4, 1))
+        pts[[1, 2, tied, far], 0] = [0.0, 1.0, -1.0, 10.0]
+        rho0 = np.zeros(4)
+        rho0[[1, 2, tied, far]] = [5.0, 6.0, 4.5, 20.0]
+        d = pairwise_distances(pts).d
+        w = np.zeros(4)
+        w[tied] = 1.0
+        d_new = np.abs(pts[:, 0] - 30.0)[None]
+        rho = np.append(rho0 + w, 0.0)[None]
+        delta, nn = _peaks(d, rho0).delta_neighbors(d_new, rho)
+        want_delta, want_nn, _ = _reference_delta_neighbors(_bordered(d, d_new[0]), rho[0])
+        np.testing.assert_array_equal(delta[0], want_delta)
+        np.testing.assert_array_equal(nn[0], want_nn)
+        assert nn[0, 1] == (tied if tied < 2 else 2)
+
+    @pytest.mark.parametrize("by", ["window", "added item"])
+    def test_densest_window_displaced(self, by):
+        # item 0 is densest; a weight of 1 lifts item 1 above it, or the
+        # added item is densest of all: item 0 then needs its nearest denser
+        d = pairwise_distances(np.array([[0.0], [1.0], [2.0], [4.0]])).d
+        rho0 = np.array([3.0, 2.5, 1.0, 0.0])
+        d_new = np.array([[0.5, 0.5, 1.5, 3.5]])
+        rho = np.append(rho0 + [0.0, 1.0, 0.0, 0.0], 0.0)[None] if by == "window" else \
+            np.append(rho0, 10.0)[None]
+        delta, nn = _peaks(d, rho0).delta_neighbors(d_new, rho)
+        want_delta, want_nn, _ = _reference_delta_neighbors(_bordered(d, d_new[0]), rho[0])
+        np.testing.assert_array_equal(delta[0], want_delta)
+        np.testing.assert_array_equal(nn[0], want_nn)
+        assert nn[0, 0] == (1 if by == "window" else 4)
 
     @pytest.mark.parametrize("densest", [0, 2, 3])
     def test_added_item_loses_distance_ties(self, densest):
@@ -271,7 +351,7 @@ class TestSortedNeighbors:
         rho = np.ones(4)
         rho[densest] = 2.0
         full = pairwise_distances(pts).d
-        delta, nn = SortedNeighbors(full[:3, :3]).delta_neighbors(full[None, 3, :3], rho[None])
+        delta, nn = _peaks(full[:3, :3], rho[:3]).delta_neighbors(full[None, 3, :3], rho[None])
         delta, nn = delta[0], nn[0]
         want_delta, want_nn, _ = _reference_delta_neighbors(full, rho)
         np.testing.assert_array_equal(delta, want_delta)
@@ -283,9 +363,74 @@ class TestSortedNeighbors:
     def test_bordered_entries(self):
         pts = np.array([[0.0], [1.0], [3.0], [7.0]])
         full = pairwise_distances(pts).d
-        lists = SortedNeighbors(full[:3, :3])
+        peaks = _peaks(full[:3, :3], np.zeros(3))
         items, cols = np.array([3, 0, 2]), np.array([3, 1, 0])
-        np.testing.assert_array_equal(lists.bordered(full[3, :3], items, cols), full[np.ix_(items, cols)])
+        np.testing.assert_array_equal(peaks.bordered(full[3, :3], items, cols), full[np.ix_(items, cols)])
+
+
+def _kernel_rows(d, d_new, d_c):
+    """rho0 of the fixed items and the (g, n + 1) stack of densities with
+    each added item, built as a forecast matcher builds them."""
+    rho0 = local_density(d, d_c)
+    w = np.exp(-((d_new / d_c) ** 2))
+    return rho0, np.column_stack([rho0 + w, w.sum(axis=1)])
+
+
+class TestSortedNeighbors:
+    """Nearest-denser searches with added items on kernel densities,
+    against the bordered matrix (the searches sorted neighbour lists
+    once served, now made by HistoryPeaks)."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=tied_points(min_n=3), d_c=st.sampled_from([0.5, 1.0, 2.0]))
+    def test_matches_full_matrix_with_last_item_added(self, case, d_c):
+        full = pairwise_distances(case[0]).d
+        n = len(full) - 1
+        rho0, rho = _kernel_rows(full[:n, :n], full[None, n, :n], d_c)
+        delta, nn = _peaks(full[:n, :n], rho0).delta_neighbors(full[None, n, :n], rho)
+        want_delta, want_nn, _ = _reference_delta_neighbors(full, rho[0])
+        np.testing.assert_array_equal(delta, [want_delta])
+        np.testing.assert_array_equal(nn, [want_nn])
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=tied_points(min_n=2, max_n=12), data=st.data())
+    def test_stack_rows_match_full_matrix(self, case, data):
+        # several added items at once, some on a fixed point; small blocks
+        # split the stack's searches
+        pts = case[0]
+        added = np.array(data.draw(st.lists(
+            st.lists(st.integers(0, 3), min_size=pts.shape[1], max_size=pts.shape[1]),
+            min_size=1, max_size=6), label="added"), dtype=float)
+        d_c = data.draw(st.sampled_from([0.5, 1.0, 2.0]), label="d_c")
+        block = data.draw(st.sampled_from([1, 700, 1 << 22]), label="block")
+        d = pairwise_distances(pts).d
+        d_new = np.sqrt(((added[:, None, :] - pts[None, :, :]) ** 2).sum(axis=-1))
+        rho0, rho = _kernel_rows(d, d_new, d_c)
+        with mock.patch.object(cluster_module, "_BLOCK_BYTES", block):
+            delta, nn = _peaks(d, rho0).delta_neighbors(d_new, rho)
+        for r, point in enumerate(added):
+            full = pairwise_distances(np.vstack([pts, point])).d
+            want_delta, want_nn, _ = _reference_delta_neighbors(full, rho[r])
+            np.testing.assert_array_equal(delta[r], want_delta)
+            np.testing.assert_array_equal(nn[r], want_nn)
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=tied_points(min_n=3), d_c=st.sampled_from([0.5, 1.0, 2.0]),
+           block=st.sampled_from([1, 700, 1 << 22]))
+    def test_short_heads_fall_back_to_whole_rows(self, case, d_c, block):
+        # the added item is densest of all, so the densest fixed item loses
+        # its own peak and searches its whole row, in row blocks
+        full = pairwise_distances(case[0]).d
+        n = len(full) - 1
+        rho0, rho = _kernel_rows(full[:n, :n], full[None, n, :n], d_c)
+        rho[0, n] = rho.max() + 1.0
+        top = int(np.argmax(rho0))
+        with mock.patch.object(cluster_module, "_BLOCK_BYTES", block):
+            delta, nn = _peaks(full[:n, :n], rho0).delta_neighbors(full[None, n, :n], rho)
+        want_delta, want_nn, _ = _reference_delta_neighbors(full, rho[0])
+        np.testing.assert_array_equal(delta, [want_delta])
+        np.testing.assert_array_equal(nn, [want_nn])
+        assert nn[0, n] == n and nn[0, top] != top and np.isfinite(delta[0, top])
 
 
 class TestAutoK:

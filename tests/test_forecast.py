@@ -428,6 +428,42 @@ class TestGoalMatcher:
             assert (values[index], fell_back[index]) == ref
             assert ref[0] == pytest.approx(20.0)
 
+    def test_pipeline_road_matches_full_matrix_search(self, monkeypatch):
+        # road 1 of a pipeline corpus at a seed the benchmark does not use;
+        # TV denoising leaves runs of equal slices, so its denoised history
+        # holds many equal windows and tied densities
+        road = two_regime_corpus(n_roads=6, n_days=8, seed=5, diurnal=True)[0]
+        history, target = [noisy for _, noisy in road[:-1]], road[-1][1]
+        raw_goals = np.lib.stride_tricks.sliding_window_view(target.values, WINDOW)[:282]
+        seen = {}
+        real = _GoalMatcher.predict
+
+        def spy(matcher, goals):
+            seen["raw" if np.array_equal(goals, raw_goals) else "denoised"] = (matcher, goals)
+            return real(matcher, goals)
+
+        monkeypatch.setattr(_GoalMatcher, "predict", spy)
+        compare_pipelines(history, target)
+        matcher, goals = seen["denoised"]
+        m = matcher.columns.shape[1]
+        assert len(goals) == 282 and len(np.unique(matcher.columns.T, axis=0)) < 0.65 * m
+        full = np.zeros((m + 1, m + 1))
+        full[:m, :m] = matcher.peaks.d
+        for goal in goals[::10]:
+            d_goal = forecast._column_distances(goal[None], matcher.columns)
+            w_goal = np.exp(-((d_goal[0] / matcher.d_c) ** 2))
+            rho = np.append(matcher.rho_base + w_goal, w_goal.sum())
+            full[m, :m] = full[:m, m] = d_goal[0]
+            delta, nn = matcher.peaks.delta_neighbors(d_goal, rho[None])
+            want_delta, want_nn = delta_neighbors(full, rho)
+            np.testing.assert_array_equal(delta[0], want_delta)
+            np.testing.assert_array_equal(nn[0], want_nn)
+        matcher, goals = seen["raw"]
+        values, fell_back = real(matcher, goals[::10])
+        for goal, value, flag in zip(goals[::10], values, fell_back):
+            assert (value, flag) == _reference_match(matcher.columns.T, matcher.labels,
+                                                     matcher.d_c, None, goal)[:2]
+
 
 class TestComparePipelines:
     def test_raw_only_run(self):
