@@ -106,6 +106,41 @@ def _column_distances(rows: np.ndarray, columns: np.ndarray) -> np.ndarray:
     return np.sqrt(total, out=total)
 
 
+def _day_pair_distances(days, n_windows: int, width: int) -> np.ndarray:
+    """Distance matrix between the windows ``days[a, s : s + width]``, s
+    below n_windows, of a (D, slices) stack of days, in day-major order:
+    ``pairwise_distances`` of those windows, bit for bit, for width below 8.
+
+    The windows of two days share their slices, so each day pair a <= b
+    squares its (n_windows + width - 1)-square slice differences once and
+    adds the width diagonal shifts in slice order: the squares, and the
+    order, of :func:`_column_distances`.  The block of days (b, a) is the
+    transpose of (a, b).  As in ``DistanceMatrix._built`` only finiteness
+    is checked, block by block, and the matrix is returned read-only.
+    """
+    x = np.asarray(days, dtype=float)
+    span = n_windows + width - 1
+    d = np.empty((len(x) * n_windows,) * 2)
+    sq = np.empty((span, span))
+    total = np.empty((n_windows, n_windows))
+    for a in range(len(x)):
+        rows = slice(a * n_windows, (a + 1) * n_windows)
+        for b in range(a, len(x)):
+            np.square(np.subtract(x[a, :span, None], x[b, :span], out=sq), out=sq)
+            total[...] = sq[:n_windows, :n_windows]
+            for k in range(1, width):
+                total += sq[k : k + n_windows, k : k + n_windows]
+            np.sqrt(total, out=total)
+            if not np.isfinite(total.max()):
+                raise ValueError("non-finite distance")
+            cols = slice(b * n_windows, (b + 1) * n_windows)
+            d[rows, cols] = total
+            if b > a:
+                d[cols, rows] = total.T
+    d.setflags(write=False)
+    return d
+
+
 def pairwise_distances(vectors) -> DistanceMatrix:
     """Symmetric l2 distance matrix between equal-length vectors.
 

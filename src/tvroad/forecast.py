@@ -24,14 +24,19 @@ are denoised as one stack before the matchers are built: the prefixes
 walk the TV solution path in lockstep, one merge per prefix per numpy
 step, and each window is that of its prefix solved alone.
 
-``compare_pipelines`` matches the raw and the denoised goal stacks on
-two threads.  Every solve, both history distance matrices and d_c come
-first, on the calling thread; then a worker thread builds the denoised
-matcher and matches its goals while the calling thread does the raw
-ones, and numpy releases the interpreter lock in those passes.  The
-worker makes no large allocation, only block temporaries, which the
-matcher passes keep small: glibc gives each thread its own malloc
-arena, and an arena keeps what its thread allocated.
+``compare_pipelines`` runs on two threads in two phases.  The sigma
+estimates and the history denoise come first, on the calling thread,
+before any thread starts: they are the solves that go through
+``denoise_values`` and ``estimate_sigma``, whose spans a one-stack
+tracer must see one at a time.  Then a worker thread runs the causal
+goal stack while the calling thread builds both history distance
+matrices, a day pair at a time, and d_c; numpy releases the interpreter
+lock in those passes.  Then a worker thread builds the denoised matcher
+and matches its goals while the calling thread does the raw ones.  The
+large arrays, both distance matrices and the d_c triangle, are allocated
+on the calling thread: glibc gives each thread its own malloc arena, and
+an arena keeps what its thread allocated.  The workers allocate the
+causal stack's arrays and the matcher's block temporaries.
 """
 
 from __future__ import annotations
@@ -46,6 +51,7 @@ import numpy as np
 from .cluster import (
     HistoryPeaks,
     _column_distances,
+    _day_pair_distances,
     _percentile_cutoff,
     _row_blocks,
     delta_neighbors,
@@ -376,27 +382,34 @@ def compare_pipelines(
     road), ``rmae`` is NaN too.  Each history day is denoised in one
     solve at its own slice length.
 
-    Every solve (the sigma estimates, the causal goal stack, the history
-    denoise), both history distance matrices and d_c run on the calling
-    thread, before any matching.  Then, when both variants run, a worker
-    thread builds the denoised variant's matcher and matches its goals
-    while the calling thread does the raw variant's.  The worker
-    allocates only block temporaries, as a thread's malloc arena (glibc)
-    keeps what the thread allocated, and a span tracer that keeps one
-    stack (``bench/tracing.py``) still sees every solve on one thread.
-    The worker runs in a copy of the caller's context, so a caller's
-    ``np.errstate`` holds in both variants.  A variant's error is raised
-    once both have ended, the raw variant's when both fail.  A run with
-    one variant starts no thread.
+    The sigma estimates and the history denoise, the only solves that go
+    through ``denoise_values`` and ``estimate_sigma``, run first on the
+    calling thread.  They end before any thread starts, so a span tracer
+    that keeps one stack (``bench/tracing.py``) gives each of their
+    solves its own parent.  Then, when the denoised variant runs, a
+    worker thread runs the causal goal stack while the calling thread
+    builds the raw history distance matrix, d_c and the denoised one.
+    Then, when both variants run, a worker thread builds the denoised
+    variant's matcher and matches its goals while the calling thread does
+    the raw variant's.  Both distance matrices and d_c are allocated on
+    the calling thread, as a thread's malloc arena (glibc) keeps what the
+    thread allocated.  Workers run in a copy of the caller's context, so
+    a caller's ``np.errstate`` holds on every thread.  In each phase an
+    error is raised once both threads have ended, the calling thread's
+    (the matrix builds', or the raw variant's) when both fail.  A run
+    without the denoised variant starts no thread.  A run with neither
+    variant raises ValueError before any solve.
     """
     days = list(history_days)
     if not days:
         raise ValueError("empty history")
+    if not (include_raw or include_denoised):
+        raise ValueError("include_raw and include_denoised are both False: nothing to run")
     h = target.h
     if target.n_slices != DEFAULT_SLICES:
         raise ValueError(f"target must have {DEFAULT_SLICES} slices")
 
-    hist_raw = build_history(days)
+    histories = {"raw": build_history(days)}
     if sigma is None:
         per_day = [
             estimate_sigma(d.values, sigma_grid=sigma_grid, solver=solver, h=d.h).sigma_best
@@ -406,15 +419,33 @@ def compare_pipelines(
 
     model = fit_boundary(build_history(days, label_offset=BOUNDARY_OFFSET))
 
-    # both goal stacks before the matchers: the denoised goals read only
-    # the target and the boundary model, never a prediction, and their
-    # solve's arrays are gone before the distance matrices are built
+    # the history denoise before any thread starts, like the estimates:
+    # the worker's causal stack is then the only solve left
+    day_values = {"raw": np.array([d.values for d in days])}
+    if include_denoised:
+        config = replace(solver, sigma=sigma)
+        day_values["denoised"] = np.array(
+            [denoise_values(d.values, config, h=d.h).denoised for d in days])
+        histories["denoised"] = build_history(day_values["denoised"])
+
     n_goals = DEFAULT_SLICES - LABEL_OFFSET
     tv = target.values
     goals = {"raw": np.lib.stride_tricks.sliding_window_view(tv, WINDOW)[:n_goals]}
-    if include_denoised:
+
+    def distances():
+        # d_c comes from the raw windows even when only the denoised
+        # variant runs
+        matrices = {"raw": _day_pair_distances(day_values["raw"], n_goals, WINDOW)}
+        d_c, flags = _percentile_cutoff(matrices["raw"], dc_percentile)
+        if not include_raw:
+            del matrices["raw"]
+        if include_denoised:
+            matrices["denoised"] = _day_pair_distances(day_values["denoised"], n_goals, WINDOW)
+        return matrices, d_c, flags
+
+    def causal_goals():
         seen = np.arange(WINDOW, WINDOW + n_goals)  # slices observed at each goal
-        goals["denoised"] = causal_denoise_window(
+        return causal_denoise_window(
             [tv[:n] for n in seen],
             [model.predict_next(window) for window in goals["raw"]],
             sigma * np.sqrt((seen + 1) / DEFAULT_SLICES),  # observed fraction
@@ -422,25 +453,21 @@ def compare_pipelines(
             h=h,
         )
 
-    base = pairwise_distances(hist_raw.windows).d
-    d_c, flags = _percentile_cutoff(base, dc_percentile)
-
-    def match(history: HistorySet, distances: np.ndarray, goal_stack: np.ndarray):
-        matcher = _GoalMatcher(history.windows, history.labels, d_c, k, base=distances)
-        return matcher.predict(goal_stack)
-
-    jobs = {}
-    if include_raw:
-        jobs["raw"] = partial(match, hist_raw, base, goals["raw"])
     if include_denoised:
-        config = replace(solver, sigma=sigma)
-        hist_den = build_history([denoise_values(d.values, config, h=d.h).denoised for d in days])
-        jobs["denoised"] = partial(match, hist_den, pairwise_distances(hist_den.windows).d,
-                                   goals["denoised"])
-    if len(jobs) == 2:
-        matched = dict(zip(jobs, _on_two_threads(jobs["raw"], jobs["denoised"])))
+        (matrices, d_c, flags), goals["denoised"] = _on_two_threads(distances, causal_goals)
     else:
-        matched = {tag: job() for tag, job in jobs.items()}
+        matrices, d_c, flags = distances()
+
+    def match(tag: str):
+        history = histories[tag]
+        matcher = _GoalMatcher(history.windows, history.labels, d_c, k, base=matrices[tag])
+        return matcher.predict(goals[tag])
+
+    if len(matrices) == 2:
+        matched = dict(zip(matrices, _on_two_threads(partial(match, "raw"),
+                                                     partial(match, "denoised"))))
+    else:
+        matched = {tag: match(tag) for tag in matrices}
 
     truth = tv[LABEL_OFFSET:]
     slices = np.arange(LABEL_OFFSET + 1, DEFAULT_SLICES + 1)

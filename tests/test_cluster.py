@@ -24,6 +24,7 @@ from tvroad.cluster import (
     pairwise_distances,
     select_centers,
 )
+from tvroad.forecast import build_history
 from tvroad.noise import SWEEP_SOLVER, estimate_sigma
 from tvroad.solver import denoise_values
 from tvroad.synth import two_regime_corpus
@@ -146,6 +147,49 @@ class TestDistances:
         with mock.patch.object(cluster_module, "_BLOCK_BYTES", block):
             got = pairwise_distances(x).d
         assert np.array_equal(got, expected)
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_day_pairs_equal_pairwise_of_the_windows(self, data):
+        # small integers give distance ties, signed zeros and constant days
+        # give exact zeros; every entry must match in all 64 bits
+        kinds = data.draw(st.lists(st.sampled_from(["ints", "zeros", "constant", "normal"]),
+                                   min_size=1, max_size=4), label="kinds")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        days = []
+        for kind in kinds:
+            if kind == "ints":
+                day = rng.integers(0, 4, 288).astype(float)
+            elif kind == "zeros":
+                day = rng.choice([0.0, -0.0, 1.0], 288)
+            elif kind == "constant":
+                day = np.full(288, float(rng.integers(-2, 40)))
+            else:
+                day = rng.normal(30.0, 8.0, 288)
+            days.append(day)
+        got = cluster_module._day_pair_distances(np.array(days), 282, 4)
+        want = pairwise_distances(build_history(days).windows).d
+        assert got.shape == want.shape and not got.flags.writeable
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 1e200])
+    @pytest.mark.parametrize("at", [0, 150, 284])
+    def test_day_pairs_raise_on_a_non_finite_slice(self, value, at):
+        days = np.random.default_rng(1).normal(30.0, 8.0, (3, 288))
+        days[1, at] = value  # 1e200: its squared differences overflow to inf
+        windows = build_history(list(days)).windows
+        with np.errstate(over="ignore", invalid="ignore"):
+            for build in (lambda: pairwise_distances(windows),
+                          lambda: cluster_module._day_pair_distances(days, 282, 4)):
+                with pytest.raises(ValueError, match="^non-finite distance$"):
+                    build()
+
+    def test_day_pairs_read_only_the_window_slices(self):
+        # slices past the last window's end (here 286..288) are labels only
+        days = np.random.default_rng(2).normal(30.0, 8.0, (2, 288))
+        days[:, 285:] = np.nan
+        got = cluster_module._day_pair_distances(days, 282, 4)
+        assert np.array_equal(got, pairwise_distances(build_history(list(days)).windows).d)
 
 
 class TestLocalDensity:

@@ -633,19 +633,101 @@ class TestComparePipelines:
         assert cp.raw is not None and cp.denoised is not None
         assert threading.active_count() == threads
 
-    def test_solves_stay_on_the_calling_thread(self, short_road, monkeypatch):
-        history, target = short_road
-        callers = []
+    def test_solves_end_on_the_calling_thread_before_any_thread_starts(self, short_road,
+                                                                        monkeypatch):
+        # a one-stack span tracer must see every wrapped solve alone: the
+        # sigma estimates and the history denoise end before a worker starts
+        events = []
+        for name in ("denoise_values", "estimate_sigma"):
+            def spy(*args, _real=getattr(forecast, name), _name=name, **kwargs):
+                result = _real(*args, **kwargs)
+                events.append((_name, threading.get_ident()))
+                return result
+
+            monkeypatch.setattr(forecast, name, spy)
+        real_start = threading.Thread.start
+
+        def start(thread):
+            events.append(("start", None))
+            return real_start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", start)
+        compare_pipelines(*short_road)
+        names = [name for name, _ in events]
+        assert {"denoise_values", "estimate_sigma"} <= set(names)
+        assert names.count("start") == 2
+        first_start = names.index("start")
+        assert "start" not in names[:first_start]
+        assert all(name == "start" for name in names[first_start:])
+        assert {ident for name, ident in events if name != "start"} == {threading.get_ident()}
+
+    def test_causal_stack_runs_on_a_worker_under_the_callers_errstate(self, short_road,
+                                                                       monkeypatch):
+        seen = []
+        real = forecast.causal_denoise_window
+
+        def spy(*args, **kwargs):
+            seen.append((threading.get_ident(), np.geterr()["divide"]))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(forecast, "causal_denoise_window", spy)
+        with np.errstate(divide="raise"):
+            compare_pipelines(*short_road, sigma=2.5)
+        assert len(seen) == 1
+        ident, mode = seen[0]
+        assert ident != threading.get_ident() and mode == "raise"
+
+    def test_causal_error_surfaces_after_the_matrix_builds_end(self, short_road, monkeypatch):
+        built = []
+        real = forecast._day_pair_distances
+
+        def build(*args, **kwargs):
+            try:
+                return real(*args, **kwargs)
+            finally:
+                built.append(threading.get_ident())
+
+        def fail(*args, **kwargs):
+            raise RuntimeError("causal stack failed")
+
+        monkeypatch.setattr(forecast, "_day_pair_distances", build)
+        monkeypatch.setattr(forecast, "causal_denoise_window", fail)
+        threads = threading.active_count()
+        with pytest.raises(RuntimeError, match="^causal stack failed$"):
+            compare_pipelines(*short_road, sigma=2.5)
+        # the raw and the denoised matrix, both on the calling thread
+        assert built == [threading.get_ident()] * 2
+        assert threading.active_count() == threads
+
+    def test_matrix_build_error_wins_over_causal_error(self, short_road, monkeypatch):
+        failed = []
+
+        def fail(what):
+            def raise_it(*args, **kwargs):
+                failed.append(what)
+                raise RuntimeError(f"{what} failed")
+
+            return raise_it
+
+        monkeypatch.setattr(forecast, "_day_pair_distances", fail("matrix build"))
+        monkeypatch.setattr(forecast, "causal_denoise_window", fail("causal stack"))
+        threads = threading.active_count()
+        with pytest.raises(RuntimeError, match="^matrix build failed$"):
+            compare_pipelines(*short_road, sigma=2.5)
+        assert sorted(failed) == ["causal stack", "matrix build"]
+        assert threading.active_count() == threads
+
+    def test_run_with_no_variant_is_rejected_before_any_solve(self, short_road, monkeypatch):
+        calls = []
         for name in ("denoise_values", "estimate_sigma", "causal_denoise_window"):
             def spy(*args, _real=getattr(forecast, name), _name=name, **kwargs):
-                callers.append((_name, threading.get_ident()))
+                calls.append(_name)
                 return _real(*args, **kwargs)
 
             monkeypatch.setattr(forecast, name, spy)
-        compare_pipelines(history, target)
-        assert {name for name, _ in callers} == {"denoise_values", "estimate_sigma",
-                                                 "causal_denoise_window"}
-        assert {ident for _, ident in callers} == {threading.get_ident()}
+        with pytest.raises(ValueError, match="include_raw and include_denoised"):
+            compare_pipelines(*short_road, include_raw=False, include_denoised=False)
+        assert calls == []
 
     def test_history_days_denoised_at_their_own_slice_length(self, monkeypatch):
         # days of two slice lengths: each day is solved at its own h, and
