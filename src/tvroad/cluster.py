@@ -252,12 +252,16 @@ class HistoryPeaks:
     first of its candidates to turn denser takes over; a fragile item whose
     nn is no longer denser, and the densest fixed item once another item is
     densest, search their whole row; the added item takes over only at a
-    strictly smaller distance, since its index loses ties.
+    strictly smaller distance, since its index loses ties.  The densest
+    fixed item's row maximum is kept from the build: it stays that item's
+    delta while the item is densest, and only an item that took over as
+    densest has its row reduced.
     """
 
     def __init__(self, d, rho: np.ndarray, delta: np.ndarray, nn: np.ndarray):
         self.d, self.delta, self.nn = _dmat(d), delta, nn
         self.top = int(np.argmax(rho))
+        self.top_max = self.d[self.top].max()
         n = rho.size
         reach = rho + 1.0  # the largest density a weight of at most 1 can give
         # items by increasing denseness (rho, then the higher index first);
@@ -328,7 +332,10 @@ class HistoryPeaks:
         delta[top_added, n] = d_new[top_added].max(axis=1)
         nn[top_added, n] = n
         rows, top = rows[~top_added], top[~top_added]
-        delta[rows, top] = np.maximum(self.d[top].max(axis=1), d_new[rows, top])
+        row_max = np.full(rows.size, self.top_max)
+        other = top != self.top
+        row_max[other] = self.d[top[other]].max(axis=1)
+        delta[rows, top] = np.maximum(row_max, d_new[rows, top])
         nn[rows, top] = top
         return delta, nn
 

@@ -11,9 +11,13 @@ window's nearest denser window), plus the few window pairs whose order
 a goal's kernel weights, each in [0, 1], can flip.  A day's goals are
 then matched as one stack, in goal blocks: each block corrects the
 history's neighbours where a flip pair turned or a window lost its
-neighbour, adds the goal's own column, and follows the neighbour chains
-in one pointer-jumping pass, rather than searching the whole
-(m+1)-square distance matrix per goal.
+neighbour, adds the goal's own column, and reads each goal's cluster
+count first.  A goal with one center shares it with every window, so
+its prediction is the weighted average over the whole history, taken
+for all such goals of a block at once; only the goals with more centers
+have their centers picked and their neighbour chains followed, in one
+pointer-jumping pass.  No goal searches the whole (m+1)-square distance
+matrix.
 
 Denoising the target day causally needs one future boundary value, so a
 small least-squares model trained on 5-minute-ahead labels supplies the
@@ -54,6 +58,7 @@ from .cluster import (
     _day_pair_distances,
     _percentile_cutoff,
     _row_blocks,
+    auto_select_k,
     delta_neighbors,
     follow_neighbors,
     local_density,
@@ -137,17 +142,21 @@ def build_history(days, label_offset: int = LABEL_OFFSET) -> HistorySet:
     """
     if not (WINDOW <= label_offset <= LABEL_OFFSET):
         raise ValueError(f"label_offset must lie in {WINDOW}..{LABEL_OFFSET}")
-    windows, labels, prov = [], [], []
+    values, day_ids = [], []
     for day in days:
         v = day.values if isinstance(day, VelocitySeries) else np.asarray(day, dtype=float)
-        day_id = day.day if isinstance(day, VelocitySeries) else None
         if v.size != DEFAULT_SLICES:
             raise ValueError(f"day must have {DEFAULT_SLICES} slices, got {v.size}")
-        for start0 in range(DEFAULT_SLICES - LABEL_OFFSET):
-            windows.append(v[start0 : start0 + WINDOW])
-            labels.append(v[start0 + label_offset])
-            prov.append((day_id, start0 + 1))
-    return HistorySet(np.array(windows), np.array(labels), tuple(prov))
+        values.append(v)
+        day_ids.append(day.day if isinstance(day, VelocitySeries) else None)
+    n = DEFAULT_SLICES - LABEL_OFFSET
+    x = np.array(values).reshape(len(values), DEFAULT_SLICES)
+    windows = np.lib.stride_tricks.sliding_window_view(x, WINDOW, axis=1)[:, :n]
+    return HistorySet(
+        windows.reshape(-1, WINDOW),
+        x[:, label_offset : label_offset + n].reshape(-1),
+        tuple((day_id, start) for day_id in day_ids for start in range(1, n + 1)),
+    )
 
 
 def fit_boundary(history: HistorySet) -> BoundaryModel:
@@ -194,6 +203,13 @@ def _weighted_label(weights: np.ndarray, labels: np.ndarray) -> float:
     if sw > 0:
         return float((weights * labels).sum() / sw)
     return float(labels.mean())
+
+
+def _weighted_labels(weights: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """``_weighted_label`` of each row of a (g, m) weight stack, bit for bit."""
+    sw = weights.sum(axis=1)
+    return np.divide((weights * labels).sum(axis=1), sw, out=np.full(len(sw), labels.mean()),
+                     where=sw > 0)
 
 
 def predict(history: HistorySet, goal, d_c: float, k: int | None = None) -> float | np.ndarray:
@@ -253,11 +269,17 @@ class _GoalMatcher:
     densities rho_base + w with each goal added, corrects each window's
     history neighbour only where a flip pair turned denser or its
     neighbour stopped being denser (a whole-row search for those few),
-    adds the goal's own column, picks each goal's centers and follows the
-    neighbour chains to each goal's cluster; no (m+1)-square matrix is
-    built and no goal's densities are sorted.  Only the rare lost-item
-    fallback and the weighted average over the goal's cluster run goal by
-    goal.
+    adds the goal's own column and reads each goal's k, the fixed k or
+    ``auto_select_k`` of its gamma (with a fixed k of 1 it needs no
+    neighbours at all).  A goal with k = 1 is in the one cluster with
+    every window: each chain ends at the center or at the densest item,
+    which takes its nearest center, the only one.  Its value is the
+    weighted average over all windows, for the block's such goals at
+    once, and it never falls back.  Only the goals with k > 1 have their
+    centers picked and their neighbour chains followed to their
+    clusters; no (m+1)-square matrix is built and no goal's densities are
+    sorted.  The weighted average over such a goal's cluster, or over all
+    windows when it is alone in its cluster, runs goal by goal.
     Clustering a goal with the windows from scratch gives the same
     delta, neighbours and labels, except that summing a whole density
     row can differ from ``rho_base + w_goal`` in the last bit and so
@@ -286,6 +308,8 @@ class _GoalMatcher:
         a goal alone in its cluster falls back to the Gaussian-weighted
         average over all windows."""
         m = self.columns.shape[1]
+        if self.k is not None and not 1 <= self.k <= m + 1:
+            raise ValueError(f"k must lie in 1..{m + 1}")
         values = np.empty(len(goals))
         fell_back = np.zeros(len(goals), dtype=bool)
         # a block's temporaries peak at 92 bytes per goal and window
@@ -297,15 +321,28 @@ class _GoalMatcher:
             rho = np.empty((len(d_goal), m + 1))
             np.add(self.rho_base, w_goal, out=rho[:, :m])
             rho[:, m] = w_goal.sum(axis=1)
-            delta, nn = self.peaks.delta_neighbors(d_goal, rho)
-            centers = select_centers(rho, delta, self.k)
+            many = np.arange(0)  # the goals with more than one center
+            if self.k != 1:
+                delta, nn = self.peaks.delta_neighbors(d_goal, rho)
+                ks = auto_select_k(rho * delta)[0] if self.k is None else np.full(len(rho), self.k)
+                many = np.flatnonzero(ks > 1)
+            if many.size < len(rho):
+                # a goal with one center shares it with every window: the
+                # weighted average over all of them (rows of many are
+                # overwritten below)
+                values[block] = _weighted_labels(w_goal, self.labels)
+            if many.size == 0:
+                continue
+            rows = many if many.size < len(rho) else slice(None)  # a view when all rows
+            centers = select_centers(rho[rows], delta[rows], ks[rows])
             label = follow_neighbors(
-                nn, centers,
-                lambda r, items: self.peaks.bordered(d_goal[r], items, centers[r]),
+                nn[rows], centers,
+                lambda r, items: self.peaks.bordered(d_goal[many[r]], items, centers[r]),
             )
             same = label[:, :m] == label[:, m:]
-            for r, goal in enumerate(range(len(goals))[block]):
-                members = np.flatnonzero(same[r])
+            for r, row in zip(many, same):
+                members = np.flatnonzero(row)
+                goal = block.start + r
                 if members.size == 0:
                     values[goal] = _weighted_label(w_goal[r], self.labels)
                     fell_back[goal] = True

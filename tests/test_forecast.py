@@ -10,7 +10,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tvroad import forecast
-from tvroad.cluster import FLAG_DEGENERATE_DC, delta_neighbors, local_density, select_centers
+from tvroad.cluster import (
+    FLAG_DEGENERATE_DC,
+    auto_select_k,
+    delta_neighbors,
+    local_density,
+    select_centers,
+)
 from tvroad.forecast import (
     BOUNDARY_OFFSET,
     LABEL_OFFSET,
@@ -18,6 +24,7 @@ from tvroad.forecast import (
     HistorySet,
     _GoalMatcher,
     _weighted_label,
+    _weighted_labels,
     build_history,
     causal_denoise_window,
     compare_pipelines,
@@ -105,6 +112,18 @@ class TestBuildHistory:
 
     def test_days_concatenate(self):
         assert len(build_history([RAMP] * 7)) == 7 * 282
+
+    @pytest.mark.parametrize("label_offset", [BOUNDARY_OFFSET, LABEL_OFFSET])
+    def test_days_window_in_order(self, label_offset):
+        days = [VelocitySeries("r", 5, 1000.0 + RAMP, h=1.0), 2000.0 + RAMP,
+                VelocitySeries("r", 2, 3000.0 + RAMP, h=1.0)]
+        hs = build_history(days, label_offset=label_offset)
+        for index, (day, base) in enumerate(zip((5, None, 2), (1000.0, 2000.0, 3000.0))):
+            for start in (1, 150, 282):
+                row = index * 282 + start - 1
+                np.testing.assert_array_equal(hs.windows[row], base + start - 1 + np.arange(4.0))
+                assert hs.labels[row] == base + start - 1 + label_offset
+                assert hs.provenance[row] == (day, start)
 
     def test_series_day_recorded(self):
         hs = build_history([VelocitySeries("r", 3, RAMP, h=1.0)])
@@ -463,6 +482,122 @@ class TestGoalMatcher:
         for goal, value, flag in zip(goals[::10], values, fell_back):
             assert (value, flag) == _reference_match(matcher.columns.T, matcher.labels,
                                                      matcher.d_c, None, goal)[:2]
+
+
+    @settings(max_examples=60, deadline=None)
+    @given(g=st.integers(1, 40), m=st.integers(1, 6000), seed=st.integers(0, 2**32 - 1),
+           kinds=st.lists(st.sampled_from(["kernel", "some-zero", "all-zero", "subnormal"]),
+                          min_size=40, max_size=40))
+    def test_single_center_rows_equal_weighted_label(self, g, m, seed, kinds):
+        # a goal with one center averages over every window, all its rows
+        # at once: each row equals that goal's own weighted average
+        rng = np.random.default_rng(seed)
+        labels = rng.uniform(0.0, 80.0, m)
+        weights = np.exp(-(rng.exponential(2.0, (g, m)) ** 2))
+        for row, kind in zip(weights, kinds):
+            if kind == "some-zero":
+                row[rng.random(m) < 0.5] = 0.0
+            elif kind in ("all-zero", "subnormal"):
+                row[:] = 0.0
+                if kind == "subnormal":
+                    row[rng.integers(0, m, 3)] = 5e-324
+        got = _weighted_labels(weights, labels)
+        want = np.array([_weighted_label(row, labels) for row in weights])
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+        for value, row in zip(got, weights):
+            if not row.any():
+                assert value == labels.mean()
+
+    @settings(max_examples=25, deadline=None)
+    @given(m=st.integers(1, 300), seed=st.integers(0, 2**32 - 1),
+           offsets=st.lists(st.sampled_from([0.0, 0.5, 3.0, 13.642, 40.0]), min_size=1,
+                            max_size=12))
+    def test_forced_single_center_takes_every_window(self, m, seed, offsets):
+        # windows near the origin and d_c = 1: a goal at 13.642 on every
+        # slice lies some 27.28 away, where the kernel weights turn
+        # subnormal, and one at 40 weighs every window 0
+        rng = np.random.default_rng(seed)
+        windows = rng.normal(0.0, 0.3, (m, WINDOW))
+        labels = rng.uniform(0.0, 80.0, m)
+        goals = np.array(offsets)[:, None] + rng.normal(0.0, 0.3, (len(offsets), WINDOW))
+        values, fell_back = _GoalMatcher(windows, labels, 1.0, 1).predict(goals)
+        assert not fell_back.any()
+        w_goal = np.exp(-(forecast._column_distances(goals, windows.T) ** 2))
+        for goal, row, value in zip(goals, w_goal, values):
+            assert value == _weighted_label(row, labels)
+            assert (value, False) == _reference_match(windows, labels, 1.0, 1, goal)[:2]
+
+    def test_single_center_goals_pick_no_centers_and_follow_no_neighbors(self, monkeypatch):
+        # road 1 of a pipeline corpus at a seed the benchmark does not use:
+        # under auto-k every raw goal has one center, so each takes every
+        # window and the raw matcher runs no center pick and no label walk
+        road = two_regime_corpus(n_roads=6, n_days=8, seed=4, diurnal=True)[0]
+        history, target = [noisy for _, noisy in road[:-1]], road[-1][1]
+        raw_goals = np.lib.stride_tricks.sliding_window_view(target.values, WINDOW)[:282]
+        seen = {}
+        real = _GoalMatcher.predict
+
+        def spy(matcher, goals):
+            if np.array_equal(goals, raw_goals):
+                seen["raw"] = matcher
+            return real(matcher, goals)
+
+        monkeypatch.setattr(_GoalMatcher, "predict", spy)
+        cp = compare_pipelines(history, target)
+        matcher = seen["raw"]
+        ks, w_goal = _goal_ks(matcher, raw_goals)
+        assert (ks == 1).all()
+        calls = []
+
+        def counted(name):
+            wrapped = getattr(forecast, name)
+
+            def call(*args):
+                calls.append(name)
+                return wrapped(*args)
+            return call
+
+        for name in ("select_centers", "follow_neighbors"):
+            monkeypatch.setattr(forecast, name, counted(name))
+        values, fell_back = real(matcher, raw_goals)
+        assert calls == [] and not fell_back.any()
+        np.testing.assert_array_equal(values, cp.raw.predictions)
+        np.testing.assert_array_equal(values, [_weighted_label(w, matcher.labels) for w in w_goal])
+        for goal, value in zip(raw_goals[::94], values[::94]):
+            assert (value, False) == _reference_match(matcher.columns.T, matcher.labels,
+                                                      matcher.d_c, None, goal)[:2]
+
+    @pytest.mark.parametrize("case", ["axes", "family", "identical"])
+    def test_block_mixing_one_and_many_centers_matches_reference(self, case):
+        goals = np.array(GOAL_POOLS[case][1])
+        matcher = _pool_matcher(case, None)
+        m = matcher.columns.shape[1]
+        assert len(list(forecast._row_blocks(len(goals), 96 * m))) == 1
+        ks = _goal_ks(matcher, goals)[0]
+        assert (ks == 1).any() and (ks > 1).any()
+        values, fell_back = matcher.predict(goals)
+        assert not fell_back[ks == 1].any()
+        for index in range(len(goals)):
+            assert (values[index], fell_back[index]) == _pool_reference(case, None, index)[:2]
+
+    def test_k_outside_one_to_m_plus_one_rejected(self):
+        hs = family_history(10.0, np.arange(8.0))
+        for goal in ([10.0] * WINDOW, np.full((3, WINDOW), 10.0)):
+            for k in (0, len(hs) + 2):
+                with pytest.raises(ValueError, match=r"k must lie in 1\.\.9"):
+                    predict(hs, goal, d_c=2.0, k=k)
+        # every item a center: the goal, the densest, is alone in its cluster
+        assert predict(hs, [10.0] * WINDOW, d_c=2.0, k=len(hs) + 1) == pytest.approx(3.5)
+
+
+def _goal_ks(matcher, goals):
+    """(auto-k of each goal, its kernel weights), from the densities and
+    separations a matcher's predict() uses."""
+    d_goal = forecast._column_distances(goals, matcher.columns)
+    w_goal = np.exp(-((d_goal / matcher.d_c) ** 2))
+    rho = np.column_stack([matcher.rho_base + w_goal, w_goal.sum(axis=1)])
+    delta = matcher.peaks.delta_neighbors(d_goal, rho)[0]
+    return auto_select_k(rho * delta)[0], w_goal
 
 
 class TestComparePipelines:
