@@ -24,7 +24,8 @@ small least-squares model trained on 5-minute-ahead labels supplies the
 velocity for the next slice; the denoiser then runs on the observed
 prefix plus that boundary and only the last four denoised slices are
 kept.  No slice beyond the boundary is ever read.  A day's 282 prefixes
-are denoised as one stack before the matchers are built: the prefixes
+are denoised as one stack before the matchers are built: laid end to
+end, with the short circuits decided over the whole stack, the prefixes
 walk the TV solution path in lockstep, one merge per prefix per numpy
 step, and each window is that of its prefix solved alone.
 
@@ -179,22 +180,28 @@ def causal_denoise_window(
     and returns the denoised slices K-3..K.  A 1-D prefix with a scalar
     boundary and sigma gives a (4,) window; a sequence of G prefixes with
     (G,) boundaries and sigmas gives a (G, 4) stack, each row that of its
-    prefix alone.  Both forms take one stacked solve, in which the
-    prefixes that need a walk share one lockstep path walk.
+    prefix alone, bit for bit.  Both forms take one stacked solve
+    (``solver._denoise_stack``) of the prefixes laid end to end with
+    their boundaries: the short circuits are decided over the whole
+    stack, the prefixes that need a walk share one lockstep path walk,
+    and the windows are gathered by index from the stack's solution.  A
+    bad prefix raises the error it raises alone.
     """
     one = np.ndim(boundary) == 0
     prefixes = [day_so_far] if one else list(day_so_far)
     boundaries, sigmas = np.atleast_1d(boundary), np.atleast_1d(sigma)
     if not (len(prefixes) == boundaries.shape[0] == sigmas.shape[0]):
         raise ValueError("need one boundary and one sigma per prefix")
-    series = []
-    for prefix, value in zip(prefixes, boundaries):
+    pieces = []  # each prefix, then its boundary as a 1-element row
+    for prefix, value in zip(prefixes, boundaries.astype(float)[:, None]):
         prefix = np.asarray(prefix, dtype=float)
         if prefix.size < WINDOW:
             raise ValueError(f"need at least {WINDOW} past slices")
-        series.append(np.concatenate([prefix, [float(value)]]))
-    solves = _denoise_stack(series, [replace(solver, sigma=s) for s in sigmas], h)
-    windows = np.array([res.denoised[-(WINDOW + 1) : -1] for res in solves])
+        pieces += (prefix, value)
+    u = np.concatenate(pieces)
+    heads = np.cumsum([0] + [prefix.size + 1 for prefix in pieces[::2]])
+    x = _denoise_stack(u, heads, sigmas, solver, h)[0]
+    windows = x[heads[1:, None] + np.arange(-(WINDOW + 1), -1)]
     return windows[0] if one else windows
 
 
@@ -264,7 +271,8 @@ class _GoalMatcher:
     its kernel densities rho_base, the history-only ``delta_neighbors``
     pass, and from those a ``cluster.HistoryPeaks`` holding the window
     pairs a goal can flip and the windows whose neighbour it can take
-    away.  predict() takes a (G, 4) goal stack and works through it in
+    away; a fixed k of 1 needs no neighbours, so its build stops at
+    rho_base.  predict() takes a (G, 4) goal stack and works through it in
     goal blocks: for a block it computes the goals' distances and the
     densities rho_base + w with each goal added, corrects each window's
     history neighbour only where a flip pair turned denser or its
@@ -301,7 +309,8 @@ class _GoalMatcher:
         if base is None:
             base = pairwise_distances(windows).d if len(windows) > 1 else np.zeros((1, 1))
         self.rho_base = local_density(base, d_c)
-        self.peaks = HistoryPeaks(base, self.rho_base, *delta_neighbors(base, self.rho_base))
+        self.peaks = None if k == 1 else HistoryPeaks(base, self.rho_base,
+                                                      *delta_neighbors(base, self.rho_base))
 
     def predict(self, goals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(values, fell_back) of a (G, 4) goal stack, one entry per goal;

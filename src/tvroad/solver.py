@@ -60,17 +60,23 @@ Two walks serve these solves, and the caller's shape picks one.  The
 heap walk (:func:`_walk`) takes one series to a list of budgets: it
 serves :func:`denoise_values`, the grid sweep with its floor crossing
 and every CLI solve.  The lockstep walk (:func:`_walk_stack`) takes a
-stack of series with one budget each, a target day's causal prefixes:
-each numpy step merges one pair in every series that still walks, and
-each series ends as the heap walk would, bit for bit.  A numpy step
-costs about as much for one series as for hundreds, while a heap step
-is a few Python operations, so the lockstep walk loses on one series
-and wins on a stack; a stack with one series to walk takes the heap
-walk.  On 2 cores with numpy 2.4.6, one 288-slice
-day at sigma 25 takes 17-18 ms in lockstep against 1.3-1.5 ms on the
-heap, 7 such days 10-19 ms against 5-9 ms, and a road's 282 causal
-prefixes 26-44 ms against 88-175 ms.  Both walks share the runs of
-:func:`_runs` and the short circuits of :func:`_shortcuts`.
+stack of series laid end to end with one budget each, a target day's
+causal prefixes: each numpy step merges one pair in every series that
+still walks, and each series ends as the heap walk would, bit for bit.
+A numpy step costs about as much for one series as for hundreds, while
+a heap step is a few Python operations, so the lockstep walk loses on
+one series and wins on a stack; a stack with one series to walk takes
+the heap walk.  Both walks share the runs of :func:`_runs`.  A lone
+solve takes its short circuits from :func:`_shortcuts`; a stack
+(:func:`_denoise_stack`) decides them over the whole stack and returns
+x, iterations and saturated as arrays, with no result object per
+series.  On 2 cores with numpy 2.4.6, one 288-slice day at sigma 25
+takes 17-18 ms in lockstep against 1.3-1.5 ms on the heap, 7 such days
+10-19 ms against 5-9 ms, and a road's 282 causal prefixes 26-44 ms
+against 88-175 ms.  Deciding the short circuits over the stack, with no
+result object per series, took a third off the stack: 41.7-45.1 against
+61.8-67.2 ms at seeds 7, 11 and 500 (medians of 15, in one slow spell
+of the machine).
 
 ``epsilon`` does not enter the solve.  It is the smoothing of
 :func:`smoothed_total_variation`, which replaces each |d| by
@@ -84,11 +90,13 @@ import heapq
 import math
 import numbers
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .series import VelocitySeries, total_variation, _as_float_vector, _check_h
+
+_UNIT = 2.0 ** -53  # unit roundoff of a float
 
 
 @dataclass(frozen=True)
@@ -311,10 +319,14 @@ def _walk(u0: np.ndarray, budgets, max_iters: int, floor: float = 0.0) -> tuple:
     return out + [land(budget) for budget in budgets[len(out):]], crossing
 
 
-def _walk_stack(series, budgets, max_iters: int) -> list:
-    """[(x, trace), ...]: ``_walk(u0, [budget], max_iters)[0][0]`` for each
-    series of a list and its budget, bit for bit, from one walk of all
-    series in lockstep; every series has two runs or more.
+def _walk_stack(u: np.ndarray, heads: np.ndarray, budgets, max_iters: int) -> tuple:
+    """(x, iterations, collapsed, last): ``_walk(u0, [budget], max_iters)``
+    of each series u0 = u[heads[r]:heads[r + 1]] of a stack laid end to end
+    and its budget, bit for bit, from one walk of all series in lockstep;
+    every series has two runs or more.  x holds the series' solutions end
+    to end, iterations and last each trace's length and last weight, and
+    collapsed marks the series whose walk merged down to one segment
+    (x None in ``_walk``; their entries of x are not a solution).
 
     Segment k of series r is entry r * width + k of flat arrays of
     mean, total, sign, rate, size, prev and next, one column per run of
@@ -329,11 +341,9 @@ def _walk_stack(series, budgets, max_iters: int) -> list:
     tie as in the heap's (lambda, k) order, and the same arithmetic in
     the same order.  A series leaves the walk where ``_walk`` lands; one
     that merged down to one segment has only inf left, so it leaves on
-    its next step, and its x is None.
+    its next step.
     """
-    rows = len(series)
-    heads = np.cumsum([0] + [v.size for v in series])
-    u = np.concatenate(series)
+    rows = heads.size - 1
     starts, size, sign, rate, pairs, meets = _runs(u, heads[1:-1])
     firsts = np.searchsorted(starts, heads[:-1])
     counts = np.diff(firsts, append=starts.size)
@@ -353,7 +363,6 @@ def _walk_stack(series, budgets, max_iters: int) -> list:
     b = np.array([np.sum(prod[lo:lo + n]) for lo, n in zip(firsts, counts)])
     budget = np.asarray(budgets, dtype=float)
     a, lam, steps = np.empty(rows), np.empty(rows), np.empty(rows, dtype=np.int64)
-    trace = np.empty(rows * width)
 
     def meets_at(mean_k, rate_k, sign_k, mean_j, rate_j, lam):  # push() of _walk
         closes = rate_j - rate_k
@@ -378,7 +387,6 @@ def _walk_stack(series, budgets, max_iters: int) -> list:
                 a[done], lam[done], steps[done] = w_a[lands], w_lam[lands], w_steps[lands]
                 walking, base, w_budget, w_a, w_b, w_steps, k, f, t, new = (
                     x[go] for x in (walking, base, w_budget, w_a, w_b, w_steps, k, f, t, new))
-            trace[base + w_steps] = t  # a slot past the trace unless t is a new weight
             w_steps = w_steps + new
             w_lam = t  # no heap entry lies below the last weight
             j, p = base + fnxt[f], base + fprev[f]
@@ -403,25 +411,27 @@ def _walk_stack(series, budgets, max_iters: int) -> list:
             fmeet[p] = meets_at(fmean[p], frate[p], fsign[p], mean, rate, w_lam)
 
     # land: lambda* from a fresh sum of B over each series' live segments
-    # (an absorbed segment adds an exact 0), x from its segments' sizes
+    # (an absorbed segment adds an exact 0), x from its segments' sizes; a
+    # capped or collapsed series ends at its last merge
     collapsed = np.count_nonzero(fsize.reshape(rows, width), axis=1) == 1
-    prod, end = fsize * frate * frate, lam.copy()
-    traces = []
-    for r, (n_r, steps_r) in enumerate(zip(counts.tolist(), steps.tolist())):
-        traces.append(trace[r * width:r * width + steps_r].tolist())
-        if steps_r != max_iters and not collapsed[r]:
-            b_end = math.fsum(prod[r * width:r * width + n_r].tolist())
-            end[r] = max(float(lam[r]), math.sqrt(max(float(budget[r] - a[r]), 0.0) / b_end))
-            traces[r].append(float(end[r]))
+    landed = (steps != max_iters) & ~collapsed
+    prod, end = (fsize * frate * frate).reshape(rows, width), lam.copy()
+    for r in np.flatnonzero(landed).tolist():
+        b_end = math.fsum(prod[r, :counts[r]].tolist())
+        end[r] = max(float(lam[r]), math.sqrt(max(float(budget[r] - a[r]), 0.0) / b_end))
     x = np.repeat(fmean + np.repeat(end, width) * frate, fsize.astype(np.int64))
-    return [(None if collapsed[r] else x[heads[r]:heads[r + 1]], traces[r]) for r in range(rows)]
+    return x, steps + landed, collapsed, end
+
+
+def _non_finite_iterate(steps, last, residual) -> FloatingPointError:
+    return FloatingPointError(f"non-finite iterate after {steps} steps (lambda {last}): "
+                              f"fidelity residual {residual}")
 
 
 def _result(u, u0, sigma, h, trace, config, saturated=False) -> DenoiseResult:
     residual = abs(0.5 * h * float(np.sum((u - u0) ** 2)) - sigma * sigma)
     if not math.isfinite(residual):
-        raise FloatingPointError(f"non-finite iterate after {len(trace)} steps "
-                                 f"(lambda {trace[-1]}): fidelity residual {residual}")
+        raise _non_finite_iterate(len(trace), trace[-1], residual)
     return DenoiseResult(u, total_variation(u), len(trace), trace, residual,
                          residual <= config.rel_tol * sigma * sigma, saturated=saturated)
 
@@ -486,26 +496,92 @@ def _sweep(values, configs, h: float = 1.0, tv_floor: float = 0.0) -> tuple:
     return results, math.sqrt(0.5 * h * crossing) if tv_floor > 0.0 else math.inf
 
 
-def _denoise_stack(series, configs, h: float = 1.0) -> list:
-    """What :func:`denoise_values` gives for each series of a list at its
-    config; the configs differ only in sigma.  The series that need a
-    walk share one lockstep walk (:func:`_walk_stack`), or take the heap
-    walk if only one does."""
-    u0s = [_series(values) for values in series]
+def _denoise_stack(u, heads, sigmas, solver: SolverConfig, h: float = 1.0) -> tuple:
+    """(x, iterations, saturated): what :func:`denoise_values` gives for each
+    series u[heads[r]:heads[r + 1]] of a stack laid end to end, at sigma
+    ``sigmas[r]`` and otherwise under ``solver``, bit for bit.  x holds the
+    denoised series end to end as in u, iterations and saturated one entry
+    per series.  A bad sigma, sample or h raises the ValueError, and a
+    non-finite sigma_max^2 or solution the FloatingPointError, that the
+    first series to fail would raise alone.
+
+    The short circuits of :func:`_shortcuts` are decided over the whole
+    stack.  sigma_max^2 comes from sums over each series of the stack
+    (``np.add.reduceat``), which can differ in the last bits from the
+    series' own ``np.sum``.  In any summation order, such a sum S of n
+    terms lies within a relative gamma = (n + 2) u (u the unit roundoff)
+    of sum (u0 - mu)^2 plus the n e^2 that a mean e off mu adds, e <=
+    (n + 1) u max|u0|, so two of them differ by at most 2 gamma S + n
+    e^2.  A series whose decision (sigma^2 against sigma_max^2), or whose
+    sigma_max^2's finiteness, could turn within twice that margin takes
+    :func:`_shortcuts` alone.  The series that need a walk
+    share one lockstep walk (:func:`_walk_stack`), or take the heap walk
+    if only one does.  One check of x finds a non-finite solution: the
+    fidelity residual of a lone solve is non-finite exactly then, unless
+    the data are so large that it could overflow, when each walked series
+    takes the lone residual.
+    """
+    sigmas = np.asarray(sigmas, dtype=float)
+    valid = (0.0 <= sigmas) & (sigmas < math.inf)
+    valid &= (sigmas == 0.0) | (sigmas ** 2 >= sys.float_info.min)
+    if not valid.all():
+        replace(solver, sigma=sigmas[np.argmin(valid)])  # raises a lone config's ValueError
+    size = np.diff(heads)
+    lo, hi = heads[:-1], heads[1:]
+    if size.min() < 2 or not np.isfinite(u).all():
+        for a, b in zip(lo.tolist(), hi.tolist()):
+            _series(u[a:b])  # raises the first failing series' ValueError
     h = _check_h(h)
+    rows, hh = size.size, 0.5 * h
+    # Overflow shows as a non-finite fidelity or iterate, which raises.
     with np.errstate(over="ignore", invalid="ignore"):
-        results = [_shortcuts(u0, [c], h)[0] for u0, c in zip(u0s, configs)]
-        rows = [r for r, res in enumerate(results) if res is None]
-        if rows:
-            budgets = [2.0 * configs[r].sigma * configs[r].sigma / h for r in rows]
-            max_iters = configs[rows[0]].max_iters
-            if len(rows) == 1:
-                walks = _walk(u0s[rows[0]], budgets, max_iters)[0]
+        sq = sigmas * sigmas
+        flat = np.minimum.reduceat(u, lo) == np.maximum.reduceat(u, lo)
+        top = np.maximum.reduceat(np.abs(u), lo)
+        dev = u - np.repeat(np.add.reduceat(u, lo) / size, size)
+        total = np.add.reduceat(dev * dev, lo)
+        gamma = 1.01 * (size + 2) * _UNIT
+        bound = 6.0 * gamma * total + 4.0 * size * ((gamma * top) ** 2 + sys.float_info.min)
+        # a lone sigma_max^2 lies in [below, above], as rounding is monotone
+        below, above = hh * (total - bound), hh * (total + bound)
+        moved = sigmas != 0.0  # sigma 0 returns u0
+        walk, saturated = moved & ~flat & (sq < below), moved & (flat | (sq >= above))
+        sure = ~moved | ((above < math.inf) & (sq < math.inf) & (walk | saturated))
+        for r in np.flatnonzero(~sure).tolist():  # raises as the series would alone
+            u0 = u[lo[r]:hi[r]]
+            walk[r] = _shortcuts(u0, [replace(solver, sigma=sigmas[r])], h)[0] is None
+            saturated[r] = not walk[r]
+
+        # sigma 0 and flat series keep u0; sigma >= sigma_max and a walk
+        # that merged down to one segment give the constant mean
+        x, iterations = u.copy(), np.zeros(rows, dtype=np.int64)
+        walked = np.flatnonzero(walk)
+        if walked.size:
+            mask = np.repeat(walk, size)
+            budgets = 2.0 * sigmas[walked] * sigmas[walked] / h
+            if walked.size == 1:
+                x_r, trace = _walk(u[mask], budgets.tolist(), solver.max_iters)[0][0]
+                collapsed, steps, last = np.array([x_r is None]), [len(trace)], [trace[-1]]
+                if x_r is not None:
+                    x[mask] = x_r
             else:
-                walks = _walk_stack([u0s[r] for r in rows], budgets, max_iters)
-            for r, (x, trace) in zip(rows, walks):
-                results[r] = _finish(u0s[r], configs[r], h, x, trace)
-    return results
+                x[mask], steps, collapsed, last = _walk_stack(
+                    u[mask], np.append(0, np.cumsum(size[walked])), budgets, solver.max_iters)
+            iterations[walked] = steps
+            saturated[walked] = collapsed
+        for r in np.flatnonzero(saturated & ~flat).tolist():
+            x[lo[r]:hi[r]] = u[lo[r]:hi[r]].mean()
+        if walked.size:
+            # a lone residual is non-finite where x is, unless the squares
+            # of x - u0 could overflow; then each walked series takes it
+            reach = hh * size.max() * (np.abs(x).max() + top.max()) ** 2
+            if not (np.isfinite(x).all() and reach < 1e300):
+                for r, n, t in zip(walked.tolist(), steps, last):
+                    residual = abs(hh * float(np.sum((x[lo[r]:hi[r]] - u[lo[r]:hi[r]]) ** 2))
+                                   - sq[r])
+                    if not math.isfinite(residual):
+                        raise _non_finite_iterate(int(n), float(t), residual)
+    return x, iterations, saturated
 
 
 def denoise_values(values, config: SolverConfig, h: float = 1.0) -> DenoiseResult:

@@ -47,9 +47,12 @@ def poison_rows(monkeypatch):
                 return walks, crossing
             return [(np.full(u0.size, np.nan), trace) for _, trace in walks], crossing
 
-        def poisoned_stack(series, budgets, max_iters):
-            return [(np.full(u0.size, np.nan), trace) if u0[0] == first_value else (x, trace)
-                    for u0, (x, trace) in zip(series, walk_stack(series, budgets, max_iters))]
+        def poisoned_stack(u, heads, budgets, max_iters):
+            x, iterations, collapsed, last = walk_stack(u, heads, budgets, max_iters)
+            for lo, hi in zip(heads[:-1], heads[1:]):
+                if u[lo] == first_value:
+                    x[lo:hi] = np.nan
+            return x, iterations, collapsed, last
 
         monkeypatch.setattr(solver, "_walk", poisoned)
         monkeypatch.setattr(solver, "_walk_stack", poisoned_stack)

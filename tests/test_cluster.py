@@ -725,6 +725,86 @@ class TestClusterPipeline:
         np.testing.assert_array_equal(res.embedding, np.zeros((2, 2)))
 
 
+def _reference_cutoff(d, percentile):
+    """(d_c, flags) from ``np.percentile`` of the row-tail triangle, 1.0
+    flagged when that is not positive."""
+    upper = np.concatenate([row[i + 1:] for i, row in enumerate(d)])
+    d_c = float(np.percentile(upper, percentile))
+    return (d_c, []) if d_c > 0 else (1.0, [FLAG_DEGENERATE_DC])
+
+
+def assert_same_cutoff(d, percentile):
+    got, want = cluster_module._percentile_cutoff(d, percentile), _reference_cutoff(d, percentile)
+    assert np.float64(got[0]).tobytes() == np.float64(want[0]).tobytes(), (got, want)
+    assert got[1] == want[1]
+
+
+PERCENTILES = st.one_of(st.floats(0.0, 100.0), st.sampled_from([100.0, 1e-9, 2.0, 50.0, 99.99]))
+
+
+class TestPercentileCutoff:
+    """d_c by selection: ``np.percentile`` of the distances between
+    distinct items, in all 64 bits."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(tied_points(2, 60).map(lambda t: t[0]),
+                     st.integers(2, 60).flatmap(lambda n: st.lists(
+                         st.lists(st.floats(0.0, 60.0), min_size=3, max_size=3),
+                         min_size=n, max_size=n)).map(np.array)),
+           PERCENTILES)
+    def test_equals_np_percentile(self, points, percentile):
+        assert_same_cutoff(pairwise_distances(points).d, percentile)
+
+    @pytest.mark.parametrize("percentile", [100.0, 1e-9, 0.0, 2.0, 25.0, 37.5, 50.0, 75.0])
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_two_and_three_items(self, n, percentile):
+        # with three items, percentiles 25 and 75 fall halfway between two
+        # distances, where the two interpolation formulas round apart in
+        # about a third of draws
+        rng = np.random.default_rng(n)
+        for _ in range(20):
+            for points in (rng.normal(size=(n, 2)), rng.integers(0, 2, (n, 1)).astype(float)):
+                assert_same_cutoff(pairwise_distances(points).d, percentile)
+
+    @pytest.mark.parametrize("percentile", [2.0, 100.0, 1e-9])
+    def test_all_zero_matrix_is_degenerate(self, percentile):
+        assert cluster_module._percentile_cutoff(np.zeros((5, 5)), percentile) == (
+            1.0, [FLAG_DEGENERATE_DC])
+        assert_same_cutoff(np.zeros((300, 300)), percentile)
+
+    @pytest.mark.parametrize("percentile", [100.0, 1e-9, 2.0, 63.0])
+    def test_many_row_blocks_with_ties(self, percentile):
+        # 1300 items take several row blocks; small integers tie heavily
+        rng = np.random.default_rng(5)
+        for points in (rng.normal(size=(1300, 4)), rng.integers(0, 3, (1300, 2)).astype(float)):
+            assert_same_cutoff(pairwise_distances(points).d, percentile)
+
+    def test_misleading_sample_widens_the_pass(self, monkeypatch):
+        # the sampled entries (every c-th of the flattened matrix, c the
+        # first integer from n^2 // 8192 prime to n) and their mirrors
+        # are the smallest, so the first threshold keeps too few of the
+        # entries that the median needs
+        n = 200
+        stride = 7  # 40000 // 8192 = 4, and 4, 5 and 6 share a factor with 200
+        rng = np.random.default_rng(8)
+        d = np.triu(rng.uniform(10.0, 20.0, (n, n)), 1)
+        picks = np.arange(0, n * n, stride)
+        rows, cols = np.divmod(picks, n)
+        d[np.minimum(rows, cols), np.maximum(rows, cols)] = 0.5
+        d = np.triu(d, 1) + np.triu(d, 1).T
+        passes = []
+        real = cluster_module._upper_at_most
+        monkeypatch.setattr(cluster_module, "_upper_at_most",
+                            lambda d, t: passes.append(t) or real(d, t))
+        assert_same_cutoff(d, 50.0)
+        assert len(passes) == 2 and passes[0] == 0.5 and passes[1] == np.inf
+
+    def test_rejects_a_percentile_outside_0_to_100(self):
+        for percentile in (-1.0, 100.5, np.nan):
+            with pytest.raises(ValueError, match=r"Percentiles must be in the range \[0, 100\]"):
+                cluster_module._percentile_cutoff(np.zeros((3, 3)), percentile)
+
+
 def adjusted_rand_index(truth, labels) -> float:
     """The Rand index of two labelings corrected for chance (Hubert and
     Arabie 1985): 1 for identical partitions, about 0 for random ones."""

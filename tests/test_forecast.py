@@ -240,13 +240,58 @@ class TestCausalWindow:
             lone = denoise_values(np.append(prefix, boundary), config, h=h).denoised[-5:-1]
             assert row.tobytes() == one.tobytes() == lone.tobytes()
 
+    @pytest.mark.parametrize("h", [1.0, 2.5])
+    @pytest.mark.parametrize("max_iters", [5000, 3])
+    def test_goals_at_sigma_max_equal_goals_one_by_one(self, h, max_iters):
+        # sigma^2 within a few ulps of sigma_max^2 of the prefix with its
+        # boundary, and sigma exactly sigma_max
+        rng = np.random.default_rng(23)
+        goals = []
+        for n in (4, 17, 60, 140, 284):
+            series = np.append(rng.normal(30.0, 5.0, n), 28.0)
+            sigma = float(np.sqrt(0.5 * h * np.sum((series - series.mean()) ** 2)))
+            for _ in range(6):
+                sigma = float(np.nextafter(sigma, 0.0))
+            for _ in range(13):
+                goals.append((series[:-1], series[-1], sigma))
+                sigma = float(np.nextafter(sigma, np.inf))
+        solver = dataclasses.replace(SWEEP_SOLVER, max_iters=max_iters)
+        prefixes, boundaries, sigmas = zip(*goals)
+        stacked = causal_denoise_window(list(prefixes), np.array(boundaries), np.array(sigmas),
+                                        solver, h=h)
+        for row, (prefix, boundary, sigma) in zip(stacked, goals):
+            config = dataclasses.replace(solver, sigma=sigma)
+            lone = denoise_values(np.append(prefix, boundary), config, h=h).denoised[-5:-1]
+            assert row.tobytes() == lone.tobytes()
+
+    def test_huge_goal_fails_the_stack_as_alone(self):
+        # deviations near 1e199 square past the float range
+        rng = np.random.default_rng(6)
+        prefixes = [rng.normal(30.0, 5.0, n) for n in (6, 20, 50)]
+        prefixes[1] = 1e200 * rng.normal(1.0, 0.1, 20)
+        with pytest.raises(FloatingPointError, match="non-finite fidelity") as alone:
+            causal_denoise_window(prefixes[1], 30.0, 3.0, SWEEP_SOLVER)
+        with pytest.raises(FloatingPointError) as stacked:
+            causal_denoise_window(prefixes, [30.0] * 3, [3.0] * 3, SWEEP_SOLVER)
+        assert str(stacked.value) == str(alone.value)
+        # at sigma 0 it is returned as it is, and the other goals are solved
+        sigmas = [3.0, 0.0, 3.0]
+        stacked = causal_denoise_window(prefixes, [30.0] * 3, sigmas, SWEEP_SOLVER)
+        for row, prefix, sigma in zip(stacked, prefixes, sigmas):
+            one = causal_denoise_window(prefix, 30.0, sigma, SWEEP_SOLVER)
+            assert row.tobytes() == one.tobytes()
+        assert (stacked[1] == prefixes[1][-4:]).all()
+
     def test_poisoned_goal_fails_the_stack(self, poison_rows):
         rng = np.random.default_rng(4)
         prefixes = [rng.normal(30.0, 5.0, n) for n in (6, 20, 50)]
         prefixes[1][0] = 77.125
         poison_rows(77.125)
-        with pytest.raises(FloatingPointError, match="non-finite iterate"):
+        with pytest.raises(FloatingPointError, match="non-finite iterate") as alone:
+            causal_denoise_window(prefixes[1], 30.0, 3.0, SWEEP_SOLVER)
+        with pytest.raises(FloatingPointError) as stacked:
             causal_denoise_window(prefixes, [30.0] * 3, [3.0] * 3, SWEEP_SOLVER)
+        assert str(stacked.value) == str(alone.value)
 
 
 class TestMetrics:
@@ -566,6 +611,29 @@ class TestGoalMatcher:
         for goal, value in zip(raw_goals[::94], values[::94]):
             assert (value, False) == _reference_match(matcher.columns.T, matcher.labels,
                                                       matcher.d_c, None, goal)[:2]
+
+    def test_fixed_k_of_one_builds_no_history_peaks(self, monkeypatch):
+        # predict() reads no neighbours at a fixed k of 1, so the build
+        # runs neither the history-only nearest-denser pass nor the peaks
+        rng = np.random.default_rng(21)
+        windows = rng.normal(30.0, 2.0, (300, WINDOW))
+        windows[:40] = np.round(windows[:40])  # exact ties
+        labels = rng.uniform(0.0, 80.0, 300)
+        goals = np.vstack([windows[:5], rng.normal(30.0, 2.0, (6, WINDOW)), np.full((1, 4), 90.0)])
+        calls = []
+
+        def refused(name):
+            return lambda *args: calls.append(name)
+
+        monkeypatch.setattr(forecast, "delta_neighbors", refused("delta_neighbors"))
+        monkeypatch.setattr(forecast, "HistoryPeaks", refused("HistoryPeaks"))
+        matcher = _GoalMatcher(windows, labels, 1.5, 1)
+        values, fell_back = matcher.predict(goals)
+        assert calls == [] and matcher.peaks is None and not fell_back.any()
+        monkeypatch.undo()
+        for goal, value in zip(goals, values):
+            assert np.float64(value).tobytes() == np.float64(
+                _reference_match(windows, labels, 1.5, 1, goal)[0]).tobytes()
 
     @pytest.mark.parametrize("case", ["axes", "family", "identical"])
     def test_block_mixing_one_and_many_centers_matches_reference(self, case):

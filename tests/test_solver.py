@@ -100,7 +100,7 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="slice duration must be finite and positive"):
             denoise_values(values, SolverConfig(sigma=3.0), h=h)
         with pytest.raises(ValueError, match="slice duration must be finite and positive"):
-            solver._denoise_stack([values, values[::-1]], [SolverConfig(sigma=3.0)] * 2, h=h)
+            stack_solve([values, values[::-1]], [3.0, 3.0], h=h)
 
     def test_sigma_whose_square_underflows_rejected(self):
         # h / (2 sigma^2) would divide by zero inside the solver
@@ -522,20 +522,65 @@ def mirrored(values: np.ndarray) -> np.ndarray:
     return np.concatenate([values, values[::-1]])
 
 
-def assert_same_walk(got, want):
-    """(x, trace) pairs of two walks, bit for bit; x is None for both or
-    for neither."""
-    (x, trace), (x0, trace0) = got, want
-    assert np.asarray(trace).tobytes() == np.asarray(trace0).tobytes()
-    assert (x is None) == (x0 is None)
+def laid_end_to_end(series):
+    """(u, heads): a list of series as one stack, series r at
+    u[heads[r]:heads[r + 1]]."""
+    return np.concatenate(series).astype(float), np.cumsum([0] + [len(v) for v in series])
+
+
+def stack_solve(series, sigmas, max_iters=5000, h=1.0) -> list:
+    """(x, iterations, saturated) of each series at its sigma, from one
+    ``_denoise_stack`` call."""
+    u, heads = laid_end_to_end(series)
+    x, iterations, saturated = solver._denoise_stack(
+        u, heads, np.asarray(sigmas, dtype=float), SolverConfig(sigma=0.0, max_iters=max_iters), h)
+    assert (x.shape, iterations.shape, saturated.shape) == (u.shape,) + ((len(series),),) * 2
+    return [(x[a:b], int(i), bool(sat))
+            for a, b, i, sat in zip(heads[:-1], heads[1:], iterations, saturated)]
+
+
+def assert_same_solve(row, want: DenoiseResult):
+    """A row of ``stack_solve`` against a lone solve: x, iterations and
+    saturated bit for bit."""
+    x, iterations, saturated = row
+    assert (x.dtype, x.shape, x.tobytes()) == (want.denoised.dtype, want.denoised.shape,
+                                               want.denoised.tobytes())
+    assert (iterations, saturated) == (want.iterations, want.saturated)
+
+
+def assert_same_walk(stack, r, want):
+    """Row r of a ``_walk_stack`` result against ``_walk``'s (x, trace):
+    x bit for bit, the trace's length and last weight, and collapsed where
+    x is None."""
+    x, iterations, collapsed, last = stack
+    x0, trace0 = want
+    assert (iterations[r], last[r].tobytes()) == (len(trace0), np.float64(trace0[-1]).tobytes())
+    assert collapsed[r] == (x0 is None)
     if x0 is not None:
-        assert (x.dtype, x.shape, x.tobytes()) == (x0.dtype, x0.shape, x0.tobytes())
+        assert (x[r].dtype, x[r].shape, x[r].tobytes()) == (x0.dtype, x0.shape, x0.tobytes())
+
+
+def walk_stack(series, budgets, max_iters):
+    """``_walk_stack`` of a list of series, its x split back into rows."""
+    u, heads = laid_end_to_end(series)
+    x, iterations, collapsed, last = solver._walk_stack(u, heads, budgets, max_iters)
+    assert (x.shape, iterations.shape, collapsed.shape, last.shape) == (u.shape,) + (
+        (len(series),),) * 3
+    return np.split(x, heads[1:-1]), iterations, collapsed, last
+
+
+def _ulp_step(x: float, k: int) -> float:
+    """x moved k steps of the float spacing, up for k > 0."""
+    for _ in range(abs(k)):
+        x = float(np.nextafter(x, math.inf if k > 0 else 0.0))
+    return x
 
 
 class TestWalkStack:
     """A stack of series walked in lockstep: each row is the heap walk of
-    its series to its budget alone, bit for bit in x and trace, and None
-    where that walk merged down to one segment."""
+    its series to its budget alone, bit for bit in x, the trace's length
+    and last weight, and collapsed where that walk merged down to one
+    segment."""
 
     FRACTIONS = st.one_of(st.floats(min_value=1e-6, max_value=1.0),
                           st.sampled_from([1 - 1e-15, 1 - 1e-12, 1 - 1e-9, 1.0, 1.5]))
@@ -554,10 +599,9 @@ class TestWalkStack:
         # sigma a fraction of sigma_max, some a few ulps below it, at it or
         # beyond it, and the budget 2 sigma^2 / h of a solve
         budgets = [2.0 * (f * sigma_max(v, h)) ** 2 / h for v, f in rows]
-        walks = solver._walk_stack(series, budgets, max_iters)
-        assert len(walks) == len(series)
-        for u0, budget, walk in zip(series, budgets, walks):
-            assert_same_walk(walk, solver._walk(u0, [budget], max_iters)[0][0])
+        stack = walk_stack(series, budgets, max_iters)
+        for r, (u0, budget) in enumerate(zip(series, budgets)):
+            assert_same_walk(stack, r, solver._walk(u0, [budget], max_iters)[0][0])
 
     @pytest.mark.parametrize("max_iters", [5000, 40])
     def test_causal_prefixes_equal_lone_walks(self, diurnal_days, max_iters):
@@ -566,9 +610,9 @@ class TestWalkStack:
         day = diurnal_days[2]
         series = [np.append(day[:n], day[n - 1]) for n in range(4, 286, 3)]
         budgets = [2.0 * min(25.0 ** 2 * (v.size / 288), 0.9 * sigma_max(v) ** 2) for v in series]
-        walks = solver._walk_stack(series, budgets, max_iters)
-        for u0, budget, walk in zip(series, budgets, walks):
-            assert_same_walk(walk, solver._walk(u0, [budget], max_iters)[0][0])
+        stack = walk_stack(series, budgets, max_iters)
+        for r, (u0, budget) in enumerate(zip(series, budgets)):
+            assert_same_walk(stack, r, solver._walk(u0, [budget], max_iters)[0][0])
 
     def test_stack_solve_equals_lone_solves(self):
         # the short circuits (sigma 0, flat rows, sigma >= sigma_max) and
@@ -577,14 +621,38 @@ class TestWalkStack:
         series = [rng.normal(30.0, 5.0, n) for n in (5, 40, 12, 3, 288)]
         series += [np.full(7, 4.0), np.zeros(9), np.array([40.6, 39.41, 41.24, 35.18])]
         sigmas = [2.0, 0.0, 50.0, 1.0, 25.0, 3.0, 0.5, sigma_max(series[-1]) * (1 - 2e-16)]
-        configs = [SolverConfig(sigma=s) for s in sigmas]
-        stacked = solver._denoise_stack(series, configs)
+        stacked = stack_solve(series, sigmas)
         # the last row merges down to one segment a few ulps below sigma_max
-        assert [r.saturated for r in stacked] == [False] * 2 + [True] + [False] * 2 + [True] * 3
-        assert stacked[-1].iterations == 3
-        for values, config, res in zip(series, configs, stacked):
-            assert_bit_identical(res, denoise_values(values, config))
+        assert [sat for _, _, sat in stacked] == [False] * 2 + [True] + [False] * 2 + [True] * 3
+        assert stacked[-1][1] == 3
+        for values, sigma, row in zip(series, sigmas, stacked):
+            assert_same_solve(row, denoise_values(values, SolverConfig(sigma=sigma)))
 
+    @pytest.mark.parametrize("h", [1.0, 2.5])
+    @pytest.mark.parametrize("max_iters", [5000, 3])
+    def test_rows_at_sigma_max_equal_lone_solves(self, h, max_iters):
+        # sigma^2 within a few ulps of sigma_max^2: sigma_max^2 summed over
+        # the stack differs from a lone np.sum in its last bits, so such a
+        # row decides by its lone sum
+        rng = np.random.default_rng(19)
+        series = [rng.normal(30.0, 5.0, n) for n in (6, 31, 64, 127, 200, 289)]
+        series += [np.append(rng.normal(30.0, 5.0, n), 1e3) for n in (50, 288)]
+        ulps = range(-12, 13)
+        sigmas = [_ulp_step(sigma_max(v, h), k) for v in series for k in ulps]
+        rows = [v for v in series for _ in ulps]
+        u, heads = laid_end_to_end(rows)
+        stacked_spread = 0.5 * h * np.add.reduceat(
+            (u - np.repeat(np.add.reduceat(u, heads[:-1]) / np.diff(heads), np.diff(heads))) ** 2,
+            heads[:-1])
+        lone_spread = np.array([sigma_max(v, h) ** 2 for v in rows])
+        sq = np.square(sigmas)
+        # some rows lie between the two sums, where they would decide apart
+        between = (np.minimum(stacked_spread, lone_spread) <= sq) & (
+            sq < np.maximum(stacked_spread, lone_spread))
+        assert between.sum() >= 3
+        for values, sigma, row in zip(rows, sigmas, stack_solve(rows, sigmas, max_iters, h)):
+            assert_same_solve(row, denoise_values(values, SolverConfig(sigma=sigma,
+                                                                       max_iters=max_iters), h))
 
     def test_one_walking_row_takes_the_heap_walk(self, monkeypatch):
         # a lone prefix costs a dozen times more in lockstep; the short
@@ -594,13 +662,13 @@ class TestWalkStack:
 
         rng = np.random.default_rng(12)
         series = [rng.normal(30.0, 5.0, 288), np.full(7, 4.0), rng.normal(30.0, 5.0, 9)]
-        configs = [SolverConfig(sigma=20.0), SolverConfig(sigma=2.0), SolverConfig(sigma=0.0)]
-        want = [denoise_values(values, config) for values, config in zip(series, configs)]
+        sigmas = [20.0, 2.0, 0.0]
+        want = [denoise_values(values, SolverConfig(sigma=s)) for values, s in zip(series, sigmas)]
         monkeypatch.setattr(solver, "_walk_stack", no_stack)
-        for values, config, w in zip(series, configs, want):
-            assert_bit_identical(solver._denoise_stack([values], [config])[0], w)
-        for res, w in zip(solver._denoise_stack(series, configs), want):
-            assert_bit_identical(res, w)
+        for values, sigma, w in zip(series, sigmas, want):
+            assert_same_solve(stack_solve([values], [sigma])[0], w)
+        for row, w in zip(stack_solve(series, sigmas), want):
+            assert_same_solve(row, w)
 
 
 class TestSolveFailures:
