@@ -31,8 +31,12 @@ import numpy as np
 from .cluster import DEFAULT_DC_PERCENTILE, cluster
 from .forecast import compare_pipelines
 from .noise import DEFAULT_SIGMA_GRID, _validate_grid, estimate_sigma
-from .series import DEFAULT_SLICES, DEFAULT_SLICE_MINUTES, VelocitySeries, nearest_interpolate
-from .solver import SolverConfig, denoise_values
+from .series import (DEFAULT_SLICES, DEFAULT_SLICE_MINUTES, VelocitySeries, _fill_nearest,
+                     total_variation)
+from .solver import SolverConfig, _denoise_stack, _residual
+# not called here; bench/tracing.py wraps both under this module's names
+from .series import nearest_interpolate  # noqa: F401
+from .solver import denoise_values  # noqa: F401
 from .synth import run_table1, table1_csv
 
 log = logging.getLogger("tvroad")
@@ -249,8 +253,10 @@ class _Records:
 
     def road_days(self, min_records: int, min_length_m: float | None) -> dict:
         """{(road_id, day): VelocitySeries} in sorted key order, gaps filled
-        by nearest_interpolate, short roads and thin days skipped."""
-        result = {}
+        by nearest-in-time interpolation in one pass over the kept road-days,
+        short roads and thin days skipped."""
+        keys, rows = [], []
+        counts = np.count_nonzero(self.observed, axis=1)
         for key in sorted(self.ids):
             road_id, day = key
             g = self.ids[key]
@@ -259,16 +265,17 @@ class _Records:
                 log.info("%s/%s: skipped, road length %.0f m below %.0f m",
                          road_id, day, length, min_length_m)
                 continue
-            obs = np.flatnonzero(self.observed[g])
-            if obs.size < min_records:
+            if counts[g] < min_records:
                 log.info("%s/%s: skipped, %d records below the minimum of %d",
-                         road_id, day, obs.size, min_records)
+                         road_id, day, counts[g], min_records)
                 continue
-            result[key] = nearest_interpolate(
-                zip((obs + 1).tolist(), self.values[g, obs].tolist()), DEFAULT_SLICES,
-                road_id=road_id, day=day, h=DEFAULT_SLICE_MINUTES,
-            )
-        return result
+            keys.append(key)
+            rows.append(g)
+        observed = self.observed[rows]
+        values = _fill_nearest(self.values[rows], observed)
+        return {key: VelocitySeries(road_id=key[0], day=key[1], values=v, h=DEFAULT_SLICE_MINUTES,
+                                    observed_mask=mask)
+                for key, v, mask in zip(keys, values, observed)}
 
 
 def ingest(path, *, min_records: int = 150, min_length_m: float | None = None):
@@ -340,40 +347,79 @@ def _estimate(series: VelocitySeries, config: RunConfig):
                           solver=_pipeline_solver(config), h=1.0)
 
 
-def _solve(series: VelocitySeries, config: RunConfig, args):
-    """(sigma, its SigmaEstimate or None, DenoiseResult) of one road-day,
-    solved at the --sigma override, else at its estimated sigma."""
-    estimate = None if args.sigma is not None else _estimate(series, config)
-    sigma = float(args.sigma) if estimate is None else estimate.sigma_best
-    result = denoise_values(series.values, replace(_pipeline_solver(config), sigma=sigma), h=1.0)
-    return sigma, estimate, result
+def _sigma(series: VelocitySeries, config: RunConfig, args) -> tuple:
+    """(sigma, its SigmaEstimate or None) of one road-day: the --sigma
+    override, else its estimated sigma."""
+    if args.sigma is not None:
+        return float(args.sigma), None
+    estimate = _estimate(series, config)
+    return estimate.sigma_best, estimate
+
+
+def _stack_solves(values: list, sigmas: list, solver: SolverConfig) -> list:
+    """(denoised, diagnostics) of each series at its sigma, from one stacked
+    solve: each denoised series is its lone solve's bit for bit, and its
+    diagnostics are what that solve reports."""
+    u = np.concatenate(values)
+    heads = np.append(0, np.cumsum([v.size for v in values]))
+    x, iterations, saturated = _denoise_stack(u, heads, sigmas, solver, h=1.0)
+    solved = []
+    for r, (lo, hi) in enumerate(zip(heads[:-1].tolist(), heads[1:].tolist())):
+        residual, converged = _residual(x[lo:hi], u[lo:hi], sigmas[r], 1.0, solver.rel_tol)
+        solved.append((x[lo:hi], {"iterations": int(iterations[r]), "converged": converged,
+                                  "saturated": bool(saturated[r]),
+                                  "final_tv": total_variation(x[lo:hi]),
+                                  "constraint_residual": residual}))
+    return solved
+
+
+def _solve_all(data: dict, config: RunConfig, args, failed: str) -> tuple:
+    """({key: (sigma, SigmaEstimate or None, denoised, diagnostics)} of every
+    road-day that solves, in key order, and the number that failed.
+
+    Each road-day takes its sigma alone, then all of them are solved as one
+    stack.  If the stack raises, each road-day is solved alone, so that a
+    failing one fails alone.  A failure is logged as "<road>/<day>:
+    <failed>: <error>".
+    """
+    solver = _pipeline_solver(config)
+    sigmas, failures = {}, 0
+    for key in sorted(data):
+        try:
+            sigmas[key] = _sigma(data[key], config, args)
+        except Exception as exc:
+            failures += 1
+            log.error("%s: %s: %s", _key_name(key), failed, exc)
+    if not sigmas:
+        return {}, failures
+    try:
+        solved = dict(zip(sigmas, _stack_solves([data[key].values for key in sigmas],
+                                                [sigma for sigma, _ in sigmas.values()], solver)))
+    except Exception:
+        solved = {}
+        for key, (sigma, _) in sigmas.items():
+            try:
+                solved[key] = _stack_solves([data[key].values], [sigma], solver)[0]
+            except Exception as exc:
+                failures += 1
+                log.error("%s: %s: %s", _key_name(key), failed, exc)
+    return {key: sigmas[key] + solved[key] for key in solved}, failures
 
 
 def cmd_denoise(config: RunConfig, args) -> int:
     data = ingest(args.input, min_records=config.min_records,
                   min_length_m=config.min_road_length_m)
+    solved, failures = _solve_all(data, config, args, "denoise failed")
     out_rows = ["road_id,day,slice,velocity,denoised_velocity"]
     diagnostics = {}
-    failures = 0
-    for key in sorted(data):
-        series = data[key]
-        try:
-            sigma, estimate, result = _solve(series, config, args)
-        except Exception as exc:
-            failures += 1
-            log.error("%s: denoise failed: %s", _key_name(key), exc)
-            continue
+    for key, (sigma, estimate, denoised, diag) in solved.items():
         prefix = f"{key[0]},{key[1]},"
         out_rows += [f"{prefix}{i},{v!r},{u!r}" for i, (v, u) in
-                     enumerate(zip(series.values.tolist(), result.denoised.tolist()), start=1)]
+                     enumerate(zip(data[key].values.tolist(), denoised.tolist()), start=1)]
         diagnostics[_key_name(key)] = {
             "sigma": sigma,
             "sigma_flags": list(estimate.flags) if estimate is not None else [],
-            "iterations": result.iterations,
-            "converged": result.converged,
-            "saturated": result.saturated,
-            "final_tv": result.final_tv,
-            "constraint_residual": result.constraint_residual,
+            **diag,
         }
     out_dir = Path(config.out_dir)
     _write_text(out_dir, "denoised.csv", "\n".join(out_rows) + "\n")
@@ -409,17 +455,13 @@ def cmd_estimate(config: RunConfig, args) -> int:
 def cmd_cluster(config: RunConfig, args) -> int:
     data = ingest(args.input, min_records=config.min_records_cluster,
                   min_length_m=config.min_road_length_m)
-    keys, profiles = [], []
-    failures = 0
-    for key in sorted(data):
-        try:
-            profiles.append(data[key].values if args.no_denoise
-                            else _solve(data[key], config, args)[2].denoised)
-        except Exception as exc:
-            failures += 1
-            log.error("%s: profile preparation failed: %s", _key_name(key), exc)
-            continue
-        keys.append(key)
+    if args.no_denoise:
+        keys, failures = sorted(data), 0
+        profiles = [data[key].values for key in keys]
+    else:
+        solved, failures = _solve_all(data, config, args, "profile preparation failed")
+        keys = list(solved)
+        profiles = [solved[key][2] for key in keys]
     if len(keys) < 2:
         log.error("clustering needs at least 2 road-days, have %d", len(keys))
         return 1

@@ -96,6 +96,20 @@ def pair_average(values: np.ndarray) -> np.ndarray:
     return 0.5 * (v[0::2] + v[1::2])
 
 
+def _fill_nearest(values: np.ndarray, observed: np.ndarray) -> np.ndarray:
+    """Rows of ``values`` (R, n) with every slice that ``observed`` (R, n)
+    marks False copied from the nearest observed slice of its row, the
+    earlier one on a tie.  Every row needs one observed slice; the values
+    of the other slices are never read."""
+    rows, n = observed.shape
+    grid = np.arange(n)
+    left = np.maximum.accumulate(np.where(observed, grid, -1), axis=1)
+    right = np.minimum.accumulate(np.where(observed, grid, n)[:, ::-1], axis=1)[:, ::-1]
+    # no observed slice on one side: take the other, whose distance is finite
+    pick = np.where((left >= 0) & ((right == n) | (grid - left <= right - grid)), left, right)
+    return values[np.arange(rows)[:, None], pick]
+
+
 def nearest_interpolate(
     records: Iterable[tuple[int, float]],
     n_slices: int,
@@ -127,16 +141,9 @@ def nearest_interpolate(
     if not increasing and np.unique(idx).size != idx.size:
         raise ValueError("duplicate slice index in records")
 
-    obs = idx - 1  # 0-based, sorted
-    grid = np.arange(n_slices)
-    pos = np.searchsorted(obs, grid)
-    left = np.clip(pos - 1, 0, obs.size - 1)
-    right = np.clip(pos, 0, obs.size - 1)
-    d_left = np.abs(grid - obs[left])
-    d_right = np.abs(obs[right] - grid)
-    pick = np.where(d_left <= d_right, left, right)
-
-    full = vals[pick]
-    mask = np.zeros(n_slices, dtype=bool)
-    mask[obs] = True
-    return VelocitySeries(road_id=road_id, day=day, values=full, h=h, observed_mask=mask)
+    full = np.zeros((1, n_slices))
+    mask = np.zeros((1, n_slices), dtype=bool)
+    full[0, idx - 1] = vals
+    mask[0, idx - 1] = True
+    return VelocitySeries(road_id=road_id, day=day, values=_fill_nearest(full, mask)[0], h=h,
+                          observed_mask=mask[0])

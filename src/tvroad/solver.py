@@ -58,25 +58,28 @@ noise module's TV_l.
 
 Two walks serve these solves, and the caller's shape picks one.  The
 heap walk (:func:`_walk`) takes one series to a list of budgets: it
-serves :func:`denoise_values`, the grid sweep with its floor crossing
-and every CLI solve.  The lockstep walk (:func:`_walk_stack`) takes a
-stack of series laid end to end with one budget each, a target day's
-causal prefixes: each numpy step merges one pair in every series that
-still walks, and each series ends as the heap walk would, bit for bit.
-A numpy step costs about as much for one series as for hundreds, while
-a heap step is a few Python operations, so the lockstep walk loses on
-one series and wins on a stack; a stack with one series to walk takes
-the heap walk.  Both walks share the runs of :func:`_runs`.  A lone
-solve takes its short circuits from :func:`_shortcuts`; a stack
-(:func:`_denoise_stack`) decides them over the whole stack and returns
-x, iterations and saturated as arrays, with no result object per
-series.  On 2 cores with numpy 2.4.6, one 288-slice day at sigma 25
-takes 17-18 ms in lockstep against 1.3-1.5 ms on the heap, 7 such days
-10-19 ms against 5-9 ms, and a road's 282 causal prefixes 26-44 ms
-against 88-175 ms.  Deciding the short circuits over the stack, with no
-result object per series, took a third off the stack: 41.7-45.1 against
-61.8-67.2 ms at seeds 7, 11 and 500 (medians of 15, in one slow spell
-of the machine).
+serves :func:`denoise_values` and the grid sweep with its floor
+crossing.  The lockstep walk (:func:`_walk_stack`) takes a stack of
+series laid end to end with one budget each, a target day's causal
+prefixes or a CLI batch of road-days: each numpy step merges one pair
+in every series that still walks, and each series ends as the heap walk
+would, bit for bit.  A numpy step costs about as much for one series as
+for hundreds, while a heap step is a few Python operations, so the
+lockstep walk loses on one series and wins on a stack; a stack with one
+series to walk takes the heap walk.  Both walks share the runs of
+:func:`_runs`.  A lone solve takes its short circuits from
+:func:`_shortcuts`; a stack (:func:`_denoise_stack`) decides them over
+the whole stack and returns x, iterations and saturated as arrays, with
+no result object per series.  On 2 cores with numpy 2.4.6, one
+288-slice day at sigma 25 takes 17-18 ms in lockstep against 1.3-1.5 ms
+on the heap, 7 such days 10-19 ms against 5-9 ms, and a road's 282
+causal prefixes 26-44 ms against 88-175 ms.  A CLI batch of 180
+road-days at sigma 20 takes 34 ms as one stack against 120 ms one by
+one; the stack's fixed cost makes 3 road-days 12.5 against 2.5 ms, and
+the two meet near 15 road-days.  Deciding the short circuits over the
+stack, with no result object per series, took a third off the stack:
+41.7-45.1 against 61.8-67.2 ms at seeds 7, 11 and 500 (medians of 15,
+in one slow spell of the machine).
 
 ``epsilon`` does not enter the solve.  It is the smoothing of
 :func:`smoothed_total_variation`, which replaces each |d| by
@@ -115,10 +118,14 @@ class SolverConfig:
     def __post_init__(self):
         if not (0.0 <= self.sigma < math.inf):
             raise ValueError(f"sigma must be finite and >= 0, got {self.sigma!r}")
-        if self.sigma > 0 and self.sigma ** 2 < sys.float_info.min:
+        square = float(self.sigma) * float(self.sigma)  # inf, with no raise, on overflow
+        if self.sigma > 0 and square < sys.float_info.min:
             # 2 sigma^2 / h would lose the budget to underflow
             raise ValueError(f"sigma {self.sigma!r} is too small: its square underflows "
                              "the normal float range")
+        if square == math.inf:
+            raise ValueError(f"sigma {self.sigma!r} is too large: its square overflows "
+                             "the float range")
         if not (self.epsilon > 0):
             raise ValueError("epsilon must be positive")
         if not (isinstance(self.max_iters, numbers.Integral) and self.max_iters >= 1):
@@ -428,12 +435,19 @@ def _non_finite_iterate(steps, last, residual) -> FloatingPointError:
                               f"fidelity residual {residual}")
 
 
-def _result(u, u0, sigma, h, trace, config, saturated=False) -> DenoiseResult:
+def _residual(u, u0, sigma, h, rel_tol) -> tuple:
+    """(constraint_residual, converged) of a solution u of u0 at sigma, as
+    every result reports them."""
     residual = abs(0.5 * h * float(np.sum((u - u0) ** 2)) - sigma * sigma)
+    return residual, residual <= rel_tol * sigma * sigma
+
+
+def _result(u, u0, sigma, h, trace, config, saturated=False) -> DenoiseResult:
+    residual, converged = _residual(u, u0, sigma, h, config.rel_tol)
     if not math.isfinite(residual):
         raise _non_finite_iterate(len(trace), trace[-1], residual)
-    return DenoiseResult(u, total_variation(u), len(trace), trace, residual,
-                         residual <= config.rel_tol * sigma * sigma, saturated=saturated)
+    return DenoiseResult(u, total_variation(u), len(trace), trace, residual, converged,
+                         saturated=saturated)
 
 
 def _finish(u0, config, h, x, trace) -> DenoiseResult:
@@ -522,8 +536,10 @@ def _denoise_stack(u, heads, sigmas, solver: SolverConfig, h: float = 1.0) -> tu
     takes the lone residual.
     """
     sigmas = np.asarray(sigmas, dtype=float)
-    valid = (0.0 <= sigmas) & (sigmas < math.inf)
-    valid &= (sigmas == 0.0) | (sigmas ** 2 >= sys.float_info.min)
+    with np.errstate(over="ignore", invalid="ignore"):
+        sq = sigmas * sigmas
+    valid = (0.0 <= sigmas) & (sigmas < math.inf) & (sq < math.inf)
+    valid &= (sigmas == 0.0) | (sq >= sys.float_info.min)
     if not valid.all():
         replace(solver, sigma=sigmas[np.argmin(valid)])  # raises a lone config's ValueError
     size = np.diff(heads)
@@ -535,7 +551,6 @@ def _denoise_stack(u, heads, sigmas, solver: SolverConfig, h: float = 1.0) -> tu
     rows, hh = size.size, 0.5 * h
     # Overflow shows as a non-finite fidelity or iterate, which raises.
     with np.errstate(over="ignore", invalid="ignore"):
-        sq = sigmas * sigmas
         flat = np.minimum.reduceat(u, lo) == np.maximum.reduceat(u, lo)
         top = np.maximum.reduceat(np.abs(u), lo)
         dev = u - np.repeat(np.add.reduceat(u, lo) / size, size)

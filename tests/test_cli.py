@@ -3,6 +3,8 @@ import dataclasses
 import datetime
 import itertools
 import json
+import math
+import sys
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -13,6 +15,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from tvroad import cli
+from tvroad import solver as solver_module
 from tvroad.cli import RunConfig, config_from_text, ingest, main
 from tvroad.cluster import cluster
 from tvroad.noise import DEFAULT_SIGMA_GRID, estimate_sigma
@@ -402,6 +405,99 @@ class TestRecordRoundTrip:
             assert second[key].values.tobytes() == series.values.tobytes()
         assert len(records) == DEFAULT_SLICES * len(first)
         assert all(r["denoised_velocity"] == r["velocity"] for r in records)
+
+
+# the largest sigma whose square is finite, and the next float above it
+LARGEST_SIGMA = math.sqrt(sys.float_info.max)
+OVERFLOWING_SIGMA = float(np.nextafter(LARGEST_SIGMA, math.inf))
+
+
+class TestStackedDenoise:
+    """``denoise`` solves its road-days as one stack; each row is its lone
+    solve's, diagnostics included."""
+
+    @pytest.fixture
+    def mixed_csv(self, road_days, write_records):
+        # noisy days, a flat day and a day whose spread is below sigma 3
+        # (sigma_max about 1.2), so that some rows walk and some saturate
+        rng = np.random.default_rng(5)
+        extra = [VelocitySeries("road-2", 1, np.full(288, 40.0), h=5.0),
+                 VelocitySeries("road-3", 1, 30.0 + rng.normal(0.0, 0.1, 288), h=5.0),
+                 VelocitySeries("road-4", 2, road_days[0].values[::-1], h=5.0)]
+        return write_records(road_days + extra, name="mixed.csv")
+
+    def test_fixed_sigma_walks_one_stack(self, write_records, tmp_path, monkeypatch):
+        days = [noisy for road in two_regime_corpus(n_roads=2, n_days=12, seed=3)
+                for _, noisy in road]
+        path = write_records(days)
+        calls = []
+        walk_stack = solver_module._walk_stack
+
+        def counted(*args, **kwargs):
+            calls.append(args[1].size - 1)
+            return walk_stack(*args, **kwargs)
+
+        def no_walk(*args, **kwargs):
+            raise AssertionError("a stack of road-days takes no lone walk")
+
+        monkeypatch.setattr(solver_module, "_walk_stack", counted)
+        monkeypatch.setattr(solver_module, "_walk", no_walk)
+        out = tmp_path / "out"
+        assert run_cli("denoise", "--input", str(path), "--out-dir", str(out),
+                       "--sigma", "20") == 0
+        assert len(json.loads((out / "denoise_diagnostics.json").read_text())) == 24
+        assert calls == [24]
+
+    # the capped rows end at 0.948-0.976 sigma^2 from the budget, on both
+    # sides of rel_tol 0.96
+    @pytest.mark.parametrize("argv,config_text", [
+        (["--sigma", "0"], ""), (["--sigma", "3"], ""),
+        (["--sigma", "3"], "max_iters = 3\nrel_tol = 0.96\n"),
+        (["--sigma", repr(LARGEST_SIGMA)], ""), (["--grid", "0,1,5,10,20"], ""),
+    ], ids=["sigma-0", "sigma-3", "capped", "largest-sigma", "estimated"])
+    def test_outputs_equal_lone_solves(self, argv, config_text, mixed_csv, tmp_path):
+        conf = tmp_path / "run.conf"
+        conf.write_text(config_text)
+        out = tmp_path / "out"
+        assert run_cli("denoise", "--input", str(mixed_csv), "--out-dir", str(out),
+                       "--config", str(conf), *argv) == 0
+        config = config_from_text(config_text)
+        solver = SolverConfig(sigma=0.0, max_iters=config.max_iters, rel_tol=config.rel_tol)
+        data = ingest(mixed_csv, min_records=config.min_records)
+        diag = json.loads((out / "denoise_diagnostics.json").read_text())
+        rows = (out / "denoised.csv").read_text().strip().split("\n")[1:]
+        assert len(rows) == 288 * len(data) == 288 * len(diag)
+        kinds = set()
+        for n, key in enumerate(sorted(data)):
+            values = data[key].values
+            sigma = float(argv[1]) if argv[0] == "--sigma" else estimate_sigma(
+                values, sigma_grid=(0.0, 1.0, 5.0, 10.0, 20.0), solver=solver, h=1.0).sigma_best
+            want = denoise_values(values, dataclasses.replace(solver, sigma=sigma), h=1.0)
+            entry = diag[f"{key[0]}/{key[1]}"]
+            assert entry["sigma"] == sigma
+            assert {name: entry[name] for name in ("iterations", "converged", "saturated",
+                                                   "final_tv", "constraint_residual")} == {
+                "iterations": want.iterations, "converged": want.converged,
+                "saturated": want.saturated, "final_tv": want.final_tv,
+                "constraint_residual": want.constraint_residual}
+            got = [float(line.split(",")[4]) for line in rows[288 * n:288 * (n + 1)]]
+            assert got == want.denoised.tolist()
+            kinds.add((want.saturated, want.converged, want.iterations == config.max_iters))
+        if argv == ["--sigma", "3"]:  # rows that walk and rows that saturate
+            assert {True, False} <= {saturated for saturated, _, _ in kinds}
+        if config_text:  # rows capped short of the budget, within rel_tol and not
+            assert {(False, True, True), (False, False, True)} <= kinds
+
+    @pytest.mark.parametrize("command", ["denoise", "cluster", "predict"])
+    def test_sigma_whose_square_overflows_is_usage_error(self, command, records_csv, tmp_path,
+                                                         caplog):
+        # float ** 2 used to raise OverflowError out of main, exit 1
+        out = tmp_path / "out"
+        assert run_cli(command, "--input", str(records_csv), "--out-dir", str(out),
+                       "--sigma", repr(OVERFLOWING_SIGMA)) == 2
+        assert [r.levelname for r in caplog.records] == ["ERROR"]
+        assert "its square overflows" in caplog.text
+        assert not out.exists()
 
 
 class TestCommands:

@@ -157,3 +157,51 @@ class TestNearestInterpolate:
             assert s.observed_mask[slice_no - 1]
         assert s.observed_mask.sum() == len(records)
         assert set(s.values) <= set(float(v) for v in values)
+
+
+def _brute_nearest(values, observed):
+    """Each slice's value from the observed slice at the least distance,
+    the earlier one on a tie, by a search over all of them."""
+    out = values.copy()
+    for r, (row, seen) in enumerate(zip(values, observed)):
+        donors = np.flatnonzero(seen)
+        for i in range(row.size):
+            out[r, i] = row[min(donors, key=lambda j: (abs(j - i), j))]
+    return out
+
+
+@st.composite
+def observation_masks(draw):
+    """(R, n) masks with at least one observed slice per row: lone observed
+    slices, rows whose first or last slices are missing, and gaps of even
+    length whose middle ties left against right."""
+    n = draw(st.integers(min_value=2, max_value=30))
+    rows = draw(st.integers(min_value=1, max_value=6))
+    mask = np.zeros((rows, n), dtype=bool)
+    for r in range(rows):
+        shape = draw(st.sampled_from(["one", "ends-missing", "even-gaps", "random"]))
+        if shape == "one":
+            mask[r, draw(st.integers(0, n - 1))] = True
+        elif shape == "ends-missing":
+            lo = draw(st.integers(0, n - 1))
+            mask[r, lo:draw(st.integers(lo + 1, n))] = True
+        elif shape == "even-gaps":
+            step = draw(st.sampled_from([1, 3, 5]))  # gaps of step - 1 slices
+            mask[r, draw(st.integers(0, step - 1)) % n::step] = True
+        else:
+            mask[r] = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+            mask[r, draw(st.integers(0, n - 1))] = True
+    return mask
+
+
+class TestFillNearest:
+    @given(observation_masks(), st.integers(0, 2**32 - 1))
+    def test_rows_equal_brute_force(self, observed, seed):
+        values = np.random.default_rng(seed).normal(size=observed.shape)
+        values[~observed] = np.nan  # never read
+        want = _brute_nearest(values, observed)
+        got = series_module._fill_nearest(values, observed)
+        assert got.tobytes() == want.tobytes()
+        for row, seen, filled in zip(values, observed, got):
+            records = [(int(i) + 1, float(row[i])) for i in np.flatnonzero(seen)]
+            assert nearest_interpolate(records, row.size).values.tobytes() == filled.tobytes()

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -116,6 +117,23 @@ class TestConfigValidation:
         values = np.random.default_rng(0).normal(size=50)
         with pytest.raises(ValueError, match="underflows"):
             denoise_values(values, SolverConfig(sigma=sigma, epsilon=0.1))
+
+    @pytest.mark.parametrize("kind", [float, np.float64], ids=["float", "numpy"])
+    def test_sigma_whose_square_overflows_rejected(self, kind):
+        # float ** 2 used to raise OverflowError, and a numpy sigma gave an
+        # inf budget and an IndexError from the empty trace
+        largest = math.sqrt(sys.float_info.max)  # its square is finite
+        above = float(np.nextafter(largest, math.inf))
+        values = [1.0, 5.0, 2.0]
+        with pytest.raises(ValueError, match="too large: its square overflows"):
+            SolverConfig(sigma=kind(above))
+        with pytest.raises(ValueError, match="too large: its square overflows"):
+            stack_solve([values, values], [1.0, kind(above)])
+        config = SolverConfig(sigma=kind(largest))
+        assert config.sigma == largest
+        result = denoise_values(values, config)
+        assert result.saturated and result.denoised.tolist() == [8.0 / 3.0] * 3
+        assert_same_solve(stack_solve([values, values], [1.0, largest])[1], result)
 
     def test_result_checks_trace_length(self):
         with pytest.raises(ValueError):
