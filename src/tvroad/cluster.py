@@ -155,11 +155,9 @@ def pairwise_distances(vectors) -> DistanceMatrix:
     difference array and its reduction.  A block takes as many rows as
     keep its temporaries within ``_BLOCK_BYTES``, or within a quarter of
     it for narrow vectors, whose few flops per byte make the pass wait
-    on memory unless a block stays in cache (1974 windows of 4 slices:
-    38 -> 30 ms a build).  Blocks lengthen as rows shorten; temporaries
-    that shrank block by block would be served from the malloc heap and
-    stay resident (with glibc, +6 MB peak RSS when clustering 180
-    profiles of 288 slices).  The matrix is square,
+    on memory unless a block stays in cache.  Blocks lengthen as rows
+    shorten; temporaries that shrank block by block would be served from
+    the malloc heap and stay resident (with glibc).  The matrix is square,
     symmetric, zero on the diagonal and nonnegative by construction;
     only its finiteness is checked, so NaN input or squares that
     overflow raise ValueError.

@@ -25,7 +25,7 @@ velocity for the next slice; the denoiser then runs on the observed
 prefix plus that boundary and only the last four denoised slices are
 kept.  No slice beyond the boundary is ever read.  A day's 282 prefixes
 are denoised as one stack before the matchers are built: laid end to
-end, with the short circuits decided over the whole stack, the prefixes
+end, each taking its short circuits as it would alone, the prefixes
 walk the TV solution path in lockstep, one merge per prefix per numpy
 step, and each window is that of its prefix solved alone.
 
@@ -182,10 +182,10 @@ def causal_denoise_window(
     (G,) boundaries and sigmas gives a (G, 4) stack, each row that of its
     prefix alone, bit for bit.  Both forms take one stacked solve
     (``solver._denoise_stack``) of the prefixes laid end to end with
-    their boundaries: the short circuits are decided over the whole
-    stack, the prefixes that need a walk share one lockstep path walk,
-    and the windows are gathered by index from the stack's solution.  A
-    bad prefix raises the error it raises alone.
+    their boundaries: each prefix takes its short circuits as it would
+    alone, the prefixes that need a walk share one lockstep path walk,
+    and the windows are gathered by index from the stack's solution.
+    The first bad prefix raises the error it raises alone.
     """
     one = np.ndim(boundary) == 0
     prefixes = [day_so_far] if one else list(day_so_far)
@@ -391,7 +391,7 @@ def _on_two_threads(first, second):
 class PipelineComparison:
     """Raw and denoised prediction runs over the same target day."""
 
-    raw: PredictionReport | None
+    raw: PredictionReport
     denoised: PredictionReport | None
     sigma: float
     d_c: float
@@ -408,7 +408,6 @@ def compare_pipelines(
     sigma_grid=DEFAULT_SIGMA_GRID,
     dc_percentile: float = 2.0,
     k: int | None = None,
-    include_raw: bool = True,
     include_denoised: bool = True,
 ) -> PipelineComparison:
     """Run the prediction pipeline on a target day, raw and denoised.
@@ -434,23 +433,20 @@ def compare_pipelines(
     that keeps one stack (``bench/tracing.py``) gives each of their
     solves its own parent.  Then, when the denoised variant runs, a
     worker thread runs the causal goal stack while the calling thread
-    builds the raw history distance matrix, d_c and the denoised one.
-    Then, when both variants run, a worker thread builds the denoised
-    variant's matcher and matches its goals while the calling thread does
-    the raw variant's.  Both distance matrices and d_c are allocated on
-    the calling thread, as a thread's malloc arena (glibc) keeps what the
-    thread allocated.  Workers run in a copy of the caller's context, so
-    a caller's ``np.errstate`` holds on every thread.  In each phase an
-    error is raised once both threads have ended, the calling thread's
-    (the matrix builds', or the raw variant's) when both fail.  A run
-    without the denoised variant starts no thread.  A run with neither
-    variant raises ValueError before any solve.
+    builds the raw history distance matrix, d_c and the denoised one;
+    next a worker thread builds the denoised variant's matcher and
+    matches its goals while the calling thread does the raw variant's.
+    Both distance matrices and d_c are allocated on the calling thread,
+    as a thread's malloc arena (glibc) keeps what the thread allocated.
+    Workers run in a copy of the caller's context, so a caller's
+    ``np.errstate`` holds on every thread.  In each phase an error is
+    raised once both threads have ended, the calling thread's (the matrix
+    builds', or the raw variant's) when both fail.  A run without the
+    denoised variant starts no thread.
     """
     days = list(history_days)
     if not days:
         raise ValueError("empty history")
-    if not (include_raw or include_denoised):
-        raise ValueError("include_raw and include_denoised are both False: nothing to run")
     h = target.h
     if target.n_slices != DEFAULT_SLICES:
         raise ValueError(f"target must have {DEFAULT_SLICES} slices")
@@ -479,12 +475,8 @@ def compare_pipelines(
     goals = {"raw": np.lib.stride_tricks.sliding_window_view(tv, WINDOW)[:n_goals]}
 
     def distances():
-        # d_c comes from the raw windows even when only the denoised
-        # variant runs
         matrices = {"raw": _day_pair_distances(day_values["raw"], n_goals, WINDOW)}
         d_c, flags = _percentile_cutoff(matrices["raw"], dc_percentile)
-        if not include_raw:
-            del matrices["raw"]
         if include_denoised:
             matrices["denoised"] = _day_pair_distances(day_values["denoised"], n_goals, WINDOW)
         return matrices, d_c, flags
@@ -509,11 +501,11 @@ def compare_pipelines(
         matcher = _GoalMatcher(history.windows, history.labels, d_c, k, base=matrices[tag])
         return matcher.predict(goals[tag])
 
-    if len(matrices) == 2:
+    if include_denoised:
         matched = dict(zip(matrices, _on_two_threads(partial(match, "raw"),
                                                      partial(match, "denoised"))))
     else:
-        matched = {tag: match(tag) for tag in matrices}
+        matched = {"raw": match("raw")}
 
     truth = tv[LABEL_OFFSET:]
     slices = np.arange(LABEL_OFFSET + 1, DEFAULT_SLICES + 1)
@@ -532,7 +524,7 @@ def compare_pipelines(
             fallback_count=int(fell_back.sum()),
         )
     return PipelineComparison(
-        raw=reports.get("raw"),
+        raw=reports["raw"],
         denoised=reports.get("denoised"),
         sigma=float(sigma),
         d_c=d_c,

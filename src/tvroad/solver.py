@@ -68,18 +68,10 @@ for hundreds, while a heap step is a few Python operations, so the
 lockstep walk loses on one series and wins on a stack; a stack with one
 series to walk takes the heap walk.  Both walks share the runs of
 :func:`_runs`.  A lone solve takes its short circuits from
-:func:`_shortcuts`; a stack (:func:`_denoise_stack`) decides them over
-the whole stack and returns x, iterations and saturated as arrays, with
-no result object per series.  On 2 cores with numpy 2.4.6, one
-288-slice day at sigma 25 takes 17-18 ms in lockstep against 1.3-1.5 ms
-on the heap, 7 such days 10-19 ms against 5-9 ms, and a road's 282
-causal prefixes 26-44 ms against 88-175 ms.  A CLI batch of 180
-road-days at sigma 20 takes 34 ms as one stack against 120 ms one by
-one; the stack's fixed cost makes 3 road-days 12.5 against 2.5 ms, and
-the two meet near 15 road-days.  Deciding the short circuits over the
-stack, with no result object per series, took a third off the stack:
-41.7-45.1 against 61.8-67.2 ms at seeds 7, 11 and 500 (medians of 15,
-in one slow spell of the machine).
+:func:`_shortcuts`, and a stack (:func:`_denoise_stack`) takes them
+row by row; both take the flat and saturated cases from
+:func:`_short_circuit`.  A stack returns x, iterations and saturated as
+arrays, with no result object per series.
 
 ``epsilon`` does not enter the solve.  It is the smoothing of
 :func:`smoothed_total_variation`, which replaces each |d| by
@@ -98,9 +90,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .series import VelocitySeries, total_variation, _as_float_vector, _check_h
-
-_UNIT = 2.0 ** -53  # unit roundoff of a float
-
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -458,12 +447,24 @@ def _finish(u0, config, h, x, trace) -> DenoiseResult:
     return _result(x, u0, config.sigma, h, trace, config, saturated)
 
 
+def _short_circuit(u0: np.ndarray, sigmas, h: float) -> tuple:
+    """(flat, saturated): whether u0 is flat, and for each of ``sigmas``,
+    none of them 0, whether its solve needs no walk: flat input, returned
+    as it is, or sigma >= sigma_max, which returns the constant mean.
+    Both are flagged saturated.  A non-finite sigma_max^2 raises
+    FloatingPointError."""
+    dev = u0 - u0.mean()
+    spread = 0.5 * h * float(np.sum(dev * dev))  # sigma_max^2
+    if not math.isfinite(spread):
+        raise FloatingPointError(f"non-finite fidelity: sigma_max^2 of the input is {spread}")
+    flat = bool((u0 == u0[0]).all())  # flat, though its mean may round off u0
+    return flat, [flat or s * s >= spread for s in sigmas]
+
+
 def _shortcuts(u0: np.ndarray, configs, h: float) -> list:
     """The result of each config that needs no walk, None for each that
     does; the configs differ only in sigma, which does not decrease along
-    them.  sigma = 0 returns u0; flat input (as it is) and sigma >=
-    sigma_max return the constant mean, flagged saturated; a non-finite
-    sigma_max^2 raises FloatingPointError."""
+    them.  sigma = 0 returns u0; the rest take :func:`_short_circuit`."""
     results = []
     for config in configs:
         if config.sigma != 0.0:
@@ -472,14 +473,11 @@ def _shortcuts(u0: np.ndarray, configs, h: float) -> list:
     rest = configs[len(results):]
     if not rest:
         return results
-    dev = u0 - u0.mean()
-    spread = 0.5 * h * float(np.sum(dev * dev))  # sigma_max^2
-    if not math.isfinite(spread):
-        raise FloatingPointError(f"non-finite fidelity: sigma_max^2 of the input is {spread}")
-    if (u0 == u0[0]).all():  # flat, though its mean may round off u0
+    flat, saturated = _short_circuit(u0, [c.sigma for c in rest], h)
+    if flat:
         return results + [_result(u0.copy(), u0, c.sigma, h, [], c, saturated=True) for c in rest]
-    return results + [None if c.sigma * c.sigma < spread else _finish(u0, c, h, None, [])
-                      for c in rest]
+    return results + [_finish(u0, c, h, None, []) if sat else None
+                      for c, sat in zip(rest, saturated)]
 
 
 def _series(values) -> np.ndarray:
@@ -515,67 +513,49 @@ def _denoise_stack(u, heads, sigmas, solver: SolverConfig, h: float = 1.0) -> tu
     series u[heads[r]:heads[r + 1]] of a stack laid end to end, at sigma
     ``sigmas[r]`` and otherwise under ``solver``, bit for bit.  x holds the
     denoised series end to end as in u, iterations and saturated one entry
-    per series.  A bad sigma, sample or h raises the ValueError, and a
-    non-finite sigma_max^2 or solution the FloatingPointError, that the
-    first series to fail would raise alone.
+    per series.
 
-    The short circuits of :func:`_shortcuts` are decided over the whole
-    stack.  sigma_max^2 comes from sums over each series of the stack
-    (``np.add.reduceat``), which can differ in the last bits from the
-    series' own ``np.sum``.  In any summation order, such a sum S of n
-    terms lies within a relative gamma = (n + 2) u (u the unit roundoff)
-    of sum (u0 - mu)^2 plus the n e^2 that a mean e off mu adds, e <=
-    (n + 1) u max|u0|, so two of them differ by at most 2 gamma S + n
-    e^2.  A series whose decision (sigma^2 against sigma_max^2), or whose
-    sigma_max^2's finiteness, could turn within twice that margin takes
-    :func:`_shortcuts` alone.  The series that need a walk
-    share one lockstep walk (:func:`_walk_stack`), or take the heap walk
-    if only one does.  One check of x finds a non-finite solution: the
-    fidelity residual of a lone solve is non-finite exactly then, unless
-    the data are so large that it could overflow, when each walked series
-    takes the lone residual.
+    The series are checked and decided one by one, in order, as each
+    would be alone: its sigma (by its config), its samples, h, then sigma
+    0 and :func:`_short_circuit`.  So a bad sigma, sample or h raises the
+    ValueError, and a non-finite sigma_max^2 the FloatingPointError, that
+    the first series to fail would raise alone.  The samples are checked
+    series by series only when the stack is not all finite or has a
+    series shorter than two.  The series that need a walk then share one
+    lockstep walk (:func:`_walk_stack`), or take the heap walk if only
+    one does.  After the walk, one check of x finds a non-finite
+    solution: the fidelity residual of a lone solve is non-finite exactly
+    then, unless the data are so large that it could overflow, when each
+    walked series takes the lone residual.  The first walked series with
+    a non-finite residual raises its FloatingPointError.
     """
-    sigmas = np.asarray(sigmas, dtype=float)
-    with np.errstate(over="ignore", invalid="ignore"):
-        sq = sigmas * sigmas
-    valid = (0.0 <= sigmas) & (sigmas < math.inf) & (sq < math.inf)
-    valid &= (sigmas == 0.0) | (sq >= sys.float_info.min)
-    if not valid.all():
-        replace(solver, sigma=sigmas[np.argmin(valid)])  # raises a lone config's ValueError
+    sigmas = np.asarray(sigmas, dtype=float).tolist()
     size = np.diff(heads)
-    lo, hi = heads[:-1], heads[1:]
-    if size.min() < 2 or not np.isfinite(u).all():
-        for a, b in zip(lo.tolist(), hi.tolist()):
-            _series(u[a:b])  # raises the first failing series' ValueError
-    h = _check_h(h)
-    rows, hh = size.size, 0.5 * h
+    lo, hi = heads[:-1].tolist(), heads[1:].tolist()
+    screened = size.min() >= 2 and np.isfinite(u).all()
+    rows = size.size
+    x, iterations = u.copy(), np.zeros(rows, dtype=np.int64)
+    # sigma 0 and flat series keep u0; sigma >= sigma_max and a walk that
+    # merged down to one segment give the constant mean
+    walk, saturated, mean = (np.zeros(rows, dtype=bool) for _ in range(3))
     # Overflow shows as a non-finite fidelity or iterate, which raises.
     with np.errstate(over="ignore", invalid="ignore"):
-        flat = np.minimum.reduceat(u, lo) == np.maximum.reduceat(u, lo)
-        top = np.maximum.reduceat(np.abs(u), lo)
-        dev = u - np.repeat(np.add.reduceat(u, lo) / size, size)
-        total = np.add.reduceat(dev * dev, lo)
-        gamma = 1.01 * (size + 2) * _UNIT
-        bound = 6.0 * gamma * total + 4.0 * size * ((gamma * top) ** 2 + sys.float_info.min)
-        # a lone sigma_max^2 lies in [below, above], as rounding is monotone
-        below, above = hh * (total - bound), hh * (total + bound)
-        moved = sigmas != 0.0  # sigma 0 returns u0
-        walk, saturated = moved & ~flat & (sq < below), moved & (flat | (sq >= above))
-        sure = ~moved | ((above < math.inf) & (sq < math.inf) & (walk | saturated))
-        for r in np.flatnonzero(~sure).tolist():  # raises as the series would alone
-            u0 = u[lo[r]:hi[r]]
-            walk[r] = _shortcuts(u0, [replace(solver, sigma=sigmas[r])], h)[0] is None
-            saturated[r] = not walk[r]
+        for r, (sigma, a, b) in enumerate(zip(sigmas, lo, hi)):
+            replace(solver, sigma=sigma)  # raises a lone config's ValueError
+            u0 = u[a:b]
+            if not screened:
+                _series(u0)
+            h = _check_h(h)
+            if sigma != 0.0:
+                flat, (saturated[r],) = _short_circuit(u0, [sigma], h)
+                walk[r], mean[r] = not saturated[r], saturated[r] and not flat
 
-        # sigma 0 and flat series keep u0; sigma >= sigma_max and a walk
-        # that merged down to one segment give the constant mean
-        x, iterations = u.copy(), np.zeros(rows, dtype=np.int64)
-        walked = np.flatnonzero(walk)
-        if walked.size:
+        walked = np.flatnonzero(walk).tolist()
+        if walked:
             mask = np.repeat(walk, size)
-            budgets = 2.0 * sigmas[walked] * sigmas[walked] / h
-            if walked.size == 1:
-                x_r, trace = _walk(u[mask], budgets.tolist(), solver.max_iters)[0][0]
+            budgets = [2.0 * sigmas[r] * sigmas[r] / h for r in walked]
+            if len(walked) == 1:
+                x_r, trace = _walk(u[mask], budgets, solver.max_iters)[0][0]
                 collapsed, steps, last = np.array([x_r is None]), [len(trace)], [trace[-1]]
                 if x_r is not None:
                     x[mask] = x_r
@@ -583,17 +563,17 @@ def _denoise_stack(u, heads, sigmas, solver: SolverConfig, h: float = 1.0) -> tu
                 x[mask], steps, collapsed, last = _walk_stack(
                     u[mask], np.append(0, np.cumsum(size[walked])), budgets, solver.max_iters)
             iterations[walked] = steps
-            saturated[walked] = collapsed
-        for r in np.flatnonzero(saturated & ~flat).tolist():
+            saturated[walked] = mean[walked] = collapsed
+        for r in np.flatnonzero(mean).tolist():
             x[lo[r]:hi[r]] = u[lo[r]:hi[r]].mean()
-        if walked.size:
+        if walked:
             # a lone residual is non-finite where x is, unless the squares
             # of x - u0 could overflow; then each walked series takes it
-            reach = hh * size.max() * (np.abs(x).max() + top.max()) ** 2
+            reach = 0.5 * h * size.max() * (np.abs(x).max() + np.abs(u).max()) ** 2
             if not (np.isfinite(x).all() and reach < 1e300):
-                for r, n, t in zip(walked.tolist(), steps, last):
-                    residual = abs(hh * float(np.sum((x[lo[r]:hi[r]] - u[lo[r]:hi[r]]) ** 2))
-                                   - sq[r])
+                for r, n, t in zip(walked, steps, last):
+                    residual = _residual(x[lo[r]:hi[r]], u[lo[r]:hi[r]], sigmas[r], h,
+                                         solver.rel_tol)[0]
                     if not math.isfinite(residual):
                         raise _non_finite_iterate(int(n), float(t), residual)
     return x, iterations, saturated

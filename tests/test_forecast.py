@@ -691,7 +691,7 @@ class TestComparePipelines:
         altered = target.values.copy()
         altered[100:] += 7.0
         target_b = VelocitySeries(target.road_id, target.day, altered, h=target.h)
-        kw = dict(sigma=2.5, include_raw=False)
+        kw = dict(sigma=2.5)
         a = compare_pipelines([history], target, **kw).denoised.predictions
         b = compare_pipelines([history], target_b, **kw).denoised.predictions
         # goals through start 96 read slices 1..100 only
@@ -702,7 +702,7 @@ class TestComparePipelines:
     def causal_case(self):
         road = two_regime_corpus(n_roads=1, n_days=2, seed=3)[0]
         history, target = road[0][1], road[1][1]
-        run = compare_pipelines([history], target, sigma=2.5, include_raw=False)
+        run = compare_pipelines([history], target, sigma=2.5)
         return history, target, run.denoised.predictions
 
     @settings(max_examples=8, deadline=None)
@@ -713,8 +713,7 @@ class TestComparePipelines:
         altered = target.values.copy()
         altered[cut:] = np.maximum(altered[cut:] + shift, 0.0)
         target_b = VelocitySeries(target.road_id, target.day, altered, h=target.h)
-        after = compare_pipelines([history], target_b, sigma=2.5,
-                                  include_raw=False).denoised.predictions
+        after = compare_pipelines([history], target_b, sigma=2.5).denoised.predictions
         # the goal at 0-based start s0 reads slices s0 + 1 .. s0 + 4
         np.testing.assert_array_equal(before[:cut - WINDOW + 1], after[:cut - WINDOW + 1])
         assert not np.array_equal(before, after)
@@ -723,15 +722,14 @@ class TestComparePipelines:
     @given(seed=st.integers(0, 50), k=st.sampled_from([None, 1, 3]))
     def test_runs_are_deterministic_and_variants_independent(self, seed, k):
         # the shared goal stacks couple neither run to run nor variant to
-        # variant: a lone raw or denoised run gives that variant's report
+        # variant: a run without the denoised variant gives the raw report
         road = two_regime_corpus(n_roads=1, n_days=2, seed=seed)[0]
         history, target = [road[0][1]], road[1][1]
         runs = [compare_pipelines(history, target, sigma=2.5, k=k) for _ in range(2)]
         raw_only = compare_pipelines(history, target, sigma=2.5, k=k, include_denoised=False)
-        denoised_only = compare_pipelines(history, target, sigma=2.5, k=k, include_raw=False)
-        assert runs[0].flags == runs[1].flags == raw_only.flags == denoised_only.flags
+        assert runs[0].flags == runs[1].flags == raw_only.flags
         for a, b in ((runs[0].raw, runs[1].raw), (runs[0].denoised, runs[1].denoised),
-                     (runs[0].raw, raw_only.raw), (runs[0].denoised, denoised_only.denoised)):
+                     (runs[0].raw, raw_only.raw)):
             np.testing.assert_array_equal(a.predictions, b.predictions)
             np.testing.assert_array_equal(a.slices, b.slices)
             assert (a.fallback_count, a.mape_retained_count) == (b.fallback_count,
@@ -920,18 +918,6 @@ class TestComparePipelines:
         assert sorted(failed) == ["causal stack", "matrix build"]
         assert threading.active_count() == threads
 
-    def test_run_with_no_variant_is_rejected_before_any_solve(self, short_road, monkeypatch):
-        calls = []
-        for name in ("denoise_values", "estimate_sigma", "causal_denoise_window"):
-            def spy(*args, _real=getattr(forecast, name), _name=name, **kwargs):
-                calls.append(_name)
-                return _real(*args, **kwargs)
-
-            monkeypatch.setattr(forecast, name, spy)
-        with pytest.raises(ValueError, match="include_raw and include_denoised"):
-            compare_pipelines(*short_road, include_raw=False, include_denoised=False)
-        assert calls == []
-
     def test_history_days_denoised_at_their_own_slice_length(self, monkeypatch):
         # days of two slice lengths: each day is solved at its own h, and
         # the results come back in day order
@@ -948,8 +934,7 @@ class TestComparePipelines:
             return real(days_, *args, **kwargs)
 
         monkeypatch.setattr(forecast, "build_history", spy)
-        cp = compare_pipelines(history, days[3], solver=solver, sigma_grid=grid,
-                               include_raw=False)
+        cp = compare_pipelines(history, days[3], solver=solver, sigma_grid=grid)
         per_day = [estimate_sigma(d.values, sigma_grid=grid, solver=solver, h=d.h)
                    for d in history]
         assert cp.sigma == float(np.mean([est.sigma_best for est in per_day]))

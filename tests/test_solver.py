@@ -688,6 +688,67 @@ class TestWalkStack:
         for row, w in zip(stack_solve(series, sigmas), want):
             assert_same_solve(row, w)
 
+    # rows a solve takes: varied, in runs, flat; and sigma 0, a fraction
+    # of sigma_max, or a few ulps either side of it
+    GOOD = st.tuples(
+        st.one_of(series_values().map(np.array), run_series(),
+                  st.tuples(st.integers(2, 9), st.floats(0.0, 60.0)).map(lambda t: np.full(*t))),
+        st.one_of(st.just(("at", 0.0)), st.tuples(st.just("fraction"), st.floats(1e-3, 1.5)),
+                  st.tuples(st.just("ulps"), st.integers(-3, 3))))
+    # rows a solve rejects: too short, a NaN sample, a spread whose squares
+    # overflow; or a sigma that is negative, NaN or whose square underflows
+    # or overflows
+    BAD = st.one_of(
+        st.tuples(st.one_of(
+            st.lists(st.floats(0.0, 60.0), max_size=1).map(np.array),
+            series_values().flatmap(lambda v: st.integers(0, len(v) - 1).map(
+                lambda i: np.where(np.arange(len(v)) == i, np.nan, v))),
+            series_values().map(lambda v: 1e200 * (np.array(v) + 1.0))), GOOD.map(lambda g: g[1])),
+        st.tuples(GOOD.map(lambda g: g[0]),
+                  st.tuples(st.just("at"), st.sampled_from([-1.0, math.nan, 1e-170, 1e160]))))
+
+    @staticmethod
+    def _sigma(values, spec, h) -> float:
+        """("at", s) is s; ("fraction", f) and ("ulps", k) are f sigma_max
+        and sigma_max moved k ulps, with 3 standing in for a sigma_max of 0
+        or one that is not finite."""
+        kind, k = spec
+        if kind == "at":
+            return k
+        with np.errstate(over="ignore", invalid="ignore"):
+            smax = sigma_max(values, h) if len(values) else math.nan
+        smax = smax if math.isfinite(smax) and smax > 0.0 else 3.0
+        return k * smax if kind == "fraction" else _ulp_step(smax, k)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(GOOD, min_size=1, max_size=6),
+           st.lists(st.tuples(st.integers(0, 6), BAD), max_size=2),
+           st.sampled_from([3, 5000]), st.sampled_from([1.0, 2.5]))
+    # a NaN sample in the first row and a negative sigma in the second
+    @example([], [(0, (np.array([1.0, np.nan, 3.0, 4.0]), ("at", 1.0))),
+                  (1, (np.array([1.0, 2.0, 3.0, 4.0]), ("at", -1.0)))], 5000, 1.0)
+    def test_stack_equals_lone_solves_or_raises_their_first_error(self, good, bad, max_iters, h):
+        entries = list(good)
+        for at, entry in bad:
+            entries.insert(at, entry)
+        series = [values for values, _ in entries]
+        sigmas = [self._sigma(values, spec, h) for values, spec in entries]
+        want, error = [], None
+        for values, sigma in zip(series, sigmas):
+            try:
+                want.append(denoise_values(values, SolverConfig(sigma=sigma, max_iters=max_iters),
+                                           h))
+            except (ValueError, FloatingPointError) as exc:
+                error = exc
+                break
+        if error is None:
+            for row, w in zip(stack_solve(series, sigmas, max_iters, h), want):
+                assert_same_solve(row, w)
+        else:
+            with pytest.raises(type(error)) as raised:
+                stack_solve(series, sigmas, max_iters, h)
+            assert str(raised.value) == str(error)
+
 
 class TestSolveFailures:
     def test_rejects_bad_input(self):
