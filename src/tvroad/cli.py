@@ -378,9 +378,10 @@ def _solve_all(data: dict, config: RunConfig, args, failed: str) -> tuple:
     road-day that solves, in key order, and the number that failed.
 
     Each road-day takes its sigma alone, then all of them are solved as one
-    stack.  If the stack raises, each road-day is solved alone, so that a
-    failing one fails alone.  A failure is logged as "<road>/<day>:
-    <failed>: <error>".
+    stack.  A road-day whose solve fails is dropped, by the row its error
+    names, and the rest are stacked again, so a failing one fails alone.  A
+    failure is logged as "<road>/<day>: <failed>: <error>", the sigma
+    failures first, then the solve failures, each in key order.
     """
     solver = _pipeline_solver(config)
     sigmas, failures = {}, 0
@@ -390,20 +391,18 @@ def _solve_all(data: dict, config: RunConfig, args, failed: str) -> tuple:
         except Exception as exc:
             failures += 1
             log.error("%s: %s: %s", _key_name(key), failed, exc)
-    if not sigmas:
-        return {}, failures
-    try:
-        solved = dict(zip(sigmas, _stack_solves([data[key].values for key in sigmas],
-                                                [sigma for sigma, _ in sigmas.values()], solver)))
-    except Exception:
-        solved = {}
-        for key, (sigma, _) in sigmas.items():
-            try:
-                solved[key] = _stack_solves([data[key].values], [sigma], solver)[0]
-            except Exception as exc:
-                failures += 1
-                log.error("%s: %s: %s", _key_name(key), failed, exc)
-    return {key: sigmas[key] + solved[key] for key in solved}, failures
+    keys, errors, solved = list(sigmas), {}, {}
+    while keys and not solved:
+        try:
+            solved = dict(zip(keys, _stack_solves([data[key].values for key in keys],
+                                                  [sigmas[key][0] for key in keys], solver)))
+        except Exception as exc:
+            if not hasattr(exc, "row"):  # not any one road-day's failure
+                raise
+            errors[keys.pop(exc.row)] = exc
+    for key in sorted(errors):
+        log.error("%s: %s: %s", _key_name(key), failed, errors[key])
+    return {key: sigmas[key] + solved[key] for key in solved}, failures + len(errors)
 
 
 def cmd_denoise(config: RunConfig, args) -> int:

@@ -494,8 +494,10 @@ def _upper_at_most(d: np.ndarray, t: float) -> np.ndarray:
     d[lo:hi, lo + 1:] with the entries left of the diagonal masked off."""
     n = len(d)
     kept = []
-    # a block's mask, a byte an entry, within a sixteenth of _BLOCK_BYTES:
-    # about 130 rows of 1974 windows, faster than 530 or 16 rows
+    # a block's mask, a byte an entry, within a sixteenth of _BLOCK_BYTES
+    # (about 130 rows of 1974 windows): a mask small enough to stay in
+    # cache while the block is read, in blocks few enough to keep the
+    # per-block numpy calls cheap
     for rows in _row_blocks(n - 1, 16 * n):
         lo, hi = rows.start, min(rows.stop, n - 1)
         block = d[lo:hi, lo + 1:]

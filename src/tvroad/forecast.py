@@ -29,19 +29,24 @@ end, each taking its short circuits as it would alone, the prefixes
 walk the TV solution path in lockstep, one merge per prefix per numpy
 step, and each window is that of its prefix solved alone.
 
-``compare_pipelines`` runs on two threads in two phases.  The sigma
-estimates and the history denoise come first, on the calling thread,
-before any thread starts: they are the solves that go through
-``denoise_values`` and ``estimate_sigma``, whose spans a one-stack
-tracer must see one at a time.  Then a worker thread runs the causal
-goal stack while the calling thread builds both history distance
-matrices, a day pair at a time, and d_c; numpy releases the interpreter
-lock in those passes.  Then a worker thread builds the denoised matcher
-and matches its goals while the calling thread does the raw ones.  The
-large arrays, both distance matrices and the d_c triangle, are allocated
-on the calling thread: glibc gives each thread its own malloc arena, and
-an arena keeps what its thread allocated.  The workers allocate the
-causal stack's arrays and the matcher's block temporaries.
+``compare_pipelines`` runs on two lanes, the calling thread and one
+worker thread.  The sigma estimates and the history denoise come first,
+on the calling thread, before the worker starts: they are the solves
+that go through ``denoise_values`` and ``estimate_sigma``, whose spans a
+one-stack tracer must see one at a time.  Then the calling thread builds
+the raw history distance matrix, a day pair at a time, publishes d_c and
+builds the raw matcher, while the worker runs the causal goal stack,
+builds the denoised matrix, waits for d_c and builds the denoised
+matcher; numpy releases the interpreter lock in those passes.  Each lane
+then drains one shared task list, the raw goal blocks and then the
+denoised ones: it takes the next block under a lock, waits only for
+that variant's matcher and writes the block's predictions.  A block
+depends on its goals alone, so the predictions are those of one thread,
+bit for bit, whichever lane takes a block.  Each lane allocates its own
+matrix, the raw one and d_c's triangle on the calling thread, the
+denoised one and the causal stack's arrays on the worker (glibc gives
+each thread its own malloc arena, and an arena keeps what its thread
+allocated); both allocate block temporaries.
 """
 
 from __future__ import annotations
@@ -49,7 +54,6 @@ from __future__ import annotations
 import contextvars
 import threading
 from dataclasses import dataclass, replace
-from functools import partial
 
 import numpy as np
 
@@ -272,8 +276,9 @@ class _GoalMatcher:
     pass, and from those a ``cluster.HistoryPeaks`` holding the window
     pairs a goal can flip and the windows whose neighbour it can take
     away; a fixed k of 1 needs no neighbours, so its build stops at
-    rho_base.  predict() takes a (G, 4) goal stack and works through it in
-    goal blocks: for a block it computes the goals' distances and the
+    rho_base, and it rejects a k outside 1..m+1.  predict() takes a (G, 4)
+    goal stack and works through it in goal blocks, one predict_block()
+    call each: for a block it computes the goals' distances and the
     densities rho_base + w with each goal added, corrects each window's
     history neighbour only where a flip pair turned denser or its
     neighbour stopped being denser (a whole-row search for those few),
@@ -302,6 +307,8 @@ class _GoalMatcher:
         k: int | None,
         base: np.ndarray | None = None,
     ):
+        if k is not None and not 1 <= k <= len(windows) + 1:
+            raise ValueError(f"k must lie in 1..{len(windows) + 1}")
         self.labels = labels
         self.d_c = d_c
         self.k = k
@@ -316,48 +323,57 @@ class _GoalMatcher:
         """(values, fell_back) of a (G, 4) goal stack, one entry per goal;
         a goal alone in its cluster falls back to the Gaussian-weighted
         average over all windows."""
-        m = self.columns.shape[1]
-        if self.k is not None and not 1 <= self.k <= m + 1:
-            raise ValueError(f"k must lie in 1..{m + 1}")
         values = np.empty(len(goals))
         fell_back = np.zeros(len(goals), dtype=bool)
-        # a block's temporaries peak at 92 bytes per goal and window
-        # (tracemalloc, 1974 windows), about twelve (g, m) arrays of 8-byte
-        # items
-        for block in _row_blocks(len(goals), 96 * m):
-            d_goal = _column_distances(goals[block], self.columns)
-            w_goal = np.exp(-((d_goal / self.d_c) ** 2))
-            rho = np.empty((len(d_goal), m + 1))
-            np.add(self.rho_base, w_goal, out=rho[:, :m])
-            rho[:, m] = w_goal.sum(axis=1)
-            many = np.arange(0)  # the goals with more than one center
-            if self.k != 1:
-                delta, nn = self.peaks.delta_neighbors(d_goal, rho)
-                ks = auto_select_k(rho * delta)[0] if self.k is None else np.full(len(rho), self.k)
-                many = np.flatnonzero(ks > 1)
-            if many.size < len(rho):
-                # a goal with one center shares it with every window: the
-                # weighted average over all of them (rows of many are
-                # overwritten below)
-                values[block] = _weighted_labels(w_goal, self.labels)
-            if many.size == 0:
-                continue
-            rows = many if many.size < len(rho) else slice(None)  # a view when all rows
-            centers = select_centers(rho[rows], delta[rows], ks[rows])
-            label = follow_neighbors(
-                nn[rows], centers,
-                lambda r, items: self.peaks.bordered(d_goal[many[r]], items, centers[r]),
-            )
-            same = label[:, :m] == label[:, m:]
-            for r, row in zip(many, same):
-                members = np.flatnonzero(row)
-                goal = block.start + r
-                if members.size == 0:
-                    values[goal] = _weighted_label(w_goal[r], self.labels)
-                    fell_back[goal] = True
-                else:
-                    values[goal] = _weighted_label(w_goal[r, members], self.labels[members])
+        for block in _goal_blocks(len(goals), self.columns.shape[1]):
+            self.predict_block(goals, block, values, fell_back)
         return values, fell_back
+
+    def predict_block(self, goals: np.ndarray, block: slice, values: np.ndarray,
+                      fell_back: np.ndarray) -> None:
+        """Write values[block] and fell_back[block], those of goals[block];
+        a block's entries depend on its goals alone."""
+        m = self.columns.shape[1]
+        d_goal = _column_distances(goals[block], self.columns)
+        w_goal = np.exp(-((d_goal / self.d_c) ** 2))
+        rho = np.empty((len(d_goal), m + 1))
+        np.add(self.rho_base, w_goal, out=rho[:, :m])
+        rho[:, m] = w_goal.sum(axis=1)
+        many = np.arange(0)  # the goals with more than one center
+        if self.k != 1:
+            delta, nn = self.peaks.delta_neighbors(d_goal, rho)
+            ks = auto_select_k(rho * delta)[0] if self.k is None else np.full(len(rho), self.k)
+            many = np.flatnonzero(ks > 1)
+        if many.size < len(rho):
+            # a goal with one center shares it with every window: the
+            # weighted average over all of them (rows of many are
+            # overwritten below)
+            values[block] = _weighted_labels(w_goal, self.labels)
+        if many.size == 0:
+            return
+        rows = many if many.size < len(rho) else slice(None)  # a view when all rows
+        centers = select_centers(rho[rows], delta[rows], ks[rows])
+        label = follow_neighbors(
+            nn[rows], centers,
+            lambda r, items: self.peaks.bordered(d_goal[many[r]], items, centers[r]),
+        )
+        same = label[:, :m] == label[:, m:]
+        for r, row in zip(many, same):
+            members = np.flatnonzero(row)
+            goal = block.start + r
+            if members.size == 0:
+                values[goal] = _weighted_label(w_goal[r], self.labels)
+                fell_back[goal] = True
+            else:
+                values[goal] = _weighted_label(w_goal[r, members], self.labels[members])
+
+
+def _goal_blocks(n_goals: int, m: int):
+    """The goal blocks of a stack matched against m windows."""
+    # a block's temporaries peak at 92 bytes per goal and window
+    # (tracemalloc, 1974 windows), about twelve (g, m) arrays of 8-byte
+    # items
+    return _row_blocks(n_goals, 96 * m)
 
 
 def _on_two_threads(first, second):
@@ -385,6 +401,49 @@ def _on_two_threads(first, second):
     if "error" in outcome:
         raise outcome["error"]
     return value, outcome["value"]
+
+
+class _Drain:
+    """What the lanes of one ``compare_pipelines`` call share: values
+    published by name, and one task list handed out in order under one
+    lock.  Once a lane has failed, every wait returns None and no task is
+    handed out, so the other lane ends instead of waiting for a value
+    that will never come."""
+
+    def __init__(self, tasks):
+        self._cond = threading.Condition()
+        self._tasks = list(reversed(tasks))  # popped from the end
+        self._values = {}
+        self._failed = False
+
+    def publish(self, name: str, value) -> None:
+        with self._cond:
+            self._values[name] = value
+            self._cond.notify_all()
+
+    def wait(self, name: str):
+        """The value published under name, or None once a lane has failed."""
+        with self._cond:
+            self._cond.wait_for(lambda: name in self._values or self._failed)
+            return None if self._failed else self._values[name]
+
+    def take(self):
+        """The next task, or None when none is left or a lane has failed."""
+        with self._cond:
+            return None if self._failed or not self._tasks else self._tasks.pop()
+
+    def lane(self, stages):
+        """A lane that runs stages() and marks the drain failed if they raise."""
+        def run():
+            try:
+                stages()
+            except BaseException:
+                with self._cond:
+                    self._failed = True
+                    self._cond.notify_all()
+                raise
+
+        return run
 
 
 @dataclass(frozen=True, eq=False)
@@ -431,18 +490,23 @@ def compare_pipelines(
     through ``denoise_values`` and ``estimate_sigma``, run first on the
     calling thread.  They end before any thread starts, so a span tracer
     that keeps one stack (``bench/tracing.py``) gives each of their
-    solves its own parent.  Then, when the denoised variant runs, a
-    worker thread runs the causal goal stack while the calling thread
-    builds the raw history distance matrix, d_c and the denoised one;
-    next a worker thread builds the denoised variant's matcher and
-    matches its goals while the calling thread does the raw variant's.
-    Both distance matrices and d_c are allocated on the calling thread,
-    as a thread's malloc arena (glibc) keeps what the thread allocated.
-    Workers run in a copy of the caller's context, so a caller's
-    ``np.errstate`` holds on every thread.  In each phase an error is
-    raised once both threads have ended, the calling thread's (the matrix
-    builds', or the raw variant's) when both fail.  A run without the
-    denoised variant starts no thread.
+    solves its own parent.  Then, when the denoised variant runs, one
+    worker thread starts and is joined at the end.  The calling thread
+    builds the raw history distance matrix, publishes d_c and builds the
+    raw matcher; meanwhile the worker runs the causal goal stack, builds
+    the denoised matrix, waits for d_c and builds the denoised matcher.
+    Both then drain one task list, the raw goal blocks then the denoised
+    ones, each block taken under a lock and matched once its variant's
+    matcher exists (``_GoalMatcher.predict_block``, the step of
+    ``_GoalMatcher.predict``), so the predictions do not depend on which
+    thread takes which block.  The raw matrix and d_c are allocated on
+    the calling thread and the denoised matrix on the worker, as a
+    thread's malloc arena (glibc) keeps what the thread allocated.  The
+    worker runs in a copy of the caller's context, so a caller's
+    ``np.errstate`` holds on both threads.  A failing lane stops the
+    other, which waits for nothing more; the failing stage's own error is
+    raised once both have ended, the calling thread's when both fail.  A
+    run without the denoised variant starts no thread.
     """
     days = list(history_days)
     if not days:
@@ -473,39 +537,50 @@ def compare_pipelines(
     n_goals = DEFAULT_SLICES - LABEL_OFFSET
     tv = target.values
     goals = {"raw": np.lib.stride_tricks.sliding_window_view(tv, WINDOW)[:n_goals]}
+    matched = {tag: (np.empty(n_goals), np.zeros(n_goals, dtype=bool)) for tag in histories}
+    drain = _Drain([(tag, block) for tag in histories
+                    for block in _goal_blocks(n_goals, len(histories[tag]))])
 
-    def distances():
-        matrices = {"raw": _day_pair_distances(day_values["raw"], n_goals, WINDOW)}
-        d_c, flags = _percentile_cutoff(matrices["raw"], dc_percentile)
-        if include_denoised:
-            matrices["denoised"] = _day_pair_distances(day_values["denoised"], n_goals, WINDOW)
-        return matrices, d_c, flags
+    def build_matcher(tag: str, matrix: np.ndarray, d_c: float) -> None:
+        history = histories[tag]
+        drain.publish(tag, _GoalMatcher(history.windows, history.labels, d_c, k, base=matrix))
 
-    def causal_goals():
+    def match_blocks() -> None:
+        while (task := drain.take()) is not None:
+            tag, block = task
+            matcher = drain.wait(tag)
+            if matcher is None:
+                return
+            matcher.predict_block(goals[tag], block, *matched[tag])
+
+    def raw_lane() -> None:
+        matrix = _day_pair_distances(day_values["raw"], n_goals, WINDOW)
+        cutoff = _percentile_cutoff(matrix, dc_percentile)
+        drain.publish("d_c", cutoff)
+        build_matcher("raw", matrix, cutoff[0])
+        match_blocks()
+
+    def denoised_lane() -> None:
         seen = np.arange(WINDOW, WINDOW + n_goals)  # slices observed at each goal
-        return causal_denoise_window(
+        goals["denoised"] = causal_denoise_window(
             [tv[:n] for n in seen],
             [model.predict_next(window) for window in goals["raw"]],
             sigma * np.sqrt((seen + 1) / DEFAULT_SLICES),  # observed fraction
             solver,
             h=h,
         )
+        matrix = _day_pair_distances(day_values["denoised"], n_goals, WINDOW)
+        cutoff = drain.wait("d_c")
+        if cutoff is None:
+            return
+        build_matcher("denoised", matrix, cutoff[0])
+        match_blocks()
 
     if include_denoised:
-        (matrices, d_c, flags), goals["denoised"] = _on_two_threads(distances, causal_goals)
+        _on_two_threads(drain.lane(raw_lane), drain.lane(denoised_lane))
     else:
-        matrices, d_c, flags = distances()
-
-    def match(tag: str):
-        history = histories[tag]
-        matcher = _GoalMatcher(history.windows, history.labels, d_c, k, base=matrices[tag])
-        return matcher.predict(goals[tag])
-
-    if include_denoised:
-        matched = dict(zip(matrices, _on_two_threads(partial(match, "raw"),
-                                                     partial(match, "denoised"))))
-    else:
-        matched = {"raw": match("raw")}
+        raw_lane()
+    d_c, flags = drain.wait("d_c")
 
     truth = tv[LABEL_OFFSET:]
     slices = np.arange(LABEL_OFFSET + 1, DEFAULT_SLICES + 1)

@@ -527,7 +527,10 @@ def _denoise_stack(u, heads, sigmas, solver: SolverConfig, h: float = 1.0) -> tu
     solution: the fidelity residual of a lone solve is non-finite exactly
     then, unless the data are so large that it could overflow, when each
     walked series takes the lone residual.  The first walked series with
-    a non-finite residual raises its FloatingPointError.
+    a non-finite residual raises its FloatingPointError.  Each error
+    raised for a series carries the series' index as its ``row``
+    attribute, with its type and message unchanged, so that a caller can
+    drop that series and stack the rest.
     """
     sigmas = np.asarray(sigmas, dtype=float).tolist()
     size = np.diff(heads)
@@ -541,14 +544,18 @@ def _denoise_stack(u, heads, sigmas, solver: SolverConfig, h: float = 1.0) -> tu
     # Overflow shows as a non-finite fidelity or iterate, which raises.
     with np.errstate(over="ignore", invalid="ignore"):
         for r, (sigma, a, b) in enumerate(zip(sigmas, lo, hi)):
-            replace(solver, sigma=sigma)  # raises a lone config's ValueError
-            u0 = u[a:b]
-            if not screened:
-                _series(u0)
-            h = _check_h(h)
-            if sigma != 0.0:
-                flat, (saturated[r],) = _short_circuit(u0, [sigma], h)
-                walk[r], mean[r] = not saturated[r], saturated[r] and not flat
+            try:
+                replace(solver, sigma=sigma)  # raises a lone config's ValueError
+                u0 = u[a:b]
+                if not screened:
+                    _series(u0)
+                h = _check_h(h)
+                if sigma != 0.0:
+                    flat, (saturated[r],) = _short_circuit(u0, [sigma], h)
+                    walk[r], mean[r] = not saturated[r], saturated[r] and not flat
+            except Exception as exc:
+                exc.row = r
+                raise
 
         walked = np.flatnonzero(walk).tolist()
         if walked:
@@ -575,7 +582,9 @@ def _denoise_stack(u, heads, sigmas, solver: SolverConfig, h: float = 1.0) -> tu
                     residual = _residual(x[lo[r]:hi[r]], u[lo[r]:hi[r]], sigmas[r], h,
                                          solver.rel_tol)[0]
                     if not math.isfinite(residual):
-                        raise _non_finite_iterate(int(n), float(t), residual)
+                        exc = _non_finite_iterate(int(n), float(t), residual)
+                        exc.row = r
+                        raise exc
     return x, iterations, saturated
 
 

@@ -606,7 +606,7 @@ class TestCommands:
     @pytest.mark.parametrize("argv", [["--sigma", "3"], ["--grid", "0,1,5"]],
                              ids=["fixed", "estimated"])
     def test_failing_road_day_fails_alone(self, argv, road_days, write_records, tmp_path,
-                                          poison_rows, caplog):
+                                          poison_rows, caplog, monkeypatch):
         values = road_days[1].values.copy()
         values[0] = 77.125
         poisoned = VelocitySeries("road-1", 3, values, h=road_days[1].h)
@@ -615,9 +615,57 @@ class TestCommands:
         assert run_cli("denoise", "--input", str(clean_csv), "--out-dir", str(clean_out),
                        *argv) == 0
         poison_rows(77.125)
+        stacks = []
+        real = cli._denoise_stack
+
+        def counted(u, heads, *args, **kwargs):
+            stacks.append(len(heads) - 1)
+            return real(u, heads, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "_denoise_stack", counted)
         path = write_records(road_days + [poisoned], name="poisoned.csv")
         assert run_cli("denoise", "--input", str(path), "--out-dir", str(out), *argv) == 0
         assert "road-1/2026-01-03: denoise failed: non-finite iterate" in caplog.text
+        # at a fixed sigma the whole batch, then the batch without the
+        # failing road-day; an estimated sigma already fails in the walk of
+        # the poisoned road-day's estimate, which then never enters a stack
+        fixed = argv[0] == "--sigma"
+        assert stacks == [len(road_days) + 1] * fixed + [len(road_days)]
+        for name in ("denoised.csv", "denoise_diagnostics.json"):
+            assert (out / name).read_bytes() == (clean_out / name).read_bytes()
+
+    def test_failing_road_days_are_logged_in_key_order(self, road_days, write_records,
+                                                       tmp_path, poison_rows, caplog,
+                                                       monkeypatch):
+        # the stack meets the huge road-day's error before the walk and the
+        # poisoned one's after it, yet both are logged in key order, as lone
+        # solves would log them, and each costs one more stack
+        values = road_days[1].values.copy()
+        values[0] = 77.125
+        poisoned = VelocitySeries("road-0", 1, values, h=road_days[1].h)
+        huge = VelocitySeries("road-9", 9, 1e200 * road_days[0].values, h=road_days[0].h)
+        clean_out, out = tmp_path / "clean", tmp_path / "out"
+        clean_csv = write_records(road_days, name="clean.csv")
+        assert run_cli("denoise", "--input", str(clean_csv), "--out-dir", str(clean_out),
+                       "--sigma", "3") == 0
+        poison_rows(77.125)
+        stacks = []
+        real = cli._denoise_stack
+
+        def counted(u, heads, *args, **kwargs):
+            stacks.append(len(heads) - 1)
+            return real(u, heads, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "_denoise_stack", counted)
+        path = write_records([huge] + road_days + [poisoned], name="failing.csv")
+        caplog.clear()
+        assert run_cli("denoise", "--input", str(path), "--out-dir", str(out),
+                       "--sigma", "3") == 0
+        failed = [r.getMessage() for r in caplog.records if "denoise failed" in r.getMessage()]
+        assert [line.split(":")[0] for line in failed] == ["road-0/2026-01-01",
+                                                          "road-9/2026-01-09"]
+        assert "non-finite iterate" in failed[0] and "non-finite fidelity" in failed[1]
+        assert stacks == [len(road_days) + 2, len(road_days) + 1, len(road_days)]
         for name in ("denoised.csv", "denoise_diagnostics.json"):
             assert (out / name).read_bytes() == (clean_out / name).read_bytes()
 

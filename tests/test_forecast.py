@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import importlib
 import math
+import sys
 import threading
 from unittest import mock
 
@@ -500,14 +501,16 @@ class TestGoalMatcher:
         history, target = [noisy for _, noisy in road[:-1]], road[-1][1]
         raw_goals = np.lib.stride_tricks.sliding_window_view(target.values, WINDOW)[:282]
         seen = {}
+        real_block = _GoalMatcher.predict_block
         real = _GoalMatcher.predict
 
-        def spy(matcher, goals):
+        def spy(matcher, goals, *args):
             seen["raw" if np.array_equal(goals, raw_goals) else "denoised"] = (matcher, goals)
-            return real(matcher, goals)
+            return real_block(matcher, goals, *args)
 
-        monkeypatch.setattr(_GoalMatcher, "predict", spy)
+        monkeypatch.setattr(_GoalMatcher, "predict_block", spy)
         compare_pipelines(history, target)
+        monkeypatch.undo()
         matcher, goals = seen["denoised"]
         m = matcher.columns.shape[1]
         assert len(goals) == 282 and len(np.unique(matcher.columns.T, axis=0)) < 0.65 * m
@@ -580,15 +583,17 @@ class TestGoalMatcher:
         history, target = [noisy for _, noisy in road[:-1]], road[-1][1]
         raw_goals = np.lib.stride_tricks.sliding_window_view(target.values, WINDOW)[:282]
         seen = {}
+        real_block = _GoalMatcher.predict_block
         real = _GoalMatcher.predict
 
-        def spy(matcher, goals):
+        def spy(matcher, goals, *args):
             if np.array_equal(goals, raw_goals):
                 seen["raw"] = matcher
-            return real(matcher, goals)
+            return real_block(matcher, goals, *args)
 
-        monkeypatch.setattr(_GoalMatcher, "predict", spy)
+        monkeypatch.setattr(_GoalMatcher, "predict_block", spy)
         cp = compare_pipelines(history, target)
+        monkeypatch.undo()
         matcher = seen["raw"]
         ks, w_goal = _goal_ks(matcher, raw_goals)
         assert (ks == 1).all()
@@ -666,6 +671,26 @@ def _goal_ks(matcher, goals):
     rho = np.column_stack([matcher.rho_base + w_goal, w_goal.sum(axis=1)])
     delta = matcher.peaks.delta_neighbors(d_goal, rho)[0]
     return auto_select_k(rho * delta)[0], w_goal
+
+
+def _bounded(call, timeout=60):
+    """(what call() raised, the ident of the thread it ran on): call runs
+    on a thread of its own, so that a lane left waiting fails the test
+    instead of hanging it."""
+    outcome = {}
+
+    def run():
+        outcome["ident"] = threading.get_ident()
+        try:
+            call()
+        except Exception as exc:
+            outcome["error"] = exc
+
+    runner = threading.Thread(target=run, daemon=True)
+    runner.start()
+    runner.join(timeout)
+    assert not runner.is_alive(), "a lane is still waiting"
+    return outcome.get("error"), outcome["ident"]
 
 
 class TestComparePipelines:
@@ -786,46 +811,56 @@ class TestComparePipelines:
         return [road[0][1]], road[1][1]
 
     def test_denoised_matcher_runs_under_the_callers_errstate(self, short_road, monkeypatch):
-        # the denoised variant matches on a worker thread, in a copy of the
-        # caller's context: a plain thread would see the default "warn"
-        seen = []
-        real = _GoalMatcher.predict
+        # the denoised matcher is built on the worker thread, in a copy of
+        # the caller's context (a plain thread would see the default
+        # "warn"), and every goal block sees it, whichever lane takes it
+        builds, blocks = [], []
+        real_init, real_block = _GoalMatcher.__init__, _GoalMatcher.predict_block
 
-        def spy(matcher, goals):
-            seen.append((threading.get_ident(), np.geterr()["divide"]))
-            return real(matcher, goals)
+        def init(matcher, *args, **kwargs):
+            builds.append((threading.get_ident(), np.geterr()["divide"]))
+            return real_init(matcher, *args, **kwargs)
 
-        monkeypatch.setattr(_GoalMatcher, "predict", spy)
+        def block(matcher, *args):
+            blocks.append(np.geterr()["divide"])
+            return real_block(matcher, *args)
+
+        monkeypatch.setattr(_GoalMatcher, "__init__", init)
+        monkeypatch.setattr(_GoalMatcher, "predict_block", block)
         with np.errstate(divide="raise"):
             compare_pipelines(*short_road, sigma=2.5)
-        assert len(seen) == 2 and len({ident for ident, _ in seen}) == 2
-        assert threading.get_ident() in {ident for ident, _ in seen}
-        assert [mode for _, mode in seen] == ["raise", "raise"]
+        # the raw matcher on the calling thread, the denoised one on the worker
+        assert [ident == threading.get_ident() for ident, _ in builds] == [True, False]
+        assert [mode for _, mode in builds] == ["raise", "raise"]
+        assert blocks == ["raise"] * 2 * len(list(forecast._goal_blocks(282, 282)))
 
     @pytest.mark.parametrize("failing, raised", [
         ({"raw"}, "raw"), ({"denoised"}, "denoised"), ({"raw", "denoised"}, "raw")],
         ids=["raw", "denoised", "both"])
     def test_matcher_error_surfaces_after_both_variants_end(self, short_road, monkeypatch,
                                                             failing, raised):
+        # a failing goal block stops both lanes: its error is raised once
+        # every block a lane had started has ended and the worker is joined
         history, target = short_road
         raw_goals = np.lib.stride_tricks.sliding_window_view(target.values, WINDOW)[:282]
-        ended = []
-        real = _GoalMatcher.predict
+        started, ended = [], []
+        real = _GoalMatcher.predict_block
 
-        def predict_or_fail(matcher, goals):
+        def block_or_fail(matcher, goals, block, *args):
             tag = "raw" if np.array_equal(goals, raw_goals) else "denoised"
+            started.append(tag)
             try:
                 if tag in failing:
                     raise RuntimeError(f"{tag} matcher failed")
-                return real(matcher, goals)
+                return real(matcher, goals, block, *args)
             finally:
                 ended.append(tag)
 
-        monkeypatch.setattr(_GoalMatcher, "predict", predict_or_fail)
+        monkeypatch.setattr(_GoalMatcher, "predict_block", block_or_fail)
         threads = threading.active_count()
-        with pytest.raises(RuntimeError, match=f"^{raised} matcher failed$"):
-            compare_pipelines(history, target, sigma=2.5)
-        assert sorted(ended) == ["denoised", "raw"]
+        error, _ = _bounded(lambda: compare_pipelines(history, target, sigma=2.5))
+        assert isinstance(error, RuntimeError) and str(error) == f"{raised} matcher failed"
+        assert sorted(started) == sorted(ended) and raised in ended
         assert threading.active_count() == threads
 
     def test_worker_thread_is_joined(self, short_road):
@@ -856,7 +891,7 @@ class TestComparePipelines:
         compare_pipelines(*short_road)
         names = [name for name, _ in events]
         assert {"denoise_values", "estimate_sigma"} <= set(names)
-        assert names.count("start") == 2
+        assert names.count("start") == 1
         first_start = names.index("start")
         assert "start" not in names[:first_start]
         assert all(name == "start" for name in names[first_start:])
@@ -879,6 +914,9 @@ class TestComparePipelines:
         assert ident != threading.get_ident() and mode == "raise"
 
     def test_causal_error_surfaces_after_the_matrix_builds_end(self, short_road, monkeypatch):
+        # the worker builds the denoised matrix after its causal stack, so a
+        # causal error leaves only the raw matrix, built on the calling
+        # thread, and is raised once the calling thread's lane has ended
         built = []
         real = forecast._day_pair_distances
 
@@ -894,10 +932,9 @@ class TestComparePipelines:
         monkeypatch.setattr(forecast, "_day_pair_distances", build)
         monkeypatch.setattr(forecast, "causal_denoise_window", fail)
         threads = threading.active_count()
-        with pytest.raises(RuntimeError, match="^causal stack failed$"):
-            compare_pipelines(*short_road, sigma=2.5)
-        # the raw and the denoised matrix, both on the calling thread
-        assert built == [threading.get_ident()] * 2
+        error, caller = _bounded(lambda: compare_pipelines(*short_road, sigma=2.5))
+        assert isinstance(error, RuntimeError) and str(error) == "causal stack failed"
+        assert built == [caller]
         assert threading.active_count() == threads
 
     def test_matrix_build_error_wins_over_causal_error(self, short_road, monkeypatch):
@@ -917,6 +954,130 @@ class TestComparePipelines:
             compare_pipelines(*short_road, sigma=2.5)
         assert sorted(failed) == ["causal stack", "matrix build"]
         assert threading.active_count() == threads
+
+    @pytest.mark.parametrize("k", [None, 3])
+    @pytest.mark.parametrize("layout", ["caller", "worker", "reversed"])
+    def test_drained_blocks_equal_each_variants_predict(self, short_road, monkeypatch, layout,
+                                                        k):
+        # the goal blocks land where they belong however the lanes share
+        # them: every block on the calling thread, every block on the
+        # worker, or the task list taken from its end
+        caller = threading.get_ident()
+        taken, seen = [], {}
+
+        class Drain(forecast._Drain):
+            def __init__(self, tasks):
+                super().__init__(tasks[::-1] if layout == "reversed" else tasks)
+
+            def take(self):
+                on_caller = threading.get_ident() == caller
+                if layout == "caller" and not on_caller or layout == "worker" and on_caller:
+                    return None
+                task = super().take()
+                if task is not None:
+                    taken.append((task, on_caller))
+                return task
+
+        real = _GoalMatcher.predict_block
+
+        def spy(matcher, goals, *args):
+            seen[id(matcher)] = (matcher, goals)
+            return real(matcher, goals, *args)
+
+        monkeypatch.setattr(forecast, "_Drain", Drain)
+        monkeypatch.setattr(_GoalMatcher, "predict_block", spy)
+        # goal blocks of 7 goals, 41 blocks per variant
+        monkeypatch.setattr(cluster_module, "_BLOCK_BYTES", 7 * 96 * 282)
+        cp = compare_pipelines(*short_road, sigma=2.5, k=k)
+        monkeypatch.undo()
+        order = [(tag, lo) for tag in ("raw", "denoised") for lo in range(0, 282, 7)]
+        assert [(tag, block.start) for (tag, block), _ in taken] == (
+            order[::-1] if layout == "reversed" else order)
+        if layout != "reversed":
+            assert {on_caller for _, on_caller in taken} == {layout == "caller"}
+        raw_goals = np.lib.stride_tricks.sliding_window_view(short_road[1].values, WINDOW)[:282]
+        assert len(seen) == 2
+        for matcher, goals in seen.values():
+            report = cp.raw if np.array_equal(goals, raw_goals) else cp.denoised
+            values, fell_back = matcher.predict(goals)
+            np.testing.assert_array_equal(values.view(np.int64),
+                                          report.predictions.view(np.int64))
+            assert int(fell_back.sum()) == report.fallback_count
+        assert not np.array_equal(cp.raw.predictions, cp.denoised.predictions)
+
+    @pytest.mark.parametrize("stage", [
+        "raw matrix", "d_c", "causal stack", "denoised matrix", "raw matcher build",
+        "denoised matcher build", "first raw block", "last denoised block"])
+    def test_failing_stage_raises_its_own_error_and_releases_the_other_lane(
+            self, short_road, monkeypatch, stage):
+        history, target = short_road
+        raw_days = np.array([d.values for d in history])
+        raw_windows = build_history(history).windows
+
+        def fail_when(real, failing):
+            def call(*args, **kwargs):
+                if failing(*args):
+                    raise RuntimeError(f"{stage} failed")
+                return real(*args, **kwargs)
+            return call
+
+        def is_raw_days(days, *_):
+            return np.array_equal(days, raw_days) == (stage == "raw matrix")
+
+        def is_raw_build(matcher, windows, *_):
+            return np.array_equal(windows, raw_windows) == (stage == "raw matcher build")
+
+        def is_block(matcher, goals, block, *_):
+            raw = np.array_equal(goals[0], target.values[:WINDOW])
+            if stage == "first raw block":
+                return raw and block.start == 0
+            return not raw and block.stop >= 282
+
+        patches = {
+            "raw matrix": (forecast, "_day_pair_distances", is_raw_days),
+            "denoised matrix": (forecast, "_day_pair_distances", is_raw_days),
+            "d_c": (forecast, "_percentile_cutoff", lambda *_: True),
+            "causal stack": (forecast, "causal_denoise_window", lambda *_: True),
+            "raw matcher build": (_GoalMatcher, "__init__", is_raw_build),
+            "denoised matcher build": (_GoalMatcher, "__init__", is_raw_build),
+            "first raw block": (_GoalMatcher, "predict_block", is_block),
+            "last denoised block": (_GoalMatcher, "predict_block", is_block),
+        }
+        owner, name, failing = patches[stage]
+        monkeypatch.setattr(owner, name, fail_when(getattr(owner, name), failing))
+        threads = threading.active_count()
+        error, _ = _bounded(lambda: compare_pipelines(history, target, sigma=2.5))
+        assert isinstance(error, RuntimeError) and str(error) == f"{stage} failed"
+        assert threading.active_count() == threads
+
+    def test_concurrent_calls_under_fast_switching_equal_a_serial_run(self, short_road,
+                                                                      monkeypatch):
+        # three calls at once, six lanes on fewer cores, switching threads
+        # every microsecond over blocks of 3 goals: a block taken twice or
+        # never, or written into another call's arrays, changes a result
+        want = compare_pipelines(*short_road, sigma=2.5)
+        monkeypatch.setattr(cluster_module, "_BLOCK_BYTES", 3 * 96 * 282)
+        results = [None] * 3
+
+        def call(i):
+            results[i] = compare_pipelines(*short_road, sigma=2.5)
+
+        callers = [threading.Thread(target=call, args=(i,), daemon=True) for i in range(3)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(caller.is_alive() for caller in callers)
+        for got in results:
+            for a, b in ((got.raw, want.raw), (got.denoised, want.denoised)):
+                np.testing.assert_array_equal(a.predictions.view(np.int64),
+                                              b.predictions.view(np.int64))
+                assert a.fallback_count == b.fallback_count
 
     def test_history_days_denoised_at_their_own_slice_length(self, monkeypatch):
         # days of two slice lengths: each day is solved at its own h, and
