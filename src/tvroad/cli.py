@@ -341,19 +341,19 @@ def _write_json(out_dir: Path, name: str, payload) -> None:
     _write_text(out_dir, name, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _estimate(series: VelocitySeries, config: RunConfig):
-    """The road-day's SigmaEstimate over the configured grid."""
-    return estimate_sigma(series.values, sigma_grid=config.sigma_grid,
-                          solver=_pipeline_solver(config), h=1.0)
-
-
-def _sigma(series: VelocitySeries, config: RunConfig, args) -> tuple:
-    """(sigma, its SigmaEstimate or None) of one road-day: the --sigma
-    override, else its estimated sigma."""
-    if args.sigma is not None:
-        return float(args.sigma), None
-    estimate = _estimate(series, config)
-    return estimate.sigma_best, estimate
+def _estimates(data: dict, config: RunConfig, failed: str) -> tuple:
+    """({key: SigmaEstimate} of every road-day whose estimate over the
+    configured grid succeeds, in key order, and the number that failed,
+    each logged as "<road>/<day>: <failed>: <error>" in key order."""
+    estimates, failures = {}, 0
+    for key in sorted(data):
+        try:
+            estimates[key] = estimate_sigma(data[key].values, sigma_grid=config.sigma_grid,
+                                            solver=_pipeline_solver(config), h=1.0)
+        except Exception as exc:
+            failures += 1
+            log.error("%s: %s: %s", _key_name(key), failed, exc)
+    return estimates, failures
 
 
 def _stack_solves(values: list, sigmas: list, solver: SolverConfig) -> list:
@@ -377,20 +377,19 @@ def _solve_all(data: dict, config: RunConfig, args, failed: str) -> tuple:
     """({key: (sigma, SigmaEstimate or None, denoised, diagnostics)} of every
     road-day that solves, in key order, and the number that failed.
 
-    Each road-day takes its sigma alone, then all of them are solved as one
-    stack.  A road-day whose solve fails is dropped, by the row its error
-    names, and the rest are stacked again, so a failing one fails alone.  A
-    failure is logged as "<road>/<day>: <failed>: <error>", the sigma
-    failures first, then the solve failures, each in key order.
+    Each road-day takes the --sigma override or its own estimated sigma,
+    then all of them are solved as one stack.  A road-day whose solve
+    fails is dropped, by the row its error names, and the rest are stacked
+    again, so a failing one fails alone.  A failure is logged as
+    "<road>/<day>: <failed>: <error>", the sigma failures first, then the
+    solve failures, each in key order.
     """
     solver = _pipeline_solver(config)
-    sigmas, failures = {}, 0
-    for key in sorted(data):
-        try:
-            sigmas[key] = _sigma(data[key], config, args)
-        except Exception as exc:
-            failures += 1
-            log.error("%s: %s: %s", _key_name(key), failed, exc)
+    if args.sigma is not None:
+        sigmas, failures = {key: (float(args.sigma), None) for key in sorted(data)}, 0
+    else:
+        estimates, failures = _estimates(data, config, failed)
+        sigmas = {key: (est.sigma_best, est) for key, est in estimates.items()}
     keys, errors, solved = list(sigmas), {}, {}
     while keys and not solved:
         try:
@@ -429,15 +428,9 @@ def cmd_denoise(config: RunConfig, args) -> int:
 def cmd_estimate(config: RunConfig, args) -> int:
     data = ingest(args.input, min_records=config.min_records,
                   min_length_m=config.min_road_length_m)
+    estimates, failures = _estimates(data, config, "sigma estimate failed")
     report = {}
-    failures = 0
-    for key in sorted(data):
-        try:
-            est = _estimate(data[key], config)
-        except Exception as exc:
-            failures += 1
-            log.error("%s: sigma estimate failed: %s", _key_name(key), exc)
-            continue
+    for key, est in estimates.items():
         report[_key_name(key)] = {
             "sigma1": est.sigma1,
             "sigma2": est.sigma2,

@@ -16,8 +16,10 @@ Two estimators and a combination rule:
   balance point.
 
 * Combination: take the smaller of the two, but never let the implied
-  denoised TV fall below TV_l = (5/2)(v_max - v_min).  A series flatter
-  than that bound gets sigma 0 (no denoising).
+  denoised TV fall below TV_l = (5/2)(v_max - v_min): the sweep's walk
+  reports sigma_floor, a sigma whose solve keeps TV_l, and the rule takes
+  it when the smaller estimate is above it.  A series flatter than that
+  bound gets sigma 0 (no denoising).
 
 The sigma convention throughout is the constraint form
 sigma^2 = (1/2) h sum residual^2, i.e. velocity times sqrt(minutes).
@@ -63,9 +65,12 @@ class SigmaEstimate:
     TV * sigma^2 between consecutive grid points.  grid_converged holds
     the ``converged`` flag of each grid point's solve: False where the
     walk hit max_iters, or where sigma is beyond sigma_max and the
-    constant mean falls short of the budget.  A solve keeps TV >=
-    tv_lower at each sigma up to sigma_floor and at none beyond it: 0 if
-    TV(input) < tv_lower, and inf for constant input.
+    constant mean falls short of the budget.  A solve at sigma_floor
+    keeps TV >= tv_lower; so do solves below it, and those beyond it do
+    not, outside a band of rounding around it.  sigma_floor is 0 if
+    TV(input) < tv_lower, inf for constant input, and the largest sigma
+    below sigma_max when max_iters stops the walk above the floor.
+    sigma_best is min(sigma1, sigma2, sigma_floor).
     """
 
     sigma1: float
@@ -184,10 +189,11 @@ def _balance(v: np.ndarray, h: float, sigma_grid, solver: SolverConfig, tv_floor
     """(grid, solves, increments of TV * sigma^2, sigma2, sigma_floor) of one grid sweep.
 
     One path walk solves the grid points below sigma_max, each as a solve
-    at that sigma alone would give, and finds sigma_floor, where the
-    solve's TV falls below ``tv_floor`` (inf for 0); the sigma = 0 solve
-    returns the input.  sigma2 is the first local minimum of the
-    increments, or None for constant input, which has no noise to balance.
+    at that sigma alone would give, and finds sigma_floor, a sigma just
+    short of where the solve's TV falls below ``tv_floor`` (inf for 0);
+    the sigma = 0 solve returns the input.  sigma2 is the first local
+    minimum of the increments, or None for constant input, which has no
+    noise to balance.
     """
     grid = _validate_grid(sigma_grid)
     solves, sigma_floor = _sweep(v, [replace(solver, sigma=float(s)) for s in grid], h=h,
@@ -209,30 +215,17 @@ def estimate_sigma_balance(series, sigma_grid, solver: SolverConfig, h: float | 
     return 0.0 if sigma2 is None else sigma2
 
 
-def combine_estimates(sigma1: float, sigma2: float, sigma_floor: float, sigma_grid) -> float:
+def combine_estimates(sigma1: float, sigma2: float, sigma_floor: float) -> float:
     """Pick min(sigma1, sigma2) unless that oversmooths.
 
-    The guard is TV_l = (5/2)(v_max - v_min): a candidate at or below
-    sigma_floor (see :class:`SigmaEstimate`) stands; otherwise sigma_floor
-    is bisected between the grid points that bracket it (the last one and
-    the candidate past the grid), to 0.1 in sigma, and the lower end
-    returned, 0 if the input's own TV is below TV_l.
+    The guard is TV_l = (5/2)(v_max - v_min): sigma_floor (see
+    :class:`SigmaEstimate`) is a sigma whose solve keeps TV >= TV_l, so
+    the rule is min(sigma1, sigma2, sigma_floor), 0 if the input's own TV
+    is below TV_l.
     """
-    grid = np.asarray(sigma_grid, dtype=float)
     # SolverConfig checks the candidate as a solve at it would, so a
     # candidate whose square underflows fails its road-day alone
-    s = SolverConfig(sigma=min(sigma1, sigma2)).sigma
-    if s <= sigma_floor:
-        return float(s)
-    i = int(np.searchsorted(grid, sigma_floor, side="right"))
-    lo, hi = float(grid[i - 1]), float(grid[i]) if i < grid.size else s
-    while hi - lo > 0.1:
-        mid = 0.5 * (lo + hi)
-        if mid <= sigma_floor:
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    return min(SolverConfig(sigma=min(sigma1, sigma2)).sigma, sigma_floor)
 
 
 def estimate_sigma(
@@ -244,7 +237,8 @@ def estimate_sigma(
     """Run both methods and the combination on one series.
 
     One path walk serves Method 2 and the combination rule: it solves
-    the grid points below sigma_max and finds sigma_floor.
+    the grid points below sigma_max and finds sigma_floor, which the rule
+    takes with no further solve.
     """
     v, h = _values_and_h(series, h)
     sigma1 = estimate_sigma_multires(v, h)
@@ -255,15 +249,11 @@ def estimate_sigma(
         (float(s * s), float(d)) for s, d in zip(grid[1:], deltas)
     )
 
-    flags = []
-    if sigma2 is None:
-        sigma2 = 0.0
-        flags.append(FLAG_NO_NOISE)
-        best = 0.0
-    else:
-        best = combine_estimates(sigma1, sigma2, sigma_floor, grid)
-        if best == 0.0 and min(sigma1, sigma2) > 0.0:
-            flags.append(FLAG_TV_BELOW_LOWER_BOUND)
+    flags = [FLAG_NO_NOISE] if sigma2 is None else []  # constant input, whose sigma1 is 0
+    sigma2 = 0.0 if sigma2 is None else sigma2
+    best = combine_estimates(sigma1, sigma2, sigma_floor)
+    if best == 0.0 and min(sigma1, sigma2) > 0.0:
+        flags.append(FLAG_TV_BELOW_LOWER_BOUND)
     return SigmaEstimate(
         sigma1=float(sigma1),
         sigma2=float(sigma2),

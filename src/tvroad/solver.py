@@ -53,8 +53,9 @@ list of sigmas, each config from ``dataclasses.replace(config,
 sigma=s)``, in one walk: the walk passes every budget below sigma_max
 in order, and the result at each is the one a solve at that sigma alone
 gives, bit for bit.  The walk also carries TV(x), and past its last
-budget it walks on to the sigma at which TV(x) falls below a floor, the
-noise module's TV_l.
+budget it walks on to where TV(x) falls below a floor, the noise
+module's TV_l, and reports a sigma just short of that point whose solve
+alone keeps TV(x) at or above the floor.
 
 Two walks serve these solves, and the caller's shape picks one.  The
 heap walk (:func:`_walk`) takes one series to a list of budgets: it
@@ -208,11 +209,12 @@ def _runs(u0: np.ndarray, heads=None):
     return starts, size, sign, rate, pairs, -d[jumps][pairs] / closes[pairs]
 
 
-def _walk(u0: np.ndarray, budgets, max_iters: int, floor: float = 0.0) -> tuple:
-    """([(x, trace), ...], crossing): the path walk to sum (x - u0)^2 =
+def _walk(u0: np.ndarray, budgets, max_iters: int, floor: float = 0.0, h: float = 1.0) -> tuple:
+    """([(x, trace), ...], sigma_floor): the path walk to sum (x - u0)^2 =
     budget, one pair per budget of a non-decreasing list, x None when the
-    walk merged down to one segment; and for a positive TV ``floor``, the
-    budget at which the solve's TV falls below it.
+    walk merged down to one segment; and for a positive TV ``floor``, a
+    sigma (not a budget) whose lone solve at spacing h keeps TV >= floor,
+    just short of where the solve's TV falls below it (inf for no floor).
 
     One walk passes every budget in order, and each pair is what a walk
     to that budget alone gives: the same merges lead up to it, its trace
@@ -221,9 +223,14 @@ def _walk(u0: np.ndarray, budgets, max_iters: int, floor: float = 0.0) -> tuple:
     that merged down to one segment has passed every later budget too.
 
     TV(x) falls at rate b between merges and does not jump at one: one
-    update per step carries it.  The crossing is a + b lambda^2 where it
-    meets the floor, 0 if TV(u0) is below it, and sum (u0 - mean)^2, the
-    constant mean's, if max_iters stops the walk first.
+    update per step carries it.  Where it meets the floor, a + b lambda^2
+    gives a sigma, which steps down by a step doubling from one ulp until
+    a solve at 2 sigma^2 / h keeps TV >= floor.  ``land`` gives that solve
+    for a budget above every earlier step's a + b lambda^2 and at most
+    the next one's, where a walk to it alone takes the same steps; other
+    sigmas take a walk of their own, or saturate at sigma_max.  A walk
+    that max_iters (or a rounding collapse) stops above the floor steps
+    down from sigma_max.  sigma_floor is 0 if TV(u0) is below the floor.
 
     Segment k keeps its size, sum, mean, rate c and the sign of the jump
     at its right end (0 for the last); it keeps its index k as it
@@ -247,7 +254,10 @@ def _walk(u0: np.ndarray, budgets, max_iters: int, floor: float = 0.0) -> tuple:
     lam, trace, out = 0.0, [], []
     tv = total_variation(u0) if floor > 0.0 else 0.0  # TV(x) at lam while seeking
     seek = 0.0 < floor <= tv
-    crossing = float(np.sum((u0 - u0.mean()) ** 2)) if seek else 0.0
+    sigma_floor = math.inf if floor <= 0.0 else 0.0
+    # sigma_max^2 as _short_circuit has it: a sigma at or above it saturates
+    spread = 0.5 * h * float(np.sum((u0 - u0.mean()) ** 2)) if seek else 0.0
+    passed = 0.0  # a budget takes the last step only above this
 
     def push(k, j):  # neighbours k and j = nxt[k]
         closes = rate[j] - rate[k]
@@ -267,6 +277,17 @@ def _walk(u0: np.ndarray, budgets, max_iters: int, floor: float = 0.0) -> tuple:
             steps = trace + [end]
         return np.repeat([mean[k] + end * rate[k] for k in live], [size[k] for k in live]), steps
 
+    def settle(sigma, top):  # down from sigma to one whose lone solve keeps TV >= floor
+        step = math.ulp(sigma)
+        while sigma * sigma >= sys.float_info.min:
+            target = 2.0 * sigma * sigma / h
+            x = (None if sigma * sigma >= spread else land(target)[0] if passed < target <= top
+                 else _walk(u0, [target], max_iters)[0][0][0])
+            if x is not None and total_variation(x) >= floor:
+                return sigma
+            sigma, step = max(sigma - step, 0.0), 2.0 * step
+        return 0.0
+
     pending = iter(budgets)
     inf = math.inf
     budget = next(pending, inf)  # inf past the last budget
@@ -276,20 +297,21 @@ def _walk(u0: np.ndarray, budgets, max_iters: int, floor: float = 0.0) -> tuple:
             heapq.heappop(heap)
             continue
         if t > lam:  # a step to a new weight
-            if a + b * t * t >= budget or len(trace) == max_iters:
+            reach = a + b * t * t
+            if reach >= budget or len(trace) == max_iters:
                 if budget == inf:  # capped on the way to the floor
                     break
                 out.append(land(budget))
                 budget = next(pending, inf)
                 continue
             if seek:
-                if tv - b * (t - lam) < floor:
+                if tv - b * (t - lam) <= floor:
                     meet = lam + (tv - floor) / b
-                    crossing = a + b * meet * meet
+                    sigma_floor = settle(math.sqrt(0.5 * h * (a + b * meet * meet)), reach)
                     seek = False
                     continue
                 tv -= b * (t - lam)
-            lam = t
+            lam, passed = t, max(passed, reach)
             trace.append(t)
         heapq.heappop(heap)
         j = nxt[k]
@@ -308,11 +330,14 @@ def _walk(u0: np.ndarray, budgets, max_iters: int, floor: float = 0.0) -> tuple:
         if i <= last:
             prev[i] = k
             push(k, i)
-        elif not k:  # one segment left
-            return out + [(None, trace[:])] * (len(budgets) - len(out)), crossing
+        elif not k:  # one segment left, which every later budget takes
+            out += [(None, trace[:])] * (len(budgets) - len(out))
+            break
         if k:
             push(prev[k], k)
-    return out + [land(budget) for budget in budgets[len(out):]], crossing
+    if seek:  # max_iters stopped the walk above the floor, or rounding merged it down
+        sigma_floor = settle(math.sqrt(spread), -math.inf)
+    return out + [land(budget) for budget in budgets[len(out):]], sigma_floor
 
 
 def _walk_stack(u: np.ndarray, heads: np.ndarray, budgets, max_iters: int) -> tuple:
@@ -490,22 +515,23 @@ def _series(values) -> np.ndarray:
 def _sweep(values, configs, h: float = 1.0, tv_floor: float = 0.0) -> tuple:
     """(results, sigma_floor): what :func:`denoise_values` gives at each of
     ``configs``, which differ only in sigma, listed in non-decreasing
-    order, and the sigma up to which a solve keeps TV >= tv_floor (inf
-    for tv_floor <= 0).  Both come from one path walk."""
+    order, and a sigma whose solve keeps TV >= tv_floor, just short of
+    those that do not (inf for tv_floor <= 0).  Both come from one path
+    walk."""
     u0 = _series(values)
     h = _check_h(h)
     # Overflow shows as a non-finite fidelity or iterate, which raises.
     with np.errstate(over="ignore", invalid="ignore"):
         results = _shortcuts(u0, configs, h)
         walked = [c for c, res in zip(configs, results) if res is None]
-        crossing = 0.0
+        sigma_floor = math.inf
         if walked or tv_floor > 0.0:
-            walks, crossing = _walk(u0, [2.0 * c.sigma * c.sigma / h for c in walked],
-                                    configs[0].max_iters, tv_floor)
+            walks, sigma_floor = _walk(u0, [2.0 * c.sigma * c.sigma / h for c in walked],
+                                       configs[0].max_iters, tv_floor, h)
             walks = iter(walks)
             results = [_finish(u0, c, h, *next(walks)) if res is None else res
                        for c, res in zip(configs, results)]
-    return results, math.sqrt(0.5 * h * crossing) if tv_floor > 0.0 else math.inf
+    return results, sigma_floor
 
 
 def _denoise_stack(u, heads, sigmas, solver: SolverConfig, h: float = 1.0) -> tuple:
@@ -517,18 +543,18 @@ def _denoise_stack(u, heads, sigmas, solver: SolverConfig, h: float = 1.0) -> tu
 
     The series are checked and decided one by one, in order, as each
     would be alone: its sigma (by its config), its samples, h, then sigma
-    0 and :func:`_short_circuit`.  So a bad sigma, sample or h raises the
-    ValueError, and a non-finite sigma_max^2 the FloatingPointError, that
-    the first series to fail would raise alone.  The samples are checked
-    series by series only when the stack is not all finite or has a
-    series shorter than two.  The series that need a walk then share one
-    lockstep walk (:func:`_walk_stack`), or take the heap walk if only
-    one does.  After the walk, one check of x finds a non-finite
-    solution: the fidelity residual of a lone solve is non-finite exactly
-    then, unless the data are so large that it could overflow, when each
-    walked series takes the lone residual.  The first walked series with
-    a non-finite residual raises its FloatingPointError.  Each error
-    raised for a series carries the series' index as its ``row``
+    0 and :func:`_short_circuit`, up to the first series that fails (a
+    bad sigma, sample or h, or a non-finite sigma_max^2).  The samples
+    are checked series by series only when the stack is not all finite
+    or has a series shorter than two.  The series before it that need a
+    walk share one lockstep walk (:func:`_walk_stack`), or take the heap
+    walk if only one does.  After the walk, one check of x finds a
+    non-finite solution: the fidelity residual of a lone solve is
+    non-finite exactly then, unless the data are so large that it could
+    overflow, when each walked series takes the lone residual.  So the
+    stack raises the error of the first series that fails alone: the
+    first walked one with a non-finite residual, else the check's.  Each
+    error raised for a series carries the series' index as its ``row``
     attribute, with its type and message unchanged, so that a caller can
     drop that series and stack the rest.
     """
@@ -541,6 +567,7 @@ def _denoise_stack(u, heads, sigmas, solver: SolverConfig, h: float = 1.0) -> tu
     # sigma 0 and flat series keep u0; sigma >= sigma_max and a walk that
     # merged down to one segment give the constant mean
     walk, saturated, mean = (np.zeros(rows, dtype=bool) for _ in range(3))
+    failed = None  # the first series' check error; the series before it still walk
     # Overflow shows as a non-finite fidelity or iterate, which raises.
     with np.errstate(over="ignore", invalid="ignore"):
         for r, (sigma, a, b) in enumerate(zip(sigmas, lo, hi)):
@@ -554,8 +581,8 @@ def _denoise_stack(u, heads, sigmas, solver: SolverConfig, h: float = 1.0) -> tu
                     flat, (saturated[r],) = _short_circuit(u0, [sigma], h)
                     walk[r], mean[r] = not saturated[r], saturated[r] and not flat
             except Exception as exc:
-                exc.row = r
-                raise
+                exc.row, failed = r, exc
+                break
 
         walked = np.flatnonzero(walk).tolist()
         if walked:
@@ -585,6 +612,8 @@ def _denoise_stack(u, heads, sigmas, solver: SolverConfig, h: float = 1.0) -> tu
                         exc = _non_finite_iterate(int(n), float(t), residual)
                         exc.row = r
                         raise exc
+    if failed is not None:
+        raise failed
     return x, iterations, saturated
 
 

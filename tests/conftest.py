@@ -41,11 +41,11 @@ def poison_rows(monkeypatch):
     def _poison(first_value):
         walk, walk_stack = solver._walk, solver._walk_stack
 
-        def poisoned(u0, budgets, max_iters, floor=0.0):
-            walks, crossing = walk(u0, budgets, max_iters, floor)
+        def poisoned(u0, budgets, max_iters, floor=0.0, h=1.0):
+            walks, sigma_floor = walk(u0, budgets, max_iters, floor, h)
             if u0[0] != first_value:
-                return walks, crossing
-            return [(np.full(u0.size, np.nan), trace) for _, trace in walks], crossing
+                return walks, sigma_floor
+            return [(np.full(u0.size, np.nan), trace) for _, trace in walks], sigma_floor
 
         def poisoned_stack(u, heads, budgets, max_iters):
             x, iterations, collapsed, last = walk_stack(u, heads, budgets, max_iters)

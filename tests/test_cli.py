@@ -691,6 +691,20 @@ class TestCommands:
         for name in files:
             assert (out / name).read_bytes() == (clean_out / name).read_bytes()
 
+    @pytest.mark.parametrize("command, failed", [("estimate-sigma", "sigma estimate failed"),
+                                                 ("denoise", "denoise failed"),
+                                                 ("cluster", "profile preparation failed")])
+    def test_failed_estimate_logs_the_commands_label(self, command, failed, road_days,
+                                                     write_records, tmp_path, caplog):
+        # the three commands share one estimate loop; each names its step
+        tiny = VelocitySeries("road-9", 5, 1e-160 * (5.0 + np.random.default_rng(0).random(288)),
+                              h=road_days[0].h)
+        path = write_records(road_days + [tiny])
+        assert run_cli(command, "--input", str(path), "--out-dir", str(tmp_path / "out"),
+                       "--grid", "0,1,5") == 0
+        lines = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+        assert len(lines) == 1 and lines[0].startswith(f"road-9/2026-01-05: {failed}: sigma ")
+
     def test_predict_writes_undefined_mape_as_null(self, road_days, write_records, tmp_path):
         target = road_days[1]
         slow = VelocitySeries(target.road_id, target.day, np.minimum(target.values, 0.9),

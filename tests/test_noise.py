@@ -208,7 +208,7 @@ class TestCombined:
     def test_combine_accepts_candidate_at_or_above_floor(self):
         v = square_wave()
         est = estimate_sigma(v, h=1.0)
-        out = combine_estimates(est.sigma1, est.sigma2, est.sigma_floor, DEFAULT_SIGMA_GRID)
+        out = combine_estimates(est.sigma1, est.sigma2, est.sigma_floor)
         assert out == est.sigma_best
 
     @pytest.mark.parametrize("max_iters", [5000, 3])
@@ -231,17 +231,22 @@ class TestCombined:
 
 
 class TestSigmaFloor:
-    """The grid walk goes on to the sigma at which the denoised TV falls
-    below TV_l, and the combination rule reads it off with no solve."""
+    """The grid walk goes on to where the denoised TV falls below TV_l and
+    reports as sigma_floor a sigma whose lone solve keeps TV_l; the
+    combination rule takes it with no solve."""
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(min_value=2, max_value=12).flatmap(
                lambda n: st.lists(st.floats(0.0, 60.0), min_size=4 * n, max_size=4 * n)),
            st.lists(st.one_of(st.just(0.0), st.floats(1e-3, 50.0)), min_size=1, max_size=8),
            st.sampled_from([5000, 3]))
-    # a solve at sigma_floor itself has TV 82.49999999999999, below TV_l =
-    # 82.5: the floor is a rounded crossing, so returning it would oversmooth
+    # a solve at the rounded crossing 6.896129622736575 has TV
+    # 82.49999999999999, below TV_l = 82.5, so sigma_floor steps one ulp
+    # below it, where the solve has TV 82.5
     @example([0.0, 0.0, 0.0, 0.0, 26.0, 0.0, 33.0, 0.0], [0.0], 5000)
+    # capped at 3 steps above the floor, with a candidate past sigma_max,
+    # where the solve turns constant
+    @example([10.0, 20.0, 10.0, 60.0, 0.0, 60.0, 0.0, 10.0], [0.0], 3)
     def test_floor_verdict_matches_lone_solves(self, values, sigmas, max_iters):
         v = np.asarray(values)
         solver = dataclasses.replace(SWEEP_SOLVER, max_iters=max_iters)
@@ -254,7 +259,7 @@ class TestSigmaFloor:
         for sigma in sigmas:
             if abs(sigma - est.sigma_floor) > 1e-9 * est.sigma_floor:
                 assert (sigma <= est.sigma_floor) == keeps(sigma)
-        assert est.sigma_best <= est.sigma_floor
+        assert est.sigma_best == min(min(est.sigma1, est.sigma2), est.sigma_floor)
         if est.sigma_floor > 0.0:
             assert keeps(est.sigma_best)
 
@@ -288,29 +293,28 @@ class TestSigmaFloor:
         floors = []
         walk = solver_module._walk
         monkeypatch.setattr(solver_module, "_walk",
-                            lambda u0, budgets, max_iters, floor=0.0:
-                            floors.append(floor) or walk(u0, budgets, max_iters, floor))
+                            lambda u0, budgets, max_iters, floor=0.0, h=1.0:
+                            floors.append(floor) or walk(u0, budgets, max_iters, floor, h))
         estimate_sigma_balance(square_wave(), DEFAULT_SIGMA_GRID, SWEEP_SOLVER, h=1.0)
         assert floors == [0.0]
 
     def test_floor_of_special_days(self):
         # constant: every sigma keeps TV >= 0; a ramp's own TV is its
         # range, below TV_l; a capped walk that stops above the floor
-        # keeps it up to sigma_max, where the solve turns constant
+        # keeps it below sigma_max, where the solve turns constant
         assert estimate_sigma(np.full(16, 3.0), h=1.0).sigma_floor == np.inf
         ramp = estimate_sigma(np.arange(16.0) * 4.0, h=1.0)
         assert ramp.sigma_floor == 0.0 and ramp.sigma_best == 0.0
         v = square_wave()
         capped = estimate_sigma(v, solver=dataclasses.replace(SWEEP_SOLVER, max_iters=3), h=1.0)
-        assert capped.sigma_floor == np.sqrt(0.5 * np.sum((v - v.mean()) ** 2))
+        spread = 0.5 * np.sum((v - v.mean()) ** 2)  # sigma_max^2
+        s = capped.sigma_floor
+        assert s * s < spread <= np.nextafter(s, np.inf) ** 2
 
-    def test_bisection_reads_the_floor(self):
-        grid = (0.0, 1.0, 5.0, 10.0)
-        assert combine_estimates(4.0, 5.0, 7.3, grid) == 4.0
-        assert combine_estimates(9.0, 10.0, 7.3, grid) == 7.265625
-        assert combine_estimates(2.0, 5.0, 0.0, grid) == 0.0
-        # a candidate past the grid, whose last point keeps the floor
-        assert combine_estimates(60.0, 60.0, 55.0, DEFAULT_SIGMA_GRID) == 55.0
+    def test_min_rule_reads_the_floor(self):
+        assert combine_estimates(4.0, 5.0, 7.3) == 4.0
+        assert combine_estimates(9.0, 10.0, 7.3) == 7.3
+        assert combine_estimates(2.0, 5.0, 0.0) == 0.0
 
 
 @pytest.mark.parametrize("h", [-1.0, 0.0, np.inf, np.nan])
