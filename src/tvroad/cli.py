@@ -78,6 +78,8 @@ class RunConfig:
             raise ValueError("k must be a positive cluster count")
         object.__setattr__(self, "sigma_grid", tuple(float(s) for s in self.sigma_grid))
         _validate_grid(self.sigma_grid)
+        for sigma in self.sigma_grid:
+            SolverConfig(sigma=sigma)  # a grid point no solve can take is a usage error
 
 
 _CONFIG_PARSERS = {
@@ -356,33 +358,17 @@ def _estimates(data: dict, config: RunConfig, failed: str) -> tuple:
     return estimates, failures
 
 
-def _stack_solves(values: list, sigmas: list, solver: SolverConfig) -> list:
-    """(denoised, diagnostics) of each series at its sigma, from one stacked
-    solve: each denoised series is its lone solve's bit for bit, and its
-    diagnostics are what that solve reports."""
-    u = np.concatenate(values)
-    heads = np.append(0, np.cumsum([v.size for v in values]))
-    x, iterations, saturated = _denoise_stack(u, heads, sigmas, solver, h=1.0)
-    solved = []
-    for r, (lo, hi) in enumerate(zip(heads[:-1].tolist(), heads[1:].tolist())):
-        residual, converged = _residual(x[lo:hi], u[lo:hi], sigmas[r], 1.0, solver.rel_tol)
-        solved.append((x[lo:hi], {"iterations": int(iterations[r]), "converged": converged,
-                                  "saturated": bool(saturated[r]),
-                                  "final_tv": total_variation(x[lo:hi]),
-                                  "constraint_residual": residual}))
-    return solved
-
-
 def _solve_all(data: dict, config: RunConfig, args, failed: str) -> tuple:
     """({key: (sigma, SigmaEstimate or None, denoised, diagnostics)} of every
     road-day that solves, in key order, and the number that failed.
 
     Each road-day takes the --sigma override or its own estimated sigma,
-    then all of them are solved as one stack.  A road-day whose solve
-    fails is dropped, by the row its error names, and the rest are stacked
-    again, so a failing one fails alone.  A failure is logged as
-    "<road>/<day>: <failed>: <error>", the sigma failures first, then the
-    solve failures, each in key order.
+    then all of them are solved as one stack: each denoised series is its
+    lone solve's bit for bit, and its diagnostics are what that solve
+    reports.  A road-day whose solve fails is left out, so a failing one
+    fails alone.  A failure is logged as "<road>/<day>: <failed>:
+    <error>", the sigma failures first, then the solve failures, each in
+    key order.
     """
     solver = _pipeline_solver(config)
     if args.sigma is not None:
@@ -390,18 +376,24 @@ def _solve_all(data: dict, config: RunConfig, args, failed: str) -> tuple:
     else:
         estimates, failures = _estimates(data, config, failed)
         sigmas = {key: (est.sigma_best, est) for key, est in estimates.items()}
-    keys, errors, solved = list(sigmas), {}, {}
-    while keys and not solved:
-        try:
-            solved = dict(zip(keys, _stack_solves([data[key].values for key in keys],
-                                                  [sigmas[key][0] for key in keys], solver)))
-        except Exception as exc:
-            if not hasattr(exc, "row"):  # not any one road-day's failure
-                raise
-            errors[keys.pop(exc.row)] = exc
-    for key in sorted(errors):
-        log.error("%s: %s: %s", _key_name(key), failed, errors[key])
-    return {key: sigmas[key] + solved[key] for key in solved}, failures + len(errors)
+    if not sigmas:
+        return {}, failures
+    values = [data[key].values for key in sigmas]
+    u = np.concatenate(values)
+    heads = np.append(0, np.cumsum([v.size for v in values]))
+    x, iterations, saturated, errors = _denoise_stack(
+        u, heads, [sigma for sigma, _ in sigmas.values()], solver, h=1.0)
+    solved = {}
+    for r, (key, lo, hi) in enumerate(zip(sigmas, heads[:-1].tolist(), heads[1:].tolist())):
+        if r in errors:
+            log.error("%s: %s: %s", _key_name(key), failed, errors[r])
+            continue
+        residual, converged = _residual(x[lo:hi], u[lo:hi], sigmas[key][0], 1.0, solver.rel_tol)
+        solved[key] = sigmas[key] + (x[lo:hi], {
+            "iterations": int(iterations[r]), "converged": converged,
+            "saturated": bool(saturated[r]), "final_tv": total_variation(x[lo:hi]),
+            "constraint_residual": residual})
+    return solved, failures + len(errors)
 
 
 def cmd_denoise(config: RunConfig, args) -> int:

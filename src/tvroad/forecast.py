@@ -189,7 +189,8 @@ def causal_denoise_window(
     their boundaries: each prefix takes its short circuits as it would
     alone, the prefixes that need a walk share one lockstep path walk,
     and the windows are gathered by index from the stack's solution.
-    The first bad prefix raises the error it raises alone.
+    The first prefix that fails raises the error it raises alone, as the
+    stack gives each prefix its lone error.
     """
     one = np.ndim(boundary) == 0
     prefixes = [day_so_far] if one else list(day_so_far)
@@ -204,7 +205,9 @@ def causal_denoise_window(
         pieces += (prefix, value)
     u = np.concatenate(pieces)
     heads = np.cumsum([0] + [prefix.size + 1 for prefix in pieces[::2]])
-    x = _denoise_stack(u, heads, sigmas, solver, h)[0]
+    x, _, _, errors = _denoise_stack(u, heads, sigmas, solver, h)
+    if errors:
+        raise errors[min(errors)]
     windows = x[heads[1:, None] + np.arange(-(WINDOW + 1), -1)]
     return windows[0] if one else windows
 

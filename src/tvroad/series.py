@@ -124,21 +124,16 @@ def nearest_interpolate(
     Every missing slice copies the value of the nearest observed slice;
     an exact tie between the left and right neighbour resolves to the
     earlier one.  The returned mask is True exactly on observed slices.
-    Records in strictly increasing slice order, as ingest hands them, are
-    taken as they come; others are sorted first.
+    Records may come in any order.
     """
-    recs = list(records)
-    idx = np.array([r[0] for r in recs], dtype=int)
-    increasing = bool((idx[1:] > idx[:-1]).all())
-    if not increasing:
-        recs = sorted(recs)
-        idx = np.array([r[0] for r in recs], dtype=int)
+    recs = sorted(records)
     if not recs:
         raise ValueError("no observed records to interpolate from")
+    idx = np.array([r[0] for r in recs], dtype=int)
     vals = _as_float_vector([r[1] for r in recs], "records")
     if idx.min() < 1 or idx.max() > n_slices:
         raise ValueError(f"slice index out of range 1..{n_slices}")
-    if not increasing and np.unique(idx).size != idx.size:
+    if np.unique(idx).size != idx.size:
         raise ValueError("duplicate slice index in records")
 
     full = np.zeros((1, n_slices))

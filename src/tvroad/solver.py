@@ -72,7 +72,9 @@ series to walk takes the heap walk.  Both walks share the runs of
 :func:`_shortcuts`, and a stack (:func:`_denoise_stack`) takes them
 row by row; both take the flat and saturated cases from
 :func:`_short_circuit`.  A stack returns x, iterations and saturated as
-arrays, with no result object per series.
+arrays, with no result object per series, and the error of each series
+that fails, which fails alone: the others solve as they would without
+it.
 
 ``epsilon`` does not enter the solve.  It is the smoothing of
 :func:`smoothed_total_variation`, which replaces each |d| by
@@ -535,28 +537,25 @@ def _sweep(values, configs, h: float = 1.0, tv_floor: float = 0.0) -> tuple:
 
 
 def _denoise_stack(u, heads, sigmas, solver: SolverConfig, h: float = 1.0) -> tuple:
-    """(x, iterations, saturated): what :func:`denoise_values` gives for each
-    series u[heads[r]:heads[r + 1]] of a stack laid end to end, at sigma
-    ``sigmas[r]`` and otherwise under ``solver``, bit for bit.  x holds the
-    denoised series end to end as in u, iterations and saturated one entry
-    per series.
+    """(x, iterations, saturated, errors): what :func:`denoise_values` gives
+    for each series u[heads[r]:heads[r + 1]] of a stack laid end to end, at
+    sigma ``sigmas[r]`` and otherwise under ``solver``, bit for bit.  x
+    holds the denoised series end to end as in u, iterations and saturated
+    one entry per series.  ``errors`` maps each series that fails to the
+    error its lone solve raises; its entries of x, iterations and
+    saturated are meaningless.
 
-    The series are checked and decided one by one, in order, as each
-    would be alone: its sigma (by its config), its samples, h, then sigma
-    0 and :func:`_short_circuit`, up to the first series that fails (a
-    bad sigma, sample or h, or a non-finite sigma_max^2).  The samples
-    are checked series by series only when the stack is not all finite
-    or has a series shorter than two.  The series before it that need a
-    walk share one lockstep walk (:func:`_walk_stack`), or take the heap
-    walk if only one does.  After the walk, one check of x finds a
-    non-finite solution: the fidelity residual of a lone solve is
-    non-finite exactly then, unless the data are so large that it could
-    overflow, when each walked series takes the lone residual.  So the
-    stack raises the error of the first series that fails alone: the
-    first walked one with a non-finite residual, else the check's.  Each
-    error raised for a series carries the series' index as its ``row``
-    attribute, with its type and message unchanged, so that a caller can
-    drop that series and stack the rest.
+    Each series is checked and decided as it would be alone: its sigma
+    (by its config), its samples, h, then sigma 0 and
+    :func:`_short_circuit`, and a bad sigma, sample or h, or a non-finite
+    sigma_max^2, is its error.  The samples are checked series by series
+    only when the stack is not all finite or has a series shorter than
+    two.  The series that pass and need a walk share one lockstep walk
+    (:func:`_walk_stack`), or take the heap walk if only one does.  After
+    the walk, one check of x finds a non-finite solution: the fidelity
+    residual of a lone solve is non-finite exactly then, unless the data
+    are so large that it could overflow, when each walked series takes
+    the lone residual, and a non-finite one is its error.
     """
     sigmas = np.asarray(sigmas, dtype=float).tolist()
     size = np.diff(heads)
@@ -567,8 +566,8 @@ def _denoise_stack(u, heads, sigmas, solver: SolverConfig, h: float = 1.0) -> tu
     # sigma 0 and flat series keep u0; sigma >= sigma_max and a walk that
     # merged down to one segment give the constant mean
     walk, saturated, mean = (np.zeros(rows, dtype=bool) for _ in range(3))
-    failed = None  # the first series' check error; the series before it still walk
-    # Overflow shows as a non-finite fidelity or iterate, which raises.
+    errors = {}
+    # Overflow shows as a non-finite fidelity or iterate, the row's error.
     with np.errstate(over="ignore", invalid="ignore"):
         for r, (sigma, a, b) in enumerate(zip(sigmas, lo, hi)):
             try:
@@ -581,8 +580,7 @@ def _denoise_stack(u, heads, sigmas, solver: SolverConfig, h: float = 1.0) -> tu
                     flat, (saturated[r],) = _short_circuit(u0, [sigma], h)
                     walk[r], mean[r] = not saturated[r], saturated[r] and not flat
             except Exception as exc:
-                exc.row, failed = r, exc
-                break
+                errors[r] = exc
 
         walked = np.flatnonzero(walk).tolist()
         if walked:
@@ -609,12 +607,8 @@ def _denoise_stack(u, heads, sigmas, solver: SolverConfig, h: float = 1.0) -> tu
                     residual = _residual(x[lo[r]:hi[r]], u[lo[r]:hi[r]], sigmas[r], h,
                                          solver.rel_tol)[0]
                     if not math.isfinite(residual):
-                        exc = _non_finite_iterate(int(n), float(t), residual)
-                        exc.row = r
-                        raise exc
-    if failed is not None:
-        raise failed
-    return x, iterations, saturated
+                        errors[r] = _non_finite_iterate(int(n), float(t), residual)
+    return x, iterations, saturated, errors
 
 
 def denoise_values(values, config: SolverConfig, h: float = 1.0) -> DenoiseResult:

@@ -626,11 +626,11 @@ class TestCommands:
         path = write_records(road_days + [poisoned], name="poisoned.csv")
         assert run_cli("denoise", "--input", str(path), "--out-dir", str(out), *argv) == 0
         assert "road-1/2026-01-03: denoise failed: non-finite iterate" in caplog.text
-        # at a fixed sigma the whole batch, then the batch without the
-        # failing road-day; an estimated sigma already fails in the walk of
-        # the poisoned road-day's estimate, which then never enters a stack
+        # one stack of the whole batch at a fixed sigma; an estimated sigma
+        # already fails in the walk of the poisoned road-day's estimate,
+        # which then never enters the stack
         fixed = argv[0] == "--sigma"
-        assert stacks == [len(road_days) + 1] * fixed + [len(road_days)]
+        assert stacks == [len(road_days) + fixed]
         for name in ("denoised.csv", "denoise_diagnostics.json"):
             assert (out / name).read_bytes() == (clean_out / name).read_bytes()
 
@@ -639,7 +639,7 @@ class TestCommands:
                                                        monkeypatch):
         # the stack meets the huge road-day's error before the walk and the
         # poisoned one's after it, yet both are logged in key order, as lone
-        # solves would log them, and each costs one more stack
+        # solves would log them, and one stack serves the whole batch
         values = road_days[1].values.copy()
         values[0] = 77.125
         poisoned = VelocitySeries("road-0", 1, values, h=road_days[1].h)
@@ -665,7 +665,7 @@ class TestCommands:
         assert [line.split(":")[0] for line in failed] == ["road-0/2026-01-01",
                                                           "road-9/2026-01-09"]
         assert "non-finite iterate" in failed[0] and "non-finite fidelity" in failed[1]
-        assert stacks == [len(road_days) + 2, len(road_days) + 1, len(road_days)]
+        assert stacks == [len(road_days) + 2]
         for name in ("denoised.csv", "denoise_diagnostics.json"):
             assert (out / name).read_bytes() == (clean_out / name).read_bytes()
 
@@ -818,6 +818,27 @@ class TestCommands:
         # a missing input would exit 1; the --sigma check comes first
         assert run_cli(command, "--input", str(tmp_path / "missing.csv"),
                        "--out-dir", str(tmp_path / "out"), "--sigma", "-1") == 2
+
+    @pytest.mark.parametrize("command", ["estimate-sigma", "denoise", "cluster", "predict"])
+    @pytest.mark.parametrize("source,grid,message",
+                             [("flag", "0,1,1e200", "its square overflows"),
+                              ("config", "0,1e-170,1", "its square underflows")],
+                             ids=["overflow-flag", "underflow-config"])
+    def test_grid_point_no_solve_can_take_is_usage_error(self, command, source, grid, message,
+                                                         records_csv, tmp_path, caplog):
+        # the input used to be read and every road-day failed on the grid, exit 1
+        out = tmp_path / "out"
+        if source == "flag":
+            setting = ["--grid", grid]
+        else:
+            config = tmp_path / "grid.cfg"
+            config.write_text(f"sigma_grid = {grid}\n")
+            setting = ["--config", str(config)]
+        assert run_cli(command, "--input", str(records_csv), "--out-dir", str(out),
+                       *setting) == 2
+        assert [r.levelname for r in caplog.records] == ["ERROR"]
+        assert "bad configuration" in caplog.text and message in caplog.text
+        assert not out.exists()
 
     def test_unreadable_input_fails_cleanly(self, tmp_path):
         rc = run_cli("denoise", "--input", str(tmp_path / "missing.csv"),

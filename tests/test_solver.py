@@ -548,10 +548,12 @@ def laid_end_to_end(series):
 
 def stack_solve(series, sigmas, max_iters=5000, h=1.0) -> list:
     """(x, iterations, saturated) of each series at its sigma, from one
-    ``_denoise_stack`` call."""
+    ``_denoise_stack`` call; the first failing series' error is raised."""
     u, heads = laid_end_to_end(series)
-    x, iterations, saturated = solver._denoise_stack(
+    x, iterations, saturated, errors = solver._denoise_stack(
         u, heads, np.asarray(sigmas, dtype=float), SolverConfig(sigma=0.0, max_iters=max_iters), h)
+    if errors:
+        raise errors[min(errors)]
     assert (x.shape, iterations.shape, saturated.shape) == (u.shape,) + ((len(series),),) * 2
     return [(x[a:b], int(i), bool(sat))
             for a, b, i, sat in zip(heads[:-1], heads[1:], iterations, saturated)]
@@ -728,26 +730,25 @@ class TestWalkStack:
     @example([], [(0, (np.array([1.0, np.nan, 3.0, 4.0]), ("at", 1.0))),
                   (1, (np.array([1.0, 2.0, 3.0, 4.0]), ("at", -1.0)))], 5000, 1.0)
     def test_stack_equals_lone_solves_or_raises_their_first_error(self, good, bad, max_iters, h):
+        # each row on its own: its lone solve's result bit for bit, or the
+        # error its lone solve raises, whatever the other rows do
         entries = list(good)
         for at, entry in bad:
             entries.insert(at, entry)
         series = [values for values, _ in entries]
         sigmas = [self._sigma(values, spec, h) for values, spec in entries]
-        want, error = [], None
-        for values, sigma in zip(series, sigmas):
+        u, heads = laid_end_to_end(series)
+        x, iterations, saturated, errors = solver._denoise_stack(
+            u, heads, sigmas, SolverConfig(sigma=0.0, max_iters=max_iters), h)
+        for r, (values, sigma) in enumerate(zip(series, sigmas)):
             try:
-                want.append(denoise_values(values, SolverConfig(sigma=sigma, max_iters=max_iters),
-                                           h))
+                want = denoise_values(values, SolverConfig(sigma=sigma, max_iters=max_iters), h)
             except (ValueError, FloatingPointError) as exc:
-                error = exc
-                break
-        if error is None:
-            for row, w in zip(stack_solve(series, sigmas, max_iters, h), want):
-                assert_same_solve(row, w)
-        else:
-            with pytest.raises(type(error)) as raised:
-                stack_solve(series, sigmas, max_iters, h)
-            assert str(raised.value) == str(error)
+                assert (type(errors.get(r)), str(errors.get(r))) == (type(exc), str(exc))
+            else:
+                assert r not in errors
+                assert_same_solve((x[heads[r]:heads[r + 1]], int(iterations[r]),
+                                   bool(saturated[r])), want)
 
 
 class TestSolveFailures:
