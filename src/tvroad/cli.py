@@ -76,6 +76,8 @@ class RunConfig:
             raise ValueError("dc_percentile must be a percentile in (0, 100]")
         if self.k is not None and self.k < 1:
             raise ValueError("k must be a positive cluster count")
+        if self.seed < 0:
+            raise ValueError("seed must be a non-negative integer")
         object.__setattr__(self, "sigma_grid", tuple(float(s) for s in self.sigma_grid))
         _validate_grid(self.sigma_grid)
         for sigma in self.sigma_grid:
@@ -117,17 +119,6 @@ _REQUIRED = ("road_id", "day", "slice", "velocity")
 _CHUNK_ROWS = 1024
 
 
-def _parsed(parser, cells) -> list:
-    """``parser`` mapped over ``cells`` up to the first cell it rejects, so
-    a result shorter than ``cells`` ends where that cell sits."""
-    out = []
-    try:
-        out.extend(map(parser, cells))  # extend keeps what was mapped before the raise
-    except ValueError:
-        pass
-    return out
-
-
 def _check_day(day: str) -> None:
     """Raise ValueError unless day is a date written as YYYY-MM-DD, the one
     spelling of a date, so that each date is one road-day key."""
@@ -159,7 +150,12 @@ def _row_error(row: list, cols: tuple, length_col: int | None) -> str | None:
 
 
 class _Records:
-    """The checked records of one file, as a (road-day, slice) grid."""
+    """The checked records of one file, as a (road-day, slice) grid.
+
+    Records arrive a chunk at a time.  A chunk is parsed and checked whole,
+    as if it were clean; only a chunk that fails a check is walked row by
+    row, through ``_row_error``, to find its first bad row.
+    """
 
     def __init__(self, path, cols: tuple, length_col: int | None):
         self.path = path
@@ -173,49 +169,39 @@ class _Records:
 
     def add(self, rows: list, first_line: int) -> None:
         """Check and store one chunk of reader rows, the first at file line
-        ``first_line``; raise for the chunk's first bad row.
-
-        Each check runs column by column and moves ``end`` back to the
-        first row it rejects, so the rows before ``end`` passed every
-        check; duplicates are then looked for among those rows.
-        """
+        ``first_line``; raise for the chunk's first bad row."""
         lines = np.arange(first_line, first_line + len(rows))
         filled = np.fromiter(map(bool, map(str.strip, map("".join, rows))), bool, len(rows))
         if not filled.all():
             rows, lines = list(compress(rows, filled)), lines[filled]
-        widths = np.fromiter(map(len, rows), np.intp, len(rows))
-        short = np.flatnonzero(widths <= max(self.cols))
-        end = int(short[0]) if short.size else len(rows)
-        head = rows[:end]
-        road_col, day_col, slice_col, speed_col = self.cols
-        roads = list(map(str.strip, map(itemgetter(road_col), head)))
-        days = list(map(str.strip, map(itemgetter(day_col), head)))
-        slices = _parsed(int, map(itemgetter(slice_col), head))
-        speeds = _parsed(float, map(itemgetter(speed_col), head))
-        end = min(end, len(slices), len(speeds))
-        if "" in roads:
-            end = min(end, roads.index(""))
-        for day in set(days) - self.dates:
-            try:
-                _check_day(day)
-            except ValueError:
-                end = min(end, days.index(day))
-            else:
-                self.dates.add(day)
-        try:
-            s = np.array(slices[:end], dtype=np.intp)
-        except OverflowError:  # past the integer range, so outside 1..288 too
-            s = np.array(slices[:end], dtype=object)
-        v = np.array(speeds[:end], dtype=float)
-        bad = np.flatnonzero((s < 1) | (s > DEFAULT_SLICES) | ~(np.isfinite(v) & (v >= 0)))
-        if bad.size:
-            end = int(bad[0])
-        length_rows, lengths = self._lengths(head[:end], widths[:end])
-        if len(lengths) < length_rows.size:
-            end = int(length_rows[len(lengths)])
+        self._store(rows, lines)
 
-        g = self._grid_rows(list(zip(roads[:end], days[:end])))
-        slot = s[:end].astype(np.intp) - 1
+    def _store(self, rows: list, lines: np.ndarray) -> None:
+        """Check and store the non-blank ``rows``, at file lines ``lines``;
+        for a bad row, first store the rows before it, so that a duplicate
+        among them is reported ahead of it, then raise for it."""
+        road_col, day_col, slice_col, speed_col = self.cols
+        try:
+            # a short row raises IndexError, a bad cell ValueError and a
+            # slice past the integer range OverflowError
+            roads = list(map(str.strip, map(itemgetter(road_col), rows)))
+            days = list(map(str.strip, map(itemgetter(day_col), rows)))
+            s = np.array(list(map(int, map(itemgetter(slice_col), rows))), dtype=np.intp)
+            v = np.array(list(map(float, map(itemgetter(speed_col), rows))))
+            for day in set(days) - self.dates:
+                _check_day(day)
+                self.dates.add(day)
+            if "" in roads or ((s < 1) | (s > DEFAULT_SLICES) | ~(np.isfinite(v) & (v >= 0))).any():
+                raise ValueError
+            length_rows, lengths = self._lengths(rows)
+        except (IndexError, ValueError, OverflowError):
+            errors = (_row_error(row, self.cols, self.length_col) for row in rows)
+            end, message = next((i, m) for i, m in enumerate(errors) if m is not None)
+            self._store(rows[:end], lines[:end])
+            raise ValueError(f"{self.path}: line {lines[end]}: {message}") from None
+
+        g = self._grid_rows(list(zip(roads, days)))
+        slot = s - 1
         flat = g * DEFAULT_SLICES + slot
         order = np.argsort(flat, kind="stable")
         dup = self.observed[g, slot]  # a copy seen in an earlier chunk
@@ -223,23 +209,19 @@ class _Records:
         if dup.any():
             i = int(np.flatnonzero(dup)[0])
             raise ValueError(f"{self.path}: line {lines[i]}: duplicate record for "
-                             f"road_id={roads[i]} day={days[i]} slice={slices[i]}")
-        if end < len(rows):
-            message = _row_error(rows[end], self.cols, self.length_col)
-            raise ValueError(f"{self.path}: line {lines[end]}: {message}")
+                             f"road_id={roads[i]} day={days[i]} slice={s[i]}")
         self.values[g, slot] = v
         self.observed[g, slot] = True
         self.lengths.update(zip(g[length_rows].tolist(), lengths))
 
-    def _lengths(self, rows: list, widths: np.ndarray) -> tuple[np.ndarray, list]:
-        """(positions of the rows giving a length, their lengths parsed up
-        to the first bad one)."""
+    def _lengths(self, rows: list) -> tuple[np.ndarray, list]:
+        """(positions of the rows giving a length, their lengths)."""
         if self.length_col is None:
             return np.empty(0, np.intp), []
-        has = np.flatnonzero(widths > self.length_col)
-        cells = list(map(itemgetter(self.length_col), map(rows.__getitem__, has.tolist())))
-        given = np.fromiter(map(bool, map(str.strip, cells)), bool, len(cells))
-        return has[given], _parsed(float, compress(cells, given))
+        col = self.length_col
+        cells = [row[col] if len(row) > col else "" for row in rows]
+        given = np.flatnonzero(np.fromiter(map(bool, map(str.strip, cells)), bool, len(cells)))
+        return given, list(map(float, map(cells.__getitem__, given.tolist())))
 
     def _grid_rows(self, keys: list) -> np.ndarray:
         """Grid row of each (road_id, day), adding rows for new road-days."""
@@ -289,10 +271,11 @@ def ingest(path, *, min_records: int = 150, min_length_m: float | None = None):
     Blank rows are skipped.  The first malformed row in file order fails
     the read with its line number (reader rows, counted from 2 after the
     header, blank rows included); a duplicate (road_id, day, slice) key
-    is reported at its second copy.  Rows are parsed column by column in
-    chunks of ``_CHUNK_ROWS``.  Road-days with fewer than min_records
-    observed slices are skipped with a log line.  Remaining gaps are
-    filled by nearest-in-time interpolation.
+    is reported at its second copy.  Rows are read in chunks of
+    ``_CHUNK_ROWS``; each chunk is parsed and checked whole, and its first
+    bad row is looked for only when a check fails.  Road-days with fewer
+    than min_records observed slices are skipped with a log line.
+    Remaining gaps are filled by nearest-in-time interpolation.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)

@@ -105,10 +105,11 @@ def multires_variations(series, h: float | None = None) -> MultiresVariations:
     _check_resolution(v.size)
     out = []
     cur = v
-    for j in range(3):
-        out.append(float(np.sum(np.diff(cur) ** 2)) / (2 ** j * h))
-        if j < 2:
-            cur = pair_average(cur)
+    with np.errstate(over="ignore"):  # squares that overflow sum to inf, which the solve rejects
+        for j in range(3):
+            out.append(float(np.sum(np.diff(cur) ** 2)) / (2 ** j * h))
+            if j < 2:
+                cur = pair_average(cur)
     return MultiresVariations(*out)
 
 

@@ -694,6 +694,30 @@ class TestCommands:
     @pytest.mark.parametrize("command, failed", [("estimate-sigma", "sigma estimate failed"),
                                                  ("denoise", "denoise failed"),
                                                  ("cluster", "profile preparation failed")])
+    def test_road_day_near_1e200_fails_alone_at_the_estimated_sigma(
+            self, command, failed, road_days, write_records, tmp_path, caplog):
+        # its multiresolution squares overflow to inf without a numpy
+        # warning, and the road-day fails on its non-finite fidelity
+        huge = VelocitySeries("road-9", 9, 1e200 * road_days[0].values, h=road_days[0].h)
+        clean_out, out = tmp_path / "clean", tmp_path / "out"
+        argv = ["--grid", "0,1,5"]
+        clean_csv = write_records(road_days, name="clean.csv")
+        assert run_cli(command, "--input", str(clean_csv), "--out-dir", str(clean_out),
+                       *argv) == 0
+        path = write_records(road_days + [huge], name="huge.csv")
+        caplog.clear()
+        assert run_cli(command, "--input", str(path), "--out-dir", str(out), *argv) == 0
+        lines = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+        assert len(lines) == 1
+        assert lines[0].startswith(f"road-9/2026-01-09: {failed}: non-finite fidelity")
+        files = sorted(p.name for p in clean_out.iterdir())
+        assert files == sorted(p.name for p in out.iterdir())
+        for name in files:
+            assert (out / name).read_bytes() == (clean_out / name).read_bytes()
+
+    @pytest.mark.parametrize("command, failed", [("estimate-sigma", "sigma estimate failed"),
+                                                 ("denoise", "denoise failed"),
+                                                 ("cluster", "profile preparation failed")])
     def test_failed_estimate_logs_the_commands_label(self, command, failed, road_days,
                                                      write_records, tmp_path, caplog):
         # the three commands share one estimate loop; each names its step
@@ -794,10 +818,10 @@ class TestCommands:
                                             ("--sigma", "inf"), ("--sigma", "-1"),
                                             ("--dc-percentile", "-1"), ("--dc-percentile", "150"),
                                             ("--dc-percentile", "inf"), ("--k", "0"),
-                                            ("--config", None)],
+                                            ("--seed", "-1"), ("--config", None)],
                              ids=["grid", "grid-start", "grid-order", "grid-inf", "sigma-inf",
                                   "sigma-negative", "dc-percentile", "dc-percentile-above-100",
-                                  "dc-percentile-inf", "k", "config"])
+                                  "dc-percentile-inf", "k", "seed-negative", "config"])
     def test_bad_setting_is_usage_error(self, flag, value, tmp_path, caplog):
         out = tmp_path / "out"
         value = value or str(tmp_path / "missing.cfg")
