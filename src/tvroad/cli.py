@@ -423,16 +423,27 @@ def cmd_cluster(config: RunConfig, args) -> int:
     data = ingest(args.input, min_records=config.min_records_cluster,
                   min_length_m=config.min_road_length_m)
     if args.no_denoise:
-        keys, failures = sorted(data), 0
-        profiles = [data[key].values for key in keys]
+        profiles, failures = {key: data[key].values for key in sorted(data)}, 0
     else:
         solved, failures = _solve_all(data, config, args, "profile preparation failed")
-        keys = list(solved)
-        profiles = [solved[key][2] for key in keys]
+        profiles = {key: entry[2] for key, entry in solved.items()}
+    # (a - b)^2 <= 2 a^2 + 2 b^2, so profiles whose sums of squares stay
+    # below an eighth of the float range keep every distance between them
+    # finite; a profile past that bound fails alone
+    with np.errstate(over="ignore"):
+        sums = {key: float(np.sum(p * p)) for key, p in profiles.items()}
+    for key, squares in sums.items():
+        if not squares < sys.float_info.max / 8:
+            del profiles[key]
+            failures += 1
+            log.error("%s: profile preparation failed: sum of squares %r could overflow "
+                      "a distance", _key_name(key), squares)
+    keys = list(profiles)
     if len(keys) < 2:
         log.error("clustering needs at least 2 road-days, have %d", len(keys))
         return 1
-    result = cluster(np.array(profiles), dc_percentile=config.dc_percentile, k=config.k)
+    result = cluster(np.array(list(profiles.values())), dc_percentile=config.dc_percentile,
+                     k=config.k)
 
     names = [_key_name(k) for k in keys]
     graph = ["road_id,rho,delta,gamma"]

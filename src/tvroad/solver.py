@@ -44,8 +44,8 @@ sigma_max returns the constant mean, which has TV 0 and F =
 sigma_max^2, flagged ``saturated`` (flat input is returned as it is).
 So does a walk that merges down to one segment, which only rounding
 allows, with sigma a few ulps below sigma_max.  A non-finite
-sigma_max^2 (squares of the input's spread that overflow) or solution
-raises FloatingPointError.
+sigma_max^2 (squares of the input's spread that overflow) at a nonzero
+sigma, or a non-finite solution, raises FloatingPointError.
 
 :func:`denoise_values` solves one series at one sigma.  A grid sweep
 (the noise module's balance sweep) solves one series at an increasing
@@ -68,13 +68,12 @@ would, bit for bit.  A numpy step costs about as much for one series as
 for hundreds, while a heap step is a few Python operations, so the
 lockstep walk loses on one series and wins on a stack; a stack with one
 series to walk takes the heap walk.  Both walks share the runs of
-:func:`_runs`.  A lone solve takes its short circuits from
-:func:`_shortcuts`, and a stack (:func:`_denoise_stack`) takes them
-row by row; both take the flat and saturated cases from
-:func:`_short_circuit`.  A stack returns x, iterations and saturated as
-arrays, with no result object per series, and the error of each series
-that fails, which fails alone: the others solve as they would without
-it.
+:func:`_runs`.  Every solve, lone, in a sweep or a row of a stack
+(:func:`_denoise_stack`), decides sigma = 0, flat input and sigma >=
+sigma_max through :func:`_short_circuit` before any walk.  A stack
+returns x, iterations and saturated as arrays, with no result object per
+series, and the error of each series that fails, which fails alone: the
+others solve as they would without it.
 
 ``epsilon`` does not enter the solve.  It is the smoothing of
 :func:`smoothed_total_variation`, which replaces each |d| by
@@ -466,45 +465,21 @@ def _result(u, u0, sigma, h, trace, config, saturated=False) -> DenoiseResult:
                          saturated=saturated)
 
 
-def _finish(u0, config, h, x, trace) -> DenoiseResult:
-    """The result of a walk that ended at x with this trace; x None stands
-    for the constant mean, flagged saturated."""
-    saturated = x is None
-    x = np.full(u0.size, u0.mean()) if saturated else x
-    return _result(x, u0, config.sigma, h, trace, config, saturated)
-
-
-def _short_circuit(u0: np.ndarray, sigmas, h: float) -> tuple:
-    """(flat, saturated): whether u0 is flat, and for each of ``sigmas``,
-    none of them 0, whether its solve needs no walk: flat input, returned
-    as it is, or sigma >= sigma_max, which returns the constant mean.
-    Both are flagged saturated.  A non-finite sigma_max^2 raises
-    FloatingPointError."""
+def _short_circuit(u0: np.ndarray, sigmas, h: float) -> list:
+    """(walk, mean) for each of ``sigmas``: whether its solve walks the
+    path, and whether it returns the constant mean instead.  sigma = 0 and
+    flat input return u0; sigma >= sigma_max returns the constant mean.
+    sigma_max^2 is computed only when some sigma is nonzero, and a
+    non-finite one raises FloatingPointError."""
+    if not any(sigmas):
+        return [(False, False)] * len(sigmas)
     dev = u0 - u0.mean()
     spread = 0.5 * h * float(np.sum(dev * dev))  # sigma_max^2
     if not math.isfinite(spread):
         raise FloatingPointError(f"non-finite fidelity: sigma_max^2 of the input is {spread}")
     flat = bool((u0 == u0[0]).all())  # flat, though its mean may round off u0
-    return flat, [flat or s * s >= spread for s in sigmas]
-
-
-def _shortcuts(u0: np.ndarray, configs, h: float) -> list:
-    """The result of each config that needs no walk, None for each that
-    does; the configs differ only in sigma, which does not decrease along
-    them.  sigma = 0 returns u0; the rest take :func:`_short_circuit`."""
-    results = []
-    for config in configs:
-        if config.sigma != 0.0:
-            break
-        results.append(DenoiseResult(u0.copy(), total_variation(u0), 0, (), 0.0, True))
-    rest = configs[len(results):]
-    if not rest:
-        return results
-    flat, saturated = _short_circuit(u0, [c.sigma for c in rest], h)
-    if flat:
-        return results + [_result(u0.copy(), u0, c.sigma, h, [], c, saturated=True) for c in rest]
-    return results + [_finish(u0, c, h, None, []) if sat else None
-                      for c, sat in zip(rest, saturated)]
+    return [(False, False) if flat or s == 0.0 else (s * s < spread, s * s >= spread)
+            for s in sigmas]
 
 
 def _series(values) -> np.ndarray:
@@ -524,15 +499,17 @@ def _sweep(values, configs, h: float = 1.0, tv_floor: float = 0.0) -> tuple:
     h = _check_h(h)
     # Overflow shows as a non-finite fidelity or iterate, which raises.
     with np.errstate(over="ignore", invalid="ignore"):
-        results = _shortcuts(u0, configs, h)
-        walked = [c for c, res in zip(configs, results) if res is None]
-        sigma_floor = math.inf
-        if walked or tv_floor > 0.0:
-            walks, sigma_floor = _walk(u0, [2.0 * c.sigma * c.sigma / h for c in walked],
-                                       configs[0].max_iters, tv_floor, h)
-            walks = iter(walks)
-            results = [_finish(u0, c, h, *next(walks)) if res is None else res
-                       for c, res in zip(configs, results)]
+        decided = _short_circuit(u0, [c.sigma for c in configs], h)
+        budgets = [2.0 * c.sigma * c.sigma / h for c, (walk, _) in zip(configs, decided) if walk]
+        walks, sigma_floor = [], math.inf
+        if budgets or tv_floor > 0.0:
+            walks, sigma_floor = _walk(u0, budgets, configs[0].max_iters, tv_floor, h)
+        walks, results = iter(walks), []
+        for c, (walk, mean) in zip(configs, decided):
+            x, trace = next(walks) if walk else (None if mean else u0.copy(), [])
+            saturated = x is None or (c.sigma != 0.0 and not walk)  # x None: the mean
+            x = np.full(u0.size, u0.mean()) if x is None else x
+            results.append(_result(x, u0, c.sigma, h, trace, c, saturated))
     return results, sigma_floor
 
 
@@ -546,8 +523,8 @@ def _denoise_stack(u, heads, sigmas, solver: SolverConfig, h: float = 1.0) -> tu
     saturated are meaningless.
 
     Each series is checked and decided as it would be alone: its sigma
-    (by its config), its samples, h, then sigma 0 and
-    :func:`_short_circuit`, and a bad sigma, sample or h, or a non-finite
+    (by its config), its samples and h, then :func:`_short_circuit`, which
+    decides every solve; a bad sigma, sample or h, or a non-finite
     sigma_max^2, is its error.  The samples are checked series by series
     only when the stack is not all finite or has a series shorter than
     two.  The series that pass and need a walk share one lockstep walk
@@ -576,9 +553,8 @@ def _denoise_stack(u, heads, sigmas, solver: SolverConfig, h: float = 1.0) -> tu
                 if not screened:
                     _series(u0)
                 h = _check_h(h)
-                if sigma != 0.0:
-                    flat, (saturated[r],) = _short_circuit(u0, [sigma], h)
-                    walk[r], mean[r] = not saturated[r], saturated[r] and not flat
+                (walk[r], mean[r]), = _short_circuit(u0, [sigma], h)
+                saturated[r] = sigma != 0.0 and not walk[r]
             except Exception as exc:
                 errors[r] = exc
 

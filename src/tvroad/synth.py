@@ -187,7 +187,6 @@ def run_table1(
     kinds=("sine", "hat"),
     n_list=(288, 144, 72),
     base_seed: int = 0,
-    noise: dict | None = None,
 ):
     """Benchmark the multi-resolution noise estimator per (kind, N).
 
@@ -198,13 +197,10 @@ def run_table1(
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    levels = dict(BENCH_NOISE)
-    if noise:
-        levels.update(noise)
     rows = []
     for kind in kinds:
         for n in n_list:
-            s = levels[kind]
+            s = BENCH_NOISE[kind]
             clean, _, _ = generate(SyntheticSpec(kind=kind, N=n, noise_sigma=0.0, seed=0))
             bias = multires_bias(clean.values, h=clean.h)
             ratios = []

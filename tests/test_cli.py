@@ -6,6 +6,7 @@ import json
 import math
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -712,6 +713,33 @@ class TestCommands:
         assert lines[0].startswith(f"road-9/2026-01-09: {failed}: non-finite fidelity")
         files = sorted(p.name for p in clean_out.iterdir())
         assert files == sorted(p.name for p in out.iterdir())
+        for name in files:
+            assert (out / name).read_bytes() == (clean_out / name).read_bytes()
+
+    @pytest.mark.parametrize("argv", [["--no-denoise"], ["--grid", "0,1,5"]],
+                             ids=["raw", "denoised"])
+    @pytest.mark.parametrize("huge", ["scaled", "flat"])
+    def test_profile_whose_distances_could_overflow_fails_alone(self, argv, huge, road_days,
+                                                                write_records, tmp_path, caplog):
+        # a day scaled by 1e200, or flat at 1e160 (sigma_max 0, so its solve
+        # passes), squares past the float range in any distance to another
+        values = 1e200 * road_days[0].values if huge == "scaled" else np.full(288, 1e160)
+        bad = VelocitySeries("road-9", 9, values, h=road_days[0].h)
+        clean_out, out = tmp_path / "clean", tmp_path / "out"
+        clean_csv = write_records(road_days, name="clean.csv")
+        assert run_cli("cluster", "--input", str(clean_csv), "--out-dir", str(clean_out),
+                       *argv) == 0
+        path = write_records(road_days + [bad], name="bad.csv")
+        caplog.clear()
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            assert run_cli("cluster", "--input", str(path), "--out-dir", str(out), *argv) == 0
+        assert [w for w in seen if issubclass(w.category, RuntimeWarning)] == []
+        lines = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+        assert len(lines) == 1
+        assert lines[0].startswith("road-9/2026-01-09: profile preparation failed: ")
+        files = sorted(p.name for p in clean_out.iterdir())
+        assert len(files) == 4 and files == sorted(p.name for p in out.iterdir())
         for name in files:
             assert (out / name).read_bytes() == (clean_out / name).read_bytes()
 

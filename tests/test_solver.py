@@ -772,3 +772,16 @@ class TestSolveFailures:
         values = 1e200 * np.random.default_rng(5).normal(1.0, 0.1, 40)
         with pytest.raises(FloatingPointError, match="non-finite fidelity"):
             denoise_values(values, SolverConfig(sigma=3.0))
+        with pytest.raises(FloatingPointError, match="non-finite fidelity"):
+            solver._sweep(values, [SolverConfig(sigma=0.0), SolverConfig(sigma=3.0)])
+        # sigma 0 needs no sigma_max^2: a lone solve, a sweep and a stack row
+        # return the values as they are
+        zero = SolverConfig(sigma=0.0)
+        lone = denoise_values(values, zero)
+        assert lone.denoised.tolist() == values.tolist() and not lone.saturated
+        for res in solver._sweep(values, [zero, zero])[0]:
+            assert res.denoised.tolist() == values.tolist() and not res.saturated
+        x, iterations, saturated, errors = solver._denoise_stack(
+            values, np.array([0, values.size]), [0.0], zero)
+        assert x.tolist() == values.tolist() and errors == {}
+        assert iterations.tolist() == [0] and saturated.tolist() == [False]
