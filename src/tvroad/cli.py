@@ -22,7 +22,7 @@ import json
 import logging
 import sys
 from dataclasses import dataclass, replace
-from itertools import compress, islice
+from itertools import chain, compress, islice
 from operator import itemgetter
 from pathlib import Path
 
@@ -114,9 +114,15 @@ def config_from_text(text: str) -> RunConfig:
 
 
 _REQUIRED = ("road_id", "day", "slice", "velocity")
-# Reader rows parsed per chunk: only one chunk's row lists are alive at a
-# time, so memory stays flat in the file's length.
-_CHUNK_ROWS = 1024
+# Rows per chunk: only one chunk's lines and rows are alive at a time, so
+# memory stays flat in the file's length.
+_CHUNK_ROWS = 4096
+# Code points that numpy's reader keeps of a road_id or day cell, and of a
+# slice cell (1..288 has at most three digits).  These fixed widths, not
+# the longest line, set a chunk's memory; a cell that fills its field may
+# have been cut short, so its chunk is read again by the csv reader.
+_KEY_WIDTH = 32
+_SLICE_WIDTH = 4
 
 
 def _check_day(day: str) -> None:
@@ -149,12 +155,47 @@ def _row_error(row: list, cols: tuple, length_col: int | None) -> str | None:
     return None
 
 
+def _codes(table: np.ndarray, name: str) -> np.ndarray:
+    """The (rows, width) code points of a string field of ``table``, as a
+    view, not a copy."""
+    dtype, offset = table.dtype.fields[name][:2]
+    return np.ndarray((len(table), dtype.itemsize // 4), np.uint32, table, offset,
+                      (table.itemsize, 4))
+
+
+# Deleting these bytes from an ASCII chunk leaves what makes it not plain:
+# quotes and control characters other than the line feed.
+_PLAIN_ASCII = bytes(range(0x20, 0x7F)).replace(b'"', b"") + b"\n"
+
+
+def _plain_text(lines: list) -> bool:
+    """Whether lines have no quote and no character but the line feed that
+    is not printable.  ASCII lines take a fast form of the test; their
+    joined text is dropped before its ASCII copy is scanned."""
+    data = "".join(lines).encode("utf-8")
+    if data.isascii():
+        return not data.translate(None, _PLAIN_ASCII)
+    text = "".join(lines)
+    return '"' not in text and text.replace("\n", "").isprintable()
+
+
+def _then_raise(lines: list, exc: Exception):
+    """Yield ``lines``, then raise ``exc``: a csv reader over this meets a
+    read error where the file gave it, after the rows before it."""
+    yield from lines
+    raise exc
+
+
 class _Records:
     """The checked records of one file, as a (road-day, slice) grid.
 
-    Records arrive a chunk at a time.  A chunk is parsed and checked whole,
-    as if it were clean; only a chunk that fails a check is walked row by
-    row, through ``_row_error``, to find its first bad row.
+    Records arrive a chunk at a time, either as raw lines (``add_plain``)
+    or as csv reader rows (``add``).  Both parse a chunk whole into columns
+    and store it through ``_store``, which checks it as if it were clean
+    and builds the grid row of each run of equal (road_id, day) cells.
+    Only a chunk that fails a check is walked row by row, as reader rows,
+    through ``_row_error``, to find its first bad row: that walk is the one
+    place that words a malformed row's error.
     """
 
     def __init__(self, path, cols: tuple, length_col: int | None):
@@ -166,6 +207,59 @@ class _Records:
         self.values = np.empty((0, DEFAULT_SLICES))
         self.observed = np.zeros((0, DEFAULT_SLICES), dtype=bool)
         self.lengths: dict[int, float] = {}  # grid row -> last road length given
+        fields = [("road_id", f"U{_KEY_WIDTH}"), ("day", f"U{_KEY_WIDTH}"),
+                  ("slice", f"U{_SLICE_WIDTH}"), ("velocity", "f8")]
+        self.usecols = list(cols)
+        if length_col is not None:
+            fields.append(("length", "f8"))
+            self.usecols.append(length_col)
+        self.dtype = np.dtype(fields)
+
+    def add_plain(self, lines: list, first_line: int) -> bool:
+        """Check and store a chunk of raw lines, the first at file line
+        ``first_line``, if it is plain; return False, storing nothing, if
+        it is not.
+
+        Plain lines have no quote, no character but their line feed that
+        is not printable (so no CR, no NUL and no whitespace but the
+        space), and none is longer than the csv reader's field size limit.
+        The csv reader's row of such a line is exactly its
+        ``split(",")``, and a number cell that numpy's C reader takes it
+        reads as Python's ``float`` does.  A plain chunk with an empty
+        line, or one that fails a parse or a check, is read again by the
+        csv reader, as reader rows.
+        """
+        if not _plain_text(lines) or max(map(len, lines)) > csv.field_size_limit():
+            return False
+        # numpy's reader skips an empty line, some versions with a warning
+        columns = None if "\n" in lines else self._columns(lines)
+        if columns is None or not self._store(*columns, first_line + np.arange(len(lines))):
+            self.add(list(csv.reader(lines)), first_line)
+        return True
+
+    def _columns(self, lines: list) -> tuple | None:
+        """The ``_store`` columns of plain, non-empty lines, read in one
+        C reader call, or None where that reader cannot vouch for a cell:
+        it fails, it cut a cell short, or a slice cell is not one to three
+        ASCII digits (the csv path gives Python's ``int`` the rest)."""
+        try:
+            table = np.loadtxt(lines, dtype=self.dtype, delimiter=",", comments=None,
+                               usecols=self.usecols, ndmin=1)
+        except ValueError:
+            return None
+        codes = _codes(table, "slice")
+        digits = (codes >= ord("0")) & (codes <= ord("9"))
+        if (len(table) != len(lines) or _codes(table, "road_id")[:, -1].any()
+                or _codes(table, "day")[:, -1].any() or codes[:, -1].any()
+                or not digits[:, 0].all() or not (digits | (codes == 0)).all()):
+            return None
+        s = np.zeros(len(table), np.intp)
+        for col, digit in zip(codes.T, digits.T):
+            s = np.where(digit, 10 * s + col.astype(np.intp) - ord("0"), s)
+        lengths = None
+        if self.length_col is not None:
+            lengths = np.arange(len(table)), table["length"].tolist()
+        return table["road_id"], table["day"], s, table["velocity"], lengths
 
     def add(self, rows: list, first_line: int) -> None:
         """Check and store one chunk of reader rows, the first at file line
@@ -174,9 +268,9 @@ class _Records:
         filled = np.fromiter(map(bool, map(str.strip, map("".join, rows))), bool, len(rows))
         if not filled.all():
             rows, lines = list(compress(rows, filled)), lines[filled]
-        self._store(rows, lines)
+        self._add_rows(rows, lines)
 
-    def _store(self, rows: list, lines: np.ndarray) -> None:
+    def _add_rows(self, rows: list, lines: np.ndarray) -> None:
         """Check and store the non-blank ``rows``, at file lines ``lines``;
         for a bad row, first store the rows before it, so that a duplicate
         among them is reported ahead of it, then raise for it."""
@@ -184,23 +278,42 @@ class _Records:
         try:
             # a short row raises IndexError, a bad cell ValueError and a
             # slice past the integer range OverflowError
-            roads = list(map(str.strip, map(itemgetter(road_col), rows)))
-            days = list(map(str.strip, map(itemgetter(day_col), rows)))
-            s = np.array(list(map(int, map(itemgetter(slice_col), rows))), dtype=np.intp)
-            v = np.array(list(map(float, map(itemgetter(speed_col), rows))))
-            for day in set(days) - self.dates:
-                _check_day(day)
-                self.dates.add(day)
-            if "" in roads or ((s < 1) | (s > DEFAULT_SLICES) | ~(np.isfinite(v) & (v >= 0))).any():
-                raise ValueError
-            length_rows, lengths = self._lengths(rows)
+            columns = (np.array(list(map(itemgetter(road_col), rows)), dtype=object),
+                       np.array(list(map(itemgetter(day_col), rows)), dtype=object),
+                       np.array(list(map(int, map(itemgetter(slice_col), rows))), dtype=np.intp),
+                       np.array(list(map(float, map(itemgetter(speed_col), rows)))),
+                       self._lengths(rows))
         except (IndexError, ValueError, OverflowError):
+            columns = None
+        if columns is None or not self._store(*columns, lines):
             errors = (_row_error(row, self.cols, self.length_col) for row in rows)
             end, message = next((i, m) for i, m in enumerate(errors) if m is not None)
-            self._store(rows[:end], lines[:end])
+            self._add_rows(rows[:end], lines[:end])
             raise ValueError(f"{self.path}: line {lines[end]}: {message}") from None
 
-        g = self._grid_rows(list(zip(roads, days)))
+    def _store(self, roads: np.ndarray, days: np.ndarray, s: np.ndarray, v: np.ndarray,
+               lengths: tuple | None, lines: np.ndarray) -> bool:
+        """Check and store parsed rows at file lines ``lines``: their raw
+        road_id and day cells, slices, velocities and (positions of the
+        rows giving a length, their lengths).  Keys are stripped and checked
+        once per run of equal cells.  Return False, storing nothing, if a
+        check fails; raise for the first duplicate record."""
+        n = len(s)
+        if not n:
+            return True
+        starts = np.flatnonzero(np.r_[True, (roads[1:] != roads[:-1]) | (days[1:] != days[:-1])])
+        run_roads = [road.strip() for road in roads[starts].tolist()]
+        run_days = [day.strip() for day in days[starts].tolist()]
+        try:
+            for day in set(run_days) - self.dates:
+                _check_day(day)
+                self.dates.add(day)
+        except ValueError:
+            return False
+        if "" in run_roads or ((s < 1) | (s > DEFAULT_SLICES) | ~(np.isfinite(v) & (v >= 0))).any():
+            return False
+
+        g = np.repeat(self._grid_rows(list(zip(run_roads, run_days))), np.diff(starts, append=n))
         slot = s - 1
         flat = g * DEFAULT_SLICES + slot
         order = np.argsort(flat, kind="stable")
@@ -208,16 +321,19 @@ class _Records:
         dup[order[1:][flat[order[1:]] == flat[order[:-1]]]] = True  # or earlier in this one
         if dup.any():
             i = int(np.flatnonzero(dup)[0])
+            run = int(np.searchsorted(starts, i, side="right")) - 1
             raise ValueError(f"{self.path}: line {lines[i]}: duplicate record for "
-                             f"road_id={roads[i]} day={days[i]} slice={s[i]}")
+                             f"road_id={run_roads[run]} day={run_days[run]} slice={s[i]}")
         self.values[g, slot] = v
         self.observed[g, slot] = True
-        self.lengths.update(zip(g[length_rows].tolist(), lengths))
+        if lengths is not None:
+            self.lengths.update(zip(g[lengths[0]].tolist(), lengths[1]))
+        return True
 
-    def _lengths(self, rows: list) -> tuple[np.ndarray, list]:
+    def _lengths(self, rows: list) -> tuple | None:
         """(positions of the rows giving a length, their lengths)."""
         if self.length_col is None:
-            return np.empty(0, np.intp), []
+            return None
         col = self.length_col
         cells = [row[col] if len(row) > col else "" for row in rows]
         given = np.flatnonzero(np.fromiter(map(bool, map(str.strip, cells)), bool, len(cells)))
@@ -271,16 +387,22 @@ def ingest(path, *, min_records: int = 150, min_length_m: float | None = None):
     Blank rows are skipped.  The first malformed row in file order fails
     the read with its line number (reader rows, counted from 2 after the
     header, blank rows included); a duplicate (road_id, day, slice) key
-    is reported at its second copy.  Rows are read in chunks of
-    ``_CHUNK_ROWS``; each chunk is parsed and checked whole, and its first
-    bad row is looked for only when a check fails.  Road-days with fewer
-    than min_records observed slices are skipped with a log line.
-    Remaining gaps are filled by nearest-in-time interpolation.
+    is reported at its second copy.  Road-days with fewer than
+    min_records observed slices are skipped with a log line.  Remaining
+    gaps are filled by nearest-in-time interpolation.
+
+    Records are read in chunks of ``_CHUNK_ROWS`` raw lines.  A plain
+    chunk (see ``_Records.add_plain``) is parsed by numpy's C reader in
+    one call.  Quoted fields, CR line ends, control characters and
+    over-long lines need the csv module's rules, and a quoted field may
+    span lines and so chunks: from the first chunk that is not plain on,
+    ``csv.reader`` reads the rest of the file.  Either way a chunk is
+    parsed and checked whole, and its first bad row is looked for only
+    when a check fails.
     """
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
         try:
-            header = next(reader)
+            header = next(csv.reader(fh))
         except StopIteration:
             raise ValueError(f"{path}: empty file") from None
         header = [c.strip() for c in header]
@@ -288,7 +410,20 @@ def ingest(path, *, min_records: int = 150, min_length_m: float | None = None):
             raise ValueError(f"{path}: header must start with {','.join(_REQUIRED)}")
         col = {name: i for i, name in enumerate(header)}
         records = _Records(path, tuple(col[name] for name in _REQUIRED), col.get(LENGTH_COLUMN))
-        line = 2
+        line, reader = 2, None
+        while reader is None:
+            lines = []
+            try:
+                lines.extend(islice(fh, _CHUNK_ROWS))
+            except UnicodeDecodeError as exc:
+                reader = csv.reader(_then_raise(lines, exc))
+            else:
+                if not lines:
+                    return records.road_days(min_records, min_length_m)
+                if records.add_plain(lines, line):
+                    line += len(lines)
+                else:
+                    reader = csv.reader(chain(lines, fh))
         while True:
             rows = []
             try:

@@ -116,8 +116,9 @@ def _day_pair_distances(days, n_windows: int, width: int) -> np.ndarray:
     squares its (n_windows + width - 1)-square slice differences once and
     adds the width diagonal shifts in slice order: the squares, and the
     order, of :func:`_column_distances`.  The block of days (b, a) is the
-    transpose of (a, b).  As in ``DistanceMatrix._built`` only finiteness
-    is checked, block by block, and the matrix is returned read-only.
+    transpose of (a, b).  As in ``pairwise_distances`` only finiteness is
+    checked, block by block, so squares that overflow raise ValueError
+    with no overflow warning; the matrix is returned read-only.
     """
     x = np.asarray(days, dtype=float)
     span = n_windows + width - 1
@@ -127,10 +128,11 @@ def _day_pair_distances(days, n_windows: int, width: int) -> np.ndarray:
     for a in range(len(x)):
         rows = slice(a * n_windows, (a + 1) * n_windows)
         for b in range(a, len(x)):
-            np.square(np.subtract(x[a, :span, None], x[b, :span], out=sq), out=sq)
-            total[...] = sq[:n_windows, :n_windows]
-            for k in range(1, width):
-                total += sq[k : k + n_windows, k : k + n_windows]
+            with np.errstate(over="ignore"):  # an overflow is the ValueError below
+                np.square(np.subtract(x[a, :span, None], x[b, :span], out=sq), out=sq)
+                total[...] = sq[:n_windows, :n_windows]
+                for k in range(1, width):
+                    total += sq[k : k + n_windows, k : k + n_windows]
             np.sqrt(total, out=total)
             if not np.isfinite(total.max()):
                 raise ValueError("non-finite distance")
@@ -160,7 +162,7 @@ def pairwise_distances(vectors) -> DistanceMatrix:
     the malloc heap and stay resident (with glibc).  The matrix is square,
     symmetric, zero on the diagonal and nonnegative by construction;
     only its finiteness is checked, so NaN input or squares that
-    overflow raise ValueError.
+    overflow raise ValueError, with no overflow warning.
     """
     x = np.asarray(vectors, dtype=float)
     if x.ndim != 2 or x.shape[0] < 2:
@@ -174,11 +176,12 @@ def pairwise_distances(vectors) -> DistanceMatrix:
     lo = 0
     while lo < n:
         hi = min(n, lo + max(1, block_bytes // (entry_bytes * (n - lo))))
-        if narrow:
-            d[lo:hi, lo:] = _column_distances(x[lo:hi], columns[:, lo:])
-        else:
-            diff = x[lo:hi, None, :] - x[None, lo:, :]
-            d[lo:hi, lo:] = np.sqrt((diff ** 2).sum(axis=-1))
+        with np.errstate(over="ignore"):  # an overflow is the ValueError below
+            if narrow:
+                d[lo:hi, lo:] = _column_distances(x[lo:hi], columns[:, lo:])
+            else:
+                diff = x[lo:hi, None, :] - x[None, lo:, :]
+                d[lo:hi, lo:] = np.sqrt((diff ** 2).sum(axis=-1))
         d[lo:, lo:hi] = d[lo:hi, lo:].T
         lo = hi
     return DistanceMatrix._built(d)

@@ -6,6 +6,7 @@ import json
 import math
 import sys
 import tempfile
+import tracemalloc
 import warnings
 from pathlib import Path
 from unittest import mock
@@ -166,6 +167,56 @@ def record_files(draw):
     return "\n".join(lines) + "\n", min_records, min_length_m
 
 
+# Inputs the csv reader must read, in whole or in part: each is a record
+# file with a note column whose rows from index 200 on (file line 202)
+# carry the feature.
+FALLBACK_KINDS = ["quoted", "crlf", "nul", "non-ascii", "underscore", "float-slice",
+                  "trailing-comma", "quoted-tail", "bad-utf8"]
+
+
+def _fallback_file(kind: str) -> tuple[bytes, int]:
+    """(bytes of a record file of the given kind, index of its first line
+    with the feature among the file's lines, the header at 0): a chunk of
+    that many rows ends on that line."""
+    rng = np.random.default_rng(7)
+    rows = [[road, day, str(s), repr(float(v)), "ok"]
+            for road, day in itertools.product(["r1", "r2"], ["2026-03-01", "2026-03-02"])
+            for s, v in zip(range(1, 151), rng.uniform(0.0, 60.0, 150))]
+    at, end = 200, "\n"
+    arabic = str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")
+    if kind == "quoted":
+        for row in rows[at:at + 50]:
+            row[0] = '"r,1"'  # a quoted comma
+        rows[at][4] = '"two\nlines"'  # a quoted newline
+    elif kind == "crlf":
+        at, end = 0, "\r\n"
+    elif kind == "nul":
+        rows[at][4] = "a\0b"
+    elif kind == "non-ascii":
+        for row in rows[at:at + 20]:
+            row[0] = "路-1"
+        rows[at + 20][2] = rows[at + 20][2].translate(arabic)
+        rows[at + 21][3] = rows[at + 21][3].translate(arabic)
+    elif kind == "underscore":
+        rows[at][3] = "1_5"
+        rows[at + 1][2] = "_".join(rows[at + 1][2])
+    elif kind == "float-slice":
+        rows[at][2] += ".0"
+    elif kind == "trailing-comma":
+        at = 0
+        for row in rows:
+            row.append("")
+    elif kind == "quoted-tail":
+        rows[at:] = [[f'"{cell}"' for cell in row] for row in rows[at:]]
+    elif kind == "bad-utf8":
+        # a quoted road_id whose line feeds span decoder blocks before the
+        # byte 0xff: the reader fails inside the quote, and the open row
+        # is lost with it
+        rows[at][0] = '"r' + "\n" * 10_000 + '\udcff"'
+    text = end.join([HEADER + ",note"] + [",".join(row) for row in rows]) + end
+    return text.encode("utf-8", "surrogateescape"), at + 1
+
+
 def _ingest_outcome(read, path, caplog, **kwargs):
     """(road-days as plain data, or the error message; the log lines)."""
     caplog.clear()
@@ -273,6 +324,73 @@ class TestIngest:
         with mock.patch.object(cli, "_CHUNK_ROWS", chunk):
             got = _ingest_outcome(ingest, path, caplog, **kwargs)
         assert got == want
+
+    @pytest.mark.parametrize("kind", FALLBACK_KINDS)
+    @settings(max_examples=15, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_fallback_matches_reference(self, kind, data, tmp_path, caplog):
+        raw, first = _fallback_file(kind)
+        path = tmp_path / "records.csv"
+        path.write_bytes(raw)
+        # often the chunk whose last line starts the feature, so that a
+        # quoted newline crosses into the next chunk
+        chunk = data.draw(st.one_of(st.just(first), st.integers(1, raw.count(b"\n") + 2)),
+                          label="chunk rows")
+        caplog.set_level("INFO", logger="tvroad")
+
+        def outcome(read):
+            try:
+                return _ingest_outcome(read, path, caplog, min_records=1)
+            except csv.Error as exc:  # a NUL byte before Python 3.11
+                return str(exc)
+
+        want = outcome(_reference_ingest)
+        with mock.patch.object(cli, "_CHUNK_ROWS", chunk):
+            assert outcome(ingest) == want
+
+    def test_plain_file_skips_the_csv_reader(self, write_records, monkeypatch):
+        # a file as the batch-cli benchmark writes it, longer than one
+        # chunk: the csv reader reads its header and no row after it
+        days = [noisy for road in two_regime_corpus(n_roads=2, n_days=8, seed=4)
+                for _, noisy in road]
+        path = write_records(days)
+        assert len(days) * DEFAULT_SLICES > cli._CHUNK_ROWS
+        want = _reference_ingest(path)
+        seen = []
+        reader = csv.reader
+
+        def counted(*args, **kwargs):
+            for row in reader(*args, **kwargs):
+                seen.append(row)
+                yield row
+
+        monkeypatch.setattr(cli.csv, "reader", counted)
+        got = ingest(path)
+        assert seen == [HEADER.split(",")]
+        assert list(got) == list(want)
+        for key, series in want.items():
+            assert got[key].values.tobytes() == series.values.tobytes()
+            assert np.array_equal(got[key].observed_mask, series.observed_mask)
+
+    def test_long_lines_keep_memory_bounded(self, tmp_path, caplog):
+        # each row carries a 100,000-character note: the chunk holds its
+        # lines, their join and an ASCII copy, about 3 times the file,
+        # while the cells numpy's reader keeps have fixed widths (a key
+        # field as wide as a line would add 2 x 4 x 100,000 bytes a row)
+        note = "x" * 100_000
+        rows = [HEADER + ",note"] + [f"r,2026-02-01,{s},{20.0 + s},{note}" for s in range(1, 41)]
+        path = tmp_path / "long.csv"
+        path.write_text("\n".join(rows) + "\n")
+        want = _ingest_outcome(_reference_ingest, path, caplog, min_records=1)
+        tracemalloc.start()
+        try:
+            got = _ingest_outcome(ingest, path, caplog, min_records=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == want
+        assert peak < 5 * path.stat().st_size
 
     def test_row_with_two_faults_names_its_first_failing_check(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -184,6 +184,14 @@ class TestDistances:
                 with pytest.raises(ValueError, match="^non-finite distance$"):
                     build()
 
+    def test_day_pairs_overflow_raises_without_warning(self):
+        days = np.random.default_rng(1).normal(30.0, 8.0, (3, 288))
+        days[1] *= 1e200  # its squared differences overflow to inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^non-finite distance$"):
+                cluster_module._day_pair_distances(days, 282, 4)
+
     def test_day_pairs_read_only_the_window_slices(self):
         # slices past the last window's end (here 286..288) are labels only
         days = np.random.default_rng(2).normal(30.0, 8.0, (2, 288))
@@ -723,6 +731,17 @@ class TestClusterPipeline:
         res = cluster(np.array([[0.0], [5.0]]))
         assert FLAG_NO_EMBEDDING in res.flags
         np.testing.assert_array_equal(res.embedding, np.zeros((2, 2)))
+
+    @pytest.mark.parametrize("dim", [4, 288], ids=["narrow", "wide"])
+    def test_overflowing_vector_raises_without_warning(self, dim):
+        # the squared differences of the scaled row overflow to inf: the
+        # ValueError is the only signal, with no numpy warning before it
+        x = np.random.default_rng(3).normal(30.0, 8.0, (3, dim))
+        x[1] *= 1e200
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^non-finite distance$"):
+                cluster(x)
 
 
 def _reference_cutoff(d, percentile):
