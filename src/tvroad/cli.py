@@ -168,15 +168,27 @@ def _codes(table: np.ndarray, name: str) -> np.ndarray:
 _PLAIN_ASCII = bytes(range(0x20, 0x7F)).replace(b'"', b"") + b"\n"
 
 
-def _plain_text(lines: list) -> bool:
-    """Whether lines have no quote and no character but the line feed that
-    is not printable.  ASCII lines take a fast form of the test; their
-    joined text is dropped before its ASCII copy is scanned."""
-    data = "".join(lines).encode("utf-8")
-    if data.isascii():
-        return not data.translate(None, _PLAIN_ASCII)
+def _plain_lines(lines: list) -> list | None:
+    """lines with each CR LF end made a LF end, if they then have no quote
+    and no character but the line feed that is not printable; else None.
+
+    The file is read with ``newline=""``, so a CR ends a line: a CR that a
+    LF follows is a CR LF end, and any other CR is not plain.  ASCII lines
+    take a fast form of the test."""
     text = "".join(lines)
-    return '"' not in text and text.replace("\n", "").isprintable()
+    crlf = "\r" in text
+    if crlf:
+        text = text.replace("\r\n", "\n")
+        if "\r" in text:
+            return None
+    data = text.encode("utf-8")
+    if data.isascii():
+        if data.translate(None, _PLAIN_ASCII):
+            return None
+    elif '"' in text or not text.replace("\n", "").isprintable():
+        return None
+    # plain text breaks lines at its line feeds alone
+    return text.splitlines(keepends=True) if crlf else lines
 
 
 def _then_raise(lines: list, exc: Exception):
@@ -220,16 +232,18 @@ class _Records:
         ``first_line``, if it is plain; return False, storing nothing, if
         it is not.
 
-        Plain lines have no quote, no character but their line feed that
-        is not printable (so no CR, no NUL and no whitespace but the
-        space), and none is longer than the csv reader's field size limit.
-        The csv reader's row of such a line is exactly its
-        ``split(",")``, and a number cell that numpy's C reader takes it
-        reads as Python's ``float`` does.  A plain chunk with an empty
-        line, or one that fails a parse or a check, is read again by the
-        csv reader, as reader rows.
+        Plain lines, once a CR before their LF is dropped, have no quote,
+        no character but their line feed that is not printable (so no
+        other CR, no NUL and no whitespace but the space), and none is
+        longer than the csv reader's field size limit.  The csv reader's
+        row of such a line is exactly its ``split(",")``, with or without
+        that CR, and a number cell that numpy's C reader takes it reads as
+        Python's ``float`` does.  A plain chunk with an empty line, or one
+        that fails a parse or a check, is read again by the csv reader, as
+        reader rows.
         """
-        if not _plain_text(lines) or max(map(len, lines)) > csv.field_size_limit():
+        lines = _plain_lines(lines)
+        if lines is None or max(map(len, lines)) > csv.field_size_limit():
             return False
         # numpy's reader skips an empty line, some versions with a warning
         columns = None if "\n" in lines else self._columns(lines)
@@ -392,13 +406,13 @@ def ingest(path, *, min_records: int = 150, min_length_m: float | None = None):
     gaps are filled by nearest-in-time interpolation.
 
     Records are read in chunks of ``_CHUNK_ROWS`` raw lines.  A plain
-    chunk (see ``_Records.add_plain``) is parsed by numpy's C reader in
-    one call.  Quoted fields, CR line ends, control characters and
-    over-long lines need the csv module's rules, and a quoted field may
-    span lines and so chunks: from the first chunk that is not plain on,
-    ``csv.reader`` reads the rest of the file.  Either way a chunk is
-    parsed and checked whole, and its first bad row is looked for only
-    when a check fails.
+    chunk (see ``_Records.add_plain``), with LF or CR LF line ends, is
+    parsed by numpy's C reader in one call.  Quoted fields, a CR on its
+    own, control characters and over-long lines need the csv module's
+    rules, and a quoted field may span lines and so chunks: from the first
+    chunk that is not plain on, ``csv.reader`` reads the rest of the file.
+    Either way a chunk is parsed and checked whole, and its first bad row
+    is looked for only when a check fails.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         try:
@@ -450,6 +464,19 @@ def _pipeline_solver(config: RunConfig) -> SolverConfig:
 
 def _key_name(key: tuple[str, str]) -> str:
     return f"{key[0]}/{key[1]}"
+
+
+def _run_reprs(x: np.ndarray) -> list[str]:
+    """``repr`` of each float of x, made once per run of equal bits: a TV
+    solution is piecewise constant, so a day has a few runs of many
+    slices."""
+    x = np.ascontiguousarray(x, dtype=float)
+    bits = x.view(np.int64)
+    starts = np.flatnonzero(np.r_[True, bits[1:] != bits[:-1]][: x.size])
+    texts = []
+    for value, count in zip(x[starts].tolist(), np.diff(np.r_[starts, x.size]).tolist()):
+        texts += [repr(value)] * count
+    return texts
 
 
 def _write_text(out_dir: Path, name: str, text: str) -> None:
@@ -520,10 +547,11 @@ def cmd_denoise(config: RunConfig, args) -> int:
     solved, failures = _solve_all(data, config, args, "denoise failed")
     out_rows = ["road_id,day,slice,velocity,denoised_velocity"]
     diagnostics = {}
+    cells = [f"{i}," for i in range(1, DEFAULT_SLICES + 1)]  # every ingested day has these slices
     for key, (sigma, estimate, denoised, diag) in solved.items():
         prefix = f"{key[0]},{key[1]},"
-        out_rows += [f"{prefix}{i},{v!r},{u!r}" for i, (v, u) in
-                     enumerate(zip(data[key].values.tolist(), denoised.tolist()), start=1)]
+        out_rows += [f"{prefix}{cell}{v!r},{u}" for cell, v, u in
+                     zip(cells, data[key].values.tolist(), _run_reprs(denoised))]
         diagnostics[_key_name(key)] = {
             "sigma": sigma,
             "sigma_flags": list(estimate.flags) if estimate is not None else [],

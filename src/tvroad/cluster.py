@@ -107,7 +107,22 @@ def _column_distances(rows: np.ndarray, columns: np.ndarray) -> np.ndarray:
     return np.sqrt(total, out=total)
 
 
-def _day_pair_distances(days, n_windows: int, width: int) -> np.ndarray:
+def _pair_distances(columns: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """l2 distances between the vectors i and j, pair by pair, of the m
+    vectors held column-wise in a (d, m) array: :func:`_column_distances`'
+    entries bit for bit, from the same squares in the same order."""
+    total = np.square(columns[0, i] - columns[0, j])
+    for col in columns[1:]:
+        total += np.square(col[i] - col[j])
+    return np.sqrt(total, out=total)
+
+
+def _day_pairs(n_days: int) -> list:
+    """The day pairs (a, b), a <= b, of ``_day_pair_distances``, in order."""
+    return [(a, b) for a in range(n_days) for b in range(a, n_days)]
+
+
+def _day_pair_distances(days, n_windows: int, width: int, out=None, pairs=None) -> np.ndarray:
     """Distance matrix between the windows ``days[a, s : s + width]``, s
     below n_windows, of a (D, slices) stack of days, in day-major order:
     ``pairwise_distances`` of those windows, bit for bit, for width below 8.
@@ -118,29 +133,32 @@ def _day_pair_distances(days, n_windows: int, width: int) -> np.ndarray:
     order, of :func:`_column_distances`.  The block of days (b, a) is the
     transpose of (a, b).  As in ``pairwise_distances`` only finiteness is
     checked, block by block, so squares that overflow raise ValueError
-    with no overflow warning; the matrix is returned read-only.
+    with no overflow warning.  By default every pair of ``_day_pairs``
+    is written to a new matrix, returned read-only; given ``out`` and a
+    list of ``pairs``, only those pairs' blocks of ``out`` are written,
+    so that disjoint lists can fill one matrix at once.
     """
     x = np.asarray(days, dtype=float)
     span = n_windows + width - 1
-    d = np.empty((len(x) * n_windows,) * 2)
+    d = np.empty((len(x) * n_windows,) * 2) if out is None else out
     sq = np.empty((span, span))
     total = np.empty((n_windows, n_windows))
-    for a in range(len(x)):
+    for a, b in _day_pairs(len(x)) if pairs is None else pairs:
+        with np.errstate(over="ignore"):  # an overflow is the ValueError below
+            np.square(np.subtract(x[a, :span, None], x[b, :span], out=sq), out=sq)
+            total[...] = sq[:n_windows, :n_windows]
+            for k in range(1, width):
+                total += sq[k : k + n_windows, k : k + n_windows]
+        np.sqrt(total, out=total)
+        if not np.isfinite(total.max()):
+            raise ValueError("non-finite distance")
         rows = slice(a * n_windows, (a + 1) * n_windows)
-        for b in range(a, len(x)):
-            with np.errstate(over="ignore"):  # an overflow is the ValueError below
-                np.square(np.subtract(x[a, :span, None], x[b, :span], out=sq), out=sq)
-                total[...] = sq[:n_windows, :n_windows]
-                for k in range(1, width):
-                    total += sq[k : k + n_windows, k : k + n_windows]
-            np.sqrt(total, out=total)
-            if not np.isfinite(total.max()):
-                raise ValueError("non-finite distance")
-            cols = slice(b * n_windows, (b + 1) * n_windows)
-            d[rows, cols] = total
-            if b > a:
-                d[cols, rows] = total.T
-    d.setflags(write=False)
+        cols = slice(b * n_windows, (b + 1) * n_windows)
+        d[rows, cols] = total
+        if b > a:
+            d[cols, rows] = total.T
+    if out is None:
+        d.setflags(write=False)
     return d
 
 
@@ -154,7 +172,8 @@ def pairwise_distances(vectors) -> DistanceMatrix:
     than 8 are summed column by column (:func:`_column_distances`), the
     order in which numpy reduces such a row; from width 8 numpy sums a
     row in another order, so wider vectors take the (rows, n - lo, d)
-    difference array and its reduction.  A block takes as many rows as
+    difference array, square it in place and reduce it into the matrix,
+    one temporary a block.  A block takes as many rows as
     keep its temporaries within ``_BLOCK_BYTES``, or within a quarter of
     it for narrow vectors, whose few flops per byte make the pass wait
     on memory unless a block stays in cache.  Blocks lengthen as rows
@@ -180,11 +199,21 @@ def pairwise_distances(vectors) -> DistanceMatrix:
             if narrow:
                 d[lo:hi, lo:] = _column_distances(x[lo:hi], columns[:, lo:])
             else:
-                diff = x[lo:hi, None, :] - x[None, lo:, :]
-                d[lo:hi, lo:] = np.sqrt((diff ** 2).sum(axis=-1))
+                diff = np.subtract(x[lo:hi, None, :], x[None, lo:, :])
+                block = np.square(diff, out=diff).sum(axis=-1, out=d[lo:hi, lo:])
+                np.sqrt(block, out=block)
         d[lo:, lo:hi] = d[lo:hi, lo:].T
         lo = hi
     return DistanceMatrix._built(d)
+
+
+def _kernel(d: np.ndarray, d_c: float, out: np.ndarray | None = None) -> np.ndarray:
+    """``np.exp(-((d / d_c) ** 2))``, bit for bit, each step written in
+    place (into out, a new array by default)."""
+    w = np.divide(d, d_c, out=out)
+    np.square(w, out=w)
+    np.negative(w, out=w)
+    return np.exp(w, out=w)
 
 
 def local_density(d, d_c: float) -> np.ndarray:
@@ -194,11 +223,16 @@ def local_density(d, d_c: float) -> np.ndarray:
         raise ValueError("d_c must be positive")
     dm = _dmat(d)
     rho = np.empty(len(dm))
-    # two 8-byte temporaries per entry, held within a quarter of
-    # _BLOCK_BYTES: a matcher build runs this on a worker thread, and that
-    # thread's malloc arena keeps what its largest blocks took
-    for rows in _row_blocks(len(dm), 4 * 16 * dm.shape[1]):
-        rho[rows] = np.exp(-((dm[rows] / d_c) ** 2)).sum(axis=1)
+    # one 8-byte scratch entry per entry of a block, which every block
+    # reuses, within a quarter of _BLOCK_BYTES: a matcher build runs this
+    # on both threads, and a thread's malloc arena keeps what its largest
+    # blocks took
+    scratch = None
+    for rows in _row_blocks(len(dm), 4 * 8 * dm.shape[1]):
+        block = dm[rows]
+        if scratch is None:
+            scratch = np.empty_like(block)  # the first block is the largest
+        rho[rows] = _kernel(block, d_c, out=scratch[: len(block)]).sum(axis=1)
     return rho - 1.0
 
 
@@ -208,7 +242,7 @@ def _denser(rho_j, rho_i, j_lower):
     return (rho_j > rho_i) | ((rho_j == rho_i) & j_lower)
 
 
-def delta_neighbors(d, rho: np.ndarray):
+def delta_neighbors(d, rho: np.ndarray, rows: slice = slice(None)):
     """Separation of each item and the neighbour that realizes it.
 
     Returns (delta, nn): delta_i is the distance to the nearest item
@@ -216,21 +250,26 @@ def delta_neighbors(d, rho: np.ndarray):
     tie.  Density ties treat the lower index as the denser one.  The
     densest item, the first maximum of rho, gets delta = max distance
     and itself as neighbour.  Rows are searched in blocks, each row over
-    the items ahead of it in a stable sort of -rho.
+    the items ahead of it in a stable sort of -rho.  Given a slice of
+    ``rows``, only those items are searched and returned; each row
+    reads only its own row of d.
     """
     dm = _dmat(d)
     n = rho.size
+    lo, hi, _ = rows.indices(n)
     rank = np.empty(n, dtype=np.int64)
     rank[np.argsort(-rho, kind="stable")] = np.arange(n)
-    delta, nn = np.empty(n), np.empty(n, dtype=np.int64)
+    delta, nn = np.empty(max(hi - lo, 0)), np.empty(max(hi - lo, 0), dtype=np.int64)
     # masked distances and a mask within a quarter of _BLOCK_BYTES, as in local_density
-    for rows in _row_blocks(n, 4 * 16 * n):
-        masked = np.where(rank < rank[rows, None], dm[rows], np.inf)
-        nn[rows] = masked.argmin(axis=1)
-        delta[rows] = np.take_along_axis(masked, nn[rows, None], axis=1)[:, 0]
+    for block in _row_blocks(delta.size, 4 * 16 * n):
+        at = slice(lo + block.start, lo + min(block.stop, delta.size))
+        masked = np.where(rank < rank[at, None], dm[at], np.inf)
+        nn[block] = masked.argmin(axis=1)
+        delta[block] = masked[np.arange(len(masked)), nn[block]]
     top = np.argmax(rho)
-    delta[top] = dm[top].max()
-    nn[top] = top
+    if lo <= top < hi:
+        delta[top - lo] = dm[top].max()
+        nn[top - lo] = top
     return delta, nn
 
 
@@ -254,18 +293,28 @@ class HistoryPeaks:
     first of its candidates to turn denser takes over; a fragile item whose
     nn is no longer denser, and the densest fixed item once another item is
     densest, search their whole row; the added item takes over only at a
-    strictly smaller distance, since its index loses ties.  The densest
-    fixed item's row maximum is kept from the build: it stays that item's
-    delta while the item is densest, and only an item that took over as
-    densest has its row reduced.
+    strictly smaller distance, since its index loses ties.  The row maxima
+    of the items in reach of the densest fixed item, the only fixed items
+    that can be densest, are kept from the build: a densest fixed item
+    takes its row maximum as delta.
+
+    No distance matrix is read or kept.  The fixed items' vectors are
+    held column-wise in ``columns`` (width below 8), and every distance the
+    build and the searches read, band pairs, row maxima, whole rows and
+    the entries of :meth:`bordered`, is computed from them with
+    :func:`_column_distances` or :func:`_pair_distances`: the entries of
+    their ``pairwise_distances`` bit for bit.
     """
 
-    def __init__(self, d, rho: np.ndarray, delta: np.ndarray, nn: np.ndarray):
-        self.d, self.delta, self.nn = _dmat(d), delta, nn
+    def __init__(self, columns: np.ndarray, rho: np.ndarray, delta: np.ndarray, nn: np.ndarray):
+        self.columns, self.delta, self.nn = columns, delta, nn
         self.top = int(np.argmax(rho))
-        self.top_max = self.d[self.top].max()
         n = rho.size
         reach = rho + 1.0  # the largest density a weight of at most 1 can give
+        self.row_max = np.full(n, np.nan)
+        can_top = np.flatnonzero(reach >= rho[self.top])
+        for block in _row_blocks(can_top.size, 16 * n):  # every item, in a flat history
+            self.row_max[can_top[block]] = self.rows(can_top[block]).max(axis=1)
         # items by increasing denseness (rho, then the higher index first);
         # item i's band is the run below it whose reach is at least rho_i
         order = np.lexsort((-np.arange(n), rho))
@@ -273,15 +322,15 @@ class HistoryPeaks:
         count = np.maximum(np.argsort(order) - lo, 0)
         count[self.top] = 0
         ends = np.cumsum(count)
-        # band pairs in chunks of some 40 bytes a pair within a quarter of
+        # band pairs in chunks of some 80 bytes a pair within a quarter of
         # _BLOCK_BYTES, or of one whole band
-        per = max(n, _BLOCK_BYTES // 160)
+        per = max(n, _BLOCK_BYTES // 320)
         kept = []
         for items in np.split(np.arange(n), np.searchsorted(ends, np.arange(per, ends[-1], per))):
             c = count[items]
             i = np.repeat(items, c)
             j = order[np.repeat(lo[items] - (np.cumsum(c) - c), c) + np.arange(c.sum())]
-            dist = self.d[i, j]
+            dist = _pair_distances(columns, i, j)
             ahead = (dist < delta[i]) | ((dist == delta[i]) & (j < nn[i]))
             kept.append((i[ahead], j[ahead], dist[ahead]))
         i, j, dist = (np.concatenate(part) for part in zip(*kept))
@@ -289,6 +338,10 @@ class HistoryPeaks:
         self.cand_i, self.cand_j, self.cand_d = i[by_row], j[by_row], dist[by_row]
         self.cand_lower = self.cand_j < self.cand_i
         self.fragile = np.flatnonzero((reach >= rho[nn]) & (np.arange(n) != self.top))
+
+    def rows(self, items: np.ndarray) -> np.ndarray:
+        """The fixed items' distances to the items, one row per item."""
+        return _column_distances(self.columns[:, items].T, self.columns)
 
     def delta_neighbors(self, d_new: np.ndarray, rho: np.ndarray):
         """(delta, nn), each (g, n + 1), of a (g, n) stack of added items;
@@ -306,8 +359,9 @@ class HistoryPeaks:
         hit_g, hit = hit_g[first], hit[first]
         nn[hit_g, self.cand_i[hit]] = self.cand_j[hit]
         delta[hit_g, self.cand_i[hit]] = self.cand_d[hit]
-        # whole rows: the first minimum over the denser fixed items, inf
-        # where there is none (the densest fixed item under a denser goal)
+        # whole rows, recomputed: the first minimum over the denser fixed
+        # items, inf where there is none (the densest fixed item under a
+        # denser goal)
         near = self.nn[self.fragile]
         lost_g, lost = np.nonzero(~_denser(fixed[:, near], fixed[:, self.fragile],
                                            near < self.fragile))
@@ -315,10 +369,12 @@ class HistoryPeaks:
         moved = np.flatnonzero(top != self.top)
         lost_g = np.concatenate([lost_g, moved])
         lost_i = np.concatenate([self.fragile[lost], np.full(moved.size, self.top)])
-        for block in _row_blocks(lost_g.size, 24 * n):
+        for block in _row_blocks(lost_g.size, 40 * n):
             bg, bi = lost_g[block], lost_i[block]
-            denser = _denser(fixed[bg], fixed[bg, bi][:, None], np.arange(n) < bi[:, None])
-            masked = np.where(denser, self.d[bi], np.inf)
+            # an item lost under several goals has its row computed once
+            items, at = np.unique(bi, return_inverse=True)
+            masked = self.rows(items)[at]
+            masked[~_denser(fixed[bg], fixed[bg, bi][:, None], np.arange(n) < bi[:, None])] = np.inf
             nn[bg, bi] = masked.argmin(axis=1)
             delta[bg, bi] = masked.min(axis=1)
         take = (added > fixed) & (d_new < delta[:, :n])
@@ -334,20 +390,22 @@ class HistoryPeaks:
         delta[top_added, n] = d_new[top_added].max(axis=1)
         nn[top_added, n] = n
         rows, top = rows[~top_added], top[~top_added]
-        row_max = np.full(rows.size, self.top_max)
-        other = top != self.top
-        row_max[other] = self.d[top[other]].max(axis=1)
-        delta[rows, top] = np.maximum(row_max, d_new[rows, top])
+        delta[rows, top] = np.maximum(self.row_max[top], d_new[rows, top])
         nn[rows, top] = top
         return delta, nn
 
     def bordered(self, d_new: np.ndarray, items, cols) -> np.ndarray:
         """Entries (items x cols) of the bordered (n+1)-square matrix."""
-        n = len(self.d)
-        return np.array([
-            (np.append(self.d[i], d_new[i]) if i < n else np.append(d_new, 0.0))[cols]
-            for i in items
-        ])
+        items, cols = np.asarray(items), np.asarray(cols)
+        n = self.columns.shape[1]
+        added = np.append(d_new, 0.0)  # the added item's row and column
+        out = np.empty((items.size, cols.size))
+        out[:, cols == n] = added[items, None]
+        out[items == n] = added[cols]
+        fixed_i, fixed_j = items < n, cols < n
+        out[np.ix_(fixed_i, fixed_j)] = _column_distances(self.columns[:, items[fixed_i]].T,
+                                                          self.columns[:, cols[fixed_j]])
+        return out
 
 
 def auto_select_k(gamma: np.ndarray):

@@ -24,29 +24,17 @@ small least-squares model trained on 5-minute-ahead labels supplies the
 velocity for the next slice; the denoiser then runs on the observed
 prefix plus that boundary and only the last four denoised slices are
 kept.  No slice beyond the boundary is ever read.  A day's 282 prefixes
-are denoised as one stack before the matchers are built: laid end to
-end, each taking its short circuits as it would alone, the prefixes
-walk the TV solution path in lockstep, one merge per prefix per numpy
-step, and each window is that of its prefix solved alone.
+are denoised as one stack: laid end to end, each taking its short
+circuits as it would alone, the prefixes walk the TV solution path in
+lockstep, one merge per prefix per numpy step, and each window is that
+of its prefix solved alone.
 
-``compare_pipelines`` runs on two lanes, the calling thread and one
-worker thread.  The sigma estimates and the history denoise come first,
-on the calling thread, before the worker starts: they are the solves
-that go through ``denoise_values`` and ``estimate_sigma``, whose spans a
-one-stack tracer must see one at a time.  Then the calling thread builds
-the raw history distance matrix, a day pair at a time, publishes d_c and
-builds the raw matcher, while the worker runs the causal goal stack,
-builds the denoised matrix, waits for d_c and builds the denoised
-matcher; numpy releases the interpreter lock in those passes.  Each lane
-then drains one shared task list, the raw goal blocks and then the
-denoised ones: it takes the next block under a lock, waits only for
-that variant's matcher and writes the block's predictions.  A block
-depends on its goals alone, so the predictions are those of one thread,
-bit for bit, whichever lane takes a block.  Each lane allocates its own
-matrix, the raw one and d_c's triangle on the calling thread, the
-denoised one and the causal stack's arrays on the worker (glibc gives
-each thread its own malloc arena, and an arena keeps what its thread
-allocated); both allocate block temporaries.
+``compare_pipelines`` runs on the calling thread and one worker thread,
+which take tasks from one list once the sigma estimates and the history
+denoise have ended on the calling thread.  One (m, m) buffer holds the
+raw history distances and then the denoised ones: a matcher reads it
+only while it is built and keeps no (m, m) matrix, recomputing the few
+rows its goals need from the windows.
 """
 
 from __future__ import annotations
@@ -54,6 +42,7 @@ from __future__ import annotations
 import contextvars
 import threading
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -61,6 +50,8 @@ from .cluster import (
     HistoryPeaks,
     _column_distances,
     _day_pair_distances,
+    _day_pairs,
+    _kernel,
     _percentile_cutoff,
     _row_blocks,
     auto_select_k,
@@ -274,32 +265,36 @@ def mape(truth, pred) -> tuple[float, int]:
 class _GoalMatcher:
     """Goal clustering against a fixed window set, a stack of goals at once.
 
-    The build is history first: the history distance matrix (or ``base``),
-    its kernel densities rho_base, the history-only ``delta_neighbors``
-    pass, and from those a ``cluster.HistoryPeaks`` holding the window
-    pairs a goal can flip and the windows whose neighbour it can take
-    away; a fixed k of 1 needs no neighbours, so its build stops at
-    rho_base, and it rejects a k outside 1..m+1.  predict() takes a (G, 4)
-    goal stack and works through it in goal blocks, one predict_block()
-    call each: for a block it computes the goals' distances and the
-    densities rho_base + w with each goal added, corrects each window's
-    history neighbour only where a flip pair turned denser or its
-    neighbour stopped being denser (a whole-row search for those few),
-    adds the goal's own column and reads each goal's k, the fixed k or
-    ``auto_select_k`` of its gamma (with a fixed k of 1 it needs no
-    neighbours at all).  A goal with k = 1 is in the one cluster with
-    every window: each chain ends at the center or at the densest item,
-    which takes its nearest center, the only one.  Its value is the
-    weighted average over all windows, for the block's such goals at
-    once, and it never falls back.  Only the goals with k > 1 have their
-    centers picked and their neighbour chains followed to their
-    clusters; no (m+1)-square matrix is built and no goal's densities are
-    sorted.  The weighted average over such a goal's cluster, or over all
-    windows when it is alone in its cluster, runs goal by goal.
-    Clustering a goal with the windows from scratch gives the same
-    delta, neighbours and labels, except that summing a whole density
-    row can differ from ``rho_base + w_goal`` in the last bit and so
-    reorder exact ties.
+    The build is history first: the history distance matrix, its kernel
+    densities rho_base, the history-only ``delta_neighbors`` pass, and
+    from those a ``cluster.HistoryPeaks`` holding the window pairs a goal
+    can flip and the windows whose neighbour it can take away; a fixed k
+    of 1 needs no neighbours, so its build stops at rho_base, and it
+    rejects a k outside 1..m+1.  rho_base and the history pass's
+    ``separation`` (delta, nn) can come built already, as
+    ``compare_pipelines`` builds them; the matrix is then not built at
+    all.  Either way no (m, m) matrix is kept: the peaks recompute from
+    the windows' columns the few rows a goal reads.  predict() takes a
+    (G, 4) goal stack and works through it in goal blocks, one
+    predict_block() call each: for a block it computes the goals'
+    distances and the densities rho_base + w with each goal added,
+    corrects each window's history neighbour only where a flip pair
+    turned denser or its neighbour stopped being denser (a whole-row
+    search for those few), adds the goal's own column and reads each
+    goal's k, the fixed k or ``auto_select_k`` of its gamma (with a fixed
+    k of 1 it needs no neighbours at all).  A goal with k = 1 is in the
+    one cluster with every window: each chain ends at the center or at
+    the densest item, which takes its nearest center, the only one.  Its
+    value is the weighted average over all windows, for the block's such
+    goals at once, and it never falls back.  Only the goals with k > 1
+    have their centers picked and their neighbour chains followed to
+    their clusters; no (m+1)-square matrix is built and no goal's
+    densities are sorted.  The weighted average over such a goal's
+    cluster, or over all windows when it is alone in its cluster, runs
+    goal by goal.  Clustering a goal with the windows from scratch gives
+    the same delta, neighbours and labels, except that summing a whole
+    density row can differ from ``rho_base + w_goal`` in the last bit and
+    so reorder exact ties.
     """
 
     def __init__(
@@ -308,7 +303,8 @@ class _GoalMatcher:
         labels: np.ndarray,
         d_c: float,
         k: int | None,
-        base: np.ndarray | None = None,
+        rho_base: np.ndarray | None = None,
+        separation: tuple | None = None,
     ):
         if k is not None and not 1 <= k <= len(windows) + 1:
             raise ValueError(f"k must lie in 1..{len(windows) + 1}")
@@ -316,11 +312,13 @@ class _GoalMatcher:
         self.d_c = d_c
         self.k = k
         self.columns = np.ascontiguousarray(windows.T)  # (4, m)
-        if base is None:
+        if rho_base is None:
             base = pairwise_distances(windows).d if len(windows) > 1 else np.zeros((1, 1))
-        self.rho_base = local_density(base, d_c)
-        self.peaks = None if k == 1 else HistoryPeaks(base, self.rho_base,
-                                                      *delta_neighbors(base, self.rho_base))
+            rho_base = local_density(base, d_c)
+            if k != 1:
+                separation = delta_neighbors(base, rho_base)
+        self.rho_base = rho_base
+        self.peaks = None if k == 1 else HistoryPeaks(self.columns, rho_base, *separation)
 
     def predict(self, goals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(values, fell_back) of a (G, 4) goal stack, one entry per goal;
@@ -338,7 +336,7 @@ class _GoalMatcher:
         a block's entries depend on its goals alone."""
         m = self.columns.shape[1]
         d_goal = _column_distances(goals[block], self.columns)
-        w_goal = np.exp(-((d_goal / self.d_c) ** 2))
+        w_goal = _kernel(d_goal, self.d_c)
         rho = np.empty((len(d_goal), m + 1))
         np.add(self.rho_base, w_goal, out=rho[:, :m])
         rho[:, m] = w_goal.sum(axis=1)
@@ -379,74 +377,87 @@ def _goal_blocks(n_goals: int, m: int):
     return _row_blocks(n_goals, 96 * m)
 
 
-def _on_two_threads(first, second):
-    """(first(), second()), second called on a worker thread meanwhile.
+def _on_two_threads(run) -> None:
+    """run() on the calling thread and, meanwhile, on a worker thread.
 
     The worker runs in a copy of the caller's context, so a caller's
     ``np.errstate`` holds on both threads.  The worker is joined before
-    anything is returned or raised; an error of ``first`` wins over one
-    of ``second``.
+    anything is returned or raised; the calling thread's error wins over
+    the worker's.
     """
-    outcome = {}
+    errors = []
 
     def work():
         try:
-            outcome["value"] = second()
+            run()
         except BaseException as exc:  # handed to the calling thread below
-            outcome["error"] = exc
+            errors.append(exc)
 
     worker = threading.Thread(target=contextvars.copy_context().run, args=(work,))
     worker.start()
     try:
-        value = first()
+        run()
     finally:
         worker.join()
-    if "error" in outcome:
-        raise outcome["error"]
-    return value, outcome["value"]
+    if errors:
+        raise errors[0]
 
 
 class _Drain:
-    """What the lanes of one ``compare_pipelines`` call share: values
-    published by name, and one task list handed out in order under one
-    lock.  Once a lane has failed, every wait returns None and no task is
-    handed out, so the other lane ends instead of waiting for a value
-    that will never come."""
+    """The one task list that the threads of a ``compare_pipelines`` call
+    share.
 
-    def __init__(self, tasks):
+    Stages are added in order, each a name, its tasks, which may run at
+    once on any threads, and the names of the stages it waits for, added
+    before it.  A thread takes, under one lock, the first task whose
+    stages have ended, waiting while there is none, and runs it; a stage
+    ends when the last of its tasks has.  A waiting thread therefore
+    waits for tasks that a thread has taken.  Once a thread has failed,
+    no task is handed out, so the other thread ends instead of waiting
+    for a stage that will never end.
+    """
+
+    def __init__(self):
         self._cond = threading.Condition()
-        self._tasks = list(reversed(tasks))  # popped from the end
-        self._values = {}
+        self._tasks = []
+        self._left = {}  # per stage, its tasks that have not ended
         self._failed = False
 
-    def publish(self, name: str, value) -> None:
-        with self._cond:
-            self._values[name] = value
-            self._cond.notify_all()
-
-    def wait(self, name: str):
-        """The value published under name, or None once a lane has failed."""
-        with self._cond:
-            self._cond.wait_for(lambda: name in self._values or self._failed)
-            return None if self._failed else self._values[name]
+    def add(self, name: str, tasks, *after: str) -> None:
+        self._left[name] = len(tasks)
+        self._tasks.extend((name, task, after) for task in tasks)
 
     def take(self):
-        """The next task, or None when none is left or a lane has failed."""
+        """(stage, task) of the first task whose stages have ended, waited
+        for while none has; None when none is left or a thread has failed."""
         with self._cond:
-            return None if self._failed or not self._tasks else self._tasks.pop()
+            while not self._failed and self._tasks:
+                for i, (name, task, after) in enumerate(self._tasks):
+                    if not any(self._left[stage] for stage in after):
+                        del self._tasks[i]
+                        return name, task
+                self._cond.wait()
+            return None
 
-    def lane(self, stages):
-        """A lane that runs stages() and marks the drain failed if they raise."""
-        def run():
-            try:
-                stages()
-            except BaseException:
-                with self._cond:
-                    self._failed = True
-                    self._cond.notify_all()
-                raise
+    def end(self, name: str) -> None:
+        with self._cond:
+            self._left[name] -= 1
+            if not self._left[name]:
+                self._cond.notify_all()
 
-        return run
+    def run(self) -> None:
+        """Take and run tasks until none is left; the drain is marked
+        failed if a task raises."""
+        try:
+            while (taken := self.take()) is not None:
+                stage, task = taken
+                task()
+                self.end(stage)
+        except BaseException:
+            with self._cond:
+                self._failed = True
+                self._cond.notify_all()
+            raise
 
 
 @dataclass(frozen=True, eq=False)
@@ -494,22 +505,24 @@ def compare_pipelines(
     calling thread.  They end before any thread starts, so a span tracer
     that keeps one stack (``bench/tracing.py``) gives each of their
     solves its own parent.  Then, when the denoised variant runs, one
-    worker thread starts and is joined at the end.  The calling thread
-    builds the raw history distance matrix, publishes d_c and builds the
-    raw matcher; meanwhile the worker runs the causal goal stack, builds
-    the denoised matrix, waits for d_c and builds the denoised matcher.
-    Both then drain one task list, the raw goal blocks then the denoised
-    ones, each block taken under a lock and matched once its variant's
-    matcher exists (``_GoalMatcher.predict_block``, the step of
-    ``_GoalMatcher.predict``), so the predictions do not depend on which
-    thread takes which block.  The raw matrix and d_c are allocated on
-    the calling thread and the denoised matrix on the worker, as a
-    thread's malloc arena (glibc) keeps what the thread allocated.  The
-    worker runs in a copy of the caller's context, so a caller's
-    ``np.errstate`` holds on both threads.  A failing lane stops the
-    other, which waits for nothing more; the failing stage's own error is
-    raised once both have ended, the calling thread's when both fail.  A
-    run without the denoised variant starts no thread.
+    worker thread starts and is joined at the end, and both threads take
+    tasks from one list in order, each task once the stages it waits for
+    have ended (``_Drain``): the raw distances, in two halves by day
+    pairs, into one (m, m) buffer; the causal goal stack; d_c; the raw
+    matcher's density and history-only ``delta_neighbors`` passes, each
+    in two halves by rows, and its build; the denoised distances, in two
+    halves, into the same buffer once the raw passes have ended (a
+    matcher keeps no (m, m) matrix); the denoised matcher's passes and
+    build; then the raw goal blocks and the denoised ones
+    (``_GoalMatcher.predict_block``, the step of
+    ``_GoalMatcher.predict``).  No task's output depends on the thread
+    that runs it, so neither do the predictions.  The worker runs in a
+    copy of the caller's context, so a caller's ``np.errstate`` holds on
+    both threads.  A failing task stops the other thread, which waits
+    for nothing more; the failing task's own error is raised once both
+    have ended, the calling thread's when both fail.  A run without the
+    denoised variant takes the raw tasks on the calling thread and starts
+    no thread.
     """
     days = list(history_days)
     if not days:
@@ -541,29 +554,16 @@ def compare_pipelines(
     tv = target.values
     goals = {"raw": np.lib.stride_tricks.sliding_window_view(tv, WINDOW)[:n_goals]}
     matched = {tag: (np.empty(n_goals), np.zeros(n_goals, dtype=bool)) for tag in histories}
-    drain = _Drain([(tag, block) for tag in histories
-                    for block in _goal_blocks(n_goals, len(histories[tag]))])
+    m = len(histories["raw"])
+    d = np.empty((m, m))  # the one distance buffer: the raw distances, then the denoised ones
+    halves = (slice(0, m // 2), slice(m // 2, m))
+    pairs = _day_pairs(len(days))
+    built = {}  # "d_c": (d_c, flags), and each variant's matcher
 
-    def build_matcher(tag: str, matrix: np.ndarray, d_c: float) -> None:
-        history = histories[tag]
-        drain.publish(tag, _GoalMatcher(history.windows, history.labels, d_c, k, base=matrix))
+    def raw_cutoff() -> None:
+        built["d_c"] = _percentile_cutoff(d, dc_percentile)
 
-    def match_blocks() -> None:
-        while (task := drain.take()) is not None:
-            tag, block = task
-            matcher = drain.wait(tag)
-            if matcher is None:
-                return
-            matcher.predict_block(goals[tag], block, *matched[tag])
-
-    def raw_lane() -> None:
-        matrix = _day_pair_distances(day_values["raw"], n_goals, WINDOW)
-        cutoff = _percentile_cutoff(matrix, dc_percentile)
-        drain.publish("d_c", cutoff)
-        build_matcher("raw", matrix, cutoff[0])
-        match_blocks()
-
-    def denoised_lane() -> None:
+    def causal_goals() -> None:
         seen = np.arange(WINDOW, WINDOW + n_goals)  # slices observed at each goal
         goals["denoised"] = causal_denoise_window(
             [tv[:n] for n in seen],
@@ -572,18 +572,50 @@ def compare_pipelines(
             solver,
             h=h,
         )
-        matrix = _day_pair_distances(day_values["denoised"], n_goals, WINDOW)
-        cutoff = drain.wait("d_c")
-        if cutoff is None:
-            return
-        build_matcher("denoised", matrix, cutoff[0])
-        match_blocks()
+
+    def density(rho: np.ndarray, rows: slice) -> None:
+        rho[rows] = local_density(d[rows], built["d_c"][0])
+
+    def separation(rho: np.ndarray, delta: np.ndarray, nn: np.ndarray, rows: slice) -> None:
+        delta[rows], nn[rows] = delta_neighbors(d, rho, rows)
+
+    def build(tag: str, rho: np.ndarray, neighbors: tuple | None) -> None:
+        history = histories[tag]
+        built[tag] = _GoalMatcher(history.windows, history.labels, built["d_c"][0], k,
+                                  rho_base=rho, separation=neighbors)
+
+    def match(tag: str, block: slice) -> None:
+        built[tag].predict_block(goals[tag], block, *matched[tag])
+
+    drain = _Drain()
+    read = ()  # the stages whose reads of d a variant's fill waits for
+    for tag in histories:
+        rho, delta, nn = np.empty(m), np.empty(m), np.empty(m, dtype=np.int64)
+        drain.add(f"{tag} fill", [partial(_day_pair_distances, day_values[tag], n_goals, WINDOW,
+                                          d, part) for part in (pairs[::2], pairs[1::2])], *read)
+        if tag == "raw":
+            if include_denoised:  # for the first thread done with its half of the fill
+                drain.add("causal", [causal_goals])
+            drain.add("d_c", [raw_cutoff], "raw fill")
+        drain.add(f"{tag} density", [partial(density, rho, rows) for rows in halves],
+                  "d_c" if tag == "raw" else f"{tag} fill")
+        read = (f"{tag} density",)
+        if k != 1:
+            drain.add(f"{tag} separation", [partial(separation, rho, delta, nn, rows)
+                                            for rows in halves], *read)
+            read = (f"{tag} separation",)
+        drain.add(f"{tag} matcher", [partial(build, tag, rho, None if k == 1 else (delta, nn))],
+                  *read)
+    for tag in histories:
+        waits = (f"{tag} matcher", "causal") if tag == "denoised" else (f"{tag} matcher",)
+        drain.add(f"{tag} blocks", [partial(match, tag, block)
+                                    for block in _goal_blocks(n_goals, m)], *waits)
 
     if include_denoised:
-        _on_two_threads(drain.lane(raw_lane), drain.lane(denoised_lane))
+        _on_two_threads(drain.run)
     else:
-        raw_lane()
-    d_c, flags = drain.wait("d_c")
+        drain.run()
+    d_c, flags = built["d_c"]
 
     truth = tv[LABEL_OFFSET:]
     slices = np.arange(LABEL_OFFSET + 1, DEFAULT_SLICES + 1)

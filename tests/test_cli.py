@@ -167,11 +167,12 @@ def record_files(draw):
     return "\n".join(lines) + "\n", min_records, min_length_m
 
 
-# Inputs the csv reader must read, in whole or in part: each is a record
+# Inputs with a feature the plain-chunk test must judge: each is a record
 # file with a note column whose rows from index 200 on (file line 202)
-# carry the feature.
+# carry the feature.  The csv reader reads all or part of each, except the
+# CR LF ends of "crlf" and "mixed-crlf", which are plain.
 FALLBACK_KINDS = ["quoted", "crlf", "nul", "non-ascii", "underscore", "float-slice",
-                  "trailing-comma", "quoted-tail", "bad-utf8"]
+                  "trailing-comma", "quoted-tail", "bad-utf8", "mixed-crlf", "bare-cr"]
 
 
 def _fallback_file(kind: str) -> tuple[bytes, int]:
@@ -208,12 +209,18 @@ def _fallback_file(kind: str) -> tuple[bytes, int]:
             row.append("")
     elif kind == "quoted-tail":
         rows[at:] = [[f'"{cell}"' for cell in row] for row in rows[at:]]
+    elif kind == "bare-cr":
+        rows[at][4] = "a\rb"  # a CR with no LF after it ends a csv record
     elif kind == "bad-utf8":
         # a quoted road_id whose line feeds span decoder blocks before the
         # byte 0xff: the reader fails inside the quote, and the open row
         # is lost with it
         rows[at][0] = '"r' + "\n" * 10_000 + '\udcff"'
-    text = end.join([HEADER + ",note"] + [",".join(row) for row in rows]) + end
+    lines = [HEADER + ",note"] + [",".join(row) for row in rows]
+    if kind == "mixed-crlf":  # LF ends, then CR LF ends from the feature's line on
+        text = "".join(line + ("\r\n" if i > at else "\n") for i, line in enumerate(lines))
+    else:
+        text = end.join(lines) + end
     return text.encode("utf-8", "surrogateescape"), at + 1
 
 
@@ -367,6 +374,33 @@ class TestIngest:
 
         monkeypatch.setattr(cli.csv, "reader", counted)
         got = ingest(path)
+        assert seen == [HEADER.split(",")]
+        assert list(got) == list(want)
+        for key, series in want.items():
+            assert got[key].values.tobytes() == series.values.tobytes()
+            assert np.array_equal(got[key].observed_mask, series.observed_mask)
+
+    def test_crlf_file_skips_the_csv_reader(self, write_records, monkeypatch):
+        # the same file with CR LF line ends, as spreadsheet exports write
+        # it: the csv reader reads its header and no row after it, and the
+        # records equal those of the LF file
+        days = [noisy for road in two_regime_corpus(n_roads=2, n_days=8, seed=4)
+                for _, noisy in road]
+        path = write_records(days)
+        crlf = path.with_name("crlf.csv")
+        crlf.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+        assert len(days) * DEFAULT_SLICES > cli._CHUNK_ROWS
+        want = ingest(path)
+        seen = []
+        reader = csv.reader
+
+        def counted(*args, **kwargs):
+            for row in reader(*args, **kwargs):
+                seen.append(row)
+                yield row
+
+        monkeypatch.setattr(cli.csv, "reader", counted)
+        got = ingest(crlf)
         assert seen == [HEADER.split(",")]
         assert list(got) == list(want)
         for key, series in want.items():
@@ -617,6 +651,22 @@ class TestStackedDenoise:
         assert [r.levelname for r in caplog.records] == ["ERROR"]
         assert "its square overflows" in caplog.text
         assert not out.exists()
+
+
+class TestRunReprs:
+    @settings(max_examples=100, deadline=None)
+    @given(x=arrays(np.float64, st.integers(0, 40),
+                    elements=st.sampled_from([0.0, -0.0, 1.5, np.nan, np.inf, 1e-310, 30.25])))
+    def test_equal_each_floats_repr(self, x):
+        # runs of equal values, signed zeros side by side, NaN and
+        # subnormals: a run shares its repr only where the bits are equal
+        assert cli._run_reprs(x) == [repr(v) for v in x.tolist()]
+
+    def test_a_denoised_day_has_few_runs(self, road_days):
+        solved = denoise_values(road_days[0].values, SolverConfig(sigma=20.0)).denoised
+        texts = cli._run_reprs(solved)
+        assert texts == [repr(v) for v in solved.tolist()]
+        assert len(set(texts)) < len(texts) // 2
 
 
 class TestCommands:

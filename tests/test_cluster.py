@@ -172,6 +172,26 @@ class TestDistances:
         assert got.shape == want.shape and not got.flags.writeable
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
+    def test_day_pair_lists_fill_one_matrix_in_place(self):
+        # two disjoint pair lists, as two threads fill them, write one
+        # matrix, which they leave writable, over whatever it held
+        days = np.random.default_rng(3).normal(30.0, 8.0, (4, 288))
+        want = cluster_module._day_pair_distances(days, 282, 4)
+        pairs = cluster_module._day_pairs(len(days))
+        assert pairs == [(a, b) for a in range(4) for b in range(a, 4)]
+        out = np.full(want.shape, np.nan)
+        for part in (pairs[::2], pairs[1::2]):
+            assert cluster_module._day_pair_distances(days, 282, 4, out=out, pairs=part) is out
+        assert out.flags.writeable
+        assert np.array_equal(out.view(np.uint64), want.view(np.uint64))
+
+    def test_pair_distances_equal_the_matrix_entries(self):
+        pts = np.round(np.random.default_rng(4).normal(30.0, 3.0, (60, 4)))  # many ties
+        d = pairwise_distances(pts).d
+        i, j = np.divmod(np.arange(60 * 60), 60)
+        got = cluster_module._pair_distances(np.ascontiguousarray(pts.T), i, j)
+        assert np.array_equal(got.view(np.uint64), d.reshape(-1).view(np.uint64))
+
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 1e200])
     @pytest.mark.parametrize("at", [0, 150, 284])
     def test_day_pairs_raise_on_a_non_finite_slice(self, value, at):
@@ -245,6 +265,22 @@ class TestDeltaNeighbors:
         np.testing.assert_array_equal(nn, want_nn)
 
     @settings(max_examples=100, deadline=None)
+    @given(case=tied_points(), data=st.data())
+    def test_row_slices_equal_the_whole_pass(self, case, data):
+        # a slice of rows, the densest item's among them or not, as
+        # compare_pipelines splits the pass across its two threads
+        pts, rho = case
+        dm = pairwise_distances(pts).d
+        lo = data.draw(st.integers(0, rho.size), label="lo")
+        hi = data.draw(st.integers(lo, rho.size), label="hi")
+        block = data.draw(st.sampled_from([1, 2000, 1 << 22]), label="block")
+        want_delta, want_nn = delta_neighbors(dm, rho)
+        with mock.patch.object(cluster_module, "_BLOCK_BYTES", block):
+            delta, nn = delta_neighbors(dm, rho, slice(lo, hi))
+        np.testing.assert_array_equal(delta, want_delta[lo:hi])
+        np.testing.assert_array_equal(nn, want_nn[lo:hi])
+
+    @settings(max_examples=100, deadline=None)
     @given(case=tied_points(), block=st.sampled_from([1, 2000, 6000, 1 << 22]))
     def test_row_blocks_match_stable_rank_oracle(self, case, block):
         # blocks of one row, of a few rows and one block for all rows
@@ -277,8 +313,8 @@ def _bordered(d, d_new_row):
 
 @st.composite
 def history_goals(draw, max_n=14, max_rows=6):
-    """(d, rho0, d_new, rho): small-integer history points, their distances
-    and densities rho0 with gaps at and around 1, and a stack of added
+    """(pts, rho0, d_new, rho): small-integer history points and their
+    densities rho0 with gaps at and around 1, and a stack of added
     points: row r of rho holds rho0 + w_r, 0 <= w_r <= 1 (1 where the added
     point is a history point), then the added item's density, which is
     sometimes the largest of all."""
@@ -299,11 +335,13 @@ def history_goals(draw, max_n=14, max_rows=6):
     rho[:, :n] = rho0 + w
     rho[:, n] = [draw(st.sampled_from([0.0, float(row.sum()), base + 1.0, 1e3]), label="added rho")
                  for row in w]
-    return pairwise_distances(pts).d, rho0, d_new, rho
+    return pts, rho0, d_new, rho
 
 
-def _peaks(d, rho0):
-    return HistoryPeaks(d, rho0, *delta_neighbors(d, rho0))
+def _peaks(pts, rho0):
+    """HistoryPeaks of the points pts, which it holds column-wise."""
+    d = pairwise_distances(pts).d
+    return HistoryPeaks(np.ascontiguousarray(pts.T), rho0, *delta_neighbors(d, rho0))
 
 
 class TestHistoryPeaks:
@@ -312,9 +350,10 @@ class TestHistoryPeaks:
     def test_rows_match_bordered_search(self, case, block):
         # a tiny block budget splits the history pass, the band of flip
         # candidates and the whole-row searches into many blocks
-        d, rho0, d_new, rho = case
+        pts, rho0, d_new, rho = case
+        d = pairwise_distances(pts).d
         with mock.patch.object(cluster_module, "_BLOCK_BYTES", block):
-            delta, nn = _peaks(d, rho0).delta_neighbors(d_new, rho)
+            delta, nn = _peaks(pts, rho0).delta_neighbors(d_new, rho)
         assert delta.shape == nn.shape == rho.shape
         for r in range(len(rho)):
             want_delta, want_nn, _ = _reference_delta_neighbors(_bordered(d, d_new[r]), rho[r])
@@ -326,12 +365,14 @@ class TestHistoryPeaks:
     def test_build_keeps_every_pair_and_item_a_weight_can_flip(self, case, block):
         # the band search finds what a test of every (i, j) pair would:
         # j ahead of nn_i in (distance, index) order, not denser than i,
-        # and rho0_j + 1, rounded, at least rho0_i
-        d, rho0 = case[:2]
+        # and rho0_j + 1, rounded, at least rho0_i; and the row maxima of
+        # the items that can be densest, those within reach of the densest
+        pts, rho0 = case[:2]
+        d = pairwise_distances(pts).d
         n = rho0.size
         delta, nn = delta_neighbors(d, rho0)
         with mock.patch.object(cluster_module, "_BLOCK_BYTES", block):
-            peaks = HistoryPeaks(d, rho0, delta, nn)
+            peaks = HistoryPeaks(np.ascontiguousarray(pts.T), rho0, delta, nn)
         top = int(np.argmax(rho0))
         want = sorted(
             (i, d[i, j], j) for i in range(n) for j in range(n)
@@ -341,6 +382,9 @@ class TestHistoryPeaks:
         assert list(zip(peaks.cand_i.tolist(), peaks.cand_d.tolist(), peaks.cand_j.tolist())) == want
         assert peaks.fragile.tolist() == [i for i in range(n)
                                           if i != top and rho0[i] + 1.0 >= rho0[nn[i]]]
+        can_top = rho0 + 1.0 >= rho0[top]
+        np.testing.assert_array_equal(peaks.row_max[can_top], d[can_top].max(axis=1))
+        assert np.isnan(peaks.row_max[~can_top]).all()
 
     def test_gap_one_rounding_step_past_1(self):
         # 1 + 3 * 2**-52 and 2 + 2**-50 lie 1 + 2**-52 apart, so a plain
@@ -350,11 +394,12 @@ class TestHistoryPeaks:
         # and item 0 loses its nearest denser item 1 (a fragile item)
         low, high = 1.0 + 3 * 2.0 ** -52, 2.0 + 2.0 ** -50
         assert low + 1.0 == high and high - low > 1.0
-        d = pairwise_distances(np.array([[0.0], [1.0], [9.0]])).d
+        pts = np.array([[0.0], [1.0], [9.0]])
+        d = pairwise_distances(pts).d
         rho0 = np.array([low, high, 10.0])
         d_new = np.array([[5.0, 4.0, 4.0]])
         rho = np.array([[high, high, 10.0, 0.0]])
-        delta, nn = _peaks(d, rho0).delta_neighbors(d_new, rho)
+        delta, nn = _peaks(pts, rho0).delta_neighbors(d_new, rho)
         want_delta, want_nn, _ = _reference_delta_neighbors(_bordered(d, d_new[0]), rho[0])
         np.testing.assert_array_equal(delta[0], want_delta)
         np.testing.assert_array_equal(nn[0], want_nn)
@@ -374,7 +419,7 @@ class TestHistoryPeaks:
         w[tied] = 1.0
         d_new = np.abs(pts[:, 0] - 30.0)[None]
         rho = np.append(rho0 + w, 0.0)[None]
-        delta, nn = _peaks(d, rho0).delta_neighbors(d_new, rho)
+        delta, nn = _peaks(pts, rho0).delta_neighbors(d_new, rho)
         want_delta, want_nn, _ = _reference_delta_neighbors(_bordered(d, d_new[0]), rho[0])
         np.testing.assert_array_equal(delta[0], want_delta)
         np.testing.assert_array_equal(nn[0], want_nn)
@@ -384,12 +429,13 @@ class TestHistoryPeaks:
     def test_densest_window_displaced(self, by):
         # item 0 is densest; a weight of 1 lifts item 1 above it, or the
         # added item is densest of all: item 0 then needs its nearest denser
-        d = pairwise_distances(np.array([[0.0], [1.0], [2.0], [4.0]])).d
+        pts = np.array([[0.0], [1.0], [2.0], [4.0]])
+        d = pairwise_distances(pts).d
         rho0 = np.array([3.0, 2.5, 1.0, 0.0])
         d_new = np.array([[0.5, 0.5, 1.5, 3.5]])
         rho = np.append(rho0 + [0.0, 1.0, 0.0, 0.0], 0.0)[None] if by == "window" else \
             np.append(rho0, 10.0)[None]
-        delta, nn = _peaks(d, rho0).delta_neighbors(d_new, rho)
+        delta, nn = _peaks(pts, rho0).delta_neighbors(d_new, rho)
         want_delta, want_nn, _ = _reference_delta_neighbors(_bordered(d, d_new[0]), rho[0])
         np.testing.assert_array_equal(delta[0], want_delta)
         np.testing.assert_array_equal(nn[0], want_nn)
@@ -403,7 +449,7 @@ class TestHistoryPeaks:
         rho = np.ones(4)
         rho[densest] = 2.0
         full = pairwise_distances(pts).d
-        delta, nn = _peaks(full[:3, :3], rho[:3]).delta_neighbors(full[None, 3, :3], rho[None])
+        delta, nn = _peaks(pts[:3], rho[:3]).delta_neighbors(full[None, 3, :3], rho[None])
         delta, nn = delta[0], nn[0]
         want_delta, want_nn, _ = _reference_delta_neighbors(full, rho)
         np.testing.assert_array_equal(delta, want_delta)
@@ -412,10 +458,45 @@ class TestHistoryPeaks:
         if densest == 3:
             assert nn[0] == 3 and nn[3] == 3 and delta[3] == 3.0
 
+    @pytest.mark.parametrize("history", ["flat", "tie-heavy denoised"])
+    def test_recomputed_distances_equal_the_matrix_bit_for_bit(self, history):
+        # every distance the peaks read after their build (whole rows,
+        # bordered entries), and those their build took (band pairs, row
+        # maxima), against the pipeline's day-pair matrix: a flat history,
+        # where every item but the densest is fragile and can be densest,
+        # and a denoised one, whose runs of equal slices tie many windows
+        if history == "flat":
+            days = np.full((2, 288), 30.0)
+        else:
+            road = two_regime_corpus(n_roads=1, n_days=3, seed=5)[0]
+            config = dataclasses.replace(SWEEP_SOLVER, sigma=25.0)
+            days = np.array([denoise_values(n.values, config, h=n.h).denoised for _, n in road])
+        d = cluster_module._day_pair_distances(days, 282, 4)
+        columns = np.ascontiguousarray(build_history(days).windows.T)
+        rho = local_density(d, 1.0)
+        peaks = HistoryPeaks(columns, rho, *delta_neighbors(d, rho))
+        n = len(d)
+        top = int(np.argmax(rho))
+        if history == "flat":
+            assert peaks.fragile.size == n - 1 and not np.isnan(peaks.row_max).any()
+        else:
+            assert len(np.unique(columns.T, axis=0)) < 0.7 * n and peaks.cand_i.size > 0
+        assert np.array_equal(peaks.rows(np.arange(n)).view(np.uint64), d.view(np.uint64))
+        assert np.array_equal(peaks.cand_d, d[peaks.cand_i, peaks.cand_j])
+        can_top = rho + 1.0 >= rho[top]
+        assert np.array_equal(peaks.row_max[can_top], d[can_top].max(axis=1))
+        items = np.array([n, 0, top, n - 1])
+        d_new = d[5]  # an added item on window 5
+        bordered = peaks.bordered(d_new, items, items)
+        full = np.zeros((n + 1, n + 1))
+        full[:n, :n], full[n, :n], full[:n, n] = d, d_new, d_new
+        assert np.array_equal(bordered.view(np.uint64), full[np.ix_(items, items)].view(np.uint64))
+        assert not any(isinstance(v, np.ndarray) and v.size >= n * n for v in vars(peaks).values())
+
     def test_bordered_entries(self):
         pts = np.array([[0.0], [1.0], [3.0], [7.0]])
         full = pairwise_distances(pts).d
-        peaks = _peaks(full[:3, :3], np.zeros(3))
+        peaks = _peaks(pts[:3], np.zeros(3))
         items, cols = np.array([3, 0, 2]), np.array([3, 1, 0])
         np.testing.assert_array_equal(peaks.bordered(full[3, :3], items, cols), full[np.ix_(items, cols)])
 
@@ -439,7 +520,7 @@ class TestSortedNeighbors:
         full = pairwise_distances(case[0]).d
         n = len(full) - 1
         rho0, rho = _kernel_rows(full[:n, :n], full[None, n, :n], d_c)
-        delta, nn = _peaks(full[:n, :n], rho0).delta_neighbors(full[None, n, :n], rho)
+        delta, nn = _peaks(case[0][:n], rho0).delta_neighbors(full[None, n, :n], rho)
         want_delta, want_nn, _ = _reference_delta_neighbors(full, rho[0])
         np.testing.assert_array_equal(delta, [want_delta])
         np.testing.assert_array_equal(nn, [want_nn])
@@ -459,7 +540,7 @@ class TestSortedNeighbors:
         d_new = np.sqrt(((added[:, None, :] - pts[None, :, :]) ** 2).sum(axis=-1))
         rho0, rho = _kernel_rows(d, d_new, d_c)
         with mock.patch.object(cluster_module, "_BLOCK_BYTES", block):
-            delta, nn = _peaks(d, rho0).delta_neighbors(d_new, rho)
+            delta, nn = _peaks(pts, rho0).delta_neighbors(d_new, rho)
         for r, point in enumerate(added):
             full = pairwise_distances(np.vstack([pts, point])).d
             want_delta, want_nn, _ = _reference_delta_neighbors(full, rho[r])
@@ -478,7 +559,7 @@ class TestSortedNeighbors:
         rho[0, n] = rho.max() + 1.0
         top = int(np.argmax(rho0))
         with mock.patch.object(cluster_module, "_BLOCK_BYTES", block):
-            delta, nn = _peaks(full[:n, :n], rho0).delta_neighbors(full[None, n, :n], rho)
+            delta, nn = _peaks(case[0][:n], rho0).delta_neighbors(full[None, n, :n], rho)
         want_delta, want_nn, _ = _reference_delta_neighbors(full, rho[0])
         np.testing.assert_array_equal(delta, [want_delta])
         np.testing.assert_array_equal(nn, [want_nn])

@@ -4,6 +4,7 @@ import importlib
 import math
 import sys
 import threading
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -16,6 +17,7 @@ from tvroad.cluster import (
     auto_select_k,
     delta_neighbors,
     local_density,
+    pairwise_distances,
     select_centers,
 )
 from tvroad.forecast import (
@@ -528,7 +530,7 @@ class TestGoalMatcher:
         m = matcher.columns.shape[1]
         assert len(goals) == 282 and len(np.unique(matcher.columns.T, axis=0)) < 0.65 * m
         full = np.zeros((m + 1, m + 1))
-        full[:m, :m] = matcher.peaks.d
+        full[:m, :m] = pairwise_distances(matcher.columns.T).d
         for goal in goals[::10]:
             d_goal = forecast._column_distances(goal[None], matcher.columns)
             w_goal = np.exp(-((d_goal[0] / matcher.d_c) ** 2))
@@ -706,6 +708,34 @@ def _bounded(call, timeout=60):
     return outcome.get("error"), outcome["ident"]
 
 
+def _drain_layout(layout: str):
+    """(a _Drain subclass, the list of what it hands out): every task to
+    the calling thread ("caller"), every task to the worker ("worker"),
+    each stage's tasks last first ("reversed"), or the schedule itself
+    ("shared").  The list holds (stage, the task's last argument, taken on
+    the calling thread)."""
+    caller = threading.get_ident()
+    taken = []
+
+    class Drain(forecast._Drain):
+        def add(self, name, tasks, *after):
+            super().add(name, tasks[::-1] if layout == "reversed" else tasks, *after)
+
+        def take(self):
+            on_caller = threading.get_ident() == caller
+            if layout == "caller" and not on_caller or layout == "worker" and on_caller:
+                return None
+            with self._cond:  # so that taken keeps the order of the takes
+                task = super().take()
+                if task is not None:
+                    stage, run = task
+                    args = getattr(run, "args", ())
+                    taken.append((stage, args[-1] if args else None, on_caller))
+            return task
+
+    return Drain, taken
+
+
 class TestComparePipelines:
     def test_raw_only_run(self):
         road = two_regime_corpus(n_roads=1, n_days=2, seed=3)[0]
@@ -824,9 +854,10 @@ class TestComparePipelines:
         return [road[0][1]], road[1][1]
 
     def test_denoised_matcher_runs_under_the_callers_errstate(self, short_road, monkeypatch):
-        # the denoised matcher is built on the worker thread, in a copy of
-        # the caller's context (a plain thread would see the default
-        # "warn"), and every goal block sees it, whichever lane takes it
+        # every task, the matcher builds and the goal blocks among them,
+        # runs in a copy of the caller's context on either thread (a plain
+        # thread would see the default "warn"); with every task on the
+        # worker, both matchers are built there
         builds, blocks = [], []
         real_init, real_block = _GoalMatcher.__init__, _GoalMatcher.predict_block
 
@@ -840,12 +871,16 @@ class TestComparePipelines:
 
         monkeypatch.setattr(_GoalMatcher, "__init__", init)
         monkeypatch.setattr(_GoalMatcher, "predict_block", block)
-        with np.errstate(divide="raise"):
-            compare_pipelines(*short_road, sigma=2.5)
-        # the raw matcher on the calling thread, the denoised one on the worker
-        assert [ident == threading.get_ident() for ident, _ in builds] == [True, False]
-        assert [mode for _, mode in builds] == ["raise", "raise"]
-        assert blocks == ["raise"] * 2 * len(list(forecast._goal_blocks(282, 282)))
+        for layout in ("shared", "worker"):
+            builds.clear()
+            blocks.clear()
+            monkeypatch.setattr(forecast, "_Drain", _drain_layout(layout)[0])
+            with np.errstate(divide="raise"):
+                compare_pipelines(*short_road, sigma=2.5)
+            assert [mode for _, mode in builds] == ["raise", "raise"]
+            if layout == "worker":
+                assert not any(ident == threading.get_ident() for ident, _ in builds)
+            assert blocks == ["raise"] * 2 * len(list(forecast._goal_blocks(282, 282)))
 
     @pytest.mark.parametrize("failing, raised", [
         ({"raw"}, "raw"), ({"denoised"}, "denoised"), ({"raw", "denoised"}, "raw")],
@@ -912,6 +947,8 @@ class TestComparePipelines:
 
     def test_causal_stack_runs_on_a_worker_under_the_callers_errstate(self, short_road,
                                                                        monkeypatch):
+        # the causal stack is one task of the shared list, taken by either
+        # thread; with every task on the worker it runs there
         seen = []
         real = forecast.causal_denoise_window
 
@@ -920,24 +957,29 @@ class TestComparePipelines:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(forecast, "causal_denoise_window", spy)
-        with np.errstate(divide="raise"):
-            compare_pipelines(*short_road, sigma=2.5)
-        assert len(seen) == 1
-        ident, mode = seen[0]
-        assert ident != threading.get_ident() and mode == "raise"
+        for layout in ("shared", "worker"):
+            seen.clear()
+            monkeypatch.setattr(forecast, "_Drain", _drain_layout(layout)[0])
+            with np.errstate(divide="raise"):
+                compare_pipelines(*short_road, sigma=2.5)
+            assert len(seen) == 1
+            ident, mode = seen[0]
+            assert mode == "raise" and (layout == "shared" or ident != threading.get_ident())
 
     def test_causal_error_surfaces_after_the_matrix_builds_end(self, short_road, monkeypatch):
-        # the worker builds the denoised matrix after its causal stack, so a
-        # causal error leaves only the raw matrix, built on the calling
-        # thread, and is raised once the calling thread's lane has ended
+        # the two halves of the raw matrix come before the causal stack in
+        # the task list, so a causal error is raised once both have ended,
+        # and the denoised matrix, which waits for the raw passes, is never
+        # built
+        raw_days = np.array([d.values for d in short_road[0]])
         built = []
         real = forecast._day_pair_distances
 
-        def build(*args, **kwargs):
+        def build(days, *args, **kwargs):
             try:
-                return real(*args, **kwargs)
+                return real(days, *args, **kwargs)
             finally:
-                built.append(threading.get_ident())
+                built.append(np.array_equal(days, raw_days))
 
         def fail(*args, **kwargs):
             raise RuntimeError("causal stack failed")
@@ -945,52 +987,47 @@ class TestComparePipelines:
         monkeypatch.setattr(forecast, "_day_pair_distances", build)
         monkeypatch.setattr(forecast, "causal_denoise_window", fail)
         threads = threading.active_count()
-        error, caller = _bounded(lambda: compare_pipelines(*short_road, sigma=2.5))
+        error, _ = _bounded(lambda: compare_pipelines(*short_road, sigma=2.5))
         assert isinstance(error, RuntimeError) and str(error) == "causal stack failed"
-        assert built == [caller]
+        assert built == [True, True]
         assert threading.active_count() == threads
 
     def test_matrix_build_error_wins_over_causal_error(self, short_road, monkeypatch):
+        # both threads fail in their half of the raw matrix, the first tasks
+        # of the list, so the causal stack never starts; of the two errors
+        # the calling thread's is raised
+        caller = threading.get_ident()
+        both = threading.Barrier(2, timeout=30)
         failed = []
 
-        def fail(what):
-            def raise_it(*args, **kwargs):
-                failed.append(what)
-                raise RuntimeError(f"{what} failed")
+        def fill_fails(*args, **kwargs):
+            on_caller = threading.get_ident() == caller
+            failed.append("matrix build")
+            both.wait()  # each thread holds one half when it fails
+            raise RuntimeError(f"matrix build failed on the {'calling' if on_caller else 'worker'}"
+                               " thread")
 
-            return raise_it
+        def causal_fails(*args, **kwargs):
+            failed.append("causal stack")
+            raise RuntimeError("causal stack failed")
 
-        monkeypatch.setattr(forecast, "_day_pair_distances", fail("matrix build"))
-        monkeypatch.setattr(forecast, "causal_denoise_window", fail("causal stack"))
+        monkeypatch.setattr(forecast, "_day_pair_distances", fill_fails)
+        monkeypatch.setattr(forecast, "causal_denoise_window", causal_fails)
         threads = threading.active_count()
-        with pytest.raises(RuntimeError, match="^matrix build failed$"):
+        with pytest.raises(RuntimeError, match="^matrix build failed on the calling thread$"):
             compare_pipelines(*short_road, sigma=2.5)
-        assert sorted(failed) == ["causal stack", "matrix build"]
+        assert failed == ["matrix build"] * 2
         assert threading.active_count() == threads
 
     @pytest.mark.parametrize("k", [None, 3])
     @pytest.mark.parametrize("layout", ["caller", "worker", "reversed"])
     def test_drained_blocks_equal_each_variants_predict(self, short_road, monkeypatch, layout,
                                                         k):
-        # the goal blocks land where they belong however the lanes share
-        # them: every block on the calling thread, every block on the
-        # worker, or the task list taken from its end
-        caller = threading.get_ident()
-        taken, seen = [], {}
-
-        class Drain(forecast._Drain):
-            def __init__(self, tasks):
-                super().__init__(tasks[::-1] if layout == "reversed" else tasks)
-
-            def take(self):
-                on_caller = threading.get_ident() == caller
-                if layout == "caller" and not on_caller or layout == "worker" and on_caller:
-                    return None
-                task = super().take()
-                if task is not None:
-                    taken.append((task, on_caller))
-                return task
-
+        # the goal blocks land where they belong however the threads share
+        # the task list: every task on the calling thread, every task on the
+        # worker, or each stage's tasks taken last first
+        Drain, taken = _drain_layout(layout)
+        seen = {}
         real = _GoalMatcher.predict_block
 
         def spy(matcher, goals, *args):
@@ -1003,11 +1040,12 @@ class TestComparePipelines:
         monkeypatch.setattr(cluster_module, "_BLOCK_BYTES", 7 * 96 * 282)
         cp = compare_pipelines(*short_road, sigma=2.5, k=k)
         monkeypatch.undo()
-        order = [(tag, lo) for tag in ("raw", "denoised") for lo in range(0, 282, 7)]
-        assert [(tag, block.start) for (tag, block), _ in taken] == (
-            order[::-1] if layout == "reversed" else order)
+        starts = list(range(0, 282, 7))
+        for tag in ("raw", "denoised"):
+            got = [block.start for stage, block, _ in taken if stage == f"{tag} blocks"]
+            assert got == (starts[::-1] if layout == "reversed" else starts)
         if layout != "reversed":
-            assert {on_caller for _, on_caller in taken} == {layout == "caller"}
+            assert {on_caller for *_, on_caller in taken} == {layout == "caller"}
         raw_goals = np.lib.stride_tricks.sliding_window_view(short_road[1].values, WINDOW)[:282]
         assert len(seen) == 2
         for matcher, goals in seen.values():
@@ -1020,7 +1058,8 @@ class TestComparePipelines:
 
     @pytest.mark.parametrize("stage", [
         "raw matrix", "d_c", "causal stack", "denoised matrix", "raw matcher build",
-        "denoised matcher build", "first raw block", "last denoised block"])
+        "denoised matcher build", "first raw block", "last denoised block", "raw density",
+        "denoised separation"])
     def test_failing_stage_raises_its_own_error_and_releases_the_other_lane(
             self, short_road, monkeypatch, stage):
         history, target = short_road
@@ -1046,7 +1085,21 @@ class TestComparePipelines:
                 return raw and block.start == 0
             return not raw and block.stop >= 282
 
+        calls = {"local_density": 0, "delta_neighbors": 0}
+        lock = threading.Lock()
+
+        def nth_call(name, first):
+            # calls 0 and 1 are the raw pass's halves, 2 and 3 the denoised
+            # pass's, which waits for the raw one to end
+            def failing(*_):
+                with lock:
+                    calls[name] += 1
+                    return (calls[name] <= 2) == first
+            return failing
+
         patches = {
+            "raw density": (forecast, "local_density", nth_call("local_density", True)),
+            "denoised separation": (forecast, "delta_neighbors", nth_call("delta_neighbors", False)),
             "raw matrix": (forecast, "_day_pair_distances", is_raw_days),
             "denoised matrix": (forecast, "_day_pair_distances", is_raw_days),
             "d_c": (forecast, "_percentile_cutoff", lambda *_: True),
@@ -1091,6 +1144,35 @@ class TestComparePipelines:
                 np.testing.assert_array_equal(a.predictions.view(np.int64),
                                               b.predictions.view(np.int64))
                 assert a.fallback_count == b.fallback_count
+
+    def test_pipeline_road_peaks_below_one_and_a_half_distance_matrices(self, monkeypatch):
+        # road 1 of the pipeline workload's corpus: 7 history days, 1974
+        # windows.  A call fills one (1974, 1974) float64 buffer with the
+        # raw and then the denoised distances; all else it holds at once
+        # stays below half that buffer, and the matchers it builds keep no
+        # (m, m) array
+        road = two_regime_corpus(n_roads=6, n_days=8, seed=7, diurnal=True)[0]
+        history, target = [noisy for _, noisy in road[:-1]], road[-1][1]
+        matrix_bytes = 1974 * 1974 * 8
+        matchers = {}
+        real = _GoalMatcher.predict_block
+
+        def spy(matcher, *args):
+            matchers[id(matcher)] = matcher
+            return real(matcher, *args)
+
+        monkeypatch.setattr(_GoalMatcher, "predict_block", spy)
+        tracemalloc.start()
+        try:
+            compare_pipelines(history, target)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * matrix_bytes
+        assert len(matchers) == 2
+        for matcher in matchers.values():
+            arrays = [*vars(matcher).values(), *vars(matcher.peaks).values()]
+            assert not any(isinstance(a, np.ndarray) and a.size >= 1974 ** 2 for a in arrays)
 
     def test_history_days_denoised_at_their_own_slice_length(self, monkeypatch):
         # days of two slice lengths: each day is solved at its own h, and
