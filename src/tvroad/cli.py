@@ -117,11 +117,12 @@ _REQUIRED = ("road_id", "day", "slice", "velocity")
 # Rows per chunk: only one chunk's lines and rows are alive at a time, so
 # memory stays flat in the file's length.
 _CHUNK_ROWS = 4096
-# Code points that numpy's reader keeps of a road_id or day cell, and of a
-# slice cell (1..288 has at most three digits).  These fixed widths, not
-# the longest line, set a chunk's memory; a cell that fills its field may
-# have been cut short, so its chunk is read again by the csv reader.
-_KEY_WIDTH = 32
+# Code points that numpy's reader keeps of a road_id, day or road_length_m
+# cell, and of a slice cell (1..288 has at most three digits).  These fixed
+# widths, not the longest line, set a chunk's memory; a cell that fills its
+# field may have been cut short, so its chunk is read again by the csv
+# reader.
+_TEXT_WIDTH = 32
 _SLICE_WIDTH = 4
 
 
@@ -153,6 +154,13 @@ def _row_error(row: list, cols: tuple, length_col: int | None) -> str | None:
     except (ValueError, IndexError) as exc:
         return str(exc)
     return None
+
+
+def _lengths(cells: list) -> tuple:
+    """(positions of the non-blank length cells, their lengths), each read
+    by Python's ``float``."""
+    given = np.fromiter(map(bool, map(str.strip, cells)), bool, len(cells))
+    return np.flatnonzero(given), list(map(float, compress(cells, given)))
 
 
 def _codes(table: np.ndarray, name: str) -> np.ndarray:
@@ -219,11 +227,11 @@ class _Records:
         self.values = np.empty((0, DEFAULT_SLICES))
         self.observed = np.zeros((0, DEFAULT_SLICES), dtype=bool)
         self.lengths: dict[int, float] = {}  # grid row -> last road length given
-        fields = [("road_id", f"U{_KEY_WIDTH}"), ("day", f"U{_KEY_WIDTH}"),
+        fields = [("road_id", f"U{_TEXT_WIDTH}"), ("day", f"U{_TEXT_WIDTH}"),
                   ("slice", f"U{_SLICE_WIDTH}"), ("velocity", "f8")]
         self.usecols = list(cols)
         if length_col is not None:
-            fields.append(("length", "f8"))
+            fields.append(("length", f"U{_TEXT_WIDTH}"))
             self.usecols.append(length_col)
         self.dtype = np.dtype(fields)
 
@@ -254,17 +262,18 @@ class _Records:
     def _columns(self, lines: list) -> tuple | None:
         """The ``_store`` columns of plain, non-empty lines, read in one
         C reader call, or None where that reader cannot vouch for a cell:
-        it fails, it cut a cell short, or a slice cell is not one to three
-        ASCII digits (the csv path gives Python's ``int`` the rest)."""
+        it fails, it cut a cell short, a slice cell is not one to three
+        ASCII digits (the csv path gives Python's ``int`` the rest), or a
+        length cell is not a number."""
         try:
             table = np.loadtxt(lines, dtype=self.dtype, delimiter=",", comments=None,
                                usecols=self.usecols, ndmin=1)
         except ValueError:
             return None
+        texts = [name for name in table.dtype.names if table.dtype[name].kind == "U"]
         codes = _codes(table, "slice")
         digits = (codes >= ord("0")) & (codes <= ord("9"))
-        if (len(table) != len(lines) or _codes(table, "road_id")[:, -1].any()
-                or _codes(table, "day")[:, -1].any() or codes[:, -1].any()
+        if (len(table) != len(lines) or any(_codes(table, name)[:, -1].any() for name in texts)
                 or not digits[:, 0].all() or not (digits | (codes == 0)).all()):
             return None
         s = np.zeros(len(table), np.intp)
@@ -272,7 +281,10 @@ class _Records:
             s = np.where(digit, 10 * s + col.astype(np.intp) - ord("0"), s)
         lengths = None
         if self.length_col is not None:
-            lengths = np.arange(len(table)), table["length"].tolist()
+            try:
+                lengths = _lengths(table["length"].tolist())
+            except ValueError:
+                return None
         return table["road_id"], table["day"], s, table["velocity"], lengths
 
     def add(self, rows: list, first_line: int) -> None:
@@ -296,7 +308,9 @@ class _Records:
                        np.array(list(map(itemgetter(day_col), rows)), dtype=object),
                        np.array(list(map(int, map(itemgetter(slice_col), rows))), dtype=np.intp),
                        np.array(list(map(float, map(itemgetter(speed_col), rows)))),
-                       self._lengths(rows))
+                       None if self.length_col is None else _lengths(
+                           [row[self.length_col] if len(row) > self.length_col else ""
+                            for row in rows]))
         except (IndexError, ValueError, OverflowError):
             columns = None
         if columns is None or not self._store(*columns, lines):
@@ -343,15 +357,6 @@ class _Records:
         if lengths is not None:
             self.lengths.update(zip(g[lengths[0]].tolist(), lengths[1]))
         return True
-
-    def _lengths(self, rows: list) -> tuple | None:
-        """(positions of the rows giving a length, their lengths)."""
-        if self.length_col is None:
-            return None
-        col = self.length_col
-        cells = [row[col] if len(row) > col else "" for row in rows]
-        given = np.flatnonzero(np.fromiter(map(bool, map(str.strip, cells)), bool, len(cells)))
-        return given, list(map(float, map(cells.__getitem__, given.tolist())))
 
     def _grid_rows(self, keys: list) -> np.ndarray:
         """Grid row of each (road_id, day), adding rows for new road-days."""

@@ -29,12 +29,10 @@ circuits as it would alone, the prefixes walk the TV solution path in
 lockstep, one merge per prefix per numpy step, and each window is that
 of its prefix solved alone.
 
-``compare_pipelines`` runs on the calling thread and one worker thread,
-which take tasks from one list once the sigma estimates and the history
-denoise have ended on the calling thread.  One (m, m) buffer holds the
-raw history distances and then the denoised ones: a matcher reads it
-only while it is built and keeps no (m, m) matrix, recomputing the few
-rows its goals need from the windows.
+``compare_pipelines`` runs on the calling thread and one worker thread.
+Its results do not depend on which thread runs what, a caller's
+``np.errstate`` holds on both threads, and a failing step raises its
+own error, the calling thread's when both threads fail.
 """
 
 from __future__ import annotations
@@ -74,23 +72,18 @@ _FLAG_NO_MOVING_TRAFFIC = "no-moving-traffic"
 
 @dataclass(frozen=True, eq=False)
 class HistorySet:
-    """Length-4 input windows with scalar labels and their origins.
-
-    provenance holds one (day, start) pair per window, start being the
-    1-based slice index of the window's first sample.
-    """
+    """Length-4 input windows with scalar labels."""
 
     windows: np.ndarray
     labels: np.ndarray
-    provenance: tuple
 
     def __post_init__(self):
         w = np.asarray(self.windows, dtype=float)
         l = np.asarray(self.labels, dtype=float)
         if w.ndim != 2 or w.shape[1] != WINDOW:
             raise ValueError(f"windows must be (m, {WINDOW})")
-        if l.shape != (w.shape[0],) or len(self.provenance) != w.shape[0]:
-            raise ValueError("labels and provenance must match window count")
+        if l.shape != (w.shape[0],):
+            raise ValueError("labels must match window count")
         w.setflags(write=False)
         l.setflags(write=False)
         object.__setattr__(self, "windows", w)
@@ -138,21 +131,17 @@ def build_history(days, label_offset: int = LABEL_OFFSET) -> HistorySet:
     """
     if not (WINDOW <= label_offset <= LABEL_OFFSET):
         raise ValueError(f"label_offset must lie in {WINDOW}..{LABEL_OFFSET}")
-    values, day_ids = [], []
+    values = []
     for day in days:
         v = day.values if isinstance(day, VelocitySeries) else np.asarray(day, dtype=float)
         if v.size != DEFAULT_SLICES:
             raise ValueError(f"day must have {DEFAULT_SLICES} slices, got {v.size}")
         values.append(v)
-        day_ids.append(day.day if isinstance(day, VelocitySeries) else None)
     n = DEFAULT_SLICES - LABEL_OFFSET
     x = np.array(values).reshape(len(values), DEFAULT_SLICES)
     windows = np.lib.stride_tricks.sliding_window_view(x, WINDOW, axis=1)[:, :n]
-    return HistorySet(
-        windows.reshape(-1, WINDOW),
-        x[:, label_offset : label_offset + n].reshape(-1),
-        tuple((day_id, start) for day_id in day_ids for start in range(1, n + 1)),
-    )
+    return HistorySet(windows.reshape(-1, WINDOW),
+                      x[:, label_offset : label_offset + n].reshape(-1))
 
 
 def fit_boundary(history: HistorySet) -> BoundaryModel:
@@ -377,32 +366,6 @@ def _goal_blocks(n_goals: int, m: int):
     return _row_blocks(n_goals, 96 * m)
 
 
-def _on_two_threads(run) -> None:
-    """run() on the calling thread and, meanwhile, on a worker thread.
-
-    The worker runs in a copy of the caller's context, so a caller's
-    ``np.errstate`` holds on both threads.  The worker is joined before
-    anything is returned or raised; the calling thread's error wins over
-    the worker's.
-    """
-    errors = []
-
-    def work():
-        try:
-            run()
-        except BaseException as exc:  # handed to the calling thread below
-            errors.append(exc)
-
-    worker = threading.Thread(target=contextvars.copy_context().run, args=(work,))
-    worker.start()
-    try:
-        run()
-    finally:
-        worker.join()
-    if errors:
-        raise errors[0]
-
-
 class _Drain:
     """The one task list that the threads of a ``compare_pipelines`` call
     share.
@@ -446,18 +409,35 @@ class _Drain:
                 self._cond.notify_all()
 
     def run(self) -> None:
-        """Take and run tasks until none is left; the drain is marked
-        failed if a task raises."""
-        try:
-            while (taken := self.take()) is not None:
-                stage, task = taken
-                task()
-                self.end(stage)
-        except BaseException:
-            with self._cond:
-                self._failed = True
-                self._cond.notify_all()
-            raise
+        """Take and run tasks on the calling thread and one worker thread
+        until none is left.
+
+        The worker runs in a copy of the caller's context, so a caller's
+        ``np.errstate`` holds on both threads.  A thread whose task raises
+        marks the drain failed and ends.  The worker is joined before
+        anything is returned or raised; the calling thread's error wins
+        over the worker's.
+        """
+        errors = {}  # per lane, the error its task raised
+
+        def lane(name: str) -> None:
+            try:
+                while (taken := self.take()) is not None:
+                    stage, task = taken
+                    task()
+                    self.end(stage)
+            except BaseException as exc:  # raised on the calling thread below
+                errors[name] = exc
+                with self._cond:
+                    self._failed = True
+                    self._cond.notify_all()
+
+        worker = threading.Thread(target=contextvars.copy_context().run, args=(lane, "worker"))
+        worker.start()
+        lane("caller")
+        worker.join()
+        if errors:
+            raise errors.get("caller") or errors["worker"]
 
 
 @dataclass(frozen=True, eq=False)
@@ -504,25 +484,22 @@ def compare_pipelines(
     through ``denoise_values`` and ``estimate_sigma``, run first on the
     calling thread.  They end before any thread starts, so a span tracer
     that keeps one stack (``bench/tracing.py``) gives each of their
-    solves its own parent.  Then, when the denoised variant runs, one
-    worker thread starts and is joined at the end, and both threads take
-    tasks from one list in order, each task once the stages it waits for
-    have ended (``_Drain``): the raw distances, in two halves by day
-    pairs, into one (m, m) buffer; the causal goal stack; d_c; the raw
-    matcher's density and history-only ``delta_neighbors`` passes, each
-    in two halves by rows, and its build; the denoised distances, in two
-    halves, into the same buffer once the raw passes have ended (a
-    matcher keeps no (m, m) matrix); the denoised matcher's passes and
-    build; then the raw goal blocks and the denoised ones
-    (``_GoalMatcher.predict_block``, the step of
+    solves its own parent.  Then one worker thread starts and is joined
+    at the end, and both threads take tasks from one list in order, each
+    task once the stages it waits for have ended (``_Drain``): the raw
+    distances, in two halves by day pairs, into one (m, m) buffer; the
+    causal goal stack; d_c; the raw matcher's density and history-only
+    ``delta_neighbors`` passes, each in two halves by rows, and its
+    build; the denoised distances, in two halves, into the same buffer
+    once the raw passes have ended (a matcher keeps no (m, m) matrix);
+    the denoised matcher's passes and build; then the raw goal blocks and
+    the denoised ones (``_GoalMatcher.predict_block``, the step of
     ``_GoalMatcher.predict``).  No task's output depends on the thread
     that runs it, so neither do the predictions.  The worker runs in a
     copy of the caller's context, so a caller's ``np.errstate`` holds on
     both threads.  A failing task stops the other thread, which waits
     for nothing more; the failing task's own error is raised once both
-    have ended, the calling thread's when both fail.  A run without the
-    denoised variant takes the raw tasks on the calling thread and starts
-    no thread.
+    have ended, the calling thread's when both fail.
     """
     days = list(history_days)
     if not days:
@@ -611,10 +588,7 @@ def compare_pipelines(
         drain.add(f"{tag} blocks", [partial(match, tag, block)
                                     for block in _goal_blocks(n_goals, m)], *waits)
 
-    if include_denoised:
-        _on_two_threads(drain.run)
-    else:
-        drain.run()
+    drain.run()
     d_c, flags = built["d_c"]
 
     truth = tv[LABEL_OFFSET:]

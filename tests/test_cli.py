@@ -144,7 +144,10 @@ def record_files(draw):
                      str(rng.choice([repr(v), f"{v:.1f}", f" {v:.3e} ", f"{int(v)}"]))]
             cells += ["sunny"] * (len(columns) - 4)
             if length_col is not None:
-                cells[length_col] = str(rng.choice(["", "50", "150.5", " 99 "]))  # the last counts
+                # the last counts; Python's float reads "1_000.5", and the
+                # 42-character cell is longer than a plain chunk's text field
+                cells[length_col] = str(rng.choice(["", "50", "150.5", " 99 ", "1_000.5",
+                                                    "0" * 40 + "50"]))
                 if length_col == len(columns) - 1 and rng.random() < 0.2:
                     cells.pop()  # a row may end before the length column
             rows.append(cells)
@@ -379,6 +382,29 @@ class TestIngest:
         for key, series in want.items():
             assert got[key].values.tobytes() == series.values.tobytes()
             assert np.array_equal(got[key].observed_mask, series.observed_mask)
+
+    def test_blank_length_cells_skip_the_csv_reader(self, write_records, monkeypatch, caplog):
+        # a road_length_m column given on road-1's rows only, blank on
+        # road-2's: the csv reader reads the header and no row after it,
+        # and the records and length skips equal the reference's
+        days = [noisy for road in two_regime_corpus(n_roads=2, n_days=8, seed=4)
+                for _, noisy in road]
+        path = write_records(days, length_m={"road-1": 50.0})
+        assert len(days) * DEFAULT_SLICES > cli._CHUNK_ROWS
+        caplog.set_level("INFO", logger="tvroad")
+        want = _ingest_outcome(_reference_ingest, path, caplog, min_length_m=100.0)
+        seen = []
+        reader = csv.reader
+
+        def counted(*args, **kwargs):
+            for row in reader(*args, **kwargs):
+                seen.append(row)
+                yield row
+
+        monkeypatch.setattr(cli.csv, "reader", counted)
+        assert _ingest_outcome(ingest, path, caplog, min_length_m=100.0) == want
+        assert seen == [[*HEADER.split(","), cli.LENGTH_COLUMN]]
+        assert len(want[0]) == 8 and len(want[1]) == 8  # road-1's days skipped for length
 
     def test_crlf_file_skips_the_csv_reader(self, write_records, monkeypatch):
         # the same file with CR LF line ends, as spreadsheet exports write
