@@ -156,11 +156,15 @@ def _row_error(row: list, cols: tuple, length_col: int | None) -> str | None:
     return None
 
 
-def _lengths(cells: list) -> tuple:
-    """(positions of the non-blank length cells, their lengths), each read
-    by Python's ``float``."""
-    given = np.fromiter(map(bool, map(str.strip, cells)), bool, len(cells))
-    return np.flatnonzero(given), list(map(float, compress(cells, given)))
+def _lengths(cells: list, runs=1) -> tuple:
+    """(positions of the non-blank length cells, their lengths) of a length
+    column given as runs of equal cells: ``cells`` holds a run's cell and
+    ``runs`` the run sizes, one cell each by default.  Each distinct cell
+    is read once, by Python's ``float``."""
+    parsed = {cell: float(cell) for cell in dict.fromkeys(cells) if cell.strip()}
+    given = np.repeat(np.fromiter(map(parsed.__contains__, cells), bool, len(cells)), runs)
+    values = np.repeat(np.array([parsed.get(cell, 0.0) for cell in cells]), runs)
+    return np.flatnonzero(given), values[given]
 
 
 def _codes(table: np.ndarray, name: str) -> np.ndarray:
@@ -281,8 +285,10 @@ class _Records:
             s = np.where(digit, 10 * s + col.astype(np.intp) - ord("0"), s)
         lengths = None
         if self.length_col is not None:
+            column = table["length"]
+            starts = np.flatnonzero(np.r_[True, column[1:] != column[:-1]])
             try:
-                lengths = _lengths(table["length"].tolist())
+                lengths = _lengths(column[starts].tolist(), np.diff(starts, append=len(column)))
             except ValueError:
                 return None
         return table["road_id"], table["day"], s, table["velocity"], lengths
@@ -355,7 +361,10 @@ class _Records:
         self.values[g, slot] = v
         self.observed[g, slot] = True
         if lengths is not None:
-            self.lengths.update(zip(g[lengths[0]].tolist(), lengths[1]))
+            # the last length of each run of equal grid rows; a later run wins
+            rows = g[lengths[0]]
+            last = np.diff(rows, append=-1) != 0
+            self.lengths.update(zip(rows[last].tolist(), lengths[1][last].tolist()))
         return True
 
     def _grid_rows(self, keys: list) -> np.ndarray:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -122,28 +123,39 @@ def _day_pairs(n_days: int) -> list:
     return [(a, b) for a in range(n_days) for b in range(a, n_days)]
 
 
+def _day_pair_index(a: int, b: int, n_days: int) -> int:
+    """The position of the day pair (a, b), a <= b, in ``_day_pairs(n_days)``."""
+    return a * n_days - a * (a - 1) // 2 + b - a
+
+
 def _day_pair_distances(days, n_windows: int, width: int, out=None, pairs=None) -> np.ndarray:
-    """Distance matrix between the windows ``days[a, s : s + width]``, s
-    below n_windows, of a (D, slices) stack of days, in day-major order:
-    ``pairwise_distances`` of those windows, bit for bit, for width below 8.
+    """Distances between the windows ``days[a, s : s + width]``, s below
+    n_windows, of a (D, slices) stack of days, as the upper day-pair
+    blocks of their day-major distance matrix: a (P, n_windows, n_windows)
+    array, P = D (D + 1) / 2, whose block p holds the rows of day a and
+    the columns of day b for the pair (a, b) = ``_day_pairs(D)[p]``.  The
+    block of days (b, a), the transpose of (a, b), is not kept
+    (:func:`_day_pair_rows` assembles whole rows).  Each entry is that of
+    ``pairwise_distances`` of the windows, bit for bit, for width below 8.
 
     The windows of two days share their slices, so each day pair a <= b
     squares its (n_windows + width - 1)-square slice differences once and
-    adds the width diagonal shifts in slice order: the squares, and the
-    order, of :func:`_column_distances`.  The block of days (b, a) is the
-    transpose of (a, b).  As in ``pairwise_distances`` only finiteness is
-    checked, block by block, so squares that overflow raise ValueError
-    with no overflow warning.  By default every pair of ``_day_pairs``
-    is written to a new matrix, returned read-only; given ``out`` and a
-    list of ``pairs``, only those pairs' blocks of ``out`` are written,
-    so that disjoint lists can fill one matrix at once.
+    adds the width diagonal shifts into its block in slice order: the
+    squares, and the order, of :func:`_column_distances`.  As in
+    ``pairwise_distances`` only finiteness is checked, block by block, so
+    squares that overflow raise ValueError with no overflow warning.  By
+    default every pair of ``_day_pairs`` is written to a new array,
+    returned read-only; given ``out`` and a list of ``pairs``, only those
+    pairs' blocks of ``out`` are written, so that disjoint lists can fill
+    one array at once.
     """
     x = np.asarray(days, dtype=float)
+    n_days = len(x)
     span = n_windows + width - 1
-    d = np.empty((len(x) * n_windows,) * 2) if out is None else out
+    d = np.empty((n_days * (n_days + 1) // 2, n_windows, n_windows)) if out is None else out
     sq = np.empty((span, span))
-    total = np.empty((n_windows, n_windows))
-    for a, b in _day_pairs(len(x)) if pairs is None else pairs:
+    for a, b in _day_pairs(n_days) if pairs is None else pairs:
+        total = d[_day_pair_index(a, b, n_days)]
         with np.errstate(over="ignore"):  # an overflow is the ValueError below
             np.square(np.subtract(x[a, :span, None], x[b, :span], out=sq), out=sq)
             total[...] = sq[:n_windows, :n_windows]
@@ -152,14 +164,58 @@ def _day_pair_distances(days, n_windows: int, width: int, out=None, pairs=None) 
         np.sqrt(total, out=total)
         if not np.isfinite(total.max()):
             raise ValueError("non-finite distance")
-        rows = slice(a * n_windows, (a + 1) * n_windows)
-        cols = slice(b * n_windows, (b + 1) * n_windows)
-        d[rows, cols] = total
-        if b > a:
-            d[cols, rows] = total.T
     if out is None:
         d.setflags(write=False)
     return d
+
+
+def _block_days(blocks: np.ndarray) -> int:
+    """The day count D of P = D (D + 1) / 2 day-pair blocks."""
+    return (math.isqrt(8 * len(blocks) + 1) - 1) // 2
+
+
+def _day_pair_rows(blocks: np.ndarray, lo: int, hi: int, out: np.ndarray) -> np.ndarray:
+    """Rows lo..hi of the distance matrix whose upper day-pair blocks
+    (:func:`_day_pair_distances`) are ``blocks``, written into ``out``, a
+    (hi - lo, D w) array, and returned: for the rows of day a, block
+    (a, b) as stored where b >= a, and the transpose of block (b, a) where
+    b < a.  The rows may span several days."""
+    w, n_days = blocks.shape[1], _block_days(blocks)
+    for a in range(lo // w, -(-hi // w)):  # the days the rows belong to
+        first, last = max(lo, a * w), min(hi, a * w + w)
+        day_rows, rows = slice(first - a * w, last - a * w), out[first - lo : last - lo]
+        for b in range(n_days):
+            if b >= a:
+                rows[:, b * w : b * w + w] = blocks[_day_pair_index(a, b, n_days), day_rows]
+            else:
+                rows[:, b * w : b * w + w] = blocks[_day_pair_index(b, a, n_days), :, day_rows].T
+    return out
+
+
+def _row_source(d, rows: slice, entry_bytes: int):
+    """(at, block) for each row block of the given rows of a distance
+    matrix: ``at`` the block's slice of rows, ``block`` those rows in a
+    scratch array that every block reuses and the caller may overwrite,
+    each row the same contiguous row of the matrix.  d is a whole matrix
+    (an array or a DistanceMatrix), whose rows are copied, or the (P, w, w)
+    upper day-pair blocks of :func:`_day_pair_distances`, whose rows are
+    assembled (:func:`_day_pair_rows`).  A block takes as many rows as keep
+    entry_bytes an entry within ``_BLOCK_BYTES``; the scratch stays
+    resident, for a thread's malloc arena keeps what its largest block
+    took."""
+    if isinstance(d, np.ndarray) and d.ndim == 3:
+        n, read = d.shape[1] * _block_days(d), partial(_day_pair_rows, d)
+    else:
+        dm = _dmat(d)
+        n, read = len(dm), lambda lo, hi, out: np.copyto(out, dm[lo:hi])
+    lo, hi, _ = rows.indices(n)
+    scratch = None
+    for block in _row_blocks(max(hi - lo, 0), entry_bytes * n):
+        at = slice(lo + block.start, min(lo + block.stop, hi))
+        if scratch is None:  # the first block is the largest
+            scratch = np.empty((at.stop - at.start, n))
+        read(at.start, at.stop, scratch[: at.stop - at.start])
+        yield at, scratch[: at.stop - at.start]
 
 
 def pairwise_distances(vectors) -> DistanceMatrix:
@@ -216,24 +272,18 @@ def _kernel(d: np.ndarray, d_c: float, out: np.ndarray | None = None) -> np.ndar
     return np.exp(w, out=w)
 
 
-def local_density(d, d_c: float) -> np.ndarray:
-    """rho_i = sum_{j != i} exp(-(d_ij / d_c)^2), in row blocks; each row
-    sums as it would in one (n, n) pass."""
+def local_density(d, d_c: float, rows: slice = slice(None)) -> np.ndarray:
+    """rho_i = sum_{j != i} exp(-(d_ij / d_c)^2), of the items in ``rows``
+    (every item by default), in row blocks; each row sums as it would in
+    one (n, n) pass.  d is a whole matrix or the upper day-pair blocks of
+    ``_day_pair_distances``, read a row block at a time
+    (:func:`_row_source`)."""
     if not (d_c > 0):
         raise ValueError("d_c must be positive")
-    dm = _dmat(d)
-    rho = np.empty(len(dm))
-    # one 8-byte scratch entry per entry of a block, which every block
-    # reuses, within a quarter of _BLOCK_BYTES: a matcher build runs this
-    # on both threads, and a thread's malloc arena keeps what its largest
-    # blocks took
-    scratch = None
-    for rows in _row_blocks(len(dm), 4 * 8 * dm.shape[1]):
-        block = dm[rows]
-        if scratch is None:
-            scratch = np.empty_like(block)  # the first block is the largest
-        rho[rows] = _kernel(block, d_c, out=scratch[: len(block)]).sum(axis=1)
-    return rho - 1.0
+    # the kernel runs in place on each block, 8 bytes an entry, within a
+    # quarter of _BLOCK_BYTES: a matcher build runs this on both threads
+    parts = [_kernel(block, d_c, out=block).sum(axis=1) for _, block in _row_source(d, rows, 32)]
+    return np.concatenate(parts or [np.empty(0)]) - 1.0
 
 
 def _denser(rho_j, rho_i, j_lower):
@@ -252,23 +302,25 @@ def delta_neighbors(d, rho: np.ndarray, rows: slice = slice(None)):
     and itself as neighbour.  Rows are searched in blocks, each row over
     the items ahead of it in a stable sort of -rho.  Given a slice of
     ``rows``, only those items are searched and returned; each row
-    reads only its own row of d.
+    reads only its own row of d.  d is a whole matrix or the upper
+    day-pair blocks of ``_day_pair_distances``, read a row block at a
+    time (:func:`_row_source`).
     """
-    dm = _dmat(d)
     n = rho.size
     lo, hi, _ = rows.indices(n)
     rank = np.empty(n, dtype=np.int64)
     rank[np.argsort(-rho, kind="stable")] = np.arange(n)
     delta, nn = np.empty(max(hi - lo, 0)), np.empty(max(hi - lo, 0), dtype=np.int64)
-    # masked distances and a mask within a quarter of _BLOCK_BYTES, as in local_density
-    for block in _row_blocks(delta.size, 4 * 16 * n):
-        at = slice(lo + block.start, lo + min(block.stop, delta.size))
-        masked = np.where(rank < rank[at, None], dm[at], np.inf)
-        nn[block] = masked.argmin(axis=1)
-        delta[block] = masked[np.arange(len(masked)), nn[block]]
+    # a block's rows, masked in place, and its mask within a quarter of
+    # _BLOCK_BYTES, as in local_density
+    for at, block in _row_source(d, rows, 64):
+        np.putmask(block, rank >= rank[at, None], np.inf)
+        out = slice(at.start - lo, at.stop - lo)
+        nn[out] = block.argmin(axis=1)
+        delta[out] = block[np.arange(len(block)), nn[out]]
     top = np.argmax(rho)
     if lo <= top < hi:
-        delta[top - lo] = dm[top].max()
+        delta[top - lo] = next(_row_source(d, slice(top, top + 1), 0))[1].max()
         nn[top - lo] = top
     return delta, nn
 
@@ -549,29 +601,42 @@ def embed_2d(d):
     return coords
 
 
-def _upper_at_most(d: np.ndarray, t: float) -> np.ndarray:
-    """The entries of d's strict upper triangle at or below t, in no order:
-    one pass over the row tails in row blocks, each block the rectangle
-    d[lo:hi, lo + 1:] with the entries left of the diagonal masked off."""
-    n = len(d)
+def _upper_at_most(pieces, t: float) -> np.ndarray:
+    """The entries at or below t of a strict upper triangle given as
+    pieces (:func:`_percentile_cutoff`), in no order: one pass over each
+    diagonal piece's row tails in row blocks, each block the rectangle
+    d[lo:hi, lo + 1:] with the entries left of the diagonal masked off,
+    and over each whole piece at once."""
     kept = []
-    # a block's mask, a byte an entry, within a sixteenth of _BLOCK_BYTES
-    # (about 130 rows of 1974 windows): a mask small enough to stay in
-    # cache while the block is read, in blocks few enough to keep the
-    # per-block numpy calls cheap
-    for rows in _row_blocks(n - 1, 16 * n):
-        lo, hi = rows.start, min(rows.stop, n - 1)
-        block = d[lo:hi, lo + 1:]
-        keep = block <= t
-        keep[:, :hi - lo] &= ~np.tri(hi - lo, k=-1, dtype=bool)  # column lo + 1 + c > row lo + r
-        kept.append(block[keep])
+    for d, diagonal in pieces:
+        if not diagonal:
+            kept.append(d[d <= t])
+            continue
+        n = len(d)
+        # a block's mask, a byte an entry, within a sixteenth of
+        # _BLOCK_BYTES (about 130 rows of 1974 windows): a mask small
+        # enough to stay in cache while the block is read, in blocks few
+        # enough to keep the per-block numpy calls cheap
+        for rows in _row_blocks(n - 1, 16 * n):
+            lo, hi = rows.start, min(rows.stop, n - 1)
+            block = d[lo:hi, lo + 1:]
+            keep = block <= t
+            # column lo + 1 + c > row lo + r
+            keep[:, :hi - lo] &= ~np.tri(hi - lo, k=-1, dtype=bool)
+            kept.append(block[keep])
     return np.concatenate(kept)
 
 
-def _percentile_cutoff(d: np.ndarray, percentile: float) -> tuple[float, list]:
+def _percentile_cutoff(pieces, percentile: float) -> tuple[float, list]:
     """(d_c, flags): the percentile of the distances between distinct
-    items, ``np.percentile`` of the strict upper triangle d[i, i+1:] bit
-    for bit, or 1.0 flagged FLAG_DEGENERATE_DC when that is not positive.
+    items, ``np.percentile`` of the strict upper triangle bit for bit, or
+    1.0 flagged FLAG_DEGENERATE_DC when that is not positive.
+
+    The triangle comes as a list of pieces (d, diagonal): a diagonal piece
+    is a square array whose strict upper triangle d[i, i+1:] counts, a
+    whole piece counts every entry.  A full matrix is one diagonal piece;
+    the upper day-pair blocks of ``_day_pair_distances`` are a diagonal
+    piece for each day and a whole piece for each pair of days.
 
     As in ``np.percentile`` (linear method), the N triangle entries have
     the virtual index v = (N - 1) q, q = percentile / 100: d_c is the
@@ -579,35 +644,42 @@ def _percentile_cutoff(d: np.ndarray, percentile: float) -> tuple[float, list]:
     entries a and b at k = floor(v) and k + 1, a + (b - a) g for the
     fraction g = v - k below 0.5 and b - (b - a)(1 - g) from 0.5 on.
     Only those two order statistics are needed, so they are taken by
-    selection.  A strided sample of d's off-diagonal entries, about 8192
-    of them (every c-th entry of the flattened matrix, c the first
-    integer from max(1, n^2 // 8192) on that is prime to n), gives a
-    threshold t: the sample entry at the share of entries the statistics
-    need, plus four binomial standard deviations and 8 entries.  One pass
-    (:func:`_upper_at_most`) keeps the triangle entries at or below t,
-    and a partition of those gives a and b.  When too few survive (a
-    sample that misled), the pass is redone with t = inf, over every
-    entry.
+    selection.  A strided sample of the triangle gives a threshold t:
+    every c-th entry of the pieces' flattened entries laid end to end,
+    c the first integer from max(1, (their count) // 8192) on that is
+    prime to each piece's row length, of which a diagonal piece keeps its
+    strict upper ones.  t is the sample entry at the share of entries the
+    statistics need, plus four binomial standard deviations and 8
+    entries.  One pass (:func:`_upper_at_most`) keeps the triangle
+    entries at or below t, and a partition of those gives a and b.  When
+    too few survive (a sample that misled), the pass is redone with
+    t = inf, over every entry.
     """
     q = np.true_divide(percentile, 100)
     if not 0.0 <= q <= 1.0:
         raise ValueError("Percentiles must be in the range [0, 100]")
-    n = len(d)
-    count = n * (n - 1) // 2
+    count = sum(len(d) * (len(d) - 1) // 2 if diagonal else d.size for d, diagonal in pieces)
     v = (count - 1) * q
     k = int(v) if v < count - 1 else count - 1
     need = min(k + 2, count)  # entries up to the order statistic k + 1, or the largest
-    stride = max(1, n * n // 8192)
-    while math.gcd(stride, n) > 1:  # so that the picks visit every column
+    stride = max(1, sum(d.size for d, _ in pieces) // 8192)
+    # so that the picks visit every column
+    while any(math.gcd(stride, d.shape[1]) > 1 for d, _ in pieces):
         stride += 1
-    picks = np.arange(0, n * n, stride)
-    sample = d.reshape(-1)[picks[picks % (n + 1) != 0]]
+    sample, offset = [], 0
+    for d, diagonal in pieces:
+        picks = np.arange(-offset % stride, d.size, stride)
+        if diagonal:
+            picks = picks[picks // len(d) < picks % len(d)]
+        sample.append(d.reshape(-1)[picks])
+        offset += d.size
+    sample = np.concatenate(sample)
     share = need / count * sample.size
     rank = int(share + 4.0 * np.sqrt(share) + 8.0)
     t = np.partition(sample, rank)[rank] if rank < sample.size else np.inf
-    kept = _upper_at_most(d, t)
+    kept = _upper_at_most(pieces, t)
     if kept.size < need:
-        kept = _upper_at_most(d, np.inf)
+        kept = _upper_at_most(pieces, np.inf)
     a, b = np.partition(kept, [k, need - 1])[[k, need - 1]]
     if v >= count - 1:
         d_c = float(b)
@@ -635,7 +707,7 @@ def cluster(
     dm = pairwise_distances(vectors)
     flags = []
     if d_c is None:
-        d_c, flags = _percentile_cutoff(dm.d, dc_percentile)
+        d_c, flags = _percentile_cutoff([(dm.d, True)], dc_percentile)
     rho = local_density(dm, d_c)
     delta, nn = delta_neighbors(dm, rho)
     gamma = rho * delta

@@ -487,12 +487,16 @@ def compare_pipelines(
     solves its own parent.  Then one worker thread starts and is joined
     at the end, and both threads take tasks from one list in order, each
     task once the stages it waits for have ended (``_Drain``): the raw
-    distances, in two halves by day pairs, into one (m, m) buffer; the
-    causal goal stack; d_c; the raw matcher's density and history-only
-    ``delta_neighbors`` passes, each in two halves by rows, and its
-    build; the denoised distances, in two halves, into the same buffer
-    once the raw passes have ended (a matcher keeps no (m, m) matrix);
-    the denoised matcher's passes and build; then the raw goal blocks and
+    distances, in two halves by day pairs, into one buffer of upper
+    day-pair blocks (``cluster._day_pair_distances``: each pair of days
+    a <= b once, no (m, m) matrix); the causal goal stack; d_c, by
+    selection over the blocks; the raw matcher's density and
+    history-only ``delta_neighbors`` passes, each in two halves by rows,
+    whose row blocks are assembled from the day-pair blocks into a
+    scratch array of the task (``cluster._row_source``), and its build;
+    the denoised distances, in two halves, into the same buffer once the
+    raw passes have ended (a matcher keeps no (m, m) matrix); the
+    denoised matcher's passes and build; then the raw goal blocks and
     the denoised ones (``_GoalMatcher.predict_block``, the step of
     ``_GoalMatcher.predict``).  No task's output depends on the thread
     that runs it, so neither do the predictions.  The worker runs in a
@@ -532,13 +536,16 @@ def compare_pipelines(
     goals = {"raw": np.lib.stride_tricks.sliding_window_view(tv, WINDOW)[:n_goals]}
     matched = {tag: (np.empty(n_goals), np.zeros(n_goals, dtype=bool)) for tag in histories}
     m = len(histories["raw"])
-    d = np.empty((m, m))  # the one distance buffer: the raw distances, then the denoised ones
     halves = (slice(0, m // 2), slice(m // 2, m))
     pairs = _day_pairs(len(days))
+    # the one distance buffer, the upper day-pair blocks: the raw
+    # distances, then the denoised ones
+    d = np.empty((len(pairs), n_goals, n_goals))
     built = {}  # "d_c": (d_c, flags), and each variant's matcher
 
     def raw_cutoff() -> None:
-        built["d_c"] = _percentile_cutoff(d, dc_percentile)
+        built["d_c"] = _percentile_cutoff([(block, a == b) for block, (a, b) in zip(d, pairs)],
+                                          dc_percentile)
 
     def causal_goals() -> None:
         seen = np.arange(WINDOW, WINDOW + n_goals)  # slices observed at each goal
@@ -551,7 +558,7 @@ def compare_pipelines(
         )
 
     def density(rho: np.ndarray, rows: slice) -> None:
-        rho[rows] = local_density(d[rows], built["d_c"][0])
+        rho[rows] = local_density(d, built["d_c"][0], rows)
 
     def separation(rho: np.ndarray, delta: np.ndarray, nn: np.ndarray, rows: slice) -> None:
         delta[rows], nn[rows] = delta_neighbors(d, rho, rows)

@@ -951,6 +951,29 @@ class TestCommands:
         lines = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
         assert len(lines) == 1 and lines[0].startswith(f"road-9/2026-01-05: {failed}: sigma ")
 
+    @pytest.mark.parametrize("options, error", [
+        ((), "non-finite fidelity: sigma_max^2 of the input is inf"),
+        (("--sigma", "2.5", "--no-denoise"), "non-finite distance"),
+    ], ids=["estimated", "raw-only"])
+    def test_predict_failure_leaves_the_other_roads_alone(self, options, error, road_days,
+                                                          write_records, tmp_path, caplog):
+        # a road whose every day is scaled by 1e200 (its squares overflow)
+        # fails alone: one error line, exit code 0, and every other road's
+        # outputs are those of a run without it
+        scaled = [VelocitySeries("road-9", d.day, 1e200 * d.values, h=d.h) for d in road_days]
+        outputs = {}
+        for name, series in (("without", road_days), ("with", road_days + scaled)):
+            path = write_records(series, name=f"{name}.csv")
+            caplog.clear()
+            assert run_cli("predict", "--input", str(path), "--out-dir", str(tmp_path / name),
+                           *options) == 0
+            errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+            assert errors == ([] if name == "without" else [f"road-9: prediction failed: {error}"])
+            outputs[name] = [(tmp_path / name / file).read_bytes()
+                             for file in ("predictions.csv", "prediction_metrics.json")]
+        assert b"road-1," in outputs["with"][0]
+        assert outputs["with"] == outputs["without"]
+
     def test_predict_writes_undefined_mape_as_null(self, road_days, write_records, tmp_path):
         target = road_days[1]
         slow = VelocitySeries(target.road_id, target.day, np.minimum(target.values, 0.9),

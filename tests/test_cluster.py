@@ -35,6 +35,18 @@ cluster_module = importlib.import_module("tvroad.cluster")
 LINE = np.array([[0.0], [1.0], [3.0]])
 
 
+def _unpacked(blocks):
+    """The full day-major matrix of the upper day-pair blocks of
+    ``_day_pair_distances``: block (a, b) and its transpose at (b, a)."""
+    w = blocks.shape[1]
+    n_days = cluster_module._block_days(blocks)
+    d = np.empty((n_days * w,) * 2)
+    for block, (a, b) in zip(blocks, cluster_module._day_pairs(n_days)):
+        d[a * w : a * w + w, b * w : b * w + w] = block
+        d[b * w : b * w + w, a * w : a * w + w] = block.T
+    return d
+
+
 def _reference_delta_neighbors(d, rho):
     """Full-matrix nearest-denser search by the stable argsort of -rho:
     the rank oracle for delta_neighbors.  Returns (delta, nn, order),
@@ -167,9 +179,10 @@ class TestDistances:
             else:
                 day = rng.normal(30.0, 8.0, 288)
             days.append(day)
-        got = cluster_module._day_pair_distances(np.array(days), 282, 4)
+        blocks = cluster_module._day_pair_distances(np.array(days), 282, 4)
+        got = _unpacked(blocks)
         want = pairwise_distances(build_history(days).windows).d
-        assert got.shape == want.shape and not got.flags.writeable
+        assert got.shape == want.shape and not blocks.flags.writeable
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
     def test_day_pair_lists_fill_one_matrix_in_place(self):
@@ -216,8 +229,44 @@ class TestDistances:
         # slices past the last window's end (here 286..288) are labels only
         days = np.random.default_rng(2).normal(30.0, 8.0, (2, 288))
         days[:, 285:] = np.nan
-        got = cluster_module._day_pair_distances(days, 282, 4)
+        got = _unpacked(cluster_module._day_pair_distances(days, 282, 4))
         assert np.array_equal(got, pairwise_distances(build_history(list(days)).windows).d)
+
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_assembled_rows_equal_pairwise_rows(self, data):
+        # any row range, one that spans day boundaries too, in row blocks
+        # of one row, a few rows or all; small integers tie heavily
+        n_days = data.draw(st.integers(1, 4), label="n_days")
+        n_windows = data.draw(st.integers(2, 12), label="n_windows")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        days = rng.integers(0, 4, (n_days, n_windows + 3)).astype(float)
+        m = n_days * n_windows
+        lo = data.draw(st.integers(0, m - 1), label="lo")
+        hi = data.draw(st.integers(lo + 1, m), label="hi")
+        block = data.draw(st.sampled_from([1, 8 * m, 3 * 8 * m, 1 << 22]), label="block")
+        windows = np.lib.stride_tricks.sliding_window_view(days, 4, axis=1)[:, :n_windows]
+        want = pairwise_distances(windows.reshape(-1, 4)).d[lo:hi]
+        blocks = cluster_module._day_pair_distances(days, n_windows, 4)
+        got = cluster_module._day_pair_rows(blocks, lo, hi, np.full((hi - lo, m), np.nan))
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        with mock.patch.object(cluster_module, "_BLOCK_BYTES", block):
+            parts = [(at, rows.copy()) for at, rows in
+                     cluster_module._row_source(blocks, slice(lo, hi), 8)]
+        assert [at.start for at, _ in parts] == [lo] + [at.stop for at, _ in parts[:-1]]
+        assert parts[-1][0].stop == hi
+        got = np.concatenate([rows for _, rows in parts])
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_pipeline_row_halves_equal_pairwise_rows(self):
+        # 7 days of 282 windows, split at m // 2 = 987, inside day 3
+        days = np.random.default_rng(6).normal(30.0, 8.0, (7, 288))
+        blocks = cluster_module._day_pair_distances(days, 282, 4)
+        want = pairwise_distances(build_history(list(days)).windows).d
+        for lo, hi in ((0, 987), (987, 1974), (840, 850)):
+            got = cluster_module._day_pair_rows(blocks, lo, hi, np.empty((hi - lo, 1974)))
+            assert np.array_equal(got.view(np.uint64), want[lo:hi].view(np.uint64))
 
 
 class TestLocalDensity:
@@ -291,6 +340,30 @@ class TestDeltaNeighbors:
         want_delta, want_nn, _ = _reference_delta_neighbors(dm, rho)
         np.testing.assert_array_equal(delta, want_delta)
         np.testing.assert_array_equal(nn, want_nn)
+
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_day_pair_blocks_match_stable_rank_oracle(self, data):
+        # the upper day-pair blocks as compare_pipelines passes them: any
+        # row slice, across day boundaries, the densest item's among them
+        # or not; tied windows and tied densities
+        n_days = data.draw(st.integers(1, 3), label="n_days")
+        n_windows = data.draw(st.integers(2, 10), label="n_windows")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        days = rng.integers(0, 3, (n_days, n_windows + 3)).astype(float)
+        blocks = cluster_module._day_pair_distances(days, n_windows, 4)
+        m = n_days * n_windows
+        rho = np.array(data.draw(st.lists(st.sampled_from([0.0, 1.0, 2.0, 2.5]), min_size=m,
+                                          max_size=m), label="rho"))
+        lo = data.draw(st.integers(0, m), label="lo")
+        hi = data.draw(st.integers(lo, m), label="hi")
+        block = data.draw(st.sampled_from([1, 2000, 1 << 22]), label="block")
+        want_delta, want_nn, _ = _reference_delta_neighbors(_unpacked(blocks), rho)
+        with mock.patch.object(cluster_module, "_BLOCK_BYTES", block):
+            delta, nn = delta_neighbors(blocks, rho, slice(lo, hi))
+        np.testing.assert_array_equal(delta, want_delta[lo:hi])
+        np.testing.assert_array_equal(nn, want_nn[lo:hi])
 
 
 # History densities for HistoryPeaks: a base plus whole steps, each exact
@@ -471,10 +544,11 @@ class TestHistoryPeaks:
             road = two_regime_corpus(n_roads=1, n_days=3, seed=5)[0]
             config = dataclasses.replace(SWEEP_SOLVER, sigma=25.0)
             days = np.array([denoise_values(n.values, config, h=n.h).denoised for _, n in road])
-        d = cluster_module._day_pair_distances(days, 282, 4)
+        blocks = cluster_module._day_pair_distances(days, 282, 4)
+        d = _unpacked(blocks)
         columns = np.ascontiguousarray(build_history(days).windows.T)
         rho = local_density(d, 1.0)
-        peaks = HistoryPeaks(columns, rho, *delta_neighbors(d, rho))
+        peaks = HistoryPeaks(columns, rho, *delta_neighbors(blocks, rho))
         n = len(d)
         top = int(np.argmax(rho))
         if history == "flat":
@@ -834,7 +908,8 @@ def _reference_cutoff(d, percentile):
 
 
 def assert_same_cutoff(d, percentile):
-    got, want = cluster_module._percentile_cutoff(d, percentile), _reference_cutoff(d, percentile)
+    got = cluster_module._percentile_cutoff([(d, True)], percentile)
+    want = _reference_cutoff(d, percentile)
     assert np.float64(got[0]).tobytes() == np.float64(want[0]).tobytes(), (got, want)
     assert got[1] == want[1]
 
@@ -868,7 +943,7 @@ class TestPercentileCutoff:
 
     @pytest.mark.parametrize("percentile", [2.0, 100.0, 1e-9])
     def test_all_zero_matrix_is_degenerate(self, percentile):
-        assert cluster_module._percentile_cutoff(np.zeros((5, 5)), percentile) == (
+        assert cluster_module._percentile_cutoff([(np.zeros((5, 5)), True)], percentile) == (
             1.0, [FLAG_DEGENERATE_DC])
         assert_same_cutoff(np.zeros((300, 300)), percentile)
 
@@ -899,10 +974,56 @@ class TestPercentileCutoff:
         assert_same_cutoff(d, 50.0)
         assert len(passes) == 2 and passes[0] == 0.5 and passes[1] == np.inf
 
+    @pytest.mark.parametrize("percentile", [100.0, 1e-9, 0.0, 2.0, 50.0])
+    @pytest.mark.parametrize("history", ["random", "tie-heavy", "flat"])
+    def test_day_pair_pieces_equal_np_percentile(self, history, percentile):
+        # the upper day-pair blocks as compare_pipelines passes them: a
+        # diagonal piece a day, a whole piece a pair of days
+        rng = np.random.default_rng(9)
+        if history == "random":
+            days = rng.normal(30.0, 8.0, (4, 288))
+        elif history == "tie-heavy":
+            days = rng.integers(0, 3, (4, 288)).astype(float)
+        else:
+            days = np.full((3, 288), 30.0)
+        blocks = cluster_module._day_pair_distances(days, 282, 4)
+        pairs = cluster_module._day_pairs(len(days))
+        pieces = [(block, a == b) for block, (a, b) in zip(blocks, pairs)]
+        got = cluster_module._percentile_cutoff(pieces, percentile)
+        want = _reference_cutoff(_unpacked(blocks), percentile)
+        assert np.float64(got[0]).tobytes() == np.float64(want[0]).tobytes(), (got, want)
+        assert got[1] == want[1]
+        if history == "flat":
+            assert got == (1.0, [FLAG_DEGENERATE_DC])
+
+    def test_misleading_sample_of_pieces_widens_the_pass(self, monkeypatch):
+        # the sampled entries of three days of 100 items, every c-th of the
+        # six pieces laid end to end (c = 60000 // 8192 = 7, prime to 100),
+        # and their mirrors in the diagonal pieces, are the smallest
+        w, stride = 100, 7
+        rng = np.random.default_rng(10)
+        pairs = cluster_module._day_pairs(3)
+        blocks = rng.uniform(10.0, 20.0, (len(pairs), w, w))
+        for p, (a, b) in enumerate(pairs):
+            flat = blocks[p].reshape(-1)
+            flat[np.arange(-p * w * w % stride, w * w, stride)] = 0.5
+            if a == b:
+                blocks[p] = np.triu(np.minimum(blocks[p], blocks[p].T), 1)
+                blocks[p] += blocks[p].T
+        passes = []
+        real = cluster_module._upper_at_most
+        monkeypatch.setattr(cluster_module, "_upper_at_most",
+                            lambda pieces, t: passes.append(t) or real(pieces, t))
+        pieces = [(block, a == b) for block, (a, b) in zip(blocks, pairs)]
+        got = cluster_module._percentile_cutoff(pieces, 50.0)
+        want = _reference_cutoff(_unpacked(blocks), 50.0)
+        assert np.float64(got[0]).tobytes() == np.float64(want[0]).tobytes()
+        assert passes == [0.5, np.inf]
+
     def test_rejects_a_percentile_outside_0_to_100(self):
         for percentile in (-1.0, 100.5, np.nan):
             with pytest.raises(ValueError, match=r"Percentiles must be in the range \[0, 100\]"):
-                cluster_module._percentile_cutoff(np.zeros((3, 3)), percentile)
+                cluster_module._percentile_cutoff([(np.zeros((3, 3)), True)], percentile)
 
 
 def adjusted_rand_index(truth, labels) -> float:

@@ -1219,6 +1219,21 @@ class TestComparePipelines:
             arrays = [*vars(matcher).values(), *vars(matcher.peaks).values()]
             assert not any(isinstance(a, np.ndarray) and a.size >= 1974 ** 2 for a in arrays)
 
+    def test_pipeline_road_peaks_below_one_distance_matrix(self):
+        # the same road: a call keeps only the upper day-pair blocks of the
+        # distances, 28 blocks of (282, 282) for 7 days, and reads whole
+        # rows a block at a time, so all it holds at once stays below one
+        # (1974, 1974) float64 matrix
+        road = two_regime_corpus(n_roads=6, n_days=8, seed=7, diurnal=True)[0]
+        history, target = [noisy for _, noisy in road[:-1]], road[-1][1]
+        tracemalloc.start()
+        try:
+            compare_pipelines(history, target)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1974 * 1974 * 8
+
     def test_history_days_denoised_at_their_own_slice_length(self, monkeypatch):
         # days of two slice lengths: each day is solved at its own h, and
         # the results come back in day order

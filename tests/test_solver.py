@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+import tvroad
 from tvroad import solver
 from tvroad.noise import DEFAULT_SIGMA_GRID, SWEEP_SOLVER
 from tvroad.series import total_variation
@@ -158,6 +159,21 @@ class TestDenoiseEdgeCases:
         # u = u0 pins the fidelity term at zero, sigma^2 away from target
         assert res.constraint_residual == 4.0
         assert res.saturated and not res.converged
+
+
+class TestPublicDenoise:
+    @pytest.mark.parametrize("h", [1.0, 5.0, 0.5])
+    def test_equals_denoise_values_of_the_series(self, h):
+        # the package's denoise(series, config) is denoise_values on the
+        # series' values at its slice length, in every field and bit
+        noisy = STEP + np.random.default_rng(12).normal(0.0, 2.0, STEP.size)
+        series = tvroad.VelocitySeries("road-1", 1, noisy, h=h)
+        config = SolverConfig(sigma=4.0, epsilon=0.1)
+        got = tvroad.denoise(series, config)
+        assert got.iterations > 0 and not got.saturated
+        assert_bit_identical(got, denoise_values(noisy, config, h=h))
+        if h != 1.0:  # the slice length is passed on, not dropped
+            assert not np.array_equal(got.denoised, denoise_values(noisy, config).denoised)
 
 
 @pytest.fixture(scope="module")
