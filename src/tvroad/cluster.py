@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -192,23 +191,43 @@ def _day_pair_rows(blocks: np.ndarray, lo: int, hi: int, out: np.ndarray) -> np.
     return out
 
 
-def _row_source(d, rows: slice, entry_bytes: int):
+def _row_range(rows: slice, n: int) -> tuple:
+    """(lo, hi) of a slice of n rows; a step other than 1 raises ValueError."""
+    if rows.step not in (None, 1):
+        raise ValueError(f"row slices take no step, got {rows.step!r}")
+    return rows.indices(n)[:2]
+
+
+def _row_source(d, rows: slice, entry_bytes: int, fill=None):
     """(at, block) for each row block of the given rows of a distance
-    matrix: ``at`` the block's slice of rows, ``block`` those rows in a
-    scratch array that every block reuses and the caller may overwrite,
-    each row the same contiguous row of the matrix.  d is a whole matrix
-    (an array or a DistanceMatrix), whose rows are copied, or the (P, w, w)
-    upper day-pair blocks of :func:`_day_pair_distances`, whose rows are
-    assembled (:func:`_day_pair_rows`).  A block takes as many rows as keep
-    entry_bytes an entry within ``_BLOCK_BYTES``; the scratch stays
-    resident, for a thread's malloc arena keeps what its largest block
-    took."""
+    matrix: ``at`` the block's slice of rows, ``block`` a scratch array
+    that every block reuses and the caller may overwrite, holding those
+    rows, each the same contiguous row of the matrix, or what
+    ``fill(rows, block)`` writes from them.  d is a whole matrix (an array
+    or a DistanceMatrix), whose rows are copied or read by ``fill`` in
+    place, or the (P, w, w) upper day-pair blocks of
+    :func:`_day_pair_distances`, whose rows are assembled
+    (:func:`_day_pair_rows`) into the block, where ``fill`` reads them.  A
+    block takes as many rows as keep entry_bytes an entry within
+    ``_BLOCK_BYTES``; the scratch stays resident, for a thread's malloc
+    arena keeps what its largest block took."""
     if isinstance(d, np.ndarray) and d.ndim == 3:
-        n, read = d.shape[1] * _block_days(d), partial(_day_pair_rows, d)
+        n = d.shape[1] * _block_days(d)
+
+        def read(lo, hi, out):
+            _day_pair_rows(d, lo, hi, out)
+            if fill is not None:
+                fill(out, out)
     else:
         dm = _dmat(d)
-        n, read = len(dm), lambda lo, hi, out: np.copyto(out, dm[lo:hi])
-    lo, hi, _ = rows.indices(n)
+        n = len(dm)
+
+        def read(lo, hi, out):
+            if fill is None:
+                np.copyto(out, dm[lo:hi])
+            else:
+                fill(dm[lo:hi], out)
+    lo, hi = _row_range(rows, n)
     scratch = None
     for block in _row_blocks(max(hi - lo, 0), entry_bytes * n):
         at = slice(lo + block.start, min(lo + block.stop, hi))
@@ -280,9 +299,11 @@ def local_density(d, d_c: float, rows: slice = slice(None)) -> np.ndarray:
     (:func:`_row_source`)."""
     if not (d_c > 0):
         raise ValueError("d_c must be positive")
-    # the kernel runs in place on each block, 8 bytes an entry, within a
-    # quarter of _BLOCK_BYTES: a matcher build runs this on both threads
-    parts = [_kernel(block, d_c, out=block).sum(axis=1) for _, block in _row_source(d, rows, 32)]
+    # the kernel runs on each block, 8 bytes an entry, within a quarter of
+    # _BLOCK_BYTES: a matcher build runs this on both threads; its first
+    # step reads a whole matrix's rows, with no copy
+    parts = [block.sum(axis=1) for _, block in _row_source(
+        d, rows, 32, lambda source, out: _kernel(source, d_c, out))]
     return np.concatenate(parts or [np.empty(0)]) - 1.0
 
 
@@ -307,7 +328,7 @@ def delta_neighbors(d, rho: np.ndarray, rows: slice = slice(None)):
     time (:func:`_row_source`).
     """
     n = rho.size
-    lo, hi, _ = rows.indices(n)
+    lo, hi = _row_range(rows, n)
     rank = np.empty(n, dtype=np.int64)
     rank[np.argsort(-rho, kind="stable")] = np.arange(n)
     delta, nn = np.empty(max(hi - lo, 0)), np.empty(max(hi - lo, 0), dtype=np.int64)

@@ -167,8 +167,10 @@ def causal_denoise_window(
     prefix alone, bit for bit.  Both forms take one stacked solve
     (``solver._denoise_stack``) of the prefixes laid end to end with
     their boundaries: each prefix takes its short circuits as it would
-    alone, the prefixes that need a walk share one lockstep path walk,
-    and the windows are gathered by index from the stack's solution.
+    alone, the prefixes that need a walk are walked in lockstep in
+    consecutive row blocks, each within the solver's byte budget for the
+    padded state (the 282 prefixes of a target day take two walks), and
+    the windows are gathered by index from the stack's solution.
     The first prefix that fails raises the error it raises alone, as the
     stack gives each prefix its lone error.
     """
@@ -360,9 +362,9 @@ class _GoalMatcher:
 
 def _goal_blocks(n_goals: int, m: int):
     """The goal blocks of a stack matched against m windows."""
-    # a block's temporaries peak at 92 bytes per goal and window
-    # (tracemalloc, 1974 windows), about twelve (g, m) arrays of 8-byte
-    # items
+    # a block's temporaries peak at 81 bytes per goal and window
+    # (tracemalloc, 1974 windows, k 2 or 3; 57-68 for an automatic k),
+    # about ten (g, m) arrays of 8-byte items
     return _row_blocks(n_goals, 96 * m)
 
 

@@ -66,11 +66,13 @@ prefixes or a CLI batch of road-days: each numpy step merges one pair
 in every series that still walks, and each series ends as the heap walk
 would, bit for bit.  A numpy step costs about as much for one series as
 for hundreds, while a heap step is a few Python operations, so the
-lockstep walk loses on one series and wins on a stack; a stack with one
-series to walk takes the heap walk.  Both walks share the runs of
-:func:`_runs`.  Every solve, lone, in a sweep or a row of a stack
-(:func:`_denoise_stack`), decides sigma = 0, flat input and sigma >=
-sigma_max through :func:`_short_circuit` before any walk.  A stack
+lockstep walk loses on one series and wins on a stack.  Its state is
+padded to the longest series it walks, so a stack is walked in
+consecutive row blocks within a byte budget (:func:`_stack_blocks`); a
+block with one series to walk takes the heap walk.  Both walks share
+the runs of :func:`_runs`.  Every solve, lone, in a sweep or a row of a
+stack (:func:`_denoise_stack`), decides sigma = 0, flat input and sigma
+>= sigma_max through :func:`_short_circuit` before any walk.  A stack
 returns x, iterations and saturated as arrays, with no result object per
 series, and the error of each series that fails, which fails alone: the
 others solve as they would without it.
@@ -92,6 +94,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .series import VelocitySeries, total_variation, _as_float_vector, _check_h
+
+# A lockstep walk's padded state and temporaries per block of a stack
+# (:func:`_stack_blocks`), and their bytes per padded entry at the walk's
+# peak, its build: tracemalloc reads 110 for 180 series of 288 samples and
+# 119 for 24, and 79-101 for the padded blocks of a day's causal prefixes
+_STACK_BYTES = 1 << 22
+_STACK_ENTRY_BYTES = 120
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -341,6 +350,30 @@ def _walk(u0: np.ndarray, budgets, max_iters: int, floor: float = 0.0, h: float 
     return out + [land(budget) for budget in budgets[len(out):]], sigma_floor
 
 
+def _stack_state(u: np.ndarray, heads: np.ndarray) -> tuple:
+    """(mean, total, sign, rate, size, meet, b, counts, width): the padded
+    state of :func:`_walk_stack` at lambda = 0, each a flat array of
+    rows * width entries, with each series' B and count of runs.  The
+    runs it is built from end with the call."""
+    rows = heads.size - 1
+    starts, size, sign, rate, pairs, meets = _runs(u, heads[1:-1])
+    firsts = np.searchsorted(starts, heads[:-1])
+    counts = np.diff(firsts, append=starts.size)
+    width = int(counts.max()) + 1
+    # summed series by series, in _walk's order
+    b = np.array([np.sum(prod) for prod in np.split(size * rate * rate, firsts[1:])])
+    at = np.repeat(np.arange(rows) * width - firsts, counts)
+    at += np.arange(starts.size)
+    # sizes as floats: a product of two is exact below 2**53, as with ints
+    fmean, ftotal, fsign, frate, fsize = (np.zeros(rows * width) for _ in range(5))
+    fmean[at] = u[starts]
+    ftotal[at] = u[starts] * size
+    fsign[at], frate[at], fsize[at] = sign, rate, size
+    fmeet = np.full(rows * width, np.inf)
+    fmeet[at[pairs]] = meets
+    return fmean, ftotal, fsign, frate, fsize, fmeet, b, counts, width
+
+
 def _walk_stack(u: np.ndarray, heads: np.ndarray, budgets, max_iters: int) -> tuple:
     """(x, iterations, collapsed, last): ``_walk(u0, [budget], max_iters)``
     of each series u0 = u[heads[r]:heads[r + 1]] of a stack laid end to end
@@ -363,26 +396,16 @@ def _walk_stack(u: np.ndarray, heads: np.ndarray, budgets, max_iters: int) -> tu
     tie as in the heap's (lambda, k) order, and the same arithmetic in
     the same order.  A series leaves the walk where ``_walk`` lands; one
     that merged down to one segment has only inf left, so it leaves on
-    its next step.
+    its next step.  The runs the state is built from
+    (:func:`_stack_state`) end once it is built, and the merge state
+    (meet, total, sign, prev and next) before landing, which forms
+    mean + lambda* c in place in the rate and mean arrays.
     """
     rows = heads.size - 1
-    starts, size, sign, rate, pairs, meets = _runs(u, heads[1:-1])
-    firsts = np.searchsorted(starts, heads[:-1])
-    counts = np.diff(firsts, append=starts.size)
-    width = int(counts.max()) + 1
-    row = np.repeat(np.arange(rows), counts)
-    at = row * width + np.arange(starts.size) - firsts[row]
-    # sizes as floats: a product of two is exact below 2**53, as with ints
-    fmean, ftotal, fsign, frate, fsize = (np.zeros(rows * width) for _ in range(5))
-    fmean[at], ftotal[at], fsign[at], frate[at], fsize[at] = (
-        u[starts], u[starts] * size, sign, rate, size)
-    fmeet = np.full(rows * width, np.inf)
-    fmeet[at[pairs]] = meets
+    fmean, ftotal, fsign, frate, fsize, fmeet, b, counts, width = _stack_state(u, heads)
     cols = np.arange(width, dtype=np.int32)
     fprev, fnxt = np.tile(cols - 1, rows), np.tile(cols + 1, rows)
     fprev[::width] = width - 1
-    prod = size * rate * rate  # summed series by series, in _walk's order
-    b = np.array([np.sum(prod[lo:lo + n]) for lo, n in zip(firsts, counts)])
     budget = np.asarray(budgets, dtype=float)
     a, lam, steps = np.empty(rows), np.empty(rows), np.empty(rows, dtype=np.int64)
 
@@ -434,14 +457,21 @@ def _walk_stack(u: np.ndarray, heads: np.ndarray, budgets, max_iters: int) -> tu
 
     # land: lambda* from a fresh sum of B over each series' live segments
     # (an absorbed segment adds an exact 0), x from its segments' sizes; a
-    # capped or collapsed series ends at its last merge
-    collapsed = np.count_nonzero(fsize.reshape(rows, width), axis=1) == 1
+    # capped or collapsed series ends at its last merge.  The walk's other
+    # state goes first, and x + lambda c is formed in place.
+    del fmeet, meet2d, ftotal, fsign, fprev, fnxt
+    fsize, frate = fsize.reshape(rows, width), frate.reshape(rows, width)
+    collapsed = np.count_nonzero(fsize, axis=1) == 1
     landed = (steps != max_iters) & ~collapsed
-    prod, end = (fsize * frate * frate).reshape(rows, width), lam.copy()
+    end = lam.copy()
     for r in np.flatnonzero(landed).tolist():
-        b_end = math.fsum(prod[r, :counts[r]].tolist())
+        n, c = fsize[r, :counts[r]], frate[r, :counts[r]]
+        b_end = math.fsum((n * c * c).tolist())
         end[r] = max(float(lam[r]), math.sqrt(max(float(budget[r] - a[r]), 0.0) / b_end))
-    x = np.repeat(fmean + np.repeat(end, width) * frate, fsize.astype(np.int64))
+    frate *= end[:, None]
+    fmean += frate.ravel()
+    live = np.flatnonzero(fsize)
+    x = np.repeat(fmean[live], fsize.ravel()[live].astype(np.int64))
     return x, steps + landed, collapsed, end
 
 
@@ -513,6 +543,21 @@ def _sweep(values, configs, h: float = 1.0, tv_floor: float = 0.0) -> tuple:
     return results, sigma_floor
 
 
+def _stack_blocks(lengths: np.ndarray):
+    """Consecutive blocks of a stack's series, given their lengths, for
+    one lockstep walk each: a block takes as many series as keep its
+    padded state, rows * (longest series + 1) entries at
+    ``_STACK_ENTRY_BYTES`` each, within ``_STACK_BYTES``."""
+    lo, longest = 0, 0
+    for r, n in enumerate(lengths.tolist()):
+        longest = max(longest, n)
+        if r > lo and (r + 1 - lo) * (longest + 1) * _STACK_ENTRY_BYTES > _STACK_BYTES:
+            yield slice(lo, r)
+            lo, longest = r, n
+    if lo < len(lengths):
+        yield slice(lo, len(lengths))
+
+
 def _denoise_stack(u, heads, sigmas, solver: SolverConfig, h: float = 1.0) -> tuple:
     """(x, iterations, saturated, errors): what :func:`denoise_values` gives
     for each series u[heads[r]:heads[r + 1]] of a stack laid end to end, at
@@ -527,9 +572,11 @@ def _denoise_stack(u, heads, sigmas, solver: SolverConfig, h: float = 1.0) -> tu
     decides every solve; a bad sigma, sample or h, or a non-finite
     sigma_max^2, is its error.  The samples are checked series by series
     only when the stack is not all finite or has a series shorter than
-    two.  The series that pass and need a walk share one lockstep walk
-    (:func:`_walk_stack`), or take the heap walk if only one does.  After
-    the walk, one check of x finds a non-finite solution: the fidelity
+    two.  The series that pass and need a walk are walked in consecutive
+    row blocks, each as many series as keep the padded state of its
+    lockstep walk (:func:`_walk_stack`) within ``_STACK_BYTES``
+    (:func:`_stack_blocks`); a block of one series takes the heap walk.
+    After the walks, one check of x finds a non-finite solution: the fidelity
     residual of a lone solve is non-finite exactly then, unless the data
     are so large that it could overflow, when each walked series takes
     the lone residual, and a non-finite one is its error.
@@ -558,28 +605,33 @@ def _denoise_stack(u, heads, sigmas, solver: SolverConfig, h: float = 1.0) -> tu
             except Exception as exc:
                 errors[r] = exc
 
-        walked = np.flatnonzero(walk).tolist()
-        if walked:
-            mask = np.repeat(walk, size)
-            budgets = [2.0 * sigmas[r] * sigmas[r] / h for r in walked]
-            if len(walked) == 1:
-                x_r, trace = _walk(u[mask], budgets, solver.max_iters)[0][0]
-                collapsed, steps, last = np.array([x_r is None]), [len(trace)], [trace[-1]]
+        walked = np.flatnonzero(walk)
+        steps, last = np.zeros(walked.size, dtype=np.int64), np.zeros(walked.size)
+        collapsed = np.zeros(walked.size, dtype=bool)
+        budgets = [2.0 * sigmas[r] * sigmas[r] / h for r in walked.tolist()]
+        for block in _stack_blocks(size[walked]):
+            part = np.zeros(rows, dtype=bool)
+            part[walked[block]] = True
+            mask = np.repeat(part, size)
+            if block.stop - block.start == 1:
+                x_r, trace = _walk(u[mask], budgets[block], solver.max_iters)[0][0]
+                steps[block], last[block], collapsed[block] = len(trace), trace[-1], x_r is None
                 if x_r is not None:
                     x[mask] = x_r
             else:
-                x[mask], steps, collapsed, last = _walk_stack(
-                    u[mask], np.append(0, np.cumsum(size[walked])), budgets, solver.max_iters)
-            iterations[walked] = steps
-            saturated[walked] = mean[walked] = collapsed
+                x[mask], steps[block], collapsed[block], last[block] = _walk_stack(
+                    u[mask], np.append(0, np.cumsum(size[walked[block]])), budgets[block],
+                    solver.max_iters)
+        iterations[walked] = steps
+        saturated[walked] = mean[walked] = collapsed
         for r in np.flatnonzero(mean).tolist():
             x[lo[r]:hi[r]] = u[lo[r]:hi[r]].mean()
-        if walked:
+        if walked.size:
             # a lone residual is non-finite where x is, unless the squares
             # of x - u0 could overflow; then each walked series takes it
             reach = 0.5 * h * size.max() * (np.abs(x).max() + np.abs(u).max()) ** 2
             if not (np.isfinite(x).all() and reach < 1e300):
-                for r, n, t in zip(walked, steps, last):
+                for r, n, t in zip(walked.tolist(), steps, last):
                     residual = _residual(x[lo[r]:hi[r]], u[lo[r]:hi[r]], sigmas[r], h,
                                          solver.rel_tol)[0]
                     if not math.isfinite(residual):

@@ -288,6 +288,26 @@ class TestLocalDensity:
         with pytest.raises(ValueError):
             local_density(pairwise_distances(LINE), d_c=0.0)
 
+    def test_whole_matrix_rows_read_in_place_equal_the_formula(self):
+        # the kernel reads a whole matrix's rows and writes into the
+        # scratch: every density, of a full call and of row halves, bit
+        # for bit, and the matrix is left as it was
+        d = pairwise_distances(np.random.default_rng(8).normal(30.0, 8.0, (1974, 4))).d
+        before = d.copy()
+        want = np.exp(-((d / 3.0) ** 2)).sum(axis=1) - 1.0
+        halves = np.concatenate([local_density(d, 3.0, slice(0, 987)),
+                                 local_density(d, 3.0, slice(987, 1974))])
+        for got in (local_density(d, 3.0), halves):
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        assert np.array_equal(d.view(np.uint64), before.view(np.uint64))
+
+    @pytest.mark.parametrize("step", [2, -1, 0])
+    def test_stepped_row_slice_raises(self, step):
+        # slice(0, 10, 2) would name rows 0, 2, ..., 8, not ten rows
+        dm = pairwise_distances(np.arange(12.0)[:, None])
+        with pytest.raises(ValueError, match="row slices take no step"):
+            local_density(dm, 1.0, slice(0, 10, step))
+
 
 class TestDeltaNeighbors:
     def test_chain(self):
@@ -312,6 +332,12 @@ class TestDeltaNeighbors:
         want_delta, want_nn, _ = _reference_delta_neighbors(dm, rho)
         np.testing.assert_array_equal(delta, want_delta)
         np.testing.assert_array_equal(nn, want_nn)
+
+    @pytest.mark.parametrize("step", [2, -1, 0])
+    def test_stepped_row_slice_raises(self, step):
+        dm = pairwise_distances(np.arange(12.0)[:, None])
+        with pytest.raises(ValueError, match="row slices take no step"):
+            delta_neighbors(dm, np.arange(12.0), slice(0, 10, step))
 
     @settings(max_examples=100, deadline=None)
     @given(case=tied_points(), data=st.data())

@@ -302,6 +302,54 @@ class TestCausalWindow:
             causal_denoise_window(prefixes[::-1], boundaries, [-1.0, 1.0], SWEEP_SOLVER)
 
 
+def pipeline_causal_stack():
+    """The arguments of the causal stack of the pipeline workload's road 1
+    at seed 7: its 282 prefixes of 4 to 285 slices, their boundaries and
+    sigma 2.5 scaled by the observed fraction, as compare_pipelines has
+    them."""
+    road = two_regime_corpus(n_roads=6, n_days=8, seed=7, diurnal=True)[0]
+    history, target = [noisy for _, noisy in road[:-1]], road[-1][1]
+    model = fit_boundary(build_history(history, label_offset=BOUNDARY_OFFSET))
+    seen = np.arange(WINDOW, WINDOW + 282)
+    tv = target.values
+    goals = np.lib.stride_tricks.sliding_window_view(tv, WINDOW)[:282]
+    return ([tv[:n] for n in seen], [model.predict_next(window) for window in goals],
+            2.5 * np.sqrt((seen + 1) / 288), SWEEP_SOLVER)
+
+
+class TestCausalStackBlocks:
+    """The pipeline's causal stack walks its prefixes in row blocks whose
+    padded state stays within the solver's byte budget."""
+
+    def test_walks_several_blocks_within_the_budget(self, monkeypatch):
+        solver_module = importlib.import_module("tvroad.solver")
+        calls, walk_stack = [], solver_module._walk_stack
+
+        def spy(u, heads, budgets, max_iters):
+            calls.append((heads.size - 1) * (np.diff(heads).max() + 1)
+                         * solver_module._STACK_ENTRY_BYTES)
+            return walk_stack(u, heads, budgets, max_iters)
+
+        args = pipeline_causal_stack()
+        want = causal_denoise_window(*args)
+        monkeypatch.setattr(solver_module, "_walk_stack", spy)
+        got = causal_denoise_window(*args)
+        assert len(calls) > 1 and max(calls) <= solver_module._STACK_BYTES
+        assert got.tobytes() == want.tobytes()
+
+    def test_peaks_below_four_and_a_half_megabytes(self):
+        # one walk of all 282 prefixes held a (282, 287) padded state and
+        # peaked at 9.8 MB
+        args = pipeline_causal_stack()
+        tracemalloc.start()
+        try:
+            causal_denoise_window(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4.5e6
+
+
 class TestMetrics:
     def test_rmae(self):
         assert rmae([10.0, 10.0], [9.0, 11.0]) == pytest.approx(0.1)
@@ -1233,6 +1281,19 @@ class TestComparePipelines:
         finally:
             tracemalloc.stop()
         assert peak < 1974 * 1974 * 8
+
+    def test_pipeline_road_peaks_below_four_fifths_of_a_distance_matrix(self):
+        # the same road: the causal stack, walked in row blocks, no longer
+        # adds its whole padded state to what the fills hold
+        road = two_regime_corpus(n_roads=6, n_days=8, seed=7, diurnal=True)[0]
+        history, target = [noisy for _, noisy in road[:-1]], road[-1][1]
+        tracemalloc.start()
+        try:
+            compare_pipelines(history, target)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.8 * 1974 * 1974 * 8
 
     def test_history_days_denoised_at_their_own_slice_length(self, monkeypatch):
         # days of two slice lengths: each day is solved at its own h, and

@@ -706,6 +706,52 @@ class TestWalkStack:
         for row, w in zip(stack_solve(series, sigmas), want):
             assert_same_solve(row, w)
 
+    @pytest.mark.parametrize("order", ["rising", "falling", "mixed"])
+    @pytest.mark.parametrize("max_iters", [5000, 3])
+    def test_walked_rows_in_several_blocks_equal_lone_solves(self, order, max_iters,
+                                                             poison_rows, monkeypatch):
+        # a budget of three 100-sample rows: walked rows of 5 to 288
+        # samples fall into blocks of one to a dozen rows, the 288-sample
+        # row alone (a heap walk), between rows that walk no path
+        rng = np.random.default_rng(29)
+        lengths = [5, 9, 14, 20, 40, 64, 100, 150, 288]
+        lengths = {"rising": lengths, "falling": lengths[::-1],
+                   "mixed": [40, 288, 5, 100, 14, 150, 9, 64, 20]}[order]
+        walked = [(rng.normal(30.0, 5.0, n), 2.0) for n in lengths]
+        collapse = np.array([40.6, 39.41, 41.24, 35.18])
+        poisoned = np.append(77.125, rng.normal(30.0, 5.0, 30))
+        others = [(rng.normal(30.0, 5.0, 12), 0.0), (np.full(9, 4.0), 2.0),
+                  (rng.normal(30.0, 0.1, 16), 50.0), (collapse, sigma_max(collapse) * (1 - 2e-16)),
+                  (poisoned, 2.0)]
+        rows = [row for pair in itertools.zip_longest(walked, others) for row in pair if row]
+        poison_rows(77.125)
+        budget = 3 * 101 * solver._STACK_ENTRY_BYTES
+        monkeypatch.setattr(solver, "_STACK_BYTES", budget)
+        calls, walk_stack = [], solver._walk_stack
+
+        def spy(u, heads, budgets, max_iters):
+            calls.append((heads.size - 1) * (np.diff(heads).max() + 1) * solver._STACK_ENTRY_BYTES)
+            return walk_stack(u, heads, budgets, max_iters)
+
+        monkeypatch.setattr(solver, "_walk_stack", spy)
+        series, sigmas = [v for v, _ in rows], [s for _, s in rows]
+        u, heads = laid_end_to_end(series)
+        x, iterations, saturated, errors = solver._denoise_stack(
+            u, heads, sigmas, SolverConfig(sigma=0.0, max_iters=max_iters))
+        assert len(calls) > 1 and max(calls) <= budget
+        position = {id(v): r for r, v in enumerate(series)}
+        assert sorted(errors) == [position[id(poisoned)]]
+        for r, (values, sigma) in enumerate(rows):
+            try:
+                want = denoise_values(values, SolverConfig(sigma=sigma, max_iters=max_iters))
+            except FloatingPointError as exc:
+                assert (type(errors[r]), str(errors[r])) == (type(exc), str(exc))
+            else:
+                assert_same_solve((x[heads[r]:heads[r + 1]], int(iterations[r]),
+                                   bool(saturated[r])), want)
+        if max_iters == 3:  # the longer rows stop at the cap, short of the budget
+            assert iterations[position[id(max(series, key=len))]] == 3
+
     # rows a solve takes: varied, in runs, flat; and sigma 0, a fraction
     # of sigma_max, or a few ulps either side of it
     GOOD = st.tuples(
