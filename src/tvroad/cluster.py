@@ -198,43 +198,33 @@ def _row_range(rows: slice, n: int) -> tuple:
     return rows.indices(n)[:2]
 
 
-def _row_source(d, rows: slice, entry_bytes: int, fill=None):
-    """(at, block) for each row block of the given rows of a distance
-    matrix: ``at`` the block's slice of rows, ``block`` a scratch array
-    that every block reuses and the caller may overwrite, holding those
-    rows, each the same contiguous row of the matrix, or what
-    ``fill(rows, block)`` writes from them.  d is a whole matrix (an array
-    or a DistanceMatrix), whose rows are copied or read by ``fill`` in
-    place, or the (P, w, w) upper day-pair blocks of
-    :func:`_day_pair_distances`, whose rows are assembled
-    (:func:`_day_pair_rows`) into the block, where ``fill`` reads them.  A
-    block takes as many rows as keep entry_bytes an entry within
-    ``_BLOCK_BYTES``; the scratch stays resident, for a thread's malloc
-    arena keeps what its largest block took."""
-    if isinstance(d, np.ndarray) and d.ndim == 3:
-        n = d.shape[1] * _block_days(d)
+def _blocks(d) -> np.ndarray:
+    """The (P, w, w) upper day-pair blocks (:func:`_day_pair_distances`)
+    that the density, separation and d_c passes read: d itself, or a whole
+    (n, n) matrix (an array or a DistanceMatrix) as the one-day case
+    ``d[None]``, a view."""
+    d = _dmat(d)
+    return d if d.ndim == 3 else d[None]
 
-        def read(lo, hi, out):
-            _day_pair_rows(d, lo, hi, out)
-            if fill is not None:
-                fill(out, out)
-    else:
-        dm = _dmat(d)
-        n = len(dm)
 
-        def read(lo, hi, out):
-            if fill is None:
-                np.copyto(out, dm[lo:hi])
-            else:
-                fill(dm[lo:hi], out)
+def _row_source(d, rows: slice, entry_bytes: int):
+    """(at, block) for each row block of the given rows of the distance
+    matrix whose upper day-pair blocks are ``_blocks(d)``: ``at`` the
+    block's slice of rows, ``block`` a scratch array that every block
+    reuses and the caller may overwrite, holding those rows, assembled
+    by :func:`_day_pair_rows`.  A block takes as many rows as keep
+    entry_bytes an entry within ``_BLOCK_BYTES``; the scratch stays
+    resident, for a thread's malloc arena keeps what its largest block
+    took."""
+    blocks = _blocks(d)
+    n = blocks.shape[1] * _block_days(blocks)
     lo, hi = _row_range(rows, n)
     scratch = None
     for block in _row_blocks(max(hi - lo, 0), entry_bytes * n):
         at = slice(lo + block.start, min(lo + block.stop, hi))
         if scratch is None:  # the first block is the largest
             scratch = np.empty((at.stop - at.start, n))
-        read(at.start, at.stop, scratch[: at.stop - at.start])
-        yield at, scratch[: at.stop - at.start]
+        yield at, _day_pair_rows(blocks, at.start, at.stop, scratch[: at.stop - at.start])
 
 
 def pairwise_distances(vectors) -> DistanceMatrix:
@@ -294,16 +284,14 @@ def _kernel(d: np.ndarray, d_c: float, out: np.ndarray | None = None) -> np.ndar
 def local_density(d, d_c: float, rows: slice = slice(None)) -> np.ndarray:
     """rho_i = sum_{j != i} exp(-(d_ij / d_c)^2), of the items in ``rows``
     (every item by default), in row blocks; each row sums as it would in
-    one (n, n) pass.  d is a whole matrix or the upper day-pair blocks of
-    ``_day_pair_distances``, read a row block at a time
-    (:func:`_row_source`)."""
-    if not (d_c > 0):
-        raise ValueError("d_c must be positive")
-    # the kernel runs on each block, 8 bytes an entry, within a quarter of
-    # _BLOCK_BYTES: a matcher build runs this on both threads; its first
-    # step reads a whole matrix's rows, with no copy
-    parts = [block.sum(axis=1) for _, block in _row_source(
-        d, rows, 32, lambda source, out: _kernel(source, d_c, out))]
+    one (n, n) pass.  d is read a row block at a time
+    (:func:`_row_source`), as upper day-pair blocks, a whole matrix being
+    one day's.  A d_c that is not positive and finite raises ValueError."""
+    if not 0 < d_c < np.inf:
+        raise ValueError(f"d_c must be positive and finite, got {d_c!r}")
+    # the kernel runs in place on each block, 8 bytes an entry, within a
+    # quarter of _BLOCK_BYTES: a matcher build runs this on both threads
+    parts = [_kernel(block, d_c, block).sum(axis=1) for _, block in _row_source(d, rows, 32)]
     return np.concatenate(parts or [np.empty(0)]) - 1.0
 
 
@@ -323,9 +311,9 @@ def delta_neighbors(d, rho: np.ndarray, rows: slice = slice(None)):
     and itself as neighbour.  Rows are searched in blocks, each row over
     the items ahead of it in a stable sort of -rho.  Given a slice of
     ``rows``, only those items are searched and returned; each row
-    reads only its own row of d.  d is a whole matrix or the upper
-    day-pair blocks of ``_day_pair_distances``, read a row block at a
-    time (:func:`_row_source`).
+    reads only its own row of d.  d is read a row block at a time
+    (:func:`_row_source`), as upper day-pair blocks, a whole matrix being
+    one day's.
     """
     n = rho.size
     lo, hi = _row_range(rows, n)
@@ -622,42 +610,41 @@ def embed_2d(d):
     return coords
 
 
-def _upper_at_most(pieces, t: float) -> np.ndarray:
-    """The entries at or below t of a strict upper triangle given as
-    pieces (:func:`_percentile_cutoff`), in no order: one pass over each
-    diagonal piece's row tails in row blocks, each block the rectangle
-    d[lo:hi, lo + 1:] with the entries left of the diagonal masked off,
-    and over each whole piece at once."""
+def _upper_at_most(d, t: float) -> np.ndarray:
+    """The entries at or below t of the strict upper triangle of the
+    distance matrix whose upper day-pair blocks are ``_blocks(d)``, in no
+    order: one pass over each block of two days at once, and over each
+    day's own block by its row tails, a few rows at a time, each time the
+    rectangle block[lo:hi, lo + 1:] with the entries left of the diagonal
+    masked off."""
+    blocks = _blocks(d)
+    w = blocks.shape[1]
     kept = []
-    for d, diagonal in pieces:
-        if not diagonal:
-            kept.append(d[d <= t])
+    for block, (a, b) in zip(blocks, _day_pairs(_block_days(blocks))):
+        if a != b:
+            kept.append(block[block <= t])
             continue
-        n = len(d)
         # a block's mask, a byte an entry, within a sixteenth of
         # _BLOCK_BYTES (about 130 rows of 1974 windows): a mask small
         # enough to stay in cache while the block is read, in blocks few
         # enough to keep the per-block numpy calls cheap
-        for rows in _row_blocks(n - 1, 16 * n):
-            lo, hi = rows.start, min(rows.stop, n - 1)
-            block = d[lo:hi, lo + 1:]
-            keep = block <= t
+        for rows in _row_blocks(w - 1, 16 * w):
+            lo, hi = rows.start, min(rows.stop, w - 1)
+            tail = block[lo:hi, lo + 1:]
+            keep = tail <= t
             # column lo + 1 + c > row lo + r
             keep[:, :hi - lo] &= ~np.tri(hi - lo, k=-1, dtype=bool)
-            kept.append(block[keep])
+            kept.append(tail[keep])
     return np.concatenate(kept)
 
 
-def _percentile_cutoff(pieces, percentile: float) -> tuple[float, list]:
+def _percentile_cutoff(d, percentile: float) -> tuple[float, list]:
     """(d_c, flags): the percentile of the distances between distinct
-    items, ``np.percentile`` of the strict upper triangle bit for bit, or
-    1.0 flagged FLAG_DEGENERATE_DC when that is not positive.
-
-    The triangle comes as a list of pieces (d, diagonal): a diagonal piece
-    is a square array whose strict upper triangle d[i, i+1:] counts, a
-    whole piece counts every entry.  A full matrix is one diagonal piece;
-    the upper day-pair blocks of ``_day_pair_distances`` are a diagonal
-    piece for each day and a whole piece for each pair of days.
+    items, ``np.percentile`` of the strict upper triangle of the distance
+    matrix whose upper day-pair blocks are ``_blocks(d)`` bit for bit, or
+    1.0 flagged FLAG_DEGENERATE_DC when that is not positive.  The
+    triangle holds the strict upper triangle of each day's own block and
+    every entry of each block of two days.
 
     As in ``np.percentile`` (linear method), the N triangle entries have
     the virtual index v = (N - 1) q, q = percentile / 100: d_c is the
@@ -666,41 +653,37 @@ def _percentile_cutoff(pieces, percentile: float) -> tuple[float, list]:
     fraction g = v - k below 0.5 and b - (b - a)(1 - g) from 0.5 on.
     Only those two order statistics are needed, so they are taken by
     selection.  A strided sample of the triangle gives a threshold t:
-    every c-th entry of the pieces' flattened entries laid end to end,
-    c the first integer from max(1, (their count) // 8192) on that is
-    prime to each piece's row length, of which a diagonal piece keeps its
-    strict upper ones.  t is the sample entry at the share of entries the
-    statistics need, plus four binomial standard deviations and 8
-    entries.  One pass (:func:`_upper_at_most`) keeps the triangle
-    entries at or below t, and a partition of those gives a and b.  When
-    too few survive (a sample that misled), the pass is redone with
-    t = inf, over every entry.
+    every c-th entry of the flattened (P, w, w) blocks, c the first
+    integer from max(1, (their size) // 8192) on that is prime to w, of
+    which a day's own block keeps its strict upper ones.  t is the sample
+    entry at the share of entries the statistics need, plus four binomial
+    standard deviations and 8 entries.  One pass (:func:`_upper_at_most`)
+    keeps the triangle entries at or below t, and a partition of those
+    gives a and b.  When too few survive (a sample that misled), the pass
+    is redone with t = inf, over every entry.
     """
     q = np.true_divide(percentile, 100)
     if not 0.0 <= q <= 1.0:
         raise ValueError("Percentiles must be in the range [0, 100]")
-    count = sum(len(d) * (len(d) - 1) // 2 if diagonal else d.size for d, diagonal in pieces)
+    blocks = _blocks(d)
+    w = blocks.shape[1]
+    own = np.array([a == b for a, b in _day_pairs(_block_days(blocks))])  # a day's own block
+    count = blocks.size - int(own.sum()) * (w * (w + 1) // 2)
     v = (count - 1) * q
     k = int(v) if v < count - 1 else count - 1
     need = min(k + 2, count)  # entries up to the order statistic k + 1, or the largest
-    stride = max(1, sum(d.size for d, _ in pieces) // 8192)
-    # so that the picks visit every column
-    while any(math.gcd(stride, d.shape[1]) > 1 for d, _ in pieces):
+    stride = max(1, blocks.size // 8192)
+    while math.gcd(stride, w) > 1:  # so that the picks visit every column
         stride += 1
-    sample, offset = [], 0
-    for d, diagonal in pieces:
-        picks = np.arange(-offset % stride, d.size, stride)
-        if diagonal:
-            picks = picks[picks // len(d) < picks % len(d)]
-        sample.append(d.reshape(-1)[picks])
-        offset += d.size
-    sample = np.concatenate(sample)
+    p, i, j = np.unravel_index(np.arange(0, blocks.size, stride), blocks.shape)
+    upper = (i < j) | ~own[p]
+    sample = blocks[p[upper], i[upper], j[upper]]
     share = need / count * sample.size
     rank = int(share + 4.0 * np.sqrt(share) + 8.0)
     t = np.partition(sample, rank)[rank] if rank < sample.size else np.inf
-    kept = _upper_at_most(pieces, t)
+    kept = _upper_at_most(blocks, t)
     if kept.size < need:
-        kept = _upper_at_most(pieces, np.inf)
+        kept = _upper_at_most(blocks, np.inf)
     a, b = np.partition(kept, [k, need - 1])[[k, need - 1]]
     if v >= count - 1:
         d_c = float(b)
@@ -728,7 +711,7 @@ def cluster(
     dm = pairwise_distances(vectors)
     flags = []
     if d_c is None:
-        d_c, flags = _percentile_cutoff([(dm.d, True)], dc_percentile)
+        d_c, flags = _percentile_cutoff(dm, dc_percentile)
     rho = local_density(dm, d_c)
     delta, nn = delta_neighbors(dm, rho)
     gamma = rho * delta

@@ -214,7 +214,10 @@ def predict(history: HistorySet, goal, d_c: float, k: int | None = None) -> floa
     A (4,) goal gives a float and a (G, 4) stack an array of G values,
     each that of its goal alone; the stack shares one matcher build, as
     in the pipeline.  A goal alone in its cluster falls back to the
-    Gaussian-weighted average over all windows.
+    Gaussian-weighted average over all windows.  A goal whose distance to
+    some window is not finite (squares that overflow too) raises
+    ValueError("non-finite distance"); a d_c that is not positive and
+    finite raises ValueError too (``cluster.local_density``).
     """
     if len(history) == 0:
         raise ValueError("empty history")
@@ -324,9 +327,14 @@ class _GoalMatcher:
     def predict_block(self, goals: np.ndarray, block: slice, values: np.ndarray,
                       fell_back: np.ndarray) -> None:
         """Write values[block] and fell_back[block], those of goals[block];
-        a block's entries depend on its goals alone."""
+        a block's entries depend on its goals alone.  A goal distance that
+        is not finite raises ValueError, with no overflow warning, as in
+        ``pairwise_distances``."""
         m = self.columns.shape[1]
-        d_goal = _column_distances(goals[block], self.columns)
+        with np.errstate(over="ignore"):  # an overflow is the ValueError below
+            d_goal = _column_distances(goals[block], self.columns)
+        if not np.isfinite(d_goal.max()):
+            raise ValueError("non-finite distance")
         w_goal = _kernel(d_goal, self.d_c)
         rho = np.empty((len(d_goal), m + 1))
         np.add(self.rho_base, w_goal, out=rho[:, :m])
@@ -480,7 +488,11 @@ def compare_pipelines(
     carry ``mape`` NaN and ``mape_retained_count`` 0, and ``flags``
     holds ``"no-moving-traffic"``; when every target slice is 0 (a closed
     road), ``rmae`` is NaN too.  Each history day is denoised in one
-    solve at its own slice length.
+    solve at its own slice length.  A given sigma is checked before any
+    work, raw only too: one that ``SolverConfig`` rejects raises its
+    ValueError.  A goal window whose distance to some history window is
+    not finite (a NaN or infinite slice, or squares that overflow)
+    raises ValueError("non-finite distance"), with no numpy warning.
 
     The sigma estimates and the history denoise, the only solves that go
     through ``denoise_values`` and ``estimate_sigma``, run first on the
@@ -491,14 +503,13 @@ def compare_pipelines(
     task once the stages it waits for have ended (``_Drain``): the raw
     distances, in two halves by day pairs, into one buffer of upper
     day-pair blocks (``cluster._day_pair_distances``: each pair of days
-    a <= b once, no (m, m) matrix); the causal goal stack; d_c, by
-    selection over the blocks; the raw matcher's density and
-    history-only ``delta_neighbors`` passes, each in two halves by rows,
-    whose row blocks are assembled from the day-pair blocks into a
-    scratch array of the task (``cluster._row_source``), and its build;
-    the denoised distances, in two halves, into the same buffer once the
-    raw passes have ended (a matcher keeps no (m, m) matrix); the
-    denoised matcher's passes and build; then the raw goal blocks and
+    a <= b once, no (m, m) matrix), which the d_c, density and
+    separation passes read as they are; the causal goal stack; d_c, by
+    selection; the raw matcher's density and history-only
+    ``delta_neighbors`` passes, each in two halves by rows, and its
+    build; the denoised distances, in two halves, into the same buffer
+    once the raw passes have ended (a matcher keeps no (m, m) matrix);
+    the denoised matcher's passes and build; then the raw goal blocks and
     the denoised ones (``_GoalMatcher.predict_block``, the step of
     ``_GoalMatcher.predict``).  No task's output depends on the thread
     that runs it, so neither do the predictions.  The worker runs in a
@@ -513,6 +524,8 @@ def compare_pipelines(
     h = target.h
     if target.n_slices != DEFAULT_SLICES:
         raise ValueError(f"target must have {DEFAULT_SLICES} slices")
+    if sigma is not None:
+        replace(solver, sigma=sigma)  # a sigma the solver rejects raises, raw only too
 
     histories = {"raw": build_history(days)}
     if sigma is None:
@@ -546,8 +559,7 @@ def compare_pipelines(
     built = {}  # "d_c": (d_c, flags), and each variant's matcher
 
     def raw_cutoff() -> None:
-        built["d_c"] = _percentile_cutoff([(block, a == b) for block, (a, b) in zip(d, pairs)],
-                                          dc_percentile)
+        built["d_c"] = _percentile_cutoff(d, dc_percentile)
 
     def causal_goals() -> None:
         seen = np.arange(WINDOW, WINDOW + n_goals)  # slices observed at each goal

@@ -288,10 +288,19 @@ class TestLocalDensity:
         with pytest.raises(ValueError):
             local_density(pairwise_distances(LINE), d_c=0.0)
 
-    def test_whole_matrix_rows_read_in_place_equal_the_formula(self):
-        # the kernel reads a whole matrix's rows and writes into the
-        # scratch: every density, of a full call and of row halves, bit
-        # for bit, and the matrix is left as it was
+    @pytest.mark.parametrize("d_c", [np.inf, np.nan])
+    def test_rejects_a_non_finite_dc(self, d_c):
+        # an infinite d_c gives every pair the weight 1, and so a density
+        # that reads nothing of the distances
+        with pytest.raises(ValueError, match="d_c must be positive"):
+            local_density(pairwise_distances(LINE), d_c=d_c)
+        with pytest.raises(ValueError, match="d_c must be positive"):
+            cluster(three_blobs(), d_c=d_c)
+
+    def test_whole_matrix_rows_equal_the_formula(self):
+        # a whole matrix is read as one day's block, its rows copied into
+        # the scratch where the kernel runs: every density, of a full call
+        # and of row halves, bit for bit, and the matrix is left as it was
         d = pairwise_distances(np.random.default_rng(8).normal(30.0, 8.0, (1974, 4))).d
         before = d.copy()
         want = np.exp(-((d / 3.0) ** 2)).sum(axis=1) - 1.0
@@ -390,6 +399,39 @@ class TestDeltaNeighbors:
             delta, nn = delta_neighbors(blocks, rho, slice(lo, hi))
         np.testing.assert_array_equal(delta, want_delta[lo:hi])
         np.testing.assert_array_equal(nn, want_nn[lo:hi])
+
+
+class TestOneLayout:
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_matrix_one_day_and_day_pair_blocks_read_alike(self, data):
+        # the density, separation and d_c passes read upper day-pair
+        # blocks: the whole matrix, as a DistanceMatrix or an array, its
+        # one-day form d[None] and the day-pair blocks of the same windows
+        # give the same bits, on any row slice and in any row blocks
+        n_days = data.draw(st.integers(1, 4), label="n_days")
+        n_windows = data.draw(st.integers(2, 10), label="n_windows")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        days = rng.integers(0, 3, (n_days, n_windows + 3)).astype(float)
+        windows = np.lib.stride_tricks.sliding_window_view(days, 4, axis=1)[:, :n_windows]
+        dm = pairwise_distances(windows.reshape(-1, 4))
+        m = n_days * n_windows
+        lo = data.draw(st.integers(0, m), label="lo")
+        hi = data.draw(st.integers(lo, m), label="hi")
+        rows = slice(lo, hi)
+        block = data.draw(st.sampled_from([1, 2000, 1 << 22]), label="block")
+        percentile = data.draw(PERCENTILES, label="percentile")
+        d_c = data.draw(st.sampled_from([0.5, 1.0, 2.0]), label="d_c")
+        rho = local_density(dm, d_c)
+        got = []
+        with mock.patch.object(cluster_module, "_BLOCK_BYTES", block):
+            for d in (dm, dm.d, dm.d[None], cluster_module._day_pair_distances(days, n_windows, 4)):
+                cutoff, flags = cluster_module._percentile_cutoff(d, percentile)
+                delta, nn = delta_neighbors(d, rho, rows)
+                got.append((local_density(d, d_c, rows).tobytes(), delta.tobytes(), nn.tobytes(),
+                            np.float64(cutoff).tobytes(), flags))
+        assert got[1:] == got[:1] * 3
+        assert got[0][0] == rho[rows].tobytes()
 
 
 # History densities for HistoryPeaks: a base plus whole steps, each exact
@@ -934,7 +976,7 @@ def _reference_cutoff(d, percentile):
 
 
 def assert_same_cutoff(d, percentile):
-    got = cluster_module._percentile_cutoff([(d, True)], percentile)
+    got = cluster_module._percentile_cutoff(d, percentile)
     want = _reference_cutoff(d, percentile)
     assert np.float64(got[0]).tobytes() == np.float64(want[0]).tobytes(), (got, want)
     assert got[1] == want[1]
@@ -969,7 +1011,7 @@ class TestPercentileCutoff:
 
     @pytest.mark.parametrize("percentile", [2.0, 100.0, 1e-9])
     def test_all_zero_matrix_is_degenerate(self, percentile):
-        assert cluster_module._percentile_cutoff([(np.zeros((5, 5)), True)], percentile) == (
+        assert cluster_module._percentile_cutoff(np.zeros((5, 5)), percentile) == (
             1.0, [FLAG_DEGENERATE_DC])
         assert_same_cutoff(np.zeros((300, 300)), percentile)
 
@@ -1004,7 +1046,8 @@ class TestPercentileCutoff:
     @pytest.mark.parametrize("history", ["random", "tie-heavy", "flat"])
     def test_day_pair_pieces_equal_np_percentile(self, history, percentile):
         # the upper day-pair blocks as compare_pipelines passes them: a
-        # diagonal piece a day, a whole piece a pair of days
+        # day's own block counts its strict upper triangle, a block of two
+        # days every entry
         rng = np.random.default_rng(9)
         if history == "random":
             days = rng.normal(30.0, 8.0, (4, 288))
@@ -1013,9 +1056,7 @@ class TestPercentileCutoff:
         else:
             days = np.full((3, 288), 30.0)
         blocks = cluster_module._day_pair_distances(days, 282, 4)
-        pairs = cluster_module._day_pairs(len(days))
-        pieces = [(block, a == b) for block, (a, b) in zip(blocks, pairs)]
-        got = cluster_module._percentile_cutoff(pieces, percentile)
+        got = cluster_module._percentile_cutoff(blocks, percentile)
         want = _reference_cutoff(_unpacked(blocks), percentile)
         assert np.float64(got[0]).tobytes() == np.float64(want[0]).tobytes(), (got, want)
         assert got[1] == want[1]
@@ -1023,9 +1064,9 @@ class TestPercentileCutoff:
             assert got == (1.0, [FLAG_DEGENERATE_DC])
 
     def test_misleading_sample_of_pieces_widens_the_pass(self, monkeypatch):
-        # the sampled entries of three days of 100 items, every c-th of the
-        # six pieces laid end to end (c = 60000 // 8192 = 7, prime to 100),
-        # and their mirrors in the diagonal pieces, are the smallest
+        # the sampled entries of three days of 100 items, every c-th entry
+        # of the six flattened blocks (c = 60000 // 8192 = 7, prime to 100),
+        # and their mirrors in each day's own block, are the smallest
         w, stride = 100, 7
         rng = np.random.default_rng(10)
         pairs = cluster_module._day_pairs(3)
@@ -1039,9 +1080,8 @@ class TestPercentileCutoff:
         passes = []
         real = cluster_module._upper_at_most
         monkeypatch.setattr(cluster_module, "_upper_at_most",
-                            lambda pieces, t: passes.append(t) or real(pieces, t))
-        pieces = [(block, a == b) for block, (a, b) in zip(blocks, pairs)]
-        got = cluster_module._percentile_cutoff(pieces, 50.0)
+                            lambda d, t: passes.append(t) or real(d, t))
+        got = cluster_module._percentile_cutoff(blocks, 50.0)
         want = _reference_cutoff(_unpacked(blocks), 50.0)
         assert np.float64(got[0]).tobytes() == np.float64(want[0]).tobytes()
         assert passes == [0.5, np.inf]
@@ -1049,7 +1089,7 @@ class TestPercentileCutoff:
     def test_rejects_a_percentile_outside_0_to_100(self):
         for percentile in (-1.0, 100.5, np.nan):
             with pytest.raises(ValueError, match=r"Percentiles must be in the range \[0, 100\]"):
-                cluster_module._percentile_cutoff([(np.zeros((3, 3)), True)], percentile)
+                cluster_module._percentile_cutoff(np.zeros((3, 3)), percentile)
 
 
 def adjusted_rand_index(truth, labels) -> float:

@@ -6,6 +6,7 @@ import math
 import sys
 import threading
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -405,6 +406,27 @@ class TestPredict:
         for goal in ([1.0] * 3, np.zeros((2, 3)), np.zeros((1, 2, 4))):
             with pytest.raises(ValueError, match="goal must be"):
                 predict(hs, goal, d_c=2.0)
+
+    @pytest.mark.parametrize("first", [np.nan, np.inf, 1e200])
+    def test_non_finite_goal_distance_raises(self, first):
+        # NaN, infinite or overflowing goal distances used to give the
+        # history's mean label, the last two with an overflow warning
+        days = [n for _, n in two_regime_corpus(n_roads=1, n_days=3, seed=0)[0]]
+        history = build_history(days)
+        goal = [first, 1.0, 2.0, 3.0]
+        for goals in (goal, [history.windows[5], goal], [goal, history.windows[5]]):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match="non-finite distance"):
+                    predict(history, goals, d_c=2.0)
+
+    @pytest.mark.parametrize("d_c", [np.inf, np.nan])
+    def test_non_finite_dc_raises(self, d_c):
+        # an infinite d_c used to weigh every window alike: the mean label
+        hs = family_history(10.0, np.arange(8.0))
+        for k in (None, 1):
+            with pytest.raises(ValueError, match="d_c must be positive"):
+                predict(hs, [10.0] * 4, d_c=d_c, k=k)
 
     @settings(max_examples=30, deadline=None)
     @given(case=st.sampled_from(["tie-heavy", "axes", "family"]),
@@ -909,6 +931,25 @@ class TestComparePipelines:
     def short_road(self):
         road = two_regime_corpus(n_roads=1, n_days=2, seed=3)[0]
         return [road[0][1]], road[1][1]
+
+    @pytest.mark.parametrize("sigma", [-1.0, np.nan, np.inf])
+    def test_given_sigma_is_checked_before_any_work_raw_only_too(self, short_road, monkeypatch,
+                                                               sigma):
+        # a raw-only run used to report a sigma that a full run rejects
+        history, target = short_road
+        monkeypatch.setattr(forecast, "build_history", mock.Mock(side_effect=AssertionError))
+        for include_denoised in (True, False):
+            with pytest.raises(ValueError, match="sigma must be finite and >= 0"):
+                compare_pipelines(history, target, sigma=sigma, include_denoised=include_denoised)
+
+    def test_overflowing_target_raises_raw_only(self, short_road):
+        # goal windows about 1e200 overflow their squared distances
+        history, target = short_road
+        huge = VelocitySeries(target.road_id, target.day, target.values * 1e200, h=target.h)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="non-finite distance"):
+                compare_pipelines(history, huge, sigma=2.5, include_denoised=False)
 
     def test_denoised_matcher_runs_under_the_callers_errstate(self, short_road, monkeypatch):
         # every task, the matcher builds and the goal blocks among them,
